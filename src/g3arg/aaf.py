@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import Framework, Labelling, enumerate_complete
-from .prop import Formula, Neg, UndConst, conj
-from .pred import InAtom, StatusRef, classical_eval, is_closed, walk
+from .prop import Formula, Neg, Program, UndConst, conj, scan
+from .pred import InAtom, StatusRef, constants_of, grounding, is_closed, walk
+from .threeval import DECIDED_ORDER
 
 
 class EncodingError(Exception):
@@ -41,6 +42,9 @@ class AxiomaticFrame:
                     "the constraint may mention R and = only, found "
                     f"{type(node).__name__}"
                 )
+        unknown = sorted(constants_of(self.psi) - set(self.s0))
+        if unknown:
+            raise ValueError(f"the constraint mentions unknown element {unknown[0]!r}")
 
     @classmethod
     def make(cls, s0: Iterable[str], psi: Formula) -> "AxiomaticFrame":
@@ -55,16 +59,18 @@ def aaf_extensions(
     Relations are scanned as sorted pair tuples in lexicographic order.
     """
     pairs = [(u, x) for u in af.s0 for x in af.s0]
-    relations = sorted(
-        tuple(p for i, p in enumerate(pairs) if mask >> i & 1)
-        for mask in range(2 ** len(pairs))
+    # classical evaluation: every relation atom is decided
+    satisfying = scan(
+        [(p, DECIDED_ORDER) for p in pairs],
+        Program([af.psi], grounding(af.s0)).holds,
     )
-    out = []
-    for rel in relations:
-        if classical_eval(af.psi, af.s0, set(rel)):
-            labs = enumerate_complete(Framework.make(af.s0, rel))
-            out.append((rel, tuple(labs)))
-    return out
+    relations = sorted(
+        tuple(p for p, c in zip(pairs, index) if c) for index in satisfying
+    )
+    return [
+        (rel, tuple(enumerate_complete(Framework.make(af.s0, rel))))
+        for rel in relations
+    ]
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,8 @@ def _cmd_models(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     doc = _load(ns.file)
     fw = doc.to_framework()
+    if doc.insts:
+        raise _UsageError("verify does not apply to documents with inst facts")
     result: dict[str, Any] = {
         "command": "verify",
         "species": doc.species,

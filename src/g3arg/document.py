@@ -20,17 +20,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import Framework
-from .meta import HigherNetwork
-from .prop import And, Atom, Bot, Formula, Neg, Or, Top, atoms_of, value
+from .meta import R_UNIT_RE, HigherNetwork
+from .pred import walk
+from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan
 from .syntax import ParseError, parse_pred, parse_prop
-from .threeval import ThreeVal
+from .threeval import DECIDED_ORDER
 
 _ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_R_UNIT_RE = re.compile(r"r\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
 
 _FACT_ARITY = {
     "arg": 1,
@@ -156,7 +155,7 @@ def _as_id(token: str, fact: _Fact) -> str:
 
 
 def _as_unit(token: str, fact: _Fact) -> str:
-    m = _R_UNIT_RE.match(token)
+    m = R_UNIT_RE.match(token)
     if m:
         return f"r({m.group(1)},{m.group(2)})"
     return _as_id(token, fact)
@@ -215,11 +214,11 @@ class InputDocument:
             condition = parse_prop(text)
             _check_condition(condition, set(self.args))
             parents = tuple(sorted(atoms_of(condition)))
-            rows = [
-                bits
-                for bits in product((0, 1), repeat=len(parents))
-                if _bool_holds(condition, parents, bits)
-            ]
+            # a row is a 0/1 vector over the parents, the indices of a
+            # decided-order scan
+            rows = list(
+                scan([(p, DECIDED_ORDER) for p in parents], Program([condition]).holds)
+            )
             table[x] = (parents, rows)
         return ADFNet.make(self.args, table)
 
@@ -241,29 +240,15 @@ class InputDocument:
 
 def _check_condition(f: Formula, declared: set[str]) -> None:
     """Acceptance conditions: and/or over literals, true, false."""
-    if isinstance(f, Atom):
-        if f.name not in declared:
-            raise ParseError(f"acceptance condition mentions undeclared {f.name!r}")
-        return
-    if isinstance(f, Neg):
-        if not isinstance(f.body, Atom):
+    for node in walk(f):
+        if isinstance(node, Atom) and node.name not in declared:
+            raise ParseError(f"acceptance condition mentions undeclared {node.name!r}")
+        if isinstance(node, Neg) and not isinstance(node.body, Atom):
             raise ParseError("acceptance conditions may negate atoms only")
-        _check_condition(f.body, declared)
-        return
-    if isinstance(f, (And, Or)):
-        _check_condition(f.left, declared)
-        _check_condition(f.right, declared)
-        return
-    if isinstance(f, (Top, Bot)):
-        return
-    raise ParseError(
-        f"{type(f).__name__} is not allowed in an acceptance condition"
-    )
-
-
-def _bool_holds(f: Formula, parents: tuple[str, ...], bits: tuple[int, ...]) -> bool:
-    h = {p: ThreeVal.TT if b else ThreeVal.FF for p, b in zip(parents, bits)}
-    return value(f, h).here
+        if not isinstance(node, (Atom, Neg, And, Or, Top, Bot)):
+            raise ParseError(
+                f"{type(node).__name__} is not allowed in an acceptance condition"
+            )
 
 
 def _detect_species(facts: list[_Fact]) -> str:
@@ -279,7 +264,7 @@ def _detect_species(facts: list[_Fact]) -> str:
             markers.add("aaf")
         elif fact.name == "wff":
             markers.add("higher")
-        elif fact.name == "att" and any(_R_UNIT_RE.match(t.strip()) for t in fact.args):
+        elif fact.name == "att" and any(R_UNIT_RE.match(t.strip()) for t in fact.args):
             markers.add("higher")
     if len(markers) > 1:
         raise ParseError(f"mixed species: {' and '.join(sorted(markers))}")
@@ -326,7 +311,7 @@ def parse_document(text: str) -> InputDocument:
             endpoints = []
             for token in fact.args:
                 unit = _as_unit(token, fact)
-                m = _R_UNIT_RE.match(unit)
+                m = R_UNIT_RE.match(unit)
                 if m:
                     for inner in m.groups():
                         if inner not in args:

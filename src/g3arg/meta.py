@@ -10,28 +10,27 @@ three-valued.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .prop import And, Formula, Imp, Neg, Or, UndConst, conj, disj
+from .prop import And, Formula, Imp, Neg, Or, Program, UndConst, conj, disj, scan
 from .pred import (
     Constant,
     InAtom,
     PredInterp,
     RAtom,
     StatusRef,
-    eval_pred,
+    constants_of,
     free_vars,
+    grounding,
     is_closed,
-    relation_to_r_val,
-    walk,
+    relation_dims,
 )
-from .threeval import VALUE_ORDER, ThreeVal, World
+from .threeval import VALUE_ORDER, ThreeVal
 from .translate import Theory
 
-_R_UNIT_RE = re.compile(r"r\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
+R_UNIT_RE = re.compile(r"r\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
 
 
 class SearchSpaceExceeded(Exception):
@@ -83,7 +82,7 @@ class HigherNetwork:
         for s, t in hattacks:
             pair = []
             for end in (s, t):
-                m = _R_UNIT_RE.match(end)
+                m = R_UNIT_RE.match(end)
                 if m and end not in units and end not in node_tuple:
                     u, v = m.group(1), m.group(2)
                     name = f"r({u},{v})"
@@ -115,12 +114,11 @@ class HigherNetwork:
                     f"unit {unit.name!r} has free variables "
                     f"{sorted(free_vars(unit.formula))}"
                 )
-            for node in walk(unit.formula):
-                for term in _constants_of(node):
-                    if term not in self.nodes:
-                        raise ValueError(
-                            f"unit {unit.name!r} mentions unknown element {term!r}"
-                        )
+            unknown = sorted(constants_of(unit.formula) - set(self.nodes))
+            if unknown:
+                raise ValueError(
+                    f"unit {unit.name!r} mentions unknown element {unknown[0]!r}"
+                )
         for s, t in self.hattacks:
             for end in (s, t):
                 if end not in names:
@@ -137,20 +135,6 @@ class HigherNetwork:
 
     def unit_names(self) -> tuple[str, ...]:
         return self.nodes + tuple(u.name for u in self.wffs)
-
-
-def _constants_of(f: Formula) -> list[str]:
-    out = []
-    if isinstance(f, InAtom):
-        terms = [f.term]
-    elif isinstance(f, RAtom):
-        terms = [f.left, f.right]
-    else:
-        return out
-    for t in terms:
-        if isinstance(t, Constant):
-            out.append(t.name)
-    return out
 
 
 def attack_formula(hn: HigherNetwork, source: str, target: str) -> Formula:
@@ -316,43 +300,33 @@ def solve_higher(
             f"{unknowns} three-valued unknowns exceed the bound {max_unknowns}"
         )
     clauses = [g for _, g in _star_clauses(hn, True, _as_status)]
-    r_atom_units = [u for u in hn.wffs if u.is_r_atom]
+    r_units = [
+        (u.name, (u.formula.left.name, u.formula.right.name))
+        for u in hn.wffs
+        if u.is_r_atom
+    ]
     general_units = [u for u in hn.wffs if not u.is_r_atom]
+    program = Program(clauses + [u.formula for u in general_units], grounding(nodes))
+    # An R-atom unit stands as its pair; a general unit's standing is a scan
+    # dimension that must agree with its formula at the actual world.
+    ties = [StatusRef(u.name) for u in general_units]
+    dims = [(n, VALUE_ORDER) for n in nodes]
+    dims += relation_dims(nodes, fixed_r, VALUE_ORDER)
+    dims += [(ref, VALUE_ORDER) for ref in ties]
+
+    def keep(table: dict, full: int) -> int:
+        for name, pair in r_units:
+            table[StatusRef(name)] = table[pair]
+        return program.holds(table, full, ties)
 
     models: list[GeneralizedModel] = []
-    for in_combo in itertools.product(VALUE_ORDER, repeat=len(nodes)):
-        in_val = dict(zip(nodes, in_combo))
-        if fixed_r is not None:
-            r_iter: Iterable[dict[tuple[str, str], ThreeVal]] = [
-                relation_to_r_val(nodes, fixed_r)
-            ]
-        else:
-            r_iter = (
-                dict(zip(pairs, combo))
-                for combo in itertools.product(VALUE_ORDER, repeat=len(pairs))
-            )
-        for r_val in r_iter:
-            interp = PredInterp(nodes, in_val, r_val)
-            statuses: dict[str, ThreeVal] = {}
-            for unit in r_atom_units:
-                atom = unit.formula
-                statuses[unit.name] = r_val[(atom.left.name, atom.right.name)]
-            option_lists = []
-            for unit in general_units:
-                if eval_pred(World.HERE, unit.formula, interp):
-                    option_lists.append((ThreeVal.TT,))
-                else:
-                    option_lists.append((ThreeVal.FF, ThreeVal.FT))
-            for combo in itertools.product(*option_lists):
-                table = dict(statuses)
-                table.update(
-                    (u.name, v) for u, v in zip(general_units, combo)
-                )
-                if all(
-                    eval_pred(World.HERE, c, interp, statuses=table)
-                    for c in clauses
-                ):
-                    models.append(
-                        GeneralizedModel(interp, tuple(sorted(table.items())))
-                    )
+    for index in scan(dims, keep):
+        values = [choices[c] for (_, choices), c in zip(dims, index)]
+        r_val = dict(zip(pairs, values[len(nodes) :]))
+        statuses = {name: r_val[pair] for name, pair in r_units}
+        statuses.update(
+            zip((u.name for u in general_units), values[len(nodes) + len(pairs) :])
+        )
+        interp = PredInterp(nodes, dict(zip(nodes, values)), r_val)
+        models.append(GeneralizedModel(interp, tuple(sorted(statuses.items()))))
     return models

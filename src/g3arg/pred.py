@@ -8,11 +8,13 @@ three-valued truth profiles, equality is identity on element names.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .prop import (
+    ALL,
+    ANY,
+    LEAF,
     And,
     Atom,
     Bot,
@@ -21,9 +23,13 @@ from .prop import (
     Imp,
     Neg,
     Or,
+    Program,
     Top,
     UndConst,
+    conj,
+    disj,
     iff,
+    scan,
 )
 from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
 
@@ -106,22 +112,28 @@ class PredInterp:
 
 
 def walk(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every formula node beneath it."""
-    yield f
-    if isinstance(f, Neg):
-        yield from walk(f.body)
-    elif isinstance(f, (And, Or, Imp)):
-        yield from walk(f.left)
-        yield from walk(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from walk(f.body)
+    """Yield ``f`` and every formula node beneath it, in preorder."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (Neg, Forall, Exists)):
+            stack.append(node.body)
+        elif isinstance(node, (And, Or, Imp)):
+            stack += (node.right, node.left)
+
+
+def _terms(f: Formula) -> tuple[Term, ...]:
+    if isinstance(f, InAtom):
+        return (f.term,)
+    if isinstance(f, (RAtom, EqAtom)):
+        return (f.left, f.right)
+    return ()
 
 
 def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, InAtom):
-        return _term_vars(f.term)
-    if isinstance(f, (RAtom, EqAtom)):
-        return _term_vars(f.left) | _term_vars(f.right)
+    if isinstance(f, (InAtom, RAtom, EqAtom)):
+        return {t.name for t in _terms(f) if isinstance(t, Variable)}
     if isinstance(f, (Atom, UndConst, Top, Bot, StatusRef)):
         return set()
     if isinstance(f, Neg):
@@ -137,21 +149,69 @@ def is_closed(f: Formula) -> bool:
     return not free_vars(f)
 
 
-def _term_vars(t: Term) -> set[str]:
-    return {t.name} if isinstance(t, Variable) else set()
+def constants_of(f: Formula) -> set[str]:
+    """Names of the constants occurring in ``f``."""
+    return {
+        t.name
+        for node in walk(f)
+        for t in _terms(node)
+        if isinstance(t, Constant)
+    }
 
 
-def _resolve(t: Term, m: PredInterp, v: Mapping[str, str]) -> str:
+def _resolve(t: Term, domain: Sequence[str], env: Mapping[str, str]) -> str:
     if isinstance(t, Variable):
         try:
-            return v[t.name]
+            return env[t.name]
         except KeyError:
             raise EvalError(f"unbound variable {t.name!r}") from None
     if isinstance(t, Constant):
-        if t.name not in m.domain:
+        if t.name not in domain:
             raise EvalError(f"constant {t.name!r} names no domain element")
         return t.name
     raise EvalError(f"not a term: {t!r}")
+
+
+def grounding(domain: Sequence[str]):
+    """The predicate layer's ``expand`` hook for Program over ``domain``.
+
+    ``In(d)`` is a leaf keyed by the element ``d``, ``R(u,x)`` by the pair
+    ``(u, x)``, a status reference by the node itself. Equality is decided
+    while compiling; ``forall`` is the pointwise AND of its instances over
+    the domain, ``exists`` the pointwise OR.
+    """
+    dom = tuple(domain)
+
+    def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
+        if isinstance(f, InAtom):
+            return LEAF, _resolve(f.term, dom, env)
+        if isinstance(f, RAtom):
+            return LEAF, (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
+        if isinstance(f, EqAtom):
+            same = _resolve(f.left, dom, env) == _resolve(f.right, dom, env)
+            return (ALL if same else ANY), ()
+        if isinstance(f, StatusRef):
+            return LEAF, f
+        if isinstance(f, (Forall, Exists)):
+            return (ALL if isinstance(f, Forall) else ANY), [
+                (f.body, {**env, f.var: d}) for d in dom
+            ]
+        raise EvalError(f"not a predicate formula node: {f!r}")
+
+    return expand
+
+
+def _pair(
+    f: Formula,
+    m: PredInterp,
+    v: Mapping[str, str] | None,
+    statuses: Mapping[str, ThreeVal] | None,
+) -> ThreeVal:
+    """The truth profile of ``f`` in ``m``: a batch of one."""
+    table = {key: x.value for key, x in [*m.in_val.items(), *m.r_val.items()]}
+    table.update((StatusRef(n), x.value) for n, x in (statuses or {}).items())
+    here, there = Program([f], grounding(m.domain), v).run(table, 1)[0]
+    return ThreeVal.from_pair(bool(here), bool(there))
 
 
 def eval_pred(
@@ -166,65 +226,14 @@ def eval_pred(
     Universal quantification ranges over the (constant) domain at every
     world at or above ``w``; existential quantification stays at ``w``.
     """
-    if v is None:
-        v = {}
-    if isinstance(f, InAtom):
-        return m.in_val[_resolve(f.term, m, v)].at(w)
-    if isinstance(f, RAtom):
-        return m.r_val[(_resolve(f.left, m, v), _resolve(f.right, m, v))].at(w)
-    if isinstance(f, EqAtom):
-        return _resolve(f.left, m, v) == _resolve(f.right, m, v)
-    if isinstance(f, StatusRef):
-        if statuses is None or f.name not in statuses:
-            raise EvalError(f"no status recorded for unit {f.name!r}")
-        return statuses[f.name].at(w)
-    if isinstance(f, UndConst):
-        return w is World.THERE
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, And):
-        return eval_pred(w, f.left, m, v, statuses) and eval_pred(
-            w, f.right, m, v, statuses
-        )
-    if isinstance(f, Or):
-        return eval_pred(w, f.left, m, v, statuses) or eval_pred(
-            w, f.right, m, v, statuses
-        )
-    if isinstance(f, Neg):
-        return all(
-            not eval_pred(u, f.body, m, v, statuses) for u in w.and_above()
-        )
-    if isinstance(f, Imp):
-        return all(
-            not eval_pred(u, f.left, m, v, statuses)
-            or eval_pred(u, f.right, m, v, statuses)
-            for u in w.and_above()
-        )
-    if isinstance(f, Forall):
-        return all(
-            eval_pred(u, f.body, m, {**v, f.var: d}, statuses)
-            for u in w.and_above()
-            for d in m.domain
-        )
-    if isinstance(f, Exists):
-        return any(
-            eval_pred(w, f.body, m, {**v, f.var: d}, statuses) for d in m.domain
-        )
-    raise EvalError(f"not a predicate formula node: {f!r}")
+    return _pair(f, m, v, statuses).at(w)
 
 
 def pred_value(
     f: Formula, m: PredInterp, statuses: Mapping[str, ThreeVal] | None = None
 ) -> ThreeVal:
-    """Truth profile of a closed formula."""
-    if not is_closed(f):
-        raise EvalError(f"formula has free variables {sorted(free_vars(f))}")
-    return ThreeVal.from_pair(
-        eval_pred(World.HERE, f, m, None, statuses),
-        eval_pred(World.THERE, f, m, None, statuses),
-    )
+    """Truth profile of a closed formula; free variables raise EvalError."""
+    return _pair(f, m, None, statuses)
 
 
 def relation_to_r_val(
@@ -243,6 +252,17 @@ def mentions_in(f: Formula) -> bool:
     return any(isinstance(node, InAtom) for node in walk(f))
 
 
+def relation_dims(
+    domain: Sequence[str],
+    fixed_r: Iterable[tuple[str, str]] | None,
+    order: Sequence[ThreeVal],
+) -> list[tuple[tuple[str, str], Sequence[ThreeVal]]]:
+    """Scan dimensions of the R profiles: over ``order``, or pinned to ``fixed_r``."""
+    if fixed_r is None:
+        return [((u, x), order) for u in domain for x in domain]
+    return [(p, (v,)) for p, v in relation_to_r_val(domain, fixed_r).items()]
+
+
 def enumerate_interps(
     domain: Sequence[str],
     theory: Iterable[Formula],
@@ -254,35 +274,24 @@ def enumerate_interps(
 
     R profiles range over all three values unless ``r_decided`` limits them
     to the classical two, or ``fixed_r`` pins the relation outright. In
-    profiles always range over all three values. Formulas that never mention
-    ``In`` are checked once per R choice, which keeps the free-R scans cheap.
+    profiles always range over all three values. A first scan over the R
+    choices alone keeps those satisfying the formulas that never mention
+    ``In``; the In profiles are scanned only under the survivors.
     """
     dom = tuple(domain)
     formulas = list(theory)
-    in_dependent = [f for f in formulas if mentions_in(f)]
-    in_free = [f for f in formulas if not mentions_in(f)]
-    pairs = [(u, x) for u in dom for x in dom]
-
-    if fixed_r is not None:
-        r_choices: Iterable[dict[tuple[str, str], ThreeVal]] = [
-            relation_to_r_val(dom, fixed_r)
-        ]
-    else:
-        order = DECIDED_ORDER if r_decided else VALUE_ORDER
-        r_choices = (
-            dict(zip(pairs, combo))
-            for combo in itertools.product(order, repeat=len(pairs))
-        )
-
+    expand = grounding(dom)
+    in_free = Program([f for f in formulas if not mentions_in(f)], expand)
+    in_dependent = Program([f for f in formulas if mentions_in(f)], expand)
+    r_dims = relation_dims(dom, fixed_r, DECIDED_ORDER if r_decided else VALUE_ORDER)
     found: list[PredInterp] = []
-    for r_val in r_choices:
-        probe = PredInterp(dom, {}, r_val)
-        if not all(eval_pred(World.HERE, f, probe) for f in in_free):
-            continue
-        for combo in itertools.product(VALUE_ORDER, repeat=len(dom)):
-            m = PredInterp(dom, dict(zip(dom, combo)), r_val)
-            if all(eval_pred(World.HERE, f, m) for f in in_dependent):
-                found.append(m)
+    for r_index in scan(r_dims, in_free.holds):
+        r_val = {p: choices[c] for (p, choices), c in zip(r_dims, r_index)}
+        pinned = [(p, (v,)) for p, v in r_val.items()]
+        in_dims = [(d, VALUE_ORDER) for d in dom]
+        for index in scan(pinned + in_dims, in_dependent.holds):
+            in_val = {d: VALUE_ORDER[c] for d, c in zip(dom, index[len(pinned) :])}
+            found.append(PredInterp(dom, in_val, r_val))
     return found
 
 
@@ -292,54 +301,19 @@ def classical_eval(
     relation: Iterable[tuple[str, str]],
     v: Mapping[str, str] | None = None,
 ) -> bool:
-    """Single-world classical satisfaction for formulas over R and = only."""
-    if v is None:
-        v = {}
-    rel = relation if isinstance(relation, (set, frozenset)) else set(relation)
+    """Single-world classical satisfaction for formulas over R and = only.
+
+    This is two-world evaluation with every relation atom decided.
+    """
+    for node in walk(f):
+        if isinstance(node, (Atom, InAtom, UndConst, StatusRef)):
+            raise EvalError(
+                "classical evaluation accepts formulas over R and = only, "
+                f"found {type(node).__name__}"
+            )
     dom = tuple(domain)
-
-    def res(t: Term) -> str:
-        if isinstance(t, Variable):
-            try:
-                return v[t.name]
-            except KeyError:
-                raise EvalError(f"unbound variable {t.name!r}") from None
-        if isinstance(t, Constant):
-            if t.name not in dom:
-                raise EvalError(f"constant {t.name!r} names no domain element")
-            return t.name
-        raise EvalError(f"not a term: {t!r}")
-
-    if isinstance(f, RAtom):
-        return (res(f.left), res(f.right)) in rel
-    if isinstance(f, EqAtom):
-        return res(f.left) == res(f.right)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Neg):
-        return not classical_eval(f.body, dom, rel, v)
-    if isinstance(f, And):
-        return classical_eval(f.left, dom, rel, v) and classical_eval(
-            f.right, dom, rel, v
-        )
-    if isinstance(f, Or):
-        return classical_eval(f.left, dom, rel, v) or classical_eval(
-            f.right, dom, rel, v
-        )
-    if isinstance(f, Imp):
-        return not classical_eval(f.left, dom, rel, v) or classical_eval(
-            f.right, dom, rel, v
-        )
-    if isinstance(f, Forall):
-        return all(classical_eval(f.body, dom, rel, {**v, f.var: d}) for d in dom)
-    if isinstance(f, Exists):
-        return any(classical_eval(f.body, dom, rel, {**v, f.var: d}) for d in dom)
-    raise EvalError(
-        "classical evaluation accepts formulas over R and = only, "
-        f"found {type(f).__name__}"
-    )
+    r_val = relation_to_r_val(dom, relation)
+    return eval_pred(World.HERE, f, PredInterp(dom, {}, r_val), v)
 
 
 def attacks_all_others(a: str) -> Formula:
@@ -402,12 +376,8 @@ def ac_normal_form(f: Formula) -> Formula:
     generated clause sets against reference renderings.
     """
     if isinstance(f, (And, Or)):
-        kind = type(f)
-        parts = sorted((ac_normal_form(p) for p in _spine(kind, f)), key=repr)
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = kind(p, out)
-        return out
+        parts = sorted((ac_normal_form(p) for p in _spine(type(f), f)), key=repr)
+        return conj(parts) if isinstance(f, And) else disj(parts)
     if isinstance(f, Neg):
         return Neg(ac_normal_form(f.body))
     if isinstance(f, Imp):

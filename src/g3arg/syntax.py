@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .prop import (
     And,
@@ -84,6 +85,9 @@ _TOKEN_RE = re.compile(
 )
 
 _QUANT_WORDS = {"forall": Forall, "exists": Exists}
+# Deepest nesting of negations, parentheses, quantifiers and right operands
+# of -> and <-> that the recursive-descent parser accepts.
+MAX_NESTING = 100
 _KEYWORDS = {"true", "false"}
 
 
@@ -114,6 +118,7 @@ class _Parser:
         self.tokens = _scan(text)
         self.i = 0
         self.predicate = predicate
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -137,6 +142,15 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def nested(self, parse: Callable[[], Formula]) -> Formula:
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"formula nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        try:
+            return parse()
+        finally:
+            self.depth -= 1
+
     # Precedence ladder, lowest first.
 
     def parse_full(self) -> Formula:
@@ -152,14 +166,14 @@ class _Parser:
         left = self.parse_imp()
         if self.peek().kind == "darrow":
             self.take()
-            return iff(left, self.parse_biimp())
+            return iff(left, self.nested(self.parse_biimp))
         return left
 
     def parse_imp(self) -> Formula:
         left = self.parse_or()
         if self.peek().kind == "arrow":
             self.take()
-            return Imp(left, self.parse_imp())
+            return Imp(left, self.nested(self.parse_imp))
         return left
 
     def parse_or(self) -> Formula:
@@ -180,7 +194,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "tilde":
             self.take()
-            return Neg(self.parse_unary())
+            return Neg(self.nested(self.parse_unary))
         if (
             self.predicate
             and tok.kind == "ident"
@@ -198,13 +212,13 @@ class _Parser:
                 var.line,
                 var.col,
             )
-        return node(var.text, self.parse_biimp())
+        return node(var.text, self.nested(self.parse_biimp))
 
     def parse_atom(self) -> Formula:
         tok = self.peek()
         if tok.kind == "lpar":
             self.take()
-            inner = self.parse_biimp()
+            inner = self.nested(self.parse_biimp)
             self.expect("rpar", "a closing parenthesis")
             return inner
         if tok.kind == "und":

@@ -30,15 +30,15 @@ from .prop import (
     Imp,
     Neg,
     Or,
+    Program,
     UndConst,
-    assignments,
     atoms_of,
     conj,
     disj,
     enumerate_models,
-    eval_world,
     iff,
     replace_und,
+    select_assignments,
     substitute,
 )
 from .pred import (
@@ -51,7 +51,7 @@ from .pred import (
     enumerate_interps,
 )
 from .syntax import format_formula
-from .threeval import DECIDED_ORDER, ThreeVal, World
+from .threeval import DECIDED_ORDER, ThreeVal
 
 
 @dataclass(frozen=True)
@@ -204,38 +204,36 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     must rebuild the complete set.
     """
     stable_theory, free_theory = und_free_theories(f)
-    defn = und_definition(f)
     subject = framework_key(f)
 
-    stable_models = []
-    for combo in itertools.product(DECIDED_ORDER, repeat=len(f.arguments)):
-        h = dict(zip(f.arguments, combo))
-        if all(eval_world(World.HERE, g, h) for g in stable_theory.formulas()):
-            stable_models.append(h)
+    stable_models = list(
+        select_assignments(
+            f.arguments, Program(stable_theory.formulas()).holds, DECIDED_ORDER
+        )
+    )
     stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
 
-    partial_models = [
-        h
-        for h in assignments(f.arguments)
-        if all(eval_world(World.HERE, g, h) for g in free_theory.formulas())
-        and not eval_world(World.HERE, defn, h)
-    ]
+    free = Program(free_theory.formulas())
+    marker = Program([und_definition(f)])
+    partial_models = list(
+        select_assignments(
+            f.arguments,
+            lambda table, full: free.holds(table, full) & ~marker.holds(table, full),
+        )
+    )
     partial_side = {canonical(assignment_to_labelling(h)) for h in partial_models}
 
-    complete = [canonical(lab) for lab in enumerate_complete(f)]
+    complete = {canonical(lab) for lab in enumerate_complete(f)}
     stable_labs = {
-        canonical(lab)
-        for lab in enumerate_complete(f)
-        if all(v is not Label.UND for v in lab.values())
+        lab for lab in complete if all(v != Label.UND.value for _, v in lab)
     }
-    non_stable_labs = set(complete) - stable_labs
 
     return UndFreeReport(
         stable=_compare(subject + " (stable case)", stable_side, stable_labs,
                         len(stable_models)),
         non_stable=_compare(subject + " (undecided case)", partial_side,
-                            non_stable_labs, len(partial_models)),
-        union_ok=(stable_side | partial_side) == set(complete),
+                            complete - stable_labs, len(partial_models)),
+        union_ok=(stable_side | partial_side) == complete,
     )
 
 
@@ -283,17 +281,11 @@ def instantiated_models(
         {a for g in subst.values() for a in atoms_of(g)} - set(f.arguments)
     )
     names = list(f.arguments) + extra
-    formulas = prop_theory(f).formulas()
-    found = []
-    for h in assignments(names):
-        if not all(eval_world(World.HERE, g, h) for g in formulas):
-            continue
-        if any(
-            h[x].here != eval_world(World.HERE, g, h) for x, g in subst.items()
-        ):
-            continue
-        found.append(h)
-    return found
+    program = Program(prop_theory(f).formulas() + list(subst.values()))
+    ties = list(subst)
+    return list(
+        select_assignments(names, lambda table, full: program.holds(table, full, ties))
+    )
 
 
 def instantiation_patterns(

@@ -51,6 +51,11 @@ def test_frame_validation():
         AxiomaticFrame.make(["a"], InAtom(Constant("a")))
     with pytest.raises(ValueError):
         AxiomaticFrame.make(["a"], Or(UndConst(), Top()))
+    # constants must name arguments, as in higher networks
+    with pytest.raises(ValueError, match="unknown element 'z'"):
+        AxiomaticFrame.make(["a", "b"], parse_pred("R(a,z)"))
+    with pytest.raises(ValueError, match="unknown element 'c'"):
+        AxiomaticFrame.make(["a"], parse_pred("exists X (X = c)"))
 
 
 def test_two_element_constraint_family():

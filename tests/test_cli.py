@@ -387,3 +387,26 @@ def test_valid_parse_error_exits_one(capsys):
     code, _, err = run(capsys, "valid", "x |")
     assert code == 1
     assert "expected a formula, found 'end of input'" in err
+
+
+def test_verify_refuses_instantiated_documents(capsys, inst_doc):
+    code, out, err = run(capsys, "verify", inst_doc, "--claim", "prop")
+    assert code == 1
+    assert out == ""
+    assert err == "error: verify does not apply to documents with inst facts\n"
+
+
+def test_aaf_constraint_naming_an_undeclared_element_exits_one(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a). arg(b). psi "R(a,z)".\n')
+    code, out, err = run(capsys, "aaf", doc)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the constraint mentions unknown element 'z'\n"
+
+
+def test_valid_rejects_runaway_nesting(capsys):
+    code, out, err = run(capsys, "valid", "~" * 3000 + "x")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: formula nested deeper than 100 levels")
+    assert err.count("\n") == 1

@@ -13,7 +13,7 @@ from g3arg.meta import (
 )
 from g3arg.pred import Constant, Exists, InAtom, RAtom, Variable
 from g3arg.prop import Neg
-from g3arg.syntax import format_formula
+from g3arg.syntax import format_formula, parse_pred
 from g3arg.translate import serialize_theory
 
 A = Constant("a")
@@ -72,6 +72,8 @@ def test_make_validation():
         HigherNetwork.make(["a"], [("u", InAtom(Constant("b")))])
     with pytest.raises(ValueError):
         HigherNetwork.make(["a"], [], [("a", "ghost")])
+    with pytest.raises(ValueError, match="unknown element 'zz'"):
+        HigherNetwork.make(["a"], [("u", parse_pred("exists X (X = zz)"))])
 
 
 def test_attack_formula_conventions():

@@ -14,7 +14,7 @@ from g3arg.pred import (
     Variable,
 )
 from g3arg.prop import And, Atom, Bot, Imp, Neg, Or, Top, UndConst
-from g3arg.syntax import ParseError, format_formula, parse_pred, parse_prop
+from g3arg.syntax import MAX_NESTING, ParseError, format_formula, parse_pred, parse_prop
 
 
 def test_precedence_ladder():
@@ -175,3 +175,18 @@ _pred_trees = st.recursive(
 @given(_pred_trees)
 def test_pred_format_parse_round_trip(f):
     assert parse_pred(format_formula(f)) == f
+
+
+def test_nesting_limit_raises_parse_error():
+    assert parse_prop("~" * MAX_NESTING + "x") is not None
+    assert parse_prop("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == Atom("x")
+    for text in [
+        "~" * (MAX_NESTING + 1) + "x",
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "x -> " * (MAX_NESTING + 1) + "x",
+        "~" * 3000 + "x",
+    ]:
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_prop(text)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse_pred("forall X (" * MAX_NESTING + "In(X)" + ")" * MAX_NESTING)
