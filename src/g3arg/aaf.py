@@ -15,8 +15,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import Framework, Labelling, enumerate_complete
-from .prop import Formula, Neg, Program, UndConst, conj, scan
-from .pred import InAtom, StatusRef, constants_of, grounding, is_closed, walk
+from .prop import Formula, Neg, Program, conj, disj, scan
+from .pred import (
+    Constant,
+    RAtom,
+    constants_of,
+    grounding,
+    is_closed,
+    non_classical_node,
+)
 from .threeval import DECIDED_ORDER
 
 
@@ -36,12 +43,9 @@ class AxiomaticFrame:
             raise ValueError("an axiomatic frame needs at least one argument")
         if not is_closed(self.psi):
             raise ValueError("the constraint must be a closed formula")
-        for node in walk(self.psi):
-            if isinstance(node, (InAtom, UndConst, StatusRef)):
-                raise ValueError(
-                    "the constraint may mention R and = only, found "
-                    f"{type(node).__name__}"
-                )
+        found = non_classical_node(self.psi)
+        if found:
+            raise ValueError(f"the constraint may mention R and = only, found {found}")
         unknown = sorted(constants_of(self.psi) - set(self.s0))
         if unknown:
             raise ValueError(f"the constraint mentions unknown element {unknown[0]!r}")
@@ -108,9 +112,6 @@ def encode_disjunctive(dn: DisjunctiveNet) -> AxiomaticFrame:
     since the disjunctive reading says nothing about other pairs and
     leaving them free would admit arbitrary extra attacks.
     """
-    from .pred import Constant, RAtom  # local: only formula atoms needed
-    from .prop import disj
-
     realizable = {
         (z, y) for z, targets in dn.dattacks for y in targets
     }

@@ -234,3 +234,15 @@ def enumerate_complete_determined(
 def canonical(lab: Mapping[str, Label]) -> tuple[tuple[str, str], ...]:
     """Hashable normal form of a labelling, for set comparisons."""
     return tuple(sorted((x, v.value) for x, v in lab.items()))
+
+
+def distinct_projections(
+    labs: Iterable[Mapping[str, Label]], names: Iterable[str]
+) -> list[Labelling]:
+    """The restrictions of ``labs`` to ``names``, each once, in first-seen order."""
+    names = sorted(names)
+    seen: dict[tuple[tuple[str, str], ...], Labelling] = {}
+    for lab in labs:
+        shadow = {x: lab[x] for x in names}
+        seen.setdefault(canonical(shadow), shadow)
+    return list(seen.values())

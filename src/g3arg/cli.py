@@ -22,10 +22,9 @@ from .aaf import (
 )
 from .af import (
     VALUE_TO_LABEL,
-    Framework,
     Labelling,
-    canonical,
     classify,
+    distinct_projections,
     enumerate_complete,
     enumerate_complete_determined,
 )
@@ -267,18 +266,6 @@ def _cmd_aaf(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     }, 0
 
 
-def _project(fw: Framework, base: frozenset[str]) -> list[dict[str, str]]:
-    seen = set()
-    out = []
-    for lab in enumerate_complete_determined(fw, sorted(base)):
-        shadow = {x: lab[x] for x in base}
-        key = canonical(shadow)
-        if key not in seen:
-            seen.add(key)
-            out.append(_labelling_dict(shadow))
-    return out
-
-
 def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     doc = _load(ns.file)
     source = ns.source or doc.species
@@ -308,7 +295,10 @@ def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     result["attacks"] = [list(p) for p in sorted(fw.attacks)]
     result["projection"] = sorted(base)
     if ns.project:
-        result["projected_extensions"] = _project(fw, base)
+        labs = enumerate_complete_determined(fw, sorted(base))
+        result["projected_extensions"] = [
+            _labelling_dict(lab) for lab in distinct_projections(labs, base)
+        ]
     return result, 0
 
 

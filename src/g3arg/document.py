@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import Framework
 from .meta import R_UNIT_RE, HigherNetwork
-from .pred import walk
-from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan
+from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan, walk
 from .syntax import ParseError, parse_pred, parse_prop
 from .threeval import DECIDED_ORDER
 

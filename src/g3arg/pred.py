@@ -9,14 +9,13 @@ three-valued truth profiles, equality is identity on element names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .prop import (
     ALL,
     ANY,
     LEAF,
     And,
-    Atom,
     Bot,
     EvalError,
     Formula,
@@ -25,11 +24,13 @@ from .prop import (
     Or,
     Program,
     Top,
-    UndConst,
     conj,
     disj,
+    fold,
     iff,
     scan,
+    walk,
+    with_subformulas,
 )
 from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
 
@@ -71,12 +72,14 @@ class EqAtom(Formula):
 class Forall(Formula):
     var: str
     body: Formula
+    subformulas = ("body",)
 
 
 @dataclass(frozen=True)
 class Exists(Formula):
     var: str
     body: Formula
+    subformulas = ("body",)
 
 
 @dataclass(frozen=True)
@@ -111,18 +114,6 @@ class PredInterp:
         return frozenset(p for p, v in self.r_val.items() if v.here)
 
 
-def walk(f: Formula) -> Iterator[Formula]:
-    """Yield ``f`` and every formula node beneath it, in preorder."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (Neg, Forall, Exists)):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Imp)):
-            stack += (node.right, node.left)
-
-
 def _terms(f: Formula) -> tuple[Term, ...]:
     if isinstance(f, InAtom):
         return (f.term,)
@@ -132,17 +123,14 @@ def _terms(f: Formula) -> tuple[Term, ...]:
 
 
 def free_vars(f: Formula) -> set[str]:
-    if isinstance(f, (InAtom, RAtom, EqAtom)):
-        return {t.name for t in _terms(f) if isinstance(t, Variable)}
-    if isinstance(f, (Atom, UndConst, Top, Bot, StatusRef)):
-        return set()
-    if isinstance(f, Neg):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Imp)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    raise EvalError(f"not a predicate formula node: {f!r}")
+    """Names of the variables occurring free in ``f``."""
+
+    def combine(node: Formula, parts: list[set[str]]) -> set[str]:
+        if isinstance(node, (Forall, Exists)):
+            return parts[0] - {node.var}
+        return {t.name for t in _terms(node) if isinstance(t, Variable)}.union(*parts)
+
+    return fold(f, combine)
 
 
 def is_closed(f: Formula) -> bool:
@@ -295,6 +283,18 @@ def enumerate_interps(
     return found
 
 
+def non_classical_node(f: Formula) -> str | None:
+    """The kind of the first node of ``f`` that no classical formula has.
+
+    Classical formulas are R and = atoms under connectives and quantifiers.
+    """
+    classical = (RAtom, EqAtom, Top, Bot, Neg, And, Or, Imp, Forall, Exists)
+    for node in walk(f):
+        if not isinstance(node, classical):
+            return type(node).__name__
+    return None
+
+
 def classical_eval(
     f: Formula,
     domain: Sequence[str],
@@ -305,12 +305,11 @@ def classical_eval(
 
     This is two-world evaluation with every relation atom decided.
     """
-    for node in walk(f):
-        if isinstance(node, (Atom, InAtom, UndConst, StatusRef)):
-            raise EvalError(
-                "classical evaluation accepts formulas over R and = only, "
-                f"found {type(node).__name__}"
-            )
+    found = non_classical_node(f)
+    if found:
+        raise EvalError(
+            f"classical evaluation accepts formulas over R and = only, found {found}"
+        )
     dom = tuple(domain)
     r_val = relation_to_r_val(dom, relation)
     return eval_pred(World.HERE, f, PredInterp(dom, {}, r_val), v)
@@ -372,26 +371,30 @@ def ac_normal_form(f: Formula) -> Formula:
     """Canonical form modulo associativity and commutativity of And/Or.
 
     Chains of the same connective are flattened, the parts normalized and
-    sorted structurally, then refolded to the right. Used to compare
-    generated clause sets against reference renderings.
+    sorted by their formatted text, then refolded to the right. Used to
+    compare generated clause sets against reference renderings.
     """
-    if isinstance(f, (And, Or)):
-        parts = sorted((ac_normal_form(p) for p in _spine(type(f), f)), key=repr)
-        return conj(parts) if isinstance(f, And) else disj(parts)
-    if isinstance(f, Neg):
-        return Neg(ac_normal_form(f.body))
-    if isinstance(f, Imp):
-        return Imp(ac_normal_form(f.left), ac_normal_form(f.right))
-    if isinstance(f, Forall):
-        return Forall(f.var, ac_normal_form(f.body))
-    if isinstance(f, Exists):
-        return Exists(f.var, ac_normal_form(f.body))
-    return f
+    from .syntax import format_formula  # syntax builds on this module
 
+    # A chain of one connective stays a (kind, parts) pair until the node
+    # above it is of another kind; only then are its parts sorted and folded.
+    def close(result: Formula | tuple) -> Formula:
+        if isinstance(result, Formula):
+            return result
+        kind, parts = result
+        parts.sort(key=format_formula)
+        return conj(parts) if kind is And else disj(parts)
 
-def _spine(kind: type, f: Formula) -> Iterator[Formula]:
-    if isinstance(f, kind):
-        yield from _spine(kind, f.left)  # type: ignore[attr-defined]
-        yield from _spine(kind, f.right)  # type: ignore[attr-defined]
-    else:
-        yield f
+    def combine(node: Formula, parts: list) -> Formula | tuple:
+        kind = type(node)
+        if kind is not And and kind is not Or:
+            return with_subformulas(node, [close(p) for p in parts])
+        left, right = (
+            p[1] if type(p) is tuple and p[0] is kind else [close(p)] for p in parts
+        )
+        if len(left) > len(right):  # extend the longer list: a chain stays linear
+            left, right = right, left
+        right.extend(left)
+        return kind, right
+
+    return close(fold(f, combine))

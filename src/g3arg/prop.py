@@ -3,14 +3,15 @@
 Formula nodes are small frozen dataclasses sharing the ``Formula`` marker
 base. The connective nodes (Neg, And, Or, Imp) are reused by the predicate
 layer, so the evaluator here rejects anything it does not know rather than
-guessing.
+guessing. Each node class declares which of its fields hold subformulas;
+``walk`` and ``fold`` traverse any formula through that declaration alone.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .threeval import VALUE_ORDER, ThreeVal, World
 
@@ -20,9 +21,14 @@ class EvalError(Exception):
 
 
 class Formula:
-    """Marker base class for every formula node, propositional or predicate."""
+    """Marker base class for every formula node, propositional or predicate.
+
+    ``subformulas`` names the fields of a node class that hold subformulas,
+    left to right; a leaf class has none.
+    """
 
     __slots__ = ()
+    subformulas: ClassVar[tuple[str, ...]] = ()
 
 
 @dataclass(frozen=True)
@@ -52,24 +58,28 @@ class Bot(Formula):
 @dataclass(frozen=True)
 class Neg(Formula):
     body: Formula
+    subformulas = ("body",)
 
 
 @dataclass(frozen=True)
 class And(Formula):
     left: Formula
     right: Formula
+    subformulas = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
+    subformulas = ("left", "right")
 
 
 @dataclass(frozen=True)
 class Imp(Formula):
     left: Formula
     right: Formula
+    subformulas = ("left", "right")
 
 
 PropAssignment = Mapping[str, ThreeVal]
@@ -260,28 +270,62 @@ def atoms_of(f: Formula) -> set[str]:
     return {key for op, key in Program([f]).code if op == LEAF}
 
 
-def _rebuild(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
-    """``f`` with every atom and constant replaced by ``leaf(node)``."""
-    if isinstance(f, (Atom, UndConst, Top, Bot)):
-        return leaf(f)
-    if isinstance(f, Neg):
-        return Neg(_rebuild(f.body, leaf))
-    if isinstance(f, (And, Or, Imp)):
-        return type(f)(_rebuild(f.left, leaf), _rebuild(f.right, leaf))
-    raise EvalError(f"not a propositional formula node: {f!r}")
+def walk(f: Formula) -> Iterator[Formula]:
+    """Yield ``f`` and every formula node beneath it, in preorder."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        if node.subformulas:
+            stack.extend([getattr(node, name) for name in reversed(node.subformulas)])
+
+
+T = TypeVar("T")
+
+
+def fold(f: Formula, combine: Callable[[Formula, list], T]) -> T:
+    """Post-order fold: ``combine(node, results)`` at every node of ``f``.
+
+    ``results`` holds what ``combine`` returned for the node's subformulas,
+    in declaration order (none at a leaf); the result at ``f`` is returned.
+    """
+    # Reversed preorder visits each node after its subformulas, the last of
+    # them first, so popping their results gives them in declaration order.
+    results: list = []
+    for node in reversed(list(walk(f))):
+        results.append(combine(node, [results.pop() for _ in node.subformulas]))
+    return results[0]
+
+
+def with_subformulas(node: Formula, parts: Sequence[Formula]) -> Formula:
+    """``node`` with its subformulas replaced by ``parts``, in order.
+
+    Returns ``node`` itself when every part is already its subformula.
+    """
+    names = node.subformulas
+    if all(getattr(node, name) is part for name, part in zip(names, parts)):
+        return node
+    return type(node)(**{**vars(node), **dict(zip(names, parts))})
+
+
+def _map_leaves(f: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """``f`` with every leaf node replaced by ``leaf(node)``."""
+    return fold(f, lambda g, parts: with_subformulas(g, parts) if parts else leaf(g))
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Replace atoms by formulas, uniformly and simultaneously."""
-    return _rebuild(f, lambda g: mapping.get(g.name, g) if isinstance(g, Atom) else g)
+    return _map_leaves(
+        f, lambda g: mapping.get(g.name, g) if isinstance(g, Atom) else g
+    )
 
 
 def replace_und(f: Formula, replacement: Formula) -> Formula:
     """Swap every occurrence of the ``#n`` constant for ``replacement``."""
-    return _rebuild(f, lambda g: replacement if isinstance(g, UndConst) else g)
+    return _map_leaves(f, lambda g: replacement if isinstance(g, UndConst) else g)
 
 
-def _fold(kind: type, parts: Iterable[Formula], empty: Formula) -> Formula:
+def _chain(kind: type, parts: Iterable[Formula], empty: Formula) -> Formula:
     items = list(parts)
     out = items.pop() if items else empty
     for p in reversed(items):
@@ -291,12 +335,12 @@ def _fold(kind: type, parts: Iterable[Formula], empty: Formula) -> Formula:
 
 def conj(parts: Iterable[Formula]) -> Formula:
     """Right-nested conjunction of ``parts``; the empty conjunction is Top."""
-    return _fold(And, parts, Top())
+    return _chain(And, parts, Top())
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Right-nested disjunction of ``parts``; the empty disjunction is Bot."""
-    return _fold(Or, parts, Bot())
+    return _chain(Or, parts, Bot())
 
 
 def iff(a: Formula, b: Formula) -> Formula:

@@ -89,6 +89,7 @@ _QUANT_WORDS = {"forall": Forall, "exists": Exists}
 # of -> and <-> that the recursive-descent parser accepts.
 MAX_NESTING = 100
 _KEYWORDS = {"true", "false"}
+_NOT_TERMS = {*_QUANT_WORDS, *_KEYWORDS, "In", "R"}
 
 
 def _scan(text: str) -> list[_Token]:
@@ -267,13 +268,10 @@ class _Parser:
         )
 
     def parse_term(self) -> Term:
-        tok = self.expect("ident", "a term")
-        if tok.text in _QUANT_WORDS or tok.text in _KEYWORDS or tok.text in ("In", "R"):
-            raise ParseError(f"{tok.text!r} cannot be a term", tok.line, tok.col)
-        return self.term_from(tok)
+        return self.term_from(self.expect("ident", "a term"))
 
     def term_from(self, tok: _Token) -> Term:
-        if tok.text in _QUANT_WORDS or tok.text in _KEYWORDS:
+        if tok.text in _NOT_TERMS:
             raise ParseError(f"{tok.text!r} cannot be a term", tok.line, tok.col)
         if tok.text[0].isupper():
             return Variable(tok.text)
@@ -290,65 +288,62 @@ def parse_pred(text: str) -> Formula:
     return _Parser(text, predicate=True).parse_full()
 
 
-def _prec(f: Formula) -> int:
-    if isinstance(f, (Forall, Exists)):
-        return 0
-    if isinstance(f, Imp):
-        return 1
-    if isinstance(f, Or):
-        return 2
-    if isinstance(f, And):
-        return 3
-    if isinstance(f, Neg):
-        return 5 if isinstance(f.body, EqAtom) else 4
-    return 5
+# How tightly each connective binds; every other node, a!=b included, binds
+# tightest (5). An operand binding more loosely than its context is
+# parenthesized, and so is one binding equally unless it sits in a tight
+# position: the right operand of a right-nested connective, or the body of a
+# negation.
+_PREC = {Forall: 0, Exists: 0, Imp: 1, Or: 2, And: 3, Neg: 4}
+_INFIX = {Imp: " -> ", Or: " | ", And: " & "}
+# The text of every other node but an atom; a quantifier's body follows in
+# parentheses, and a negation takes this form only over an equality.
+_TEXT = {
+    UndConst: "#n",
+    Top: "true",
+    Bot: "false",
+    InAtom: "In({0.term.name})",
+    RAtom: "R({0.left.name},{0.right.name})",
+    EqAtom: "{0.left.name}={0.right.name}",
+    StatusRef: "<{0.name}>",
+    Neg: "{0.body.left.name}!={0.body.right.name}",
+    Forall: "forall {0.var} (",
+    Exists: "exists {0.var} (",
+}
 
 
 def format_formula(f: Formula) -> str:
     """Render a formula in the shared grammar with minimal parentheses.
 
     Quantifier bodies are always parenthesized, so parsing the output gives
-    back the same tree.
+    back the same tree. Tokens are emitted from an explicit stack of pending
+    (node, context precedence, tight) operands and literal text, so depth
+    and length are not bounded by recursion.
     """
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, UndConst):
-        return "#n"
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Bot):
-        return "false"
-    if isinstance(f, InAtom):
-        return f"In({f.term.name})"  # type: ignore[attr-defined]
-    if isinstance(f, RAtom):
-        return f"R({f.left.name},{f.right.name})"  # type: ignore[attr-defined]
-    if isinstance(f, EqAtom):
-        return f"{f.left.name}={f.right.name}"  # type: ignore[attr-defined]
-    if isinstance(f, StatusRef):
-        return f"<{f.name}>"
-    if isinstance(f, Neg):
-        if isinstance(f.body, EqAtom):
-            eq = f.body
-            return f"{eq.left.name}!={eq.right.name}"  # type: ignore[attr-defined]
-        return "~" + _wrap(f.body, 4, tight=True)
-    if isinstance(f, And):
-        return _wrap(f.left, 3) + " & " + _wrap(f.right, 3, tight=True)
-    if isinstance(f, Or):
-        return _wrap(f.left, 2) + " | " + _wrap(f.right, 2, tight=True)
-    if isinstance(f, Imp):
-        return _wrap(f.left, 1) + " -> " + _wrap(f.right, 1, tight=True)
-    if isinstance(f, Forall):
-        return f"forall {f.var} ({format_formula(f.body)})"
-    if isinstance(f, Exists):
-        return f"exists {f.var} ({format_formula(f.body)})"
-    raise TypeError(f"cannot format {f!r}")
-
-
-def _wrap(f: Formula, parent_prec: int, tight: bool = False) -> str:
-    # tight: equal precedence is fine (right operand of a right-associative
-    # connective, or the body of a negation)
-    p = _prec(f)
-    text = format_formula(f)
-    if p < parent_prec or (p == parent_prec and not tight):
-        return f"({text})"
-    return text
+    out: list[str] = []
+    stack: list = [(f, 0, True)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item[0]) is Atom:  # the commonest node; never parenthesized
+            out.append(item[0].name)
+            continue
+        g, outer, tight = item
+        kind = type(g)
+        p = 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
+        if p < outer or (p == outer and not tight):
+            out.append("(")
+            stack.append(")")
+        if kind in _INFIX:
+            stack += ((g.right, p, True), _INFIX[kind], (g.left, p, False))
+        elif p == 4:  # a negation, other than a!=b
+            out.append("~")
+            stack.append((g.body, 4, True))
+        elif kind in _TEXT:
+            out.append(_TEXT[kind].format(g))
+            if p == 0:  # a quantifier, whose body follows
+                stack += (")", (g.body, 0, True))
+        else:
+            raise TypeError(f"cannot format {g!r}")
+    return "".join(out)

@@ -21,6 +21,7 @@ from .af import (
     VALUE_TO_LABEL,
     Labelling,
     canonical,
+    distinct_projections,
     enumerate_complete,
 )
 from .prop import (
@@ -292,15 +293,8 @@ def instantiation_patterns(
     f: Framework, subst: Mapping[str, Formula]
 ) -> list[Labelling]:
     """Distinct argument-label patterns among the instantiated models."""
-    patterns: list[Labelling] = []
-    seen = set()
-    for h in instantiated_models(f, subst):
-        lab = {x: VALUE_TO_LABEL[h[x]] for x in f.arguments}
-        key = canonical(lab)
-        if key not in seen:
-            seen.add(key)
-            patterns.append(lab)
-    return patterns
+    models = instantiated_models(f, subst)
+    return distinct_projections(map(assignment_to_labelling, models), f.arguments)
 
 
 def pred_theory() -> Theory:

@@ -6,6 +6,9 @@ tree, world by world, straight from the Kripke definitions: negation and
 implication look at every world at or above the current one, and so does
 the universal quantifier. The scans enumerate candidates with
 itertools.product in the canonical order and keep those the walks accept.
+The structural walks at the end (formatting, free variables, leaf
+replacement, AC normal form) are the recursive definitions that the
+package's explicit-stack traversals must agree with.
 """
 
 from __future__ import annotations
@@ -25,7 +28,20 @@ from g3arg.pred import (
     Variable,
     relation_to_r_val,
 )
-from g3arg.prop import And, Atom, Bot, EvalError, Imp, Neg, Or, Top, UndConst, atoms_of
+from g3arg.prop import (
+    And,
+    Atom,
+    Bot,
+    EvalError,
+    Imp,
+    Neg,
+    Or,
+    Top,
+    UndConst,
+    atoms_of,
+    conj,
+    disj,
+)
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
 from g3arg.translate import prop_theory
 
@@ -250,3 +266,138 @@ def instantiated_models(f, subst):
         ):
             found.append(h)
     return found
+
+
+def _terms(f):
+    if isinstance(f, InAtom):
+        return (f.term,)
+    if isinstance(f, (RAtom, EqAtom)):
+        return (f.left, f.right)
+    return ()
+
+
+def free_vars(f):
+    if isinstance(f, (InAtom, RAtom, EqAtom)):
+        return {t.name for t in _terms(f) if isinstance(t, Variable)}
+    if isinstance(f, (Atom, UndConst, Top, Bot, StatusRef)):
+        return set()
+    if isinstance(f, Neg):
+        return free_vars(f.body)
+    if isinstance(f, (And, Or, Imp)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (Forall, Exists)):
+        return free_vars(f.body) - {f.var}
+    raise EvalError(f"not a predicate formula node: {f!r}")
+
+
+def _rebuild(f, leaf):
+    """``f`` with every atom and constant replaced by ``leaf(node)``."""
+    if isinstance(f, (Atom, UndConst, Top, Bot)):
+        return leaf(f)
+    if isinstance(f, Neg):
+        return Neg(_rebuild(f.body, leaf))
+    if isinstance(f, (And, Or, Imp)):
+        return type(f)(_rebuild(f.left, leaf), _rebuild(f.right, leaf))
+    raise EvalError(f"not a propositional formula node: {f!r}")
+
+
+def substitute(f, mapping):
+    return _rebuild(f, lambda g: mapping.get(g.name, g) if isinstance(g, Atom) else g)
+
+
+def replace_und(f, replacement):
+    return _rebuild(f, lambda g: replacement if isinstance(g, UndConst) else g)
+
+
+def ac_normal_form(f):
+    """Flatten And/Or chains, normalize and sort the parts by repr, refold."""
+    if isinstance(f, (And, Or)):
+        parts = sorted((ac_normal_form(p) for p in _spine(type(f), f)), key=repr)
+        return conj(parts) if isinstance(f, And) else disj(parts)
+    if isinstance(f, Neg):
+        return Neg(ac_normal_form(f.body))
+    if isinstance(f, Imp):
+        return Imp(ac_normal_form(f.left), ac_normal_form(f.right))
+    if isinstance(f, Forall):
+        return Forall(f.var, ac_normal_form(f.body))
+    if isinstance(f, Exists):
+        return Exists(f.var, ac_normal_form(f.body))
+    return f
+
+
+def _spine(kind, f):
+    if isinstance(f, kind):
+        yield from _spine(kind, f.left)
+        yield from _spine(kind, f.right)
+    else:
+        yield f
+
+
+def walk(f):
+    """Preorder, recursively: the node, then its subformulas left to right."""
+    yield f
+    if isinstance(f, (Neg, Forall, Exists)):
+        yield from walk(f.body)
+    elif isinstance(f, (And, Or, Imp)):
+        yield from walk(f.left)
+        yield from walk(f.right)
+
+
+def _prec(f):
+    if isinstance(f, (Forall, Exists)):
+        return 0
+    if isinstance(f, Imp):
+        return 1
+    if isinstance(f, Or):
+        return 2
+    if isinstance(f, And):
+        return 3
+    if isinstance(f, Neg):
+        return 5 if isinstance(f.body, EqAtom) else 4
+    return 5
+
+
+def format_formula(f):
+    """The shared grammar with minimal parentheses, rendered recursively."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, UndConst):
+        return "#n"
+    if isinstance(f, Top):
+        return "true"
+    if isinstance(f, Bot):
+        return "false"
+    if isinstance(f, InAtom):
+        return f"In({f.term.name})"
+    if isinstance(f, RAtom):
+        return f"R({f.left.name},{f.right.name})"
+    if isinstance(f, EqAtom):
+        return f"{f.left.name}={f.right.name}"
+    if isinstance(f, StatusRef):
+        return f"<{f.name}>"
+    if isinstance(f, Neg):
+        if isinstance(f.body, EqAtom):
+            eq = f.body
+            return f"{eq.left.name}!={eq.right.name}"
+        return "~" + _wrap(f.body, 4, tight=True)
+    if isinstance(f, And):
+        return _wrap(f.left, 3) + " & " + _wrap(f.right, 3, tight=True)
+    if isinstance(f, Or):
+        return _wrap(f.left, 2) + " | " + _wrap(f.right, 2, tight=True)
+    if isinstance(f, Imp):
+        return _wrap(f.left, 1) + " -> " + _wrap(f.right, 1, tight=True)
+    if isinstance(f, Forall):
+        return f"forall {f.var} ({format_formula(f.body)})"
+    if isinstance(f, Exists):
+        return f"exists {f.var} ({format_formula(f.body)})"
+    raise TypeError(f"cannot format {f!r}")
+
+
+def _wrap(f, parent_prec, tight=False):
+    # tight: equal precedence is fine (right operand of a right-associative
+    # connective, or the body of a negation)
+    p = _prec(f)
+    text = format_formula(f)
+    if p < parent_prec or (p == parent_prec and not tight):
+        return f"({text})"
+    return text

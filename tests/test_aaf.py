@@ -26,8 +26,8 @@ from g3arg.corpus import (
     random_adf_net,
     random_framework,
 )
-from g3arg.pred import InAtom, Constant, classical_eval
-from g3arg.prop import Bot, Top, UndConst, Or
+from g3arg.pred import InAtom, Constant, RAtom, classical_eval
+from g3arg.prop import And, Atom, Bot, Top, UndConst, Or
 from g3arg.syntax import format_formula, parse_pred
 
 
@@ -51,6 +51,10 @@ def test_frame_validation():
         AxiomaticFrame.make(["a"], InAtom(Constant("a")))
     with pytest.raises(ValueError):
         AxiomaticFrame.make(["a"], Or(UndConst(), Top()))
+    # a propositional atom is no relation atom either
+    a = Constant("a")
+    with pytest.raises(ValueError, match="R and = only, found Atom"):
+        AxiomaticFrame.make(["a"], And(Atom("p"), RAtom(a, a)))
     # constants must name arguments, as in higher networks
     with pytest.raises(ValueError, match="unknown element 'z'"):
         AxiomaticFrame.make(["a", "b"], parse_pred("R(a,z)"))

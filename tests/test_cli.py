@@ -3,8 +3,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from g3arg import cli
+from g3arg.syntax import format_formula, parse_pred, parse_prop
 from g3arg.translate import CorrespondenceReport
 
 
@@ -410,3 +412,199 @@ def test_valid_rejects_runaway_nesting(capsys):
     assert out == ""
     assert err.startswith("error: formula nested deeper than 100 levels")
     assert err.count("\n") == 1
+
+
+# Long flat chains: every formula walk runs on an explicit stack, so none of
+# these may end in a RecursionError. Formulas are compared as text, because
+# the dataclass == on trees this deep would itself recurse.
+
+
+def line_value(out, prefix):
+    (line,) = [x for x in out.splitlines() if x.startswith(prefix)]
+    return line[len(prefix) :]
+
+
+def test_translate_diagram_of_a_20_cycle(capsys, tmp_path):
+    names = [f"a{i:02}" for i in range(20)]
+    doc = write_doc(
+        tmp_path,
+        " ".join(f"arg({x})." for x in names)
+        + " ".join(f"att({x},{y})." for x, y in zip(names, names[1:] + names[:1])),
+    )
+    code, out, err = run(capsys, "translate", doc, "--mode", "diagram")
+    assert (code, err) == (0, "")
+    text = line_value(out, "formula: ")
+    assert format_formula(parse_pred(text)) == text
+    assert text.startswith("exists X1 (exists X2 (")
+    # 190 distinctness, 20 attack and 380 non-attack literals, one closure
+    assert text.count(" & ") == 190 + 20 + 380
+    assert text.count("!=") == 190
+
+
+def test_valid_on_600_conjuncts(capsys):
+    formula = " & ".join(["p"] * 600)
+    code, out, err = run(capsys, "valid", formula)
+    assert (code, err) == (0, "")
+    text = line_value(out, "formula: ")
+    assert text == formula
+    assert format_formula(parse_prop(text)) == text
+    assert out.endswith("verdict: INVALID\ncountermodel: p=(f,f)\n")
+
+
+def higher_doc_text(copies):
+    body = " & ".join(["In(a) & R(a,b)"] * copies)
+    return f'arg(a). arg(b). att(a,b). wff(w, "{body}"). att(w, b).\n'
+
+
+def test_higher_wff_with_1200_conjuncts(capsys, tmp_path):
+    long_doc = write_doc(tmp_path, higher_doc_text(600))
+    short_doc = str(tmp_path / "short.facts")
+    (tmp_path / "short.facts").write_text(higher_doc_text(1))
+    code, out, err = run(capsys, "translate", long_doc, "--mode", "higher")
+    assert (code, err) == (0, "")
+    clause = line_value(out, "  b2[w]: ")
+    assert clause.count("In(a) & R(a,b)") == 600
+    assert format_formula(parse_pred(clause)) == clause
+    # p & p & ... & p is p: the solver must find the same models
+    code, long_out, err = run(capsys, "solve-higher", long_doc)
+    assert (code, err) == (0, "")
+    assert run(capsys, "solve-higher", short_doc) == (0, long_out, "")
+
+
+def test_aaf_psi_with_1200_conjuncts(capsys, tmp_path):
+    psi = " & ".join(["~R(a,a)"] * 1200)
+    long_doc = write_doc(tmp_path, f'arg(a). arg(b).\npsi "{psi}".\n')
+    short_doc = str(tmp_path / "short.facts")
+    (tmp_path / "short.facts").write_text('arg(a). arg(b).\npsi "~R(a,a)".\n')
+    code, out, err = run(capsys, "aaf", long_doc)
+    assert (code, err) == (0, "")
+    assert out.startswith("8 admissible relation(s)\n")
+    assert run(capsys, "aaf", short_doc) == (0, out, "")
+
+
+def test_translate_und_free_on_520_arguments(capsys, tmp_path):
+    names = sorted(f"a{i}" for i in range(520))
+    doc = write_doc(tmp_path, " ".join(f"arg({x})." for x in names))
+    code, out, err = run(capsys, "translate", doc, "--mode", "und-free")
+    assert (code, err) == (0, "")
+    definition = " & ".join(f"({x} | ~{x})" for x in names)
+    assert line_value(out, "marker definition: ") == definition
+    assert line_value(out, "  a1[a0]: ") == f"a0 -> {definition} | true"
+
+
+def test_translate_prop_on_a_700_attacker_star(capsys, tmp_path):
+    names = [f"a{i:03}" for i in range(700)]
+    doc = write_doc(
+        tmp_path,
+        "arg(z). " + " ".join(f"arg({x}). att({x},z)." for x in names),
+    )
+    code, out, err = run(capsys, "translate", doc, "--mode", "prop")
+    assert (code, err) == (0, "")
+    all_out = " & ".join(f"~{x}" for x in names)
+    assert line_value(out, "  a2[z]: ") == f"{all_out} -> #n | z"
+    assert line_value(out, "  b2[z]: ") == " | ".join(names) + " -> ~z | #n"
+
+
+# Random small documents of every species and random formula strings: every
+# command ends in exit 0-3 with no exception, and a failure is one line on
+# stderr. Axiomatic frames stay at three arguments and higher networks at two
+# nodes, because their scans (2^(n*n) relations, 3^unknowns candidates) take
+# seconds beyond that.
+
+_terms = st.sampled_from(["a", "b", "X", "Y", "zz"])
+_atom_texts = st.one_of(
+    st.sampled_from(["a", "b", "p", "#n", "true", "false"]),
+    st.builds("In({})".format, _terms),
+    st.builds("R({},{})".format, _terms, _terms),
+    st.builds("{}={}".format, _terms, _terms),
+    st.builds("{}!={}".format, _terms, _terms),
+)
+_formula_texts = st.one_of(
+    st.recursive(
+        _atom_texts,
+        lambda sub: st.one_of(
+            st.builds("~{}".format, sub),
+            st.builds("({} & {})".format, sub, sub),
+            st.builds("{} | {}".format, sub, sub),
+            st.builds("{} -> {}".format, sub, sub),
+            st.builds("{} <-> {}".format, sub, sub),
+            st.builds("forall X ({})".format, sub),
+            st.builds("exists Y {}".format, sub),
+        ),
+        max_leaves=6,
+    ),
+    st.text(alphabet="abpXR()~&|-<>#n=!, ", max_size=12),
+)
+_SPECIES = ("plain", "inst", "higher", "aaf", "conjunctive", "disjunctive", "adf")
+
+
+@st.composite
+def _documents(draw):
+    species = draw(st.sampled_from(_SPECIES))
+    limit = {"aaf": 3, "higher": 2}.get(species, 4)
+    args = ["a", "b", "c", "d"][: draw(st.integers(1, limit))]
+    facts = [f"arg({x})." for x in args]
+
+    def add(template, items, max_size=3):
+        drawn = draw(st.lists(items, max_size=max_size))
+        facts.extend(template.format(*item) for item in drawn)
+
+    name = st.sampled_from(args + ["zz"])  # now and then an undeclared one
+    names = st.lists(name, min_size=1, max_size=3).map(",".join)
+    if species in ("plain", "inst"):
+        add("att({},{}).", st.tuples(name, name), 4)
+    if species == "inst":
+        add('inst({}, "{}").', st.tuples(name, _formula_texts), 2)
+    if species == "higher":
+        wffs = draw(st.lists(_formula_texts, max_size=2))
+        facts += [f'wff(w{i}, "{t}").' for i, t in enumerate(wffs)]
+        units = args + [f"w{i}" for i in range(len(wffs))] + ["r(a,a)", "r(a,b)"]
+        add("att({},{}).", st.tuples(st.sampled_from(units), st.sampled_from(units)))
+    if species == "aaf":
+        facts.append(f'psi "{draw(_formula_texts)}".')
+    if species == "conjunctive":
+        add("catt([{}], {}).", st.tuples(names, name))
+    if species == "disjunctive":
+        add("datt({}, [{}]).", st.tuples(name, names))
+    if species == "adf":
+        facts += [f'acc({x}, "{draw(_formula_texts)}").' for x in args]
+    return "\n".join(facts) + "\n"
+
+
+_COMMANDS = [
+    *(["extensions", "--semantics", s]
+      for s in ("complete", "stable", "grounded", "preferred")),
+    *(["translate", "--mode", m]
+      for m in ("prop", "und-free", "pred", "diagram", "higher")),
+    ["models"],
+    *(["verify", "--claim", c] for c in ("prop", "und-free", "pred", "diagram")),
+    ["solve-higher", "--format", "json"],
+    ["aaf"],
+    ["encode"],
+    ["encode", "--project", "--format", "json"],
+]
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2, 3)
+    if code in (1, 3):
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_documents())
+def test_fuzzed_documents_never_crash_the_cli(capsys, tmp_path, text):
+    doc = write_doc(tmp_path, text)
+    for command in _COMMANDS:
+        code, _, err = run(capsys, command[0], doc, *command[1:])
+        assert_clean_exit(code, err)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_formula_texts)
+def test_fuzzed_formulas_never_crash_valid(capsys, formula):
+    code, _, err = run(capsys, "valid", formula)
+    assert_clean_exit(code, err)

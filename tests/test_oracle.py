@@ -26,9 +26,11 @@ from g3arg.pred import (
     RAtom,
     StatusRef,
     Variable,
+    ac_normal_form,
     classical_eval,
     enumerate_interps,
     eval_pred,
+    free_vars,
     grounding,
     pred_value,
 )
@@ -42,12 +44,17 @@ from g3arg.prop import (
     Program,
     Top,
     UndConst,
+    conj,
     enumerate_models,
     eval_world,
     is_valid,
+    replace_und,
     scan,
+    substitute,
     value,
+    walk,
 )
+from g3arg.syntax import format_formula
 from g3arg.threeval import VALUE_ORDER, ThreeVal, World
 from g3arg.translate import instantiated_models
 
@@ -261,3 +268,54 @@ def test_deep_formulas_evaluate_without_recursion():
     for _ in range(3000):
         chain = And(Atom("y"), Or(chain, Bot()))
     assert enumerate_models([chain], ["x", "y"]) == [{"x": ThreeVal.TT, "y": ThreeVal.TT}]
+
+
+# Open formulas of both layers: free variables, a!=b, status references.
+open_formulas = st.one_of(
+    prop_formulas,
+    tree(
+        st.one_of(
+            st.builds(InAtom, ab_terms),
+            st.builds(RAtom, ab_terms, ab_terms),
+            st.builds(EqAtom, ab_terms, ab_terms),
+            st.builds(lambda s, t: Neg(EqAtom(s, t)), ab_terms, ab_terms),
+            st.sampled_from([StatusRef("u"), UndConst(), Top(), Bot()]),
+        ),
+        quantified=True,
+    ),
+)
+
+
+@given(open_formulas)
+def test_structural_walks_match_the_recursive_references(f):
+    assert format_formula(f) == oracle.format_formula(f)
+    assert free_vars(f) == oracle.free_vars(f)
+    assert [id(n) for n in walk(f)] == [id(n) for n in oracle.walk(f)]
+    # chains are sorted by formatted text, not by repr as in the reference, so
+    # the two normal forms may differ in order but must normalize to each other
+    normal = ac_normal_form(f)
+    assert ac_normal_form(oracle.ac_normal_form(f)) == normal
+    assert oracle.ac_normal_form(normal) == oracle.ac_normal_form(f)
+
+
+@given(prop_formulas, prop_formulas)
+def test_leaf_replacement_matches_the_recursive_reference(f, g):
+    mapping = {"x": g, "z": Neg(Atom("x"))}
+    assert substitute(f, mapping) == oracle.substitute(f, mapping)
+    assert replace_und(f, g) == oracle.replace_und(f, g)
+
+
+def test_deep_formulas_walk_without_recursion():
+    body = conj([Neg(EqAtom(X, A))] * 5000)
+    prop_body = conj([Atom("x"), UndConst()] * 2500)
+    for _ in range(5000):
+        body, prop_body = Neg(body), Neg(prop_body)
+    f = Forall("X", body)
+    text = "forall X (" + "~" * 5000 + "(" + " & ".join(["X!=a"] * 5000) + "))"
+    assert format_formula(f) == text
+    assert format_formula(ac_normal_form(f)) == text
+    assert free_vars(body) == {"X"} and free_vars(f) == set()
+    assert sum(1 for _ in walk(f)) == 1 + 5000 + 4999 + 2 * 5000
+    text = format_formula(prop_body)
+    assert format_formula(replace_und(prop_body, Top())) == text.replace("#n", "true")
+    assert format_formula(substitute(prop_body, {"x": Atom("y")})) == text.replace("x", "y")

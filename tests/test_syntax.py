@@ -100,6 +100,22 @@ def test_pred_syntax_errors(text):
         parse_pred(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a = In", "'In' cannot be a term"),
+        ("R(R,a)", "'R' cannot be a term"),
+        ("X = forall", "'forall' cannot be a term"),
+        ("In(true)", "'true' cannot be a term"),
+        ("a != exists", "'exists' cannot be a term"),
+        ("R = a", "'R' is a reserved predicate name"),
+    ],
+)
+def test_reserved_words_are_no_terms(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_pred(text)
+
+
 def test_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_prop("x &\n& y")
