@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import Framework, Labelling, enumerate_complete
+from .meta import SearchSpaceExceeded
 from .prop import Formula, Neg, Program, conj, disj, scan
 from .pred import (
     Constant,
@@ -25,6 +26,10 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
+
+
+# The relation scan covers 2^(|s0|^2) relations: 4 arguments pass, 5 do not.
+MAX_RELATIONS = 2**16
 
 
 class EncodingError(Exception):
@@ -61,8 +66,13 @@ def aaf_extensions(
     """Satisfying relations paired with their complete labellings.
 
     Relations are scanned as sorted pair tuples in lexicographic order.
+    Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     pairs = [(u, x) for u in af.s0 for x in af.s0]
+    if 2 ** len(pairs) > MAX_RELATIONS:
+        raise SearchSpaceExceeded(
+            f"2^{len(pairs)} attack relations exceed the bound {MAX_RELATIONS}"
+        )
     # classical evaluation: every relation atom is decided
     satisfying = scan(
         [(p, DECIDED_ORDER) for p in pairs],

@@ -4,14 +4,17 @@ A labelling is legal (complete) when every argument satisfies the three
 local conditions: an argument is in exactly when all of its attackers are
 out (vacuously for unattacked arguments), out exactly when some attacker is
 in, undecided exactly when no attacker is in but some attacker is
-undecided. Everything here is brute force by design; the package targets
-desk-scale exhaustive verification.
+undecided. The complete labellings are found by a depth-first search that
+labels the first unlabelled argument (in sorted order) in, out, then und,
+and after each choice propagates the three conditions to a fixpoint; a
+labelled argument whose attackers can no longer support its label cuts the
+branch. Propagation from the empty labelling alone yields the grounded
+in/out core, so acyclic graphs need no choice at all.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -112,14 +115,85 @@ def check_complete(
     return (not violations, violations)
 
 
-def all_labellings(f: Framework):
-    for combo in itertools.product(LABEL_ORDER, repeat=len(f.arguments)):
-        yield dict(zip(f.arguments, combo))
-
-
 def enumerate_complete(f: Framework) -> list[Labelling]:
     """All complete labellings, in lexicographic IN < OUT < UND order."""
-    return [lab for lab in all_labellings(f) if check_complete(f, lab)[0]]
+    return _search(f)
+
+
+def _search(f: Framework) -> list[Labelling]:
+    """The propagation search behind enumerate_complete and
+    enumerate_complete_determined.
+
+    It sits apart from both so that a wrapper around either public name (a
+    tracing span, say) sees one search per call. Branching on the first
+    unlabelled argument, with every earlier one labelled, yields the
+    labellings in lexicographic order without a sort. The stack holds one
+    frame per open choice: [argument, next label index, trail length before
+    the choice]; undoing the trail to that length restores the labelling the
+    choice was made in.
+    """
+    names = f.arguments
+    n = len(names)
+    index = {x: i for i, x in enumerate(names)}
+    attackers: list[list[int]] = [[] for _ in names]
+    targets: list[list[int]] = [[] for _ in names]
+    for u, x in f.attacks:
+        attackers[index[x]].append(index[u])
+        targets[index[u]].append(index[x])
+    lab: list[Label | None] = [None] * n
+    trail: list[int] = []
+
+    def propagate(queue: list[int]) -> bool:
+        """Label what the conditions force; False on a conflict."""
+        while queue:
+            x = queue.pop()
+            seen = [lab[y] for y in attackers[x]]
+            if all(v is Label.OUT for v in seen):
+                forced = Label.IN
+            elif Label.IN in seen:
+                forced = Label.OUT
+            elif None not in seen:
+                forced = Label.UND
+            elif lab[x] is Label.IN and Label.UND in seen:
+                return False  # an undecided attacker already rules out in
+            else:
+                continue
+            if lab[x] is None:
+                lab[x] = forced
+                trail.append(x)
+                queue.extend(targets[x])
+            elif lab[x] is not forced:
+                return False
+        return True
+
+    found: list[Labelling] = []
+    stack: list[list[int]] = []
+
+    def descend(x: int) -> None:
+        """Open a choice at the first unlabelled argument from ``x`` on."""
+        while x < n and lab[x] is not None:
+            x += 1
+        if x == n:
+            found.append(dict(zip(names, lab)))
+        else:
+            stack.append([x, 0, len(trail)])
+
+    if propagate(list(range(n))):
+        descend(0)
+    while stack:
+        frame = stack[-1]
+        x, choice, mark = frame
+        while len(trail) > mark:
+            lab[trail.pop()] = None
+        if choice == len(LABEL_ORDER):
+            stack.pop()
+            continue
+        frame[1] = choice + 1
+        lab[x] = LABEL_ORDER[choice]
+        trail.append(x)
+        if propagate([x, *targets[x]]):
+            descend(x + 1)
+    return found
 
 
 @dataclass(frozen=True)
@@ -198,37 +272,18 @@ def determined_layers(f: Framework, base: Sequence[str]) -> list[str]:
 def enumerate_complete_determined(
     f: Framework, base: Sequence[str]
 ) -> list[Labelling]:
-    """Complete labellings found by guessing only the ``base`` arguments.
+    """Complete labellings of a framework whose ``base`` determines the rest.
 
-    Sound whenever every non-base argument depends on earlier layers only;
-    in a complete labelling such an argument's label is a function of its
-    attackers' labels, so propagation loses nothing. Every propagated
-    candidate is still validated in full. Output order matches
-    enumerate_complete.
+    Every non-base argument must depend on earlier layers only (see
+    determined_layers), as the conjunctive and acceptance-table encodings
+    guarantee; a base that does not determine the rest raises ValueError.
+    The labellings are those of enumerate_complete, in the same order.
     """
-    base = tuple(sorted(set(base)))
     unknown = set(base) - set(f.arguments)
     if unknown:
         raise ValueError(f"base mentions unknown arguments {sorted(unknown)}")
-    order = determined_layers(f, base)
-    table = f.attacker_table()
-    found: list[Labelling] = []
-    for combo in itertools.product(LABEL_ORDER, repeat=len(base)):
-        lab: Labelling = dict(zip(base, combo))
-        for x in order:
-            attackers = [lab[y] for y in table[x]]
-            if all(a is Label.OUT for a in attackers):
-                lab[x] = Label.IN
-            elif any(a is Label.IN for a in attackers):
-                lab[x] = Label.OUT
-            else:
-                lab[x] = Label.UND
-        if check_complete(f, lab)[0]:
-            found.append({x: lab[x] for x in f.arguments})
-    found.sort(
-        key=lambda lab: tuple(LABEL_ORDER.index(lab[x]) for x in f.arguments)
-    )
-    return found
+    determined_layers(f, base)
+    return _search(f)
 
 
 def canonical(lab: Mapping[str, Label]) -> tuple[tuple[str, str], ...]:

@@ -5,7 +5,10 @@ here evaluate one formula under one assignment at a time by walking the
 tree, world by world, straight from the Kripke definitions: negation and
 implication look at every world at or above the current one, and so does
 the universal quantifier. The scans enumerate candidates with
-itertools.product in the canonical order and keep those the walks accept.
+itertools.product in the canonical order and keep those the walks accept;
+complete labellings likewise come from all 3^n labellings, each tested
+against the three local conditions by check_complete, where the package
+runs a propagation search.
 The structural walks at the end (formatting, free variables, leaf
 replacement, AC normal form) are the recursive definitions that the
 package's explicit-stack traversals must agree with.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from g3arg.af import Framework, enumerate_complete
+from g3arg.af import LABEL_ORDER, Framework, check_complete
 from g3arg.meta import GeneralizedModel, _as_status, _star_clauses
 from g3arg.pred import (
     EqAtom,
@@ -175,6 +178,16 @@ def classical_eval(f, domain, relation, v=None):
             classical_eval(f.body, domain, relation, {**v, f.var: d}) for d in domain
         )
     raise EvalError(f"not a classical formula node: {f!r}")
+
+
+def all_labellings(f):
+    for combo in itertools.product(LABEL_ORDER, repeat=len(f.arguments)):
+        yield dict(zip(f.arguments, combo))
+
+
+def enumerate_complete(f):
+    """Every legal labelling, in lexicographic IN < OUT < UND order."""
+    return [lab for lab in all_labellings(f) if check_complete(f, lab)[0]]
 
 
 def enumerate_models(theory, atoms):

@@ -26,6 +26,7 @@ from g3arg.corpus import (
     random_adf_net,
     random_framework,
 )
+from g3arg.meta import SearchSpaceExceeded
 from g3arg.pred import InAtom, Constant, RAtom, classical_eval
 from g3arg.prop import And, Atom, Bot, Top, UndConst, Or
 from g3arg.syntax import format_formula, parse_pred
@@ -88,6 +89,15 @@ def test_one_element_and_unsatisfiable_families():
         ((), [{"a": "in"}]),
     ]
     assert aaf_extensions(AxiomaticFrame.make(["a", "b"], Bot())) == []
+
+
+def test_relation_scan_stops_at_four_arguments():
+    psi = parse_pred("forall X (forall Y (~R(X,Y)))")
+    assert aaf_extensions(AxiomaticFrame.make("abcd", psi)) == [
+        ((), (dict.fromkeys("abcd", Label.IN),))
+    ]
+    with pytest.raises(SearchSpaceExceeded, match="2\\^25 attack relations"):
+        aaf_extensions(AxiomaticFrame.make("abcde", psi))
 
 
 def test_disjunctive_net_validation():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
 from g3arg.af import (
     Framework,
     Label,
@@ -147,9 +148,19 @@ def test_determined_enumeration_matches_brute_force():
         "abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
     )
     via_base = enumerate_complete_determined(f, ["a"])
-    assert via_base == enumerate_complete(f)
+    assert via_base == oracle.enumerate_complete(f)
     everything = enumerate_complete_determined(f, list(f.arguments))
-    assert everything == enumerate_complete(f)
+    assert everything == oracle.enumerate_complete(f)
+
+
+def test_search_runs_without_recursion():
+    names = [f"x{i:04d}" for i in range(3000)]
+    loops = Framework.make(names, [(x, x) for x in names])
+    assert enumerate_complete(loops) == [dict.fromkeys(names, Label.UND)]
+    chain = Framework.make(names, zip(names, names[1:]))
+    assert enumerate_complete(chain) == [
+        {x: (Label.IN, Label.OUT)[i % 2] for i, x in enumerate(names)}
+    ]
 
 
 def test_canonical_is_sorted():

@@ -1,11 +1,16 @@
 """End-to-end tests for the command line entry point."""
 
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import oracle
 from g3arg import cli
+from g3arg.af import LABEL_ORDER, Framework, Label, check_complete
 from g3arg.syntax import format_formula, parse_pred, parse_prop
 from g3arg.translate import CorrespondenceReport
 
@@ -503,6 +508,83 @@ def test_translate_prop_on_a_700_attacker_star(capsys, tmp_path):
     all_out = " & ".join(f"~{x}" for x in names)
     assert line_value(out, "  a2[z]: ") == f"{all_out} -> #n | z"
     assert line_value(out, "  b2[z]: ") == " | ".join(names) + " -> ~z | #n"
+
+
+def framework_doc(tmp_path, names, attacks):
+    facts = [f"arg({x})." for x in names] + [f"att({u},{x})." for u, x in attacks]
+    return write_doc(tmp_path, "\n".join(facts) + "\n")
+
+
+def printed_labellings(out):
+    """The labellings listed by a text `extensions` report."""
+    return [
+        {x: Label(v) for x, v in (pair.split("=") for pair in line.split())}
+        for line in out.splitlines()[1:]
+    ]
+
+
+def test_extensions_on_a_14_cycle(capsys, tmp_path):
+    names = [f"c{i:02d}" for i in range(14)]
+    attacks = list(zip(names, names[1:] + names[:1]))
+    code, out, err = run(capsys, "extensions", framework_doc(tmp_path, names, attacks))
+    assert (code, err) == (0, "")
+    rows = [
+        " ".join(f"{x}={('in', 'out')[(i + k) % 2]}" for i, x in enumerate(names))
+        for k in (0, 1)
+    ]
+    rows.append(" ".join(f"{x}=und" for x in names))
+    assert out == "3 complete labelling(s)\n" + "".join(f"  {r}\n" for r in rows)
+    f = Framework.make(names, attacks)
+    assert all(check_complete(f, lab)[0] for lab in printed_labellings(out))
+
+
+def test_extensions_on_a_sparse_40_argument_graph(capsys, tmp_path):
+    """Eight interleaved five-argument components, so the oracle labels each
+    component and the product of their labellings is the exact answer."""
+    rng = random.Random(11)  # 24 labellings
+    names = [f"a{i:02d}" for i in range(40)]
+    shuffled = rng.sample(names, len(names))
+    parts = [sorted(shuffled[i : i + 5]) for i in range(0, 40, 5)]
+    attacks = {(rng.choice(p), rng.choice(p)) for p in parts for _ in range(5)}
+    code, out, err = run(capsys, "extensions", framework_doc(tmp_path, names, attacks))
+    assert (code, err) == (0, "")
+    per_part = [
+        oracle.enumerate_complete(
+            Framework.make(p, [(u, x) for u, x in attacks if x in p])
+        )
+        for p in parts
+    ]
+    want = [
+        {x: lab[x] for x in names}
+        for lab in (
+            {k: v for part in combo for k, v in part.items()}
+            for combo in itertools.product(*per_part)
+        )
+    ]
+    want.sort(key=lambda lab: [LABEL_ORDER.index(lab[x]) for x in names])
+    got = printed_labellings(out)
+    assert out.startswith(f"{len(want)} complete labelling(s)\n")
+    assert got == want
+    f = Framework.make(names, attacks)
+    assert all(check_complete(f, lab)[0] for lab in got)
+
+
+def test_aaf_on_five_arguments_exits_three_at_once(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a). arg(b). arg(c). arg(d). arg(e).\npsi "true".\n')
+    code, out, err = run(capsys, "aaf", doc)
+    assert (code, out) == (3, "")
+    assert err == "error: 2^25 attack relations exceed the bound 65536\n"
+
+
+def test_aaf_on_three_arguments_is_unchanged(capsys, tmp_path):
+    """Every relation on three arguments; the digest pins the text output."""
+    doc = write_doc(tmp_path, 'arg(a). arg(b). arg(c).\npsi "true".\n')
+    code, out, err = run(capsys, "aaf", doc)
+    assert (code, err) == (0, "")
+    assert out.startswith("512 admissible relation(s)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5c2343a6806018375366d633e10b45408f5fbbd3cd3accce048f194e8c6da09d"
+    )
 
 
 # Random small documents of every species and random formula strings: every

@@ -1,20 +1,33 @@
-"""The bit-parallel evaluator and every scan built on it against the oracle.
+"""The bit-parallel evaluator, every scan built on it and the labelling search
+against the oracle.
 
 The oracle (tests/oracle.py) walks formula trees one assignment at a time
-and scans candidates with itertools.product. Every comparison is exact and
-ordered. Scans are also run with tiny batch widths, so the loop over leading
+and scans candidates with itertools.product; it finds complete labellings
+by filtering all 3^n labellings. Every comparison is exact and ordered. Scans are also run with tiny batch widths, so the loop over leading
 dimensions is exercised as well as the single-batch path.
 """
 
 import itertools
+import random
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from g3arg import prop
-from g3arg.aaf import AxiomaticFrame, aaf_extensions
-from g3arg.af import Framework
+from g3arg import af, prop
+from g3arg.aaf import (
+    AxiomaticFrame,
+    aaf_extensions,
+    encode_adf,
+    encode_conjunctive,
+)
+from g3arg.af import Framework, enumerate_complete, enumerate_complete_determined
+from g3arg.corpus import (
+    all_adf_nets_2,
+    all_conjunctive_nets,
+    all_frameworks,
+    random_framework,
+)
 from g3arg.meta import HigherNetwork, solve_higher
 from g3arg.pred import (
     Constant,
@@ -230,7 +243,47 @@ def test_aaf_extensions_matches_the_oracle_scan(psi, batch):
     frame = AxiomaticFrame(("a", "b"), psi)
     with patch.object(prop, "BATCH_BITS", batch):
         got = aaf_extensions(frame)
-    assert got == oracle.aaf_extensions(frame)
+    # the oracle labels each relation by its own scan, never by the search
+    with patch.object(af, "_search", side_effect=AssertionError):
+        want = oracle.aaf_extensions(frame)
+    assert got == want
+
+
+def test_complete_labellings_match_the_oracle_on_the_corpus():
+    """All 512 three-argument graphs and 200 seeded five-argument ones."""
+    rng = random.Random(12345)
+    corpus = [*all_frameworks(3), *(random_framework(5, rng) for _ in range(200))]
+    for f in corpus:
+        assert enumerate_complete(f) == oracle.enumerate_complete(f), f
+
+
+@st.composite
+def frameworks(draw, max_size=6):
+    names = "abcdef"[: draw(st.integers(1, max_size))]
+    pairs = [(u, x) for u in names for x in names]  # self-attacks included
+    return Framework.make(names, draw(st.sets(st.sampled_from(pairs))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(frameworks())
+def test_complete_labellings_match_the_oracle_on_random_graphs(f):
+    assert enumerate_complete(f) == oracle.enumerate_complete(f)
+
+
+def test_determined_labellings_match_the_oracle_on_encoded_nets():
+    """Every conjunctive and two-argument ADF net whose encoding has at most
+    seven arguments, each labelled through its base."""
+    encoded = [
+        *(encode_conjunctive(net) for net in all_conjunctive_nets()),
+        *(encode_adf(net) for net in all_adf_nets_2()),
+    ]
+    checked = 0
+    for fw, base in encoded:
+        if len(fw.arguments) <= 7:
+            got = enumerate_complete_determined(fw, sorted(base))
+            assert got == oracle.enumerate_complete(fw), fw
+            checked += 1
+    assert checked > 300
 
 
 substitution_formulas = tree(
