@@ -209,8 +209,9 @@ def classify(labs: Sequence[Labelling]) -> Classified:
     """Split a complete-labelling set into stable, grounded and preferred.
 
     Stable labellings have no undecided argument; the grounded labelling is
-    the unique one with the smallest in-set; preferred labellings have
-    maximal in-sets.
+    the unique one whose in-set lies below every other; preferred labellings
+    have maximal in-sets, found by a sweep from the largest in-set to the
+    smallest that keeps each set no kept set strictly contains.
     """
     if not labs:
         raise ValueError("complete semantics never yields zero labellings")
@@ -218,19 +219,15 @@ def classify(labs: Sequence[Labelling]) -> Classified:
     stable = tuple(
         lab for lab in labs if all(v is not Label.UND for v in lab.values())
     )
-    grounded = [
-        lab
-        for lab, mine in zip(labs, in_sets)
-        if all(mine <= other for other in in_sets)
-    ]
-    if len(grounded) != 1:
+    least = min(in_sets, key=len)
+    if in_sets.count(least) != 1 or not all(least <= other for other in in_sets):
         raise ValueError("input is not the complete set of one framework")
-    preferred = tuple(
-        lab
-        for lab, mine in zip(labs, in_sets)
-        if not any(mine < other for other in in_sets)
-    )
-    return Classified(stable, grounded[0], preferred)
+    kept: list[int] = []
+    for i in sorted(range(len(labs)), key=lambda i: len(in_sets[i]), reverse=True):
+        if not any(in_sets[i] < in_sets[j] for j in kept):
+            kept.append(i)
+    preferred = tuple(labs[i] for i in sorted(kept))
+    return Classified(stable, labs[in_sets.index(least)], preferred)
 
 
 def restrict(f: Framework, subset: Iterable[str]) -> Framework:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Mapping
@@ -487,19 +488,20 @@ def main(argv: list[str] | None = None) -> int:
     try:
         ns = parser.parse_args(argv)
         result, code = ns.handler(ns)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ParseError, EncodingError, ValueError, OSError) as e:
+        if ns.format == "json":
+            print(json.dumps(result, sort_keys=True, indent=2), flush=True)
+        else:
+            print("\n".join(_render_text(result)), flush=True)
+    except (_UsageError, ParseError, EncodingError, ValueError, OSError) as e:
+        if isinstance(e, BrokenPipeError):
+            # stdout was closed: point it at devnull, so that the flush at
+            # interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {e}", file=sys.stderr)
         return 1
     except SearchSpaceExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    if ns.format == "json":
-        print(json.dumps(result, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_render_text(result)))
     return code
 
 

@@ -1,8 +1,9 @@
 """Fact-file input format: parsing, validation, and network conversion.
 
-A document is a list of `.`-terminated facts (`#` starts a comment outside
-quotes). Exactly one network species per file, detected from the facts
-present:
+A document is a list of `.`-terminated facts. A quoted formula runs to its
+closing quote and may span lines; outside quotes, `#` starts a comment that
+runs to the end of its line. Exactly one network species per file, detected
+from the facts present:
 
   plain         arg/att only, every att endpoint a declared argument
   higher        wff facts, or att endpoints naming wffs or r(X,Y) units
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import Framework
@@ -53,44 +55,46 @@ class _Fact:
         return ParseError(f"{message} in {self.name} fact", self.line, self.col)
 
 
-def _strip_comment(line: str) -> str:
-    quoted = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            quoted = not quoted
-        elif ch == "#" and not quoted:
-            return line[:i]
-    return line
+# One piece pattern per level decides what is quoted. A quoted string runs
+# to its closing quote, across line breaks; a quote that is never closed is
+# a piece of its own. Outside quotes, `#` opens a comment to the end of its
+# line.
+_FACT_PIECE_RE = re.compile(r'"[^"]*"|"|#[^\n]*|\.|[^"#.]+')
+_ITEM_PIECE_RE = re.compile(r'"[^"]*"|"|[(\[]|[)\]]|,|[^"(\[)\],]+')
 
 
 def _split_facts(text: str) -> list[tuple[str, int, int]]:
-    """Cut the text at `.` terminators outside quotes, tracking positions."""
-    stripped = "\n".join(_strip_comment(line) for line in text.split("\n"))
+    """Cut the text at `.` pieces and drop comments, tracking positions."""
+    # offsets are located in increasing order, so each character is counted
+    # once; `line` and `line_start` hold for offset `mark`
+    line, line_start, mark = 1, 0, 0
+
+    def locate(offset: int) -> tuple[int, int]:
+        nonlocal line, line_start, mark
+        line += text.count("\n", mark, offset)
+        line_start = max(line_start, text.rfind("\n", mark, offset) + 1)
+        mark = offset
+        return line, offset - line_start + 1
+
     facts = []
     buf: list[str] = []
-    line, col = 1, 1
     start: tuple[int, int] | None = None
-    quoted = False
-    for ch in stripped:
-        if ch == "." and not quoted:
+    pos = 0
+    for piece in _FACT_PIECE_RE.findall(text):
+        if piece == ".":
             chunk = "".join(buf).strip()
             if not chunk:
-                raise ParseError("empty fact", line, col)
+                raise ParseError("empty fact", *locate(pos))
             assert start is not None
             facts.append((chunk, *start))
             buf, start = [], None
-        else:
-            if ch == '"':
-                quoted = not quoted
-            if start is None and not ch.isspace():
-                start = (line, col)
-            buf.append(ch)
-        if ch == "\n":
-            line, col = line + 1, 1
-        else:
-            col += 1
-    if quoted:
-        raise ParseError("unterminated string", line, col)
+        elif piece[0] != "#":
+            if piece == '"':
+                raise ParseError("unterminated string", *locate(len(text)))
+            if start is None and not piece.isspace():
+                start = locate(pos + len(piece) - len(piece.lstrip()))
+            buf.append(piece)
+        pos += len(piece)
     if "".join(buf).strip():
         assert start is not None
         raise ParseError("fact missing final '.'", *start)
@@ -100,30 +104,22 @@ def _split_facts(text: str) -> list[tuple[str, int, int]]:
 def _split_items(body: str, line: int, col: int) -> list[str]:
     """Split on top-level commas, respecting parens, brackets and quotes."""
     items = []
-    depth = 0
-    quoted = False
     buf: list[str] = []
-    for ch in body:
-        if ch == '"':
-            quoted = not quoted
-            buf.append(ch)
-        elif quoted:
-            buf.append(ch)
-        elif ch in "([":
+    depth = 0
+    for piece in _ITEM_PIECE_RE.findall(body):
+        if piece == "," and depth == 0:
+            items.append("".join(buf).strip())
+            buf = []
+            continue
+        if piece == "(" or piece == "[":
             depth += 1
-            buf.append(ch)
-        elif ch in ")]":
+        elif piece == ")" or piece == "]":
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced bracket", line, col)
-            buf.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
+        buf.append(piece)
     items.append("".join(buf).strip())
-    if any(not item for item in items):
+    if not all(items):
         raise ParseError("empty item in fact arguments", line, col)
     return items
 
@@ -173,6 +169,12 @@ def _as_list(token: str, fact: _Fact) -> tuple[str, ...]:
     if not body:
         raise fact.fail("empty name list")
     return tuple(_as_id(item, fact) for item in _split_items(body, fact.line, fact.col))
+
+
+def _check_declared(fact: _Fact, args: set[str], names: Iterable[str]) -> None:
+    for name in names:
+        if name not in args:
+            raise fact.fail(f"undeclared argument {name!r}")
 
 
 @dataclass(frozen=True)
@@ -312,9 +314,7 @@ def parse_document(text: str) -> InputDocument:
                 unit = _as_unit(token, fact)
                 m = R_UNIT_RE.match(unit)
                 if m:
-                    for inner in m.groups():
-                        if inner not in args:
-                            raise fact.fail(f"undeclared argument {inner!r}")
+                    _check_declared(fact, args, m.groups())
                 elif unit not in args and unit not in wffs:
                     raise fact.fail(f"undeclared name {unit!r}")
                 endpoints.append(unit)
@@ -323,8 +323,7 @@ def parse_document(text: str) -> InputDocument:
             if species != "plain":
                 raise fact.fail("inst facts apply to plain documents only")
             x = _as_id(fact.args[0], fact)
-            if x not in args:
-                raise fact.fail(f"undeclared argument {x!r}")
+            _check_declared(fact, args, (x,))
             text_ = _as_quoted(fact.args[1], fact)
             if insts.get(x, text_) != text_:
                 raise fact.fail(f"conflicting replacements for {x!r}")
@@ -333,21 +332,16 @@ def parse_document(text: str) -> InputDocument:
         elif fact.name == "datt":
             z = _as_id(fact.args[0], fact)
             targets = _as_list(fact.args[1], fact)
-            for name in (z, *targets):
-                if name not in args:
-                    raise fact.fail(f"undeclared argument {name!r}")
+            _check_declared(fact, args, (z, *targets))
             datts.add((z, tuple(sorted(set(targets)))))
         elif fact.name == "catt":
             group = _as_list(fact.args[0], fact)
             z = _as_id(fact.args[1], fact)
-            for name in (*group, z):
-                if name not in args:
-                    raise fact.fail(f"undeclared argument {name!r}")
+            _check_declared(fact, args, (*group, z))
             catts.add((tuple(sorted(set(group))), z))
         elif fact.name == "acc":
             x = _as_id(fact.args[0], fact)
-            if x not in args:
-                raise fact.fail(f"undeclared argument {x!r}")
+            _check_declared(fact, args, (x,))
             text_ = _as_quoted(fact.args[1], fact)
             if x in accs:
                 raise fact.fail(f"duplicate acceptance condition for {x!r}")

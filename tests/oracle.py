@@ -9,16 +9,23 @@ itertools.product in the canonical order and keep those the walks accept;
 complete labellings likewise come from all 3^n labellings, each tested
 against the three local conditions by check_complete, where the package
 runs a propagation search.
-The structural walks at the end (formatting, free variables, leaf
-replacement, AC normal form) are the recursive definitions that the
-package's explicit-stack traversals must agree with.
+classify compares every pair of in-sets, where the package takes the least
+in-set and sweeps for the maximal ones.
+The structural walks (formatting, free variables, leaf replacement, AC
+normal form) are the recursive definitions that the package's explicit-stack
+traversals must agree with.
+The fact reader at the end is the character-loop reader the package's piece
+scanner replaced; it forgets an open quote at every line break, so it is the
+reference only for documents whose quoted strings stay on one line.
 """
 
 from __future__ import annotations
 
 import itertools
+from unittest.mock import patch
 
-from g3arg.af import LABEL_ORDER, Framework, check_complete
+from g3arg import document
+from g3arg.af import LABEL_ORDER, Classified, Framework, Label, check_complete
 from g3arg.meta import GeneralizedModel, _as_status, _star_clauses
 from g3arg.pred import (
     EqAtom,
@@ -45,6 +52,7 @@ from g3arg.prop import (
     conj,
     disj,
 )
+from g3arg.syntax import ParseError
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
 from g3arg.translate import prop_theory
 
@@ -188,6 +196,29 @@ def all_labellings(f):
 def enumerate_complete(f):
     """Every legal labelling, in lexicographic IN < OUT < UND order."""
     return [lab for lab in all_labellings(f) if check_complete(f, lab)[0]]
+
+
+def classify(labs):
+    """Stable, grounded and preferred by comparing every pair of in-sets."""
+    if not labs:
+        raise ValueError("complete semantics never yields zero labellings")
+    in_sets = [frozenset(x for x, v in lab.items() if v is Label.IN) for lab in labs]
+    stable = tuple(
+        lab for lab in labs if all(v is not Label.UND for v in lab.values())
+    )
+    grounded = [
+        lab
+        for lab, mine in zip(labs, in_sets)
+        if all(mine <= other for other in in_sets)
+    ]
+    if len(grounded) != 1:
+        raise ValueError("input is not the complete set of one framework")
+    preferred = tuple(
+        lab
+        for lab, mine in zip(labs, in_sets)
+        if not any(mine < other for other in in_sets)
+    )
+    return Classified(stable, grounded[0], preferred)
 
 
 def enumerate_models(theory, atoms):
@@ -414,3 +445,84 @@ def _wrap(f, parent_prec, tight=False):
     if p < parent_prec or (p == parent_prec and not tight):
         return f"({text})"
     return text
+
+
+def _strip_comment(line: str) -> str:
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
+def _split_facts(text: str) -> list[tuple[str, int, int]]:
+    """Cut the text at `.` terminators outside quotes, tracking positions."""
+    stripped = "\n".join(_strip_comment(line) for line in text.split("\n"))
+    facts = []
+    buf: list[str] = []
+    line, col = 1, 1
+    start: tuple[int, int] | None = None
+    quoted = False
+    for ch in stripped:
+        if ch == "." and not quoted:
+            chunk = "".join(buf).strip()
+            if not chunk:
+                raise ParseError("empty fact", line, col)
+            assert start is not None
+            facts.append((chunk, *start))
+            buf, start = [], None
+        else:
+            if ch == '"':
+                quoted = not quoted
+            if start is None and not ch.isspace():
+                start = (line, col)
+            buf.append(ch)
+        if ch == "\n":
+            line, col = line + 1, 1
+        else:
+            col += 1
+    if quoted:
+        raise ParseError("unterminated string", line, col)
+    if "".join(buf).strip():
+        assert start is not None
+        raise ParseError("fact missing final '.'", *start)
+    return facts
+
+
+def _split_items(body: str, line: int, col: int) -> list[str]:
+    """Split on top-level commas, respecting parens, brackets and quotes."""
+    items = []
+    depth = 0
+    quoted = False
+    buf: list[str] = []
+    for ch in body:
+        if ch == '"':
+            quoted = not quoted
+            buf.append(ch)
+        elif quoted:
+            buf.append(ch)
+        elif ch in "([":
+            depth += 1
+            buf.append(ch)
+        elif ch in ")]":
+            depth -= 1
+            if depth < 0:
+                raise ParseError("unbalanced bracket", line, col)
+            buf.append(ch)
+        elif ch == "," and depth == 0:
+            items.append("".join(buf).strip())
+            buf = []
+        else:
+            buf.append(ch)
+    items.append("".join(buf).strip())
+    if any(not item for item in items):
+        raise ParseError("empty item in fact arguments", line, col)
+    return items
+
+
+def parse_document(text):
+    """The package's parse_document, reading facts with the reader above."""
+    with patch.multiple(document, _split_facts=_split_facts, _split_items=_split_items):
+        return document.parse_document(text)

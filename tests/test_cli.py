@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -409,6 +412,35 @@ def test_aaf_constraint_naming_an_undeclared_element_exits_one(capsys, tmp_path)
     assert code == 1
     assert out == ""
     assert err == "error: the constraint mentions unknown element 'z'\n"
+
+
+def test_hash_line_inside_a_wrapped_formula_exits_one(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a). arg(b).\nwff(w, "R(a,b) |\n# R(b,a)\nR(a,a)").\n')
+    code, out, err = run(capsys, "translate", doc, "--mode", "higher")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unexpected character '#' (line 2, column 1)\n"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the child imports the package under test, wherever it lives
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "g3arg.cli", "valid", "x | ~x"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": package_root},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_valid_rejects_runaway_nesting(capsys):

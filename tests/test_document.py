@@ -1,7 +1,9 @@
 """Fact-file parsing: species detection, validation, conversion, round trips."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from g3arg.document import InputDocument, parse_document, serialize_document
 from g3arg.syntax import ParseError
 
@@ -188,3 +190,104 @@ def test_duplicate_facts_collapse():
         'arg(a). wff(w, "R(a,a)"). wff(w, "R(a,a)"). att(a, w).'
     )
     assert doc.wffs == (("w", "R(a,a)"),)
+
+
+def test_wrapped_formula_line_may_start_with_the_marker():
+    doc = parse_document('arg(a). arg(b).\nwff(w, "R(a,b) |\n#n").\natt(a, w).\n')
+    assert doc.wffs == (("w", "R(a,b) |\n#n"),)
+
+
+def test_comment_after_a_wrapped_formula():
+    doc = parse_document(
+        'arg(a). arg(b).\nwff(w, "R(a,b) &\nR(b,a)"). # note\natt(a, w).\n'
+    )
+    assert doc.wffs == (("w", "R(a,b) &\nR(b,a)"),)
+    assert doc.atts == (("a", "w"),)
+
+
+def test_hash_line_inside_quotes_is_formula_text_not_a_comment():
+    with pytest.raises(ParseError) as exc:
+        parse_document('arg(a). arg(b).\nwff(w, "R(a,b) |\n# R(b,a)\nR(a,a)").\n')
+    assert "unexpected character '#'" in str(exc.value)
+
+
+def test_wrapped_formula_without_a_hash_reads_as_before():
+    text = 'arg(a). arg(b).\nwff(w, "R(a,b) |\nR(b,a)").\natt(a, w).\n'
+    doc = parse_document(text)
+    assert doc == oracle.parse_document(text)
+    assert doc.wffs == (("w", "R(a,b) |\nR(b,a)"),)
+    assert parse_document(serialize_document(doc)) == doc
+
+
+# Documents for the differential test against the character-loop reader:
+# every fact kind, comments at line ends, `#` `.` `,` inside quotes, stray
+# and unbalanced brackets, empty facts and items, a missing final `.` and an
+# unterminated string on the last line. Quoted strings never hold a line
+# break, because the old reader forgets an open quote at every line break.
+_NAMES = st.sampled_from(["a", "b", "c", "w", "ghost", "a b", "r(a,b)", "r(b, ghost)"])
+_QUOTED = st.one_of(
+    st.sampled_from(
+        [
+            '"R(a,b) | #n"',
+            '"exists X (R(X,a) & In(b))"',
+            '"~R(a,a)"',
+            '"a & ~b"',
+            '"b | ~c"',
+            '"true"',
+            '"#n"',
+        ]
+    ),
+    st.text(alphabet='ab R(),.#n|&~[] ', max_size=8).map('"{}"'.format),
+)
+_LISTS = st.lists(_NAMES, max_size=3).map(lambda xs: "[" + ",".join(xs) + "]")
+_ITEMS = st.one_of(
+    _NAMES,
+    _QUOTED,
+    _LISTS,
+    st.sampled_from(["", " ", "(", ")", "[", "]", "(a", "a]", ")(", "[a,b", "p"]),
+)
+_KINDS = st.sampled_from(["arg", "att", "wff", "inst", "datt", "catt", "acc", "bogus"])
+_FACTS = st.one_of(
+    st.builds(
+        "{}({})".format, _KINDS, st.lists(_ITEMS, min_size=1, max_size=3).map(", ".join)
+    ),
+    _QUOTED.map("psi {}".format),
+    st.sampled_from(["", "  ", "arg(a", "att a, b)", "(", ")", "1x(a)", "arg(a))"]),
+)
+_SEPARATORS = st.sampled_from(
+    [" ", "\n", "\n\n", " # note\n", '\t# "q" . , #\n', "\n# a whole line\n"]
+)
+# well-formed facts of one species each, so that many documents parse
+_SPECIES_FACTS = [
+    ["att(a, b)", "att(b,a)", 'inst(a, "p & #n")', 'inst(c, "q | ~q")'],
+    ['wff(w, "R(a,b) | #n")', "att(a, w)", "att(a, r(b,c))", "att(r( a , b ), c)"],
+    ["datt(a, [b,c])", "datt(b, [a])", "datt(c, [ a , b ])"],
+    ["catt([a,b], c)", "catt([c], a)"],
+    ['acc(a, "b | ~c"). acc(b, "true"). acc(c, "a & b")', 'acc(b, "~a")'],
+    ['psi "~R(a,a)"', 'psi "forall X (R(X,a) -> In(b))"'],
+]
+
+
+@st.composite
+def documents(draw):
+    species = st.sampled_from(draw(st.sampled_from(_SPECIES_FACTS)))
+    extra = draw(st.lists(species, max_size=5)) + draw(st.lists(_FACTS, max_size=2))
+    facts = draw(st.permutations(["arg(a)", "arg(b)", "arg(c)", *extra]))
+    dots = ["."] * len(facts)
+    if draw(st.integers(0, 5)) == 0:
+        dots[-1] = ""
+    text = "".join(fact + dot + draw(_SEPARATORS) for fact, dot in zip(facts, dots))
+    return text + draw(st.sampled_from(["", "", "", "", ' psi "R(a,a). #', ' "open']))
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as e:
+        return str(e), e.line, e.col
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents())
+def test_reader_matches_the_character_loop_reader(text):
+    assert _outcome(parse_document, text) == _outcome(oracle.parse_document, text)

@@ -270,6 +270,40 @@ def test_complete_labellings_match_the_oracle_on_random_graphs(f):
     assert enumerate_complete(f) == oracle.enumerate_complete(f)
 
 
+def _classified(labs):
+    try:
+        return af.classify(labs)
+    except ValueError as e:
+        return str(e)
+
+
+def _oracle_classified(labs):
+    try:
+        return oracle.classify(labs)
+    except ValueError as e:
+        return str(e)
+
+
+def test_classify_matches_the_pairwise_oracle_on_the_corpus():
+    for f in all_frameworks(3):
+        labs = enumerate_complete(f)
+        expected = oracle.classify(labs)
+        assert af.classify(labs) == expected, f
+        # repeated labellings other than the grounded one are all kept
+        doubled = labs + [lab for lab in labs if lab != expected.grounded]
+        assert af.classify(doubled) == oracle.classify(doubled), f
+
+
+@settings(max_examples=150, deadline=None)
+@given(frameworks(), st.data())
+def test_classify_matches_the_pairwise_oracle_on_random_graphs(f, data):
+    labs = enumerate_complete(f)
+    assert af.classify(labs) == oracle.classify(labs)
+    # a sublist is no complete set; both refuse it or both split it alike
+    part = data.draw(st.lists(st.sampled_from(labs), max_size=len(labs) + 1))
+    assert _classified(part) == _oracle_classified(part)
+
+
 def test_determined_labellings_match_the_oracle_on_encoded_nets():
     """Every conjunctive and two-argument ADF net whose encoding has at most
     seven arguments, each labelled through its base."""
