@@ -1,11 +1,12 @@
 """Axiomatic frames and the three richer network encodings.
 
 An axiomatic frame fixes the arguments but constrains the attack relation
-by a classical first-order sentence; its extensions are those of every
-satisfying relation. Disjunctive attacks (one source, a target set) are
-encoded as such a frame. Conjunctive group attacks and acceptance-table
-networks are lowered to plain frameworks with fresh auxiliary arguments
-and a projection back to the base.
+by a classical first-order sentence psi over the domain of the quantified
+theory Delta_A; its extensions are the models of Delta_A and psi, each a
+decided relation with one of its complete labellings. Disjunctive attacks
+(one source, a target set) are encoded as such a frame. Conjunctive group
+attacks and acceptance-table networks are lowered to plain frameworks with
+fresh auxiliary arguments and a projection back to the base.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .af import Framework, Labelling, enumerate_complete
-from .meta import SearchSpaceExceeded
-from .prop import Formula, Neg, Program, conj, disj, scan
+from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, scan
 from .pred import (
     Constant,
     RAtom,
@@ -26,9 +26,10 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
+from .translate import pred_theory
 
 
-# The relation scan covers 2^(|s0|^2) relations: 4 arguments pass, 5 do not.
+# The scan covers 2^(|s0|^2) relations by 3^|s0| profiles: 4 arguments pass, 5 not.
 MAX_RELATIONS = 2**16
 
 
@@ -63,28 +64,28 @@ class AxiomaticFrame:
 def aaf_extensions(
     af: AxiomaticFrame,
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
-    """Satisfying relations paired with their complete labellings.
+    """The models of Delta_A and psi, grouped by relation.
 
-    Relations are scanned as sorted pair tuples in lexicographic order.
-    Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
+    One scan covers the decided relation pairs and every argument's In
+    profile. Relations come as sorted pair tuples in lexicographic order,
+    their labellings in lexicographic in < out < und order. Raises
+    SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     pairs = [(u, x) for u in af.s0 for x in af.s0]
     if 2 ** len(pairs) > MAX_RELATIONS:
         raise SearchSpaceExceeded(
             f"2^{len(pairs)} attack relations exceed the bound {MAX_RELATIONS}"
         )
-    # classical evaluation: every relation atom is decided
-    satisfying = scan(
-        [(p, DECIDED_ORDER) for p in pairs],
-        Program([af.psi], grounding(af.s0)).holds,
+    labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
+    dims = [(p, DECIDED_ORDER) for p in pairs] + [(x, labels) for x in af.s0]
+    program = Program(pred_theory().formulas() + [af.psi], grounding(af.s0))
+    family: dict[tuple[int, ...], list[Labelling]] = {}
+    for index in scan(dims, program.holds):
+        lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[len(pairs) :])))
+        family.setdefault(index[: len(pairs)], []).append(lab)
+    return sorted(
+        (tuple(itertools.compress(pairs, r)), tuple(labs)) for r, labs in family.items()
     )
-    relations = sorted(
-        tuple(p for p, c in zip(pairs, index) if c) for index in satisfying
-    )
-    return [
-        (rel, tuple(enumerate_complete(Framework.make(af.s0, rel))))
-        for rel in relations
-    ]
 
 
 @dataclass(frozen=True)

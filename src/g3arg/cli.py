@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .aaf import (
     EncodingError,
@@ -30,8 +30,8 @@ from .af import (
     enumerate_complete_determined,
 )
 from .document import InputDocument, parse_document
-from .meta import SearchSpaceExceeded, solve_higher, star_theory
-from .prop import enumerate_models, is_valid
+from .meta import solve_higher, star_theory
+from .prop import SearchSpaceExceeded, enumerate_models, is_valid
 from .syntax import ParseError, format_formula, parse_prop
 from .threeval import ThreeVal
 from .translate import (
@@ -253,7 +253,7 @@ def _cmd_aaf(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     doc = _load(ns.file)
     rows = [
         {
-            "relation": [list(p) for p in relation],
+            "relation": relation,  # JSON renders pair tuples as lists
             "count": len(labs),
             "extensions": [_labelling_dict(lab) for lab in labs],
         }
@@ -337,7 +337,7 @@ def _corr_lines(label: str, r: dict[str, Any]) -> list[str]:
     return lines
 
 
-def _relation_text(pairs: list[list[str]]) -> str:
+def _relation_text(pairs: Sequence[Sequence[str]]) -> str:
     return "{" + ", ".join(f"{u}>{x}" for u, x in pairs) + "}"
 
 

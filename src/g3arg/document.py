@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import Framework
@@ -50,6 +50,7 @@ class _Fact:
     args: tuple[str, ...]
     line: int
     col: int
+    text: str  # as read from its first character on, comments dropped
 
     def fail(self, message: str) -> "ParseError":
         return ParseError(f"{message} in {self.name} fact", self.line, self.col)
@@ -133,11 +134,12 @@ def _parse_fact(chunk: str, line: int, col: int) -> _Fact:
         raise ParseError(f"unknown fact {name!r}", line, col)
     rest = chunk[head.end() :].strip()
     if name == "psi":
-        fact = _Fact(name, (rest,), line, col)
+        fact = _Fact(name, (rest,), line, col, chunk)
     else:
         if not (rest.startswith("(") and rest.endswith(")")):
             raise ParseError(f"expected parenthesized arguments after {name!r}", line, col)
-        fact = _Fact(name, tuple(_split_items(rest[1:-1], line, col)), line, col)
+        items = tuple(_split_items(rest[1:-1], line, col))
+        fact = _Fact(name, items, line, col, chunk)
     if len(fact.args) != _FACT_ARITY[name]:
         raise fact.fail(f"expected {_FACT_ARITY[name]} argument(s)")
     return fact
@@ -160,6 +162,23 @@ def _as_quoted(token: str, fact: _Fact) -> str:
     if not (len(token) >= 2 and token.startswith('"') and token.endswith('"')):
         raise fact.fail(f"expected a quoted formula, got {token!r}")
     return token[1:-1]
+
+
+def _parse_formula(
+    parse: Callable[[str], Formula], token: str, fact: _Fact
+) -> Formula:
+    """Parse a quoted formula; a ParseError names its place in the file."""
+    try:
+        return parse(token[1:-1])
+    except ParseError as e:
+        # find the error in the fact text, padded to start at the fact's column
+        text = " " * (fact.col - 1) + fact.text
+        at = text.index(token)
+        for _ in range(e.line - 1):
+            at = text.index("\n", at + 1)
+        at += e.col
+        line = fact.line + text.count("\n", 0, at)
+        raise ParseError(e.message, line, at - text.rfind("\n", 0, at)) from None
 
 
 def _as_list(token: str, fact: _Fact) -> tuple[str, ...]:
@@ -300,7 +319,7 @@ def parse_document(text: str) -> InputDocument:
                 raise fact.fail(f"wff name {name!r} collides with an argument")
             if wffs.get(name, text_) != text_:
                 raise fact.fail(f"conflicting formulas for wff {name!r}")
-            parse_pred(text_)
+            _parse_formula(parse_pred, fact.args[1], fact)
             wffs[name] = text_
 
     for fact in facts:
@@ -327,7 +346,7 @@ def parse_document(text: str) -> InputDocument:
             text_ = _as_quoted(fact.args[1], fact)
             if insts.get(x, text_) != text_:
                 raise fact.fail(f"conflicting replacements for {x!r}")
-            parse_prop(text_)
+            _parse_formula(parse_prop, fact.args[1], fact)
             insts[x] = text_
         elif fact.name == "datt":
             z = _as_id(fact.args[0], fact)
@@ -345,13 +364,13 @@ def parse_document(text: str) -> InputDocument:
             text_ = _as_quoted(fact.args[1], fact)
             if x in accs:
                 raise fact.fail(f"duplicate acceptance condition for {x!r}")
-            _check_condition(parse_prop(text_), args)
+            _check_condition(_parse_formula(parse_prop, fact.args[1], fact), args)
             accs[x] = text_
         elif fact.name == "psi":
             if psi is not None:
                 raise fact.fail("duplicate psi fact")
             psi = _as_quoted(fact.args[0], fact)
-            parse_pred(psi)
+            _parse_formula(parse_pred, fact.args[0], fact)
 
     if species == "adf" and set(accs) != args:
         missing = sorted(args - set(accs))

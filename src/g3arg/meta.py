@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .prop import And, Formula, Imp, Neg, Or, Program, UndConst, conj, disj, scan
+from .prop import (
+    And, Formula, Imp, Neg, Or, Program, SearchSpaceExceeded, UndConst, conj, disj, scan
+)
 from .pred import (
     Constant,
     InAtom,
@@ -31,10 +33,6 @@ from .threeval import VALUE_ORDER, ThreeVal
 from .translate import Theory
 
 R_UNIT_RE = re.compile(r"r\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
-
-
-class SearchSpaceExceeded(Exception):
-    """The brute-force solver refused an instance as too large."""
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def _inline(unit: WffUnit) -> Formula:
 
 
 def _as_status(unit: WffUnit) -> Formula:
-    return StatusRef(unit.name)
+    return unit.formula if unit.is_r_atom else StatusRef(unit.name)
 
 
 def _source_forms(
@@ -307,20 +305,14 @@ def solve_higher(
     ]
     general_units = [u for u in hn.wffs if not u.is_r_atom]
     program = Program(clauses + [u.formula for u in general_units], grounding(nodes))
-    # An R-atom unit stands as its pair; a general unit's standing is a scan
+    # An R-atom unit is its own R atom; a general unit's standing is a scan
     # dimension that must agree with its formula at the actual world.
     ties = [StatusRef(u.name) for u in general_units]
     dims = [(n, VALUE_ORDER) for n in nodes]
     dims += relation_dims(nodes, fixed_r, VALUE_ORDER)
     dims += [(ref, VALUE_ORDER) for ref in ties]
-
-    def keep(table: dict, full: int) -> int:
-        for name, pair in r_units:
-            table[StatusRef(name)] = table[pair]
-        return program.holds(table, full, ties)
-
     models: list[GeneralizedModel] = []
-    for index in scan(dims, keep):
+    for index in scan(dims, lambda table, full: program.holds(table, full, ties)):
         values = [choices[c] for (_, choices), c in zip(dims, index)]
         r_val = dict(zip(pairs, values[len(nodes) :]))
         statuses = {name: r_val[pair] for name, pair in r_units}

@@ -198,6 +198,10 @@ class Program:
         return mask
 
 
+class SearchSpaceExceeded(Exception):
+    """A brute-force search refused an instance as too large."""
+
+
 def scan(
     dims: Sequence[tuple[object, Sequence[ThreeVal]]],
     keep: Callable[[dict, int], int],
@@ -218,8 +222,10 @@ def scan(
         width *= sizes[split]
     full = (1 << width) - 1
     table: dict = {}
+    places: list[tuple[int, int]] = []  # (stride, size) of the inner dimensions
     stride = 1
     for key, choices in reversed(dims[split:]):
+        places.insert(0, (stride, len(choices)))
         # choice c fills bits [c * stride, (c + 1) * stride) of each period
         period = stride * len(choices)
         repunit = full // ((1 << period) - 1)
@@ -228,7 +234,7 @@ def scan(
         t = sum(block << c * stride for c, v in enumerate(choices) if v.there)
         table[key] = (h * repunit, t * repunit)
         stride = period
-    inner = sizes[split:][::-1]  # least significant first
+    decoded: dict[int, tuple[int, ...]] = {}  # bit -> its inner choice indices
     for outer in itertools.product(*map(range, sizes[:split])):
         for (key, choices), c in zip(dims, outer):
             table[key] = (full if choices[c].here else 0, full if choices[c].there else 0)
@@ -236,11 +242,10 @@ def scan(
         while mask:
             low = mask & -mask
             mask ^= low
-            index, digits = low.bit_length() - 1, []
-            for n in inner:
-                index, c = divmod(index, n)
-                digits.append(c)
-            yield outer + tuple(reversed(digits))
+            bit = low.bit_length() - 1
+            if bit not in decoded:
+                decoded[bit] = tuple(bit // s % n for s, n in places)
+            yield outer + decoded[bit]
 
 
 def select_assignments(

@@ -54,6 +54,7 @@ class ParseError(Exception):
     def __init__(self, message: str, line: int = 0, col: int = 0):
         suffix = f" (line {line}, column {col})" if line else ""
         super().__init__(message + suffix)
+        self.message = message
         self.line = line
         self.col = col
 

@@ -26,7 +26,7 @@ from unittest.mock import patch
 
 from g3arg import document
 from g3arg.af import LABEL_ORDER, Classified, Framework, Label, check_complete
-from g3arg.meta import GeneralizedModel, _as_status, _star_clauses
+from g3arg.meta import GeneralizedModel, _star_clauses
 from g3arg.pred import (
     EqAtom,
     Exists,
@@ -249,6 +249,11 @@ def enumerate_interps(domain, theory, *, r_decided=False, fixed_r=None):
             if all(eval_pred(World.HERE, f, m) for f in theory):
                 found.append(m)
     return found
+
+
+def _as_status(unit):
+    """Every unit, a relation-atom unit too, evaluates through its status."""
+    return StatusRef(unit.name)
 
 
 def solve_higher(hn, fixed_r=None):

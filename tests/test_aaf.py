@@ -26,9 +26,8 @@ from g3arg.corpus import (
     random_adf_net,
     random_framework,
 )
-from g3arg.meta import SearchSpaceExceeded
 from g3arg.pred import InAtom, Constant, RAtom, classical_eval
-from g3arg.prop import And, Atom, Bot, Top, UndConst, Or
+from g3arg.prop import And, Atom, Bot, SearchSpaceExceeded, Top, UndConst, Or
 from g3arg.syntax import format_formula, parse_pred
 
 
@@ -98,6 +97,15 @@ def test_relation_scan_stops_at_four_arguments():
     ]
     with pytest.raises(SearchSpaceExceeded, match="2\\^25 attack relations"):
         aaf_extensions(AxiomaticFrame.make("abcde", psi))
+
+
+def test_four_arguments_under_true_admit_every_relation():
+    fam = aaf_extensions(AxiomaticFrame.make("abcd", Top()))
+    assert len(fam) == 2**16
+    assert sum(len(labs) for _, labs in fam) == 103064
+    assert [rel for rel, _ in fam] == sorted(rel for rel, _ in fam)
+    for rel, labs in random.Random(6).sample(fam, 200):
+        assert list(labs) == enumerate_complete(Framework.make("abcd", rel))
 
 
 def test_disjunctive_net_validation():

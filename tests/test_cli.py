@@ -419,7 +419,23 @@ def test_hash_line_inside_a_wrapped_formula_exits_one(capsys, tmp_path):
     code, out, err = run(capsys, "translate", doc, "--mode", "higher")
     assert code == 1
     assert out == ""
-    assert err == "error: unexpected character '#' (line 2, column 1)\n"
+    assert err == "error: unexpected character '#' (line 3, column 1)\n"
+
+
+def test_formula_error_on_line_three_names_the_file_position(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a).\narg(b).\nwff(w, "R(a,b) | $").\n')
+    code, out, err = run(capsys, "translate", doc, "--mode", "higher")
+    assert code == 1
+    assert out == ""
+    assert err == "error: unexpected character '$' (line 3, column 18)\n"
+
+
+def test_wrapped_formula_error_names_the_file_position(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a). arg(b).\npsi "R(a,b) &\n    ~R(b,a) &".\n')
+    code, out, err = run(capsys, "aaf", doc)
+    assert code == 1
+    assert out == ""
+    assert err == "error: expected a formula, found 'end of input' (line 3, column 14)\n"
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

@@ -156,6 +156,31 @@ def test_rejected_documents(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text,message,line,col",
+    [
+        ('arg(a).\narg(b).\nwff(w, "R(a,b) | $").', "unexpected character '$'", 3, 18),
+        ('arg(a). inst(a, "p | ").', "expected a formula, found 'end of input'", 1, 22),
+        ('arg(a).\n  acc(a,\n "a & (a").',
+         "expected a closing parenthesis, found 'end of input'", 3, 9),
+        ('arg(a).\npsi   "exists X (R(X,a) & )".', "expected a formula, found ')'", 2, 27),
+        # a wrapped formula: the error line is the file's, its column too
+        ('arg(a). arg(b).\n  wff(w, "R(a,b) &\n   R(b,a) | $").',
+         "unexpected character '$'", 3, 13),
+        # a comment between the fact name and the quote shifts nothing
+        ('arg(a). # one\nwff(w, # two\n    "R(a,a)\n  | ").',
+         "expected a formula, found 'end of input'", 4, 5),
+        ('arg(a). arg(b).\nwff(w, "R(a,b)").\nwff(v,"R(a,b) |\n# R(b,a)").',
+         "unexpected character '#'", 4, 1),
+    ],
+)
+def test_formula_errors_name_their_place_in_the_file(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, line, col)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+
+
 def test_mixed_species_rejected():
     with pytest.raises(ParseError) as exc:
         parse_document('arg(a). acc(a, "true"). catt([a], a).')

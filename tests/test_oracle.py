@@ -11,10 +11,11 @@ import itertools
 import random
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from g3arg import af, prop
+from g3arg import aaf, af, prop
 from g3arg.aaf import (
     AxiomaticFrame,
     aaf_extensions,
@@ -40,6 +41,7 @@ from g3arg.pred import (
     StatusRef,
     Variable,
     ac_normal_form,
+    build_meta,
     classical_eval,
     enumerate_interps,
     eval_pred,
@@ -246,6 +248,30 @@ def test_aaf_extensions_matches_the_oracle_scan(psi, batch):
     # the oracle labels each relation by its own scan, never by the search
     with patch.object(af, "_search", side_effect=AssertionError):
         want = oracle.aaf_extensions(frame)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "kind,args",
+    [
+        ("true", ()),
+        ("attacks_all_others", ("a",)),
+        ("attacked_by_all_others", ("b",)),
+        ("same_targets", ("a", "c")),
+        ("attacks_self_attackers", ("c",)),
+    ],
+)
+def test_aaf_extensions_match_the_oracle_on_three_arguments(kind, args):
+    """2^9 relations times 3^3 profiles: more than one batch at the default width."""
+    assert 2**9 * 3**3 > prop.BATCH_BITS
+    psi = Top() if kind == "true" else build_meta(kind, *args)
+    frame = AxiomaticFrame(("a", "b", "c"), psi)
+    # one scan and no labelling search
+    with patch.object(aaf, "scan", wraps=prop.scan) as scans, \
+            patch.object(af, "_search", side_effect=AssertionError):
+        got = aaf_extensions(frame)
+        want = oracle.aaf_extensions(frame)
+    assert scans.call_count == 1
     assert got == want
 
 
