@@ -258,16 +258,23 @@ class InputDocument:
             )
 
 
-def _check_condition(f: Formula, declared: set[str]) -> None:
-    """Acceptance conditions: and/or over literals, true, false."""
+def _check_condition(f: Formula, declared: set[str], line: int = 0, col: int = 0) -> None:
+    """Acceptance conditions: and/or over literals, true, false.
+
+    An error names ``line`` and ``col``, where the acc fact starts, if given.
+    """
     for node in walk(f):
         if isinstance(node, Atom) and node.name not in declared:
-            raise ParseError(f"acceptance condition mentions undeclared {node.name!r}")
+            raise ParseError(
+                f"acceptance condition mentions undeclared {node.name!r}", line, col
+            )
         if isinstance(node, Neg) and not isinstance(node.body, Atom):
-            raise ParseError("acceptance conditions may negate atoms only")
+            raise ParseError("acceptance conditions may negate atoms only", line, col)
         if not isinstance(node, (Atom, Neg, And, Or, Top, Bot)):
             raise ParseError(
-                f"{type(node).__name__} is not allowed in an acceptance condition"
+                f"{type(node).__name__} is not allowed in an acceptance condition",
+                line,
+                col,
             )
 
 
@@ -364,7 +371,8 @@ def parse_document(text: str) -> InputDocument:
             text_ = _as_quoted(fact.args[1], fact)
             if x in accs:
                 raise fact.fail(f"duplicate acceptance condition for {x!r}")
-            _check_condition(_parse_formula(parse_prop, fact.args[1], fact), args)
+            condition = _parse_formula(parse_prop, fact.args[1], fact)
+            _check_condition(condition, args, fact.line, fact.col)
             accs[x] = text_
         elif fact.name == "psi":
             if psi is not None:

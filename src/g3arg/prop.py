@@ -91,18 +91,20 @@ PropAssignment = Mapping[str, ThreeVal]
 BATCH_BITS = 1 << 13
 
 # Instruction kinds. Program's ``expand`` hook maps each node the connectives
-# do not cover to (LEAF, table key) or to (ALL or ANY, [(subformula, env)]).
+# do not cover to (LEAF, table key) or to (ALL or ANY, [(subformula, env)]);
+# each such subformula is a part of the node, as the compiler's memo keys on
+# node ids.
 LEAF, ALL, ANY, NEG, IMP, UND = range(6)
 _BINARY = {And: ALL, Or: ANY, Imp: IMP}
 _CONSTANT = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
+# Operand references of the compiler: an instruction index, or a constant
+# folded away while compiling.
+TRUE, FALSE = -1, -2
 
 
 def _shape(f: Formula, env, expand) -> tuple[int, object]:
+    """Instruction kind and payload of a node other than a connective."""
     kind = type(f)
-    if kind in _BINARY:
-        return _BINARY[kind], ((f.left, env), (f.right, env))
-    if kind is Neg:
-        return NEG, ((f.body, env),)
     if kind in _CONSTANT:
         return _CONSTANT[kind], ()
     if expand is not None:
@@ -112,39 +114,111 @@ def _shape(f: Formula, env, expand) -> tuple[int, object]:
     raise EvalError(f"not a propositional formula node: {f!r}")
 
 
+def _combine(op: int, args: list, ref: int, todo: list, emit) -> int | None:
+    """Take operand ``ref`` of an ``op`` node whose earlier operands are ``args``.
+
+    Returns the node's reference once it is decided, or None while ``todo``
+    still holds an operand it needs. Constants fold away here. The IMP folds
+    rely on every leaf profile being persistent (HERE implies THERE), so
+    TRUE -> b is b and a -> FALSE is ~a.
+    """
+    if op == NEG:
+        return FALSE if ref == TRUE else TRUE if ref == FALSE else emit(NEG, (ref,))
+    if op == IMP:
+        if not args:  # ref is the left operand
+            if ref == FALSE:
+                return TRUE
+            args.append(ref)
+            return None
+        if args[0] == TRUE or ref == TRUE:
+            return ref
+        return emit(NEG, (args[0],)) if ref == FALSE else emit(IMP, (args[0], ref))
+    unit, zero = (TRUE, FALSE) if op == ALL else (FALSE, TRUE)
+    if ref == zero:
+        return zero
+    if ref != unit:
+        args.append(ref)
+    if todo:
+        return None
+    return unit if not args else args[0] if len(args) == 1 else emit(op, tuple(args))
+
+
 class Program:
     """Formulas compiled to straight-line code over (HERE, THERE) bitsets.
 
     Each instruction reads a leaf from the table or applies one connective
-    to earlier results; equal subformulas share one instruction. The
-    connective semantics lives in ``run`` and nowhere else. Compiling and
-    running use explicit stacks, so formula depth is not bounded by
+    to earlier results; equal instructions are emitted once. A subformula
+    object is compiled once per binding of its variables: a memo keyed on
+    the node and its (interned) environment hands back the first result.
+    Constants fold while compiling: true, false and decided equalities
+    vanish into their ALL or ANY, a zero absorbs the whole node, and NEG
+    and IMP of a constant reduce. Operands are compiled left to right and
+    those after a decided result are never compiled, so an atom in a dead
+    operand needs no table entry. The ``#n`` constant stays an instruction.
+    The connective semantics lives in ``run`` and nowhere else. Compiling
+    and running use explicit stacks, so formula depth is not bounded by
     recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=None, env=None):
+        formulas = list(formulas)  # holds every node, so the ids below stay unique
         code: dict[tuple, int] = {}
-        refs: list[int] = []  # indices of the finished operands
-        stack: list = [(f, env or {}) for f in reversed(list(formulas))]
-        while stack:
-            node, env = stack.pop()
-            if node is None:  # the operands are on refs: emit the instruction
-                op, n = env
-                args = tuple(refs[len(refs) - n :])
-                del refs[len(refs) - n :]
-                if n == 1 and op in (ALL, ANY):
-                    refs.extend(args)
-                else:
-                    refs.append(code.setdefault((op, args), len(code)))
-                continue
-            op, payload = _shape(node, env, expand)
-            if op == LEAF:
-                refs.append(code.setdefault((LEAF, payload), len(code)))
-            else:
-                stack.append((None, (op, len(payload))))
-                stack.extend(reversed(payload))
+        memo: dict[tuple[int, int], int] = {}  # (id(node), id(env)) -> reference
+        envs: dict[frozenset, Mapping] = {}  # bindings -> their one env object
+
+        def emit(op: int, args) -> int:
+            return code.setdefault((op, args), len(code))
+
+        def intern(bindings: Mapping) -> Mapping:
+            return envs.setdefault(frozenset(bindings.items()), bindings)
+
+        roots = []
+        top = intern(env or {})
+        for f in formulas:
+            frames: list[tuple] = []  # (op, operands to go, operand refs, memo key)
+            node, env = f, top
+            while True:
+                key = (id(node), id(env))
+                ref = memo.get(key)
+                if ref is None:
+                    kind = type(node)
+                    if kind in _BINARY:
+                        frames.append((_BINARY[kind], [(node.right, env)], [], key))
+                        node = node.left
+                        continue
+                    if kind is Neg:
+                        frames.append((NEG, [], [], key))
+                        node = node.body
+                        continue
+                    op, payload = _shape(node, env, expand)
+                    if op == LEAF or op == UND:
+                        ref = emit(op, payload)
+                    elif payload:
+                        todo = [(g, e if e is env else intern(e))
+                                for g, e in reversed(payload)]
+                        frames.append((op, todo, [], key))
+                        node, env = todo.pop()
+                        continue
+                    else:  # true, false, a decided equality
+                        ref = TRUE if op == ALL else FALSE
+                    memo[key] = ref
+                # hand the result up until some node still needs an operand
+                while frames:
+                    op, todo, args, key = frames[-1]
+                    ref = _combine(op, args, ref, todo, emit)
+                    if ref is None:
+                        break
+                    frames.pop()
+                    memo[key] = ref
+                if ref is None:
+                    node, env = frames[-1][1].pop()
+                    continue
+                roots.append(ref)
+                break
+        self.roots = [
+            r if r >= 0 else emit(ALL if r == TRUE else ANY, ()) for r in roots
+        ]
         self.code = list(code)
-        self.roots = refs
 
     def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
@@ -271,8 +345,15 @@ def eval_world(w: World, f: Formula, h: PropAssignment) -> bool:
 
 
 def atoms_of(f: Formula) -> set[str]:
-    """Names of all atoms occurring in ``f``: the leaves of its program."""
-    return {key for op, key in Program([f]).code if op == LEAF}
+    """Names of all atoms occurring in ``f``, dead operands included."""
+    names = set()
+    for node in walk(f):
+        kind = type(node)
+        if kind is Atom:
+            names.add(node.name)
+        elif kind not in _BINARY and kind is not Neg and kind not in _CONSTANT:
+            raise EvalError(f"not a propositional formula node: {node!r}")
+    return names
 
 
 def walk(f: Formula) -> Iterator[Formula]:

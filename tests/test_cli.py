@@ -328,6 +328,25 @@ def test_valid_accepts_and_rejects(capsys):
     )
 
 
+def test_valid_countermodel_names_the_atoms_of_a_dead_operand(capsys):
+    # p sits under a conjunction that folds to false while compiling; the
+    # scan still ranges over it
+    code, out, err = run(capsys, "valid", "q | (p & false)")
+    assert (code, err) == (0, "")
+    assert out == (
+        "formula: q | p & false\nverdict: INVALID\ncountermodel: p=(f,f) q=(f,f)\n"
+    )
+
+
+def test_encode_keeps_the_parent_of_a_false_condition(capsys, tmp_path):
+    doc = write_doc(tmp_path, 'arg(a). arg(b).\nacc(a, "b & false").\nacc(b, "true").\n')
+    code, out, err = run(capsys, "encode", doc)
+    assert (code, err) == (0, "")
+    assert out == (
+        "from: adf\narguments: a aux_off__a b\n  aux_off__a > a\nprojection: a b\n"
+    )
+
+
 def test_json_extensions_payload(capsys, cycle_doc):
     code, out, _ = run(capsys, "extensions", cycle_doc, "--format", "json")
     assert code == 0
@@ -428,6 +447,21 @@ def test_formula_error_on_line_three_names_the_file_position(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: unexpected character '$' (line 3, column 18)\n"
+
+
+@pytest.mark.parametrize(
+    "condition,message",
+    [
+        ("ghost", "acceptance condition mentions undeclared 'ghost'"),
+        ("~(a & a)", "acceptance conditions may negate atoms only"),
+    ],
+)
+def test_acceptance_condition_errors_name_the_acc_fact(capsys, tmp_path, condition, message):
+    doc = write_doc(tmp_path, f'arg(a).\nacc(a, "{condition}").\n')
+    code, out, err = run(capsys, "encode", doc)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message} (line 2, column 1)\n"
 
 
 def test_wrapped_formula_error_names_the_file_position(capsys, tmp_path):

@@ -88,6 +88,9 @@ def test_adf_condition_edge_cases():
         'arg(a). arg(b). acc(a, "true"). acc(b, "a & ~a").'
     ).to_adf()
     assert net.parents("b") == ("a",) and net.rows("b") == ()
+    # so does one that folds to false before its atom is compiled
+    net = parse_document('arg(a). arg(b). acc(a, "b & false"). acc(b, "true").').to_adf()
+    assert net.parents("a") == ("b",) and net.rows("a") == ()
 
 
 def test_aaf_document():
@@ -172,6 +175,10 @@ def test_rejected_documents(text, fragment):
          "expected a formula, found 'end of input'", 4, 5),
         ('arg(a). arg(b).\nwff(w, "R(a,b)").\nwff(v,"R(a,b) |\n# R(b,a)").',
          "unexpected character '#'", 4, 1),
+        # a condition outside the fragment names its acc fact
+        ('arg(a).\n  acc(a, "ghost").', "acceptance condition mentions undeclared 'ghost'",
+         2, 3),
+        ('arg(a).\nacc(a,\n "~(a & a)").', "acceptance conditions may negate atoms only", 2, 1),
     ],
 )
 def test_formula_errors_name_their_place_in_the_file(text, message, line, col):

@@ -155,6 +155,100 @@ def test_pred_pairs_match_the_oracle_on_every_candidate(f, raa, rba, rbb, batch)
     assert there == [i for i, v in zip(candidates, want) if v.there]
 
 
+_x, _y, T, F = Atom("x"), Atom("y"), Top(), Bot()
+FOLDS = [
+    Neg(T), Neg(F), And(Neg(Neg(F)), _x), Or(Neg(T), _x),
+    Imp(T, _x), Imp(F, _x), Imp(_x, T), Imp(_x, F), Imp(Imp(_x, F), _y),
+    Imp(UndConst(), F), Imp(T, UndConst()), Imp(Neg(_x), F),
+    And(T, _x), And(_x, T), And(F, _x), And(_x, F), And(_x, And(T, _y)),
+    Or(T, _x), Or(_x, T), Or(F, _x), Or(_x, F), Or(_x, Or(F, _y)),
+    Or(And(_x, F), Imp(_y, F)), Imp(And(_x, T), Or(_y, F)),
+]
+
+
+@pytest.mark.parametrize("f", FOLDS, ids=format_formula)
+def test_constant_folds_match_the_oracle(f):
+    program = Program([f])
+    for vx, vy in itertools.product(VALUE_ORDER, repeat=2):
+        h = {"x": vx, "y": vy}
+        here, there = program.run({k: v.value for k, v in h.items()}, 1)[0]
+        assert ThreeVal.from_pair(bool(here), bool(there)) is oracle.value(f, h), h
+
+
+def test_dead_operands_are_not_compiled():
+    # no operand after a decided one is compiled, so its atoms need no value
+    assert value(And(Bot(), Atom("q")), {}) is ThreeVal.FF
+    assert value(Or(Top(), Atom("q")), {}) is ThreeVal.TT
+    assert value(Imp(Bot(), Atom("q")), {}) is ThreeVal.TT
+    with pytest.raises(prop.EvalError):
+        value(Imp(Top(), Atom("q")), {})  # the right operand of true -> q is live
+    assert Program([And(Bot(), Atom("x"))]).code == [(prop.ANY, ())]
+
+
+def assert_roots_match_the_oracle(formulas, batch, pinned=None):
+    """Each root of one program over {a, b}, HERE and THERE, on every candidate.
+
+    In and R profiles range over all three values, bar the R pairs ``pinned``.
+    """
+    pinned = pinned or {}
+    dims = [("a", VALUE_ORDER), ("b", VALUE_ORDER)]
+    dims += [(p, (pinned[p],) if p in pinned else VALUE_ORDER)
+             for p in itertools.product("ab", repeat=2)]
+    program = Program(formulas, grounding(("a", "b")))
+    candidates = list(itertools.product(*(range(len(c)) for _, c in dims)))
+    want = []
+    for index in candidates:
+        val = {key: choices[c] for (key, choices), c in zip(dims, index)}
+        m = PredInterp(("a", "b"), {"a": val.pop("a"), "b": val.pop("b")}, val)
+        want.append([oracle.pred_value(f, m) for f in formulas])
+    with patch.object(prop, "BATCH_BITS", batch):
+        for i in range(len(formulas)):
+            for half in (0, 1):
+                got = list(scan(dims, lambda t, full: program.run(t, full)[i][half]))
+                assert got == [c for c, w in zip(candidates, want) if w[i].value[half]]
+
+
+@pytest.mark.parametrize("batch", [prop.BATCH_BITS, 1, 3, 9])
+def test_one_subformula_object_under_several_bindings(batch):
+    """The compiler memo keys on the node and its bindings, never the node alone."""
+    r = Imp(RAtom(X, Y), InAtom(Y))
+    formulas = [
+        Forall("X", Exists("Y", r)),
+        Exists("Y", Forall("X", r)),  # the same bindings, made in the other order
+        # deeper: Y rebound under a binding of Y, r at two depths of one formula
+        Forall("X", Exists("Y", And(r, Forall("Y", Or(r, Neg(r)))))),
+        Exists("X", Forall("Y", Imp(EqAtom(X, Y), r))),
+    ]
+    assert_roots_match_the_oracle(formulas, batch)
+
+
+@st.composite
+def shared_formulas(draw):
+    """Closed formulas over {a, b} whose subtree objects recur, within and across them."""
+    leaves = [st.builds(RAtom, ab_terms, ab_terms), st.builds(EqAtom, ab_terms, ab_terms),
+              st.builds(InAtom, ab_terms), st.sampled_from([Top(), Bot(), UndConst()])]
+    pool = draw(st.lists(st.one_of(*leaves), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 10))):
+        part = st.sampled_from(list(pool))
+        kind = draw(st.sampled_from([Neg, And, Or, Imp, Forall, Exists]))
+        if kind is Neg:
+            pool.append(Neg(draw(part)))
+        elif kind in (Forall, Exists):
+            pool.append(kind(draw(st.sampled_from(["X", "Y"])), draw(part)))
+        else:
+            pool.append(kind(draw(part), draw(part)))
+    roots = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return [Forall("X", Exists("Y", f)) for f in roots]
+    return [Exists("Y", Forall("X", f)) for f in roots]
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_formulas(), st.sampled_from([1, 3, 9]), profiles, profiles)
+def test_shared_subtrees_match_the_oracle_on_every_candidate(formulas, batch, rba, rbb):
+    assert_roots_match_the_oracle(formulas, batch, {("b", "a"): rba, ("b", "b"): rbb})
+
+
 @given(prop_formulas, profiles, profiles, profiles)
 def test_batch_of_one_calls_match_the_oracle(f, vx, vy, vz):
     h = {"x": vx, "y": vy, "z": vz}

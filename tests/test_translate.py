@@ -1,13 +1,16 @@
 """Translation routes: clause theories, marker elimination, instantiation,
 quantified clauses and the domain diagram."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g3arg.af import Framework, Label
-from g3arg.prop import Atom
+from g3arg.corpus import random_framework
+from g3arg.prop import Atom, Program
 from g3arg.syntax import parse_prop
-from g3arg.pred import is_closed
+from g3arg.pred import grounding, is_closed, mentions_in
 from g3arg.threeval import ThreeVal
 from g3arg.translate import (
     CorrespondenceReport,
@@ -265,6 +268,18 @@ def test_diagram_recovers_framework_up_to_renaming():
     assert report.ok
     # here the renamings differ, so both directed copies are expected
     assert (report.interp_count, report.expected_count) == (2, 2)
+
+
+def test_five_argument_diagram_compiles_small():
+    """Folded equalities leave the diagram's n^n instances mostly false.
+
+    Only compiles: scanning 2^25 relations is out of a unit test's reach.
+    """
+    f = random_framework(5, Random(5))
+    theory = pred_theory().formulas() + [domain_diagram(f)]
+    in_free = [g for g in theory if not mentions_in(g)]
+    assert len(in_free) == 2  # decided-r and the diagram
+    assert len(Program(in_free, grounding(f.arguments)).code) <= 5000
 
 
 @st.composite
