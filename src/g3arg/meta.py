@@ -28,6 +28,7 @@ from .pred import (
     grounding,
     is_closed,
     relation_dims,
+    relation_to_r_val,
 )
 from .threeval import VALUE_ORDER, ThreeVal
 from .translate import Theory
@@ -278,7 +279,9 @@ def solve_higher(
     """Enumerate generalized models of the starred clauses.
 
     Membership profiles range over all three values per node, the relation
-    over all three values per pair unless ``fixed_r`` pins it. Formula-unit
+    over all three values per pair unless ``fixed_r`` pins it; a pinned
+    relation is decided while compiling (see ``grounding``) and is no scan
+    dimension, and a pair outside the nodes raises ValueError. Formula-unit
     standings are unknowns too, restricted as follows: a relation-atom unit
     stands exactly as its relation pair, and any other unit must agree with
     its formula at the actual world, the upper world being constrained only
@@ -292,7 +295,9 @@ def solve_higher(
     """
     nodes = hn.nodes
     pairs = [(u, v) for u in nodes for v in nodes]
-    unknowns = len(nodes) + (len(pairs) if fixed_r is None else 0) + len(hn.wffs)
+    relation = None if fixed_r is None else list(fixed_r)
+    r_dims = relation_dims(nodes, VALUE_ORDER) if relation is None else []
+    unknowns = len(nodes) + len(r_dims) + len(hn.wffs)
     if unknowns > max_unknowns:
         raise SearchSpaceExceeded(
             f"{unknowns} three-valued unknowns exceed the bound {max_unknowns}"
@@ -304,20 +309,22 @@ def solve_higher(
         if u.is_r_atom
     ]
     general_units = [u for u in hn.wffs if not u.is_r_atom]
-    program = Program(clauses + [u.formula for u in general_units], grounding(nodes))
+    program = Program(
+        clauses + [u.formula for u in general_units], grounding(nodes, relation)
+    )
     # An R-atom unit is its own R atom; a general unit's standing is a scan
     # dimension that must agree with its formula at the actual world.
     ties = [StatusRef(u.name) for u in general_units]
-    dims = [(n, VALUE_ORDER) for n in nodes]
-    dims += relation_dims(nodes, fixed_r, VALUE_ORDER)
+    dims = [(n, VALUE_ORDER) for n in nodes] + r_dims
     dims += [(ref, VALUE_ORDER) for ref in ties]
+    pinned = None if relation is None else relation_to_r_val(nodes, relation)
     models: list[GeneralizedModel] = []
     for index in scan(dims, lambda table, full: program.holds(table, full, ties)):
         values = [choices[c] for (_, choices), c in zip(dims, index)]
-        r_val = dict(zip(pairs, values[len(nodes) :]))
+        r_val = dict(zip(pairs, values[len(nodes) :])) if pinned is None else pinned
         statuses = {name: r_val[pair] for name, pair in r_units}
         statuses.update(
-            zip((u.name for u in general_units), values[len(nodes) + len(pairs) :])
+            zip((u.name for u in general_units), values[len(nodes) + len(r_dims) :])
         )
         interp = PredInterp(nodes, dict(zip(nodes, values)), r_val)
         models.append(GeneralizedModel(interp, tuple(sorted(statuses.items()))))

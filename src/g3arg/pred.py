@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 from .prop import (
     ALL,
     ANY,
+    CONSTANTS,
     LEAF,
     And,
     Bot,
@@ -160,28 +161,44 @@ def _resolve(t: Term, domain: Sequence[str], env: Mapping[str, str]) -> str:
     raise EvalError(f"not a term: {t!r}")
 
 
-def grounding(domain: Sequence[str]):
+def grounding(
+    domain: Sequence[str], relation: Iterable[tuple[str, str]] | None = None
+):
     """The predicate layer's ``expand`` hook for Program over ``domain``.
 
     ``In(d)`` is a leaf keyed by the element ``d``, ``R(u,x)`` by the pair
     ``(u, x)``, a status reference by the node itself. Equality is decided
-    while compiling; ``forall`` is the pointwise AND of its instances over
-    the domain, ``exists`` the pointwise OR.
+    while compiling, and so is every R atom when a decided ``relation`` is
+    given: ``R(u,x)`` is true exactly when ``(u, x)`` is one of its pairs,
+    and the compiler's folds take it from there. ``forall`` is the pointwise
+    AND of its instances over the domain, ``exists`` the pointwise OR.
+    Raises ValueError for a relation pair naming an element outside the
+    domain.
     """
     dom = tuple(domain)
+    pinned = None if relation is None else set(relation)
+    outside = sorted(p for p in pinned or () if not set(p) <= set(dom))
+    if outside:
+        raise ValueError(f"relation pair {outside[0]!r} names an element outside the domain")
 
     def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
-        if isinstance(f, InAtom):
+        kind = type(f)
+        if kind in CONSTANTS:
+            return CONSTANTS[kind], ()
+        if kind is InAtom:
             return LEAF, _resolve(f.term, dom, env)
-        if isinstance(f, RAtom):
-            return LEAF, (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
-        if isinstance(f, EqAtom):
+        if kind is RAtom:
+            pair = (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
+            if pinned is None:
+                return LEAF, pair
+            return (ALL if pair in pinned else ANY), ()
+        if kind is EqAtom:
             same = _resolve(f.left, dom, env) == _resolve(f.right, dom, env)
             return (ALL if same else ANY), ()
-        if isinstance(f, StatusRef):
+        if kind is StatusRef:
             return LEAF, f
-        if isinstance(f, (Forall, Exists)):
-            return (ALL if isinstance(f, Forall) else ANY), [
+        if kind is Forall or kind is Exists:
+            return (ALL if kind is Forall else ANY), [
                 (f.body, {**env, f.var: d}) for d in dom
             ]
         raise EvalError(f"not a predicate formula node: {f!r}")
@@ -241,14 +258,10 @@ def mentions_in(f: Formula) -> bool:
 
 
 def relation_dims(
-    domain: Sequence[str],
-    fixed_r: Iterable[tuple[str, str]] | None,
-    order: Sequence[ThreeVal],
+    domain: Sequence[str], order: Sequence[ThreeVal]
 ) -> list[tuple[tuple[str, str], Sequence[ThreeVal]]]:
-    """Scan dimensions of the R profiles: over ``order``, or pinned to ``fixed_r``."""
-    if fixed_r is None:
-        return [((u, x), order) for u in domain for x in domain]
-    return [(p, (v,)) for p, v in relation_to_r_val(domain, fixed_r).items()]
+    """Scan dimensions of the R profiles, each ranging over ``order``."""
+    return [((u, x), order) for u in domain for x in domain]
 
 
 def enumerate_interps(
@@ -262,23 +275,33 @@ def enumerate_interps(
 
     R profiles range over all three values unless ``r_decided`` limits them
     to the classical two, or ``fixed_r`` pins the relation outright. In
-    profiles always range over all three values. A first scan over the R
-    choices alone keeps those satisfying the formulas that never mention
-    ``In``; the In profiles are scanned only under the survivors.
+    profiles always range over all three values. A pinned relation is
+    decided while compiling (see ``grounding``), so one scan over the In
+    profiles finds every interpretation; a pair outside the domain raises
+    ValueError. With a free relation, a first scan over the R choices alone
+    keeps those satisfying the formulas that never mention ``In``; the In
+    profiles are scanned only under the survivors, each bound throughout.
     """
     dom = tuple(domain)
     formulas = list(theory)
+    in_dims = [(d, VALUE_ORDER) for d in dom]
+    if fixed_r is not None:
+        relation = list(fixed_r)
+        program = Program(formulas, grounding(dom, relation))
+        r_val = relation_to_r_val(dom, relation)
+        return [
+            PredInterp(dom, {d: VALUE_ORDER[c] for d, c in zip(dom, index)}, r_val)
+            for index in scan(in_dims, program.holds)
+        ]
     expand = grounding(dom)
     in_free = Program([f for f in formulas if not mentions_in(f)], expand)
     in_dependent = Program([f for f in formulas if mentions_in(f)], expand)
-    r_dims = relation_dims(dom, fixed_r, DECIDED_ORDER if r_decided else VALUE_ORDER)
+    r_dims = relation_dims(dom, DECIDED_ORDER if r_decided else VALUE_ORDER)
     found: list[PredInterp] = []
     for r_index in scan(r_dims, in_free.holds):
         r_val = {p: choices[c] for (p, choices), c in zip(r_dims, r_index)}
-        pinned = [(p, (v,)) for p, v in r_val.items()]
-        in_dims = [(d, VALUE_ORDER) for d in dom]
-        for index in scan(pinned + in_dims, in_dependent.holds):
-            in_val = {d: VALUE_ORDER[c] for d, c in zip(dom, index[len(pinned) :])}
+        for index in scan(in_dims, in_dependent.holds, r_val):
+            in_val = {d: VALUE_ORDER[c] for d, c in zip(dom, index)}
             found.append(PredInterp(dom, in_val, r_val))
     return found
 

@@ -91,24 +91,23 @@ PropAssignment = Mapping[str, ThreeVal]
 BATCH_BITS = 1 << 13
 
 # Instruction kinds. Program's ``expand`` hook maps each node the connectives
-# do not cover to (LEAF, table key) or to (ALL or ANY, [(subformula, env)]);
-# each such subformula is a part of the node, as the compiler's memo keys on
-# node ids.
+# do not cover to (LEAF, table key), to (UND, ()) or to (ALL or ANY,
+# [(subformula, env)]); the compiler's memo keys on node ids, so each such
+# subformula must live as long as the compile (a part of the node, or an
+# object the hook holds).
 LEAF, ALL, ANY, NEG, IMP, UND = range(6)
 _BINARY = {And: ALL, Or: ANY, Imp: IMP}
-_CONSTANT = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
+CONSTANTS = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
 # Operand references of the compiler: an instruction index, or a constant
 # folded away while compiling.
 TRUE, FALSE = -1, -2
 
 
-def _shape(f: Formula, env, expand) -> tuple[int, object]:
-    """Instruction kind and payload of a node other than a connective."""
+def propositional(f: Formula, env) -> tuple[int, object]:
+    """Program's default ``expand`` hook: the constants, and atoms as leaves."""
     kind = type(f)
-    if kind in _CONSTANT:
-        return _CONSTANT[kind], ()
-    if expand is not None:
-        return expand(f, env)
+    if kind in CONSTANTS:
+        return CONSTANTS[kind], ()
     if kind is Atom:
         return LEAF, f.name
     raise EvalError(f"not a propositional formula node: {f!r}")
@@ -150,17 +149,19 @@ class Program:
     to earlier results; equal instructions are emitted once. A subformula
     object is compiled once per binding of its variables: a memo keyed on
     the node and its (interned) environment hands back the first result.
-    Constants fold while compiling: true, false and decided equalities
-    vanish into their ALL or ANY, a zero absorbs the whole node, and NEG
-    and IMP of a constant reduce. Operands are compiled left to right and
-    those after a decided result are never compiled, so an atom in a dead
-    operand needs no table entry. The ``#n`` constant stays an instruction.
-    The connective semantics lives in ``run`` and nowhere else. Compiling
-    and running use explicit stacks, so formula depth is not bounded by
-    recursion.
+    Constants fold while compiling: true, false and whatever the ``expand``
+    hook decides (an equality, a pinned relation atom) vanish into their ALL
+    or ANY, a zero absorbs the whole node, and NEG and IMP of a constant
+    reduce. Operands are compiled left to right and those after a decided
+    result are never compiled; instructions no root reaches are dropped
+    afterwards, so an atom in a dead operand, on either side of the zero,
+    needs no table entry. The ``#n`` constant stays an instruction unless
+    the hook compiles it otherwise. The connective semantics lives in
+    ``run`` and nowhere else. Compiling and running use explicit stacks, so
+    formula depth is not bounded by recursion.
     """
 
-    def __init__(self, formulas: Iterable[Formula], expand=None, env=None):
+    def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
         formulas = list(formulas)  # holds every node, so the ids below stay unique
         code: dict[tuple, int] = {}
         memo: dict[tuple[int, int], int] = {}  # (id(node), id(env)) -> reference
@@ -190,7 +191,7 @@ class Program:
                         frames.append((NEG, [], [], key))
                         node = node.body
                         continue
-                    op, payload = _shape(node, env, expand)
+                    op, payload = expand(node, env)
                     if op == LEAF or op == UND:
                         ref = emit(op, payload)
                     elif payload:
@@ -215,10 +216,26 @@ class Program:
                     continue
                 roots.append(ref)
                 break
-        self.roots = [
-            r if r >= 0 else emit(ALL if r == TRUE else ANY, ()) for r in roots
-        ]
-        self.code = list(code)
+        roots = [r if r >= 0 else emit(ALL if r == TRUE else ANY, ()) for r in roots]
+        # keep what the roots reach: an operand compiled before a later zero is dead
+        self.code, self.roots = list(code), roots
+        live = [False] * len(code)
+        for r in roots:
+            live[r] = True
+        for i in range(len(code) - 1, -1, -1):
+            if live[i]:
+                op, args = self.code[i]
+                if op != LEAF:
+                    for a in args:
+                        live[a] = True
+        if not all(live):
+            index = list(itertools.accumulate(live, initial=-1))[1:]  # new positions
+            self.code = [
+                (op, args if op == LEAF else tuple(index[a] for a in args))
+                for (op, args), keep in zip(self.code, live)
+                if keep
+            ]
+            self.roots = [index[r] for r in roots]
 
     def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
@@ -279,6 +296,7 @@ class SearchSpaceExceeded(Exception):
 def scan(
     dims: Sequence[tuple[object, Sequence[ThreeVal]]],
     keep: Callable[[dict, int], int],
+    bound: Mapping[object, ThreeVal] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Choice indices of the kept candidates of a product scan, in order.
 
@@ -287,7 +305,8 @@ def scan(
     full)`` receives a batch's leaf table, each key bound to the bitsets of
     its dimension, and returns the bitset of candidates to keep. The
     trailing dimensions that fit in BATCH_BITS form one batch; the leading
-    ones are looped over, their keys bound to constant bitsets.
+    ones are looped over, their keys bound to constant bitsets, as are the
+    keys of ``bound`` to their one profile.
     """
     sizes = [len(choices) for _, choices in dims]
     split, width = len(dims), 1
@@ -295,7 +314,7 @@ def scan(
         split -= 1
         width *= sizes[split]
     full = (1 << width) - 1
-    table: dict = {}
+    table = {key: (full * v.here, full * v.there) for key, v in (bound or {}).items()}
     places: list[tuple[int, int]] = []  # (stride, size) of the inner dimensions
     stride = 1
     for key, choices in reversed(dims[split:]):
@@ -351,7 +370,7 @@ def atoms_of(f: Formula) -> set[str]:
         kind = type(node)
         if kind is Atom:
             names.add(node.name)
-        elif kind not in _BINARY and kind is not Neg and kind not in _CONSTANT:
+        elif kind not in _BINARY and kind is not Neg and kind not in CONSTANTS:
             raise EvalError(f"not a propositional formula node: {node!r}")
     return names
 

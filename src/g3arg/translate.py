@@ -25,6 +25,7 @@ from .af import (
     enumerate_complete,
 )
 from .prop import (
+    ALL,
     And,
     Atom,
     Formula,
@@ -38,6 +39,7 @@ from .prop import (
     disj,
     enumerate_models,
     iff,
+    propositional,
     replace_und,
     select_assignments,
     substitute,
@@ -163,6 +165,30 @@ def und_definition(f: Framework) -> Formula:
     return conj([Or(Atom(x), Neg(Atom(x))) for x in f.arguments])
 
 
+def stable_theory(f: Framework) -> Theory:
+    """Each argument equivalent to the conjunction of its attackers' negations."""
+    table = f.attacker_table()
+    return Theory("stable", tuple(
+        (f"fix[{x}]", iff(Atom(x), conj([Neg(Atom(y)) for y in table[x]])))
+        for x in f.arguments
+    ))
+
+
+def defined_marker(defn: Formula):
+    """Program's ``expand`` hook that compiles each ``#n`` as a reference to ``defn``.
+
+    The definition is compiled once, where ``#n`` first occurs, and shared
+    by every later occurrence: the clause trees are never rebuilt.
+    """
+
+    def expand(g: Formula, env) -> tuple[int, object]:
+        if type(g) is UndConst:
+            return ALL, [(defn, env)]
+        return propositional(g, env)
+
+    return expand
+
+
 def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     """Two marker-free theories.
 
@@ -171,18 +197,14 @@ def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     attackers' negations). The second is the clause theory with the marker
     constant textually replaced by its definition; its models with the
     defined marker undecided cover the non-stable complete labellings.
+    ``verify_und_free`` compiles the clause theory with ``defined_marker``
+    instead of building the second theory; this one is for display.
     """
-    table = f.attacker_table()
-    stable_clauses = tuple(
-        (f"fix[{x}]", iff(Atom(x), conj([Neg(Atom(y)) for y in table[x]])))
-        for x in f.arguments
-    )
     defn = und_definition(f)
-    base = prop_theory(f)
     free_clauses = tuple(
-        (name, replace_und(g, defn)) for name, g in base.clauses
+        (name, replace_und(g, defn)) for name, g in prop_theory(f).clauses
     )
-    return Theory("stable", stable_clauses), Theory("und-free", free_clauses)
+    return stable_theory(f), Theory("und-free", free_clauses)
 
 
 @dataclass(frozen=True)
@@ -199,23 +221,25 @@ class UndFreeReport:
 def verify_und_free(f: Framework) -> UndFreeReport:
     """Check the two-case elimination of the marker constant.
 
-    Stable labellings must equal the two-valued models of the first theory;
-    non-stable complete labellings must equal the models of the second
-    theory in which the defined marker is undecided; together the two sides
-    must rebuild the complete set.
+    Stable labellings must equal the two-valued models of the first theory
+    of ``und_free_theories``; non-stable complete labellings must equal the
+    models of the second in which the defined marker is undecided; together
+    the two sides must rebuild the complete set. The second theory is the
+    clause theory compiled with each ``#n`` standing for the definition
+    (``defined_marker``), which has the same models as the rebuilt clauses.
     """
-    stable_theory, free_theory = und_free_theories(f)
     subject = framework_key(f)
 
     stable_models = list(
         select_assignments(
-            f.arguments, Program(stable_theory.formulas()).holds, DECIDED_ORDER
+            f.arguments, Program(stable_theory(f).formulas()).holds, DECIDED_ORDER
         )
     )
     stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
 
-    free = Program(free_theory.formulas())
-    marker = Program([und_definition(f)])
+    defn = und_definition(f)
+    free = Program(prop_theory(f).formulas(), defined_marker(defn))
+    marker = Program([defn])
     partial_models = list(
         select_assignments(
             f.arguments,

@@ -200,6 +200,11 @@ def test_pinned_relation_reduces_to_plain_labellings():
     ] == [("FF", "TT"), ("FT", "FT"), ("TT", "FF")]
 
 
+def test_pinned_relation_pairs_must_name_nodes():
+    with pytest.raises(ValueError, match=r"\('a', 'zz'\)"):
+        solve_higher(HigherNetwork.make(["a"]), fixed_r=[("a", "zz")])
+
+
 def test_pinned_decided_relation_can_starve_an_attacked_atom():
     # with r crisp, the attacked relation atom r(c,d) has no admissible
     # standing: it holds at both worlds yet its attacker cannot be in

@@ -48,6 +48,7 @@ from g3arg.pred import (
     free_vars,
     grounding,
     pred_value,
+    relation_to_r_val,
 )
 from g3arg.prop import (
     And,
@@ -183,6 +184,42 @@ def test_dead_operands_are_not_compiled():
     with pytest.raises(prop.EvalError):
         value(Imp(Top(), Atom("q")), {})  # the right operand of true -> q is live
     assert Program([And(Bot(), Atom("x"))]).code == [(prop.ANY, ())]
+
+
+def test_operands_before_a_zero_are_dropped():
+    # compiled before the deciding operand, then swept: no root reaches them
+    assert value(And(Atom("q"), Bot()), {}) is ThreeVal.FF
+    assert value(Or(Atom("q"), Top()), {}) is ThreeVal.TT
+    assert value(Imp(Atom("q"), Top()), {}) is ThreeVal.TT
+    assert Program([And(Atom("x"), Bot())]).code == [(prop.ANY, ())]
+    # the survivors move up over x's leaf, their operands renumbered
+    program = Program([And(Atom("x"), Bot()), Or(Atom("y"), Atom("z"))])
+    assert program.code == [(prop.LEAF, "y"), (prop.LEAF, "z"), (prop.ANY, (0, 1)),
+                            (prop.ANY, ())]
+    assert program.roots == [3, 2]
+
+
+asymmetric_relations = relations.filter(lambda r: any((x, u) not in r for u, x in r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pred_formulas(ab_terms, status=True), asymmetric_relations, BATCHES)
+def test_pinned_grounding_matches_the_relation_bound_in_the_table(f, relation, batch):
+    """Deciding R while compiling equals reading the same relation from the table.
+
+    The relation is asymmetric, so a pair looked up as (x, u) for (u, x)
+    gives a different answer somewhere.
+    """
+    dims = [("a", VALUE_ORDER), ("b", VALUE_ORDER), (StatusRef("u"), VALUE_ORDER)]
+    pinned = Program([f], grounding(("a", "b"), relation))
+    free = Program([f], grounding(("a", "b")))
+    bound = relation_to_r_val(("a", "b"), relation)
+    with patch.object(prop, "BATCH_BITS", batch):
+        for half in (0, 1):
+            got = list(scan(dims, lambda t, full: pinned.run(t, full)[0][half]))
+            want = list(scan(dims, lambda t, full: free.run(t, full)[0][half], bound))
+            assert got == want
+    assert not any(type(key) is tuple for op, key in pinned.code if op == prop.LEAF)
 
 
 def assert_roots_match_the_oracle(formulas, batch, pinned=None):

@@ -1,10 +1,13 @@
 """Predicate layer: quantifier semantics, interpretation search, meta formulas."""
 
 import itertools
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from g3arg import meta, pred
+from g3arg.af import Framework
 from g3arg.pred import (
     Constant,
     EqAtom,
@@ -21,15 +24,17 @@ from g3arg.pred import (
     enumerate_interps,
     eval_pred,
     free_vars,
+    grounding,
     is_closed,
     mentions_in,
     pred_value,
     relation_to_r_val,
     walk,
 )
-from g3arg.prop import And, Bot, EvalError, Imp, Neg, Or, Top, UndConst
+from g3arg.prop import And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, UndConst, scan
 from g3arg.syntax import format_formula
 from g3arg.threeval import ThreeVal, VALUE_ORDER, World
+from g3arg.translate import verify_pred_theory
 
 A = Constant("a")
 B = Constant("b")
@@ -213,6 +218,35 @@ def test_enumerate_interps_r_modes():
     denial = enumerate_interps(("a",), [Neg(RAtom(A, A))])
     assert len(denial) == 3
     assert all(m.r_val[("a", "a")] is ThreeVal.FF for m in denial)
+
+
+def test_pinned_relation_pairs_must_name_domain_elements():
+    with pytest.raises(ValueError, match=r"\('a', 'zz'\)"):
+        enumerate_interps(("a",), [], fixed_r=[("a", "a"), ("a", "zz")])
+    with pytest.raises(ValueError, match="outside the domain"):
+        grounding(("a", "b"), [("c", "a")])
+
+
+def test_grounding_rejects_propositional_atoms():
+    for relation in (None, [("a", "a")]):
+        with pytest.raises(EvalError, match="not a predicate formula node"):
+            Program([And(RAtom(A, A), Atom("x"))], grounding(("a",), relation))
+
+
+def test_no_scan_has_a_one_choice_dimension():
+    """A pinned relation is compiled in, a surviving free one bound in the table."""
+
+    def checked(dims, keep, bound=None):
+        assert all(len(choices) > 1 for _, choices in dims), dims
+        return scan(dims, keep, bound)
+
+    theory = [Forall("X", Imp(RAtom(X, A), Or(UndConst(), Neg(InAtom(X)))))]
+    with patch.object(pred, "scan", checked), patch.object(meta, "scan", checked):
+        assert len(enumerate_interps(("a", "b"), theory, fixed_r=[("b", "a")])) == 3
+        assert enumerate_interps(("a", "b"), theory, r_decided=True)
+        hn = meta.HigherNetwork.make(["a", "b"], [], [("a", "b")])
+        assert meta.solve_higher(hn, fixed_r=[("a", "b")])
+        assert verify_pred_theory(Framework.make(["a", "b"], [("a", "b")])).ok
 
 
 def test_enumerate_interps_matches_direct_search():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from g3arg.af import Framework, Label
 from g3arg.corpus import random_framework
-from g3arg.prop import Atom, Program
+from g3arg.prop import ALL, LEAF, Atom, Program, select_assignments
 from g3arg.syntax import parse_prop
 from g3arg.pred import grounding, is_closed, mentions_in
 from g3arg.threeval import ThreeVal
@@ -16,6 +16,7 @@ from g3arg.translate import (
     CorrespondenceReport,
     Theory,
     assignment_to_labelling,
+    defined_marker,
     domain_diagram,
     framework_key,
     instantiate,
@@ -240,6 +241,20 @@ def test_pred_route_with_pinned_relation(f, count):
     assert report.model_count == count
 
 
+def test_pinned_relation_folds_the_quantified_clauses():
+    dom = ("a", "b")
+    theory = pred_theory()
+    # decided-r holds of any pinned relation: every instance folds to true
+    assert Program([theory.clause("decided-r")], grounding(dom, [("a", "b")])).code == [
+        (ALL, ())
+    ]
+    # with no attacks, R(Y,X) -> ~In(Y) is true before its consequent compiles
+    a1 = Program([theory.clause("a1")], grounding(dom, []))
+    assert {op for op, _ in a1.code} == {ALL}
+    pinned = Program(theory.formulas(), grounding(dom, [("a", "b")]))
+    assert all(type(key) is str for op, key in pinned.code if op == LEAF)  # In leaves only
+
+
 def test_domain_diagram_rendering():
     from g3arg.syntax import format_formula
 
@@ -300,3 +315,15 @@ def frameworks(draw, max_args=4):
 def test_prop_and_marker_free_routes_agree_everywhere(f):
     assert verify_prop_theory(f).ok
     assert verify_und_free(f).ok
+
+
+@given(st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_defined_marker_program_has_the_displayed_theory_s_models(n, seed):
+    """verify_und_free's program and the printed und-free theory cannot drift apart."""
+    f = random_framework(n, Random(seed))
+    hooked = Program(prop_theory(f).formulas(), defined_marker(und_definition(f)))
+    rebuilt = Program(und_free_theories(f)[1].formulas())
+    assert list(select_assignments(f.arguments, hooked.holds)) == list(
+        select_assignments(f.arguments, rebuilt.holds)
+    )
