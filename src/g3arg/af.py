@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .threeval import ThreeVal
 
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# An argument name, and any other name a document declares.
+NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 class Label(enum.Enum):
@@ -56,7 +57,7 @@ class Framework:
         if list(self.arguments) != sorted(set(self.arguments)):
             raise ValueError("arguments must be unique and sorted")
         for name in self.arguments:
-            if not _NAME_RE.match(name):
+            if not NAME_RE.match(name):
                 raise ValueError(f"bad argument name {name!r}")
         declared = set(self.arguments)
         for u, x in self.attacks:

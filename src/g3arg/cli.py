@@ -8,6 +8,7 @@ byte-stable JSON. Exit codes: 0 success or MATCH, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .af import (
 from .document import InputDocument, parse_document
 from .meta import solve_higher, star_theory
 from .prop import SearchSpaceExceeded, enumerate_models, is_valid
-from .syntax import ParseError, format_formula, parse_prop
+from .syntax import MarkerText, ParseError, format_formula, parse_prop
 from .threeval import ThreeVal
 from .translate import (
     CorrespondenceReport,
@@ -43,8 +44,8 @@ from .translate import (
     instantiation_patterns,
     prop_theory,
     pred_theory,
+    stable_theory,
     und_definition,
-    und_free_theories,
     verify_domain_diagram,
     verify_pred_theory,
     verify_prop_theory,
@@ -74,11 +75,11 @@ def _assignment_dict(h: Mapping[str, ThreeVal]) -> dict[str, str]:
     return {x: _profile(h[x]) for x in sorted(h)}
 
 
-def _theory_dict(t: Theory) -> dict[str, Any]:
+def _theory_dict(t: Theory, und: MarkerText | None = None) -> dict[str, Any]:
     return {
         "tag": t.tag,
         "clauses": [
-            {"name": name, "formula": format_formula(g)} for name, g in t.clauses
+            {"name": name, "formula": format_formula(g, und)} for name, g in t.clauses
         ],
     }
 
@@ -162,10 +163,16 @@ def _cmd_translate(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     elif ns.mode == "prop":
         result["theories"] = [_theory_dict(prop_theory(doc.to_framework()))]
     elif ns.mode == "und-free":
+        # the clause theory with each #n printed as its definition, which
+        # is rendered once: und_free_theories' second theory, not rebuilt
         fw = doc.to_framework()
-        stable, free = und_free_theories(fw)
-        result["theories"] = [_theory_dict(stable), _theory_dict(free)]
-        result["marker_definition"] = format_formula(und_definition(fw))
+        marker = MarkerText.of(und_definition(fw))
+        free = Theory("und-free", prop_theory(fw).clauses)
+        result["theories"] = [
+            _theory_dict(stable_theory(fw)),
+            _theory_dict(free, marker),
+        ]
+        result["marker_definition"] = marker.text
     elif ns.mode == "pred":
         doc.to_framework()
         result["theories"] = [_theory_dict(pred_theory())]
@@ -418,6 +425,9 @@ def _render_text(result: dict[str, Any]) -> list[str]:
     return lines
 
 
+# Built once per process: parse_args leaves the parser as it found it, and
+# _Parser.error raises instead of exiting, so each call parses like the first.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="g3arg", description=__doc__)
     common = _Parser(add_help=False)

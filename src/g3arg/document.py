@@ -24,13 +24,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
-from .af import Framework
+from .af import NAME_RE, Framework
 from .meta import R_UNIT_RE, HigherNetwork
 from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan, walk
 from .syntax import ParseError, parse_pred, parse_prop
 from .threeval import DECIDED_ORDER
-
-_ID_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 _FACT_ARITY = {
     "arg": 1,
@@ -146,7 +144,7 @@ def _parse_fact(chunk: str, line: int, col: int) -> _Fact:
 
 
 def _as_id(token: str, fact: _Fact) -> str:
-    if not _ID_RE.match(token):
+    if not NAME_RE.match(token):
         raise fact.fail(f"{token!r} is not a valid name")
     return token
 

@@ -176,10 +176,7 @@ def grounding(
     domain.
     """
     dom = tuple(domain)
-    pinned = None if relation is None else set(relation)
-    outside = sorted(p for p in pinned or () if not set(p) <= set(dom))
-    if outside:
-        raise ValueError(f"relation pair {outside[0]!r} names an element outside the domain")
+    pinned = None if relation is None else _pairs_within(dom, relation)
 
     def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
         kind = type(f)
@@ -241,11 +238,25 @@ def pred_value(
     return _pair(f, m, None, statuses)
 
 
+def _pairs_within(
+    domain: Sequence[str], relation: Iterable[tuple[str, str]]
+) -> set[tuple[str, str]]:
+    """The pairs of ``relation``; ValueError if one names an element outside ``domain``."""
+    pairs, dom = set(relation), set(domain)
+    outside = sorted(p for p in pairs if not set(p) <= dom)
+    if outside:
+        raise ValueError(f"relation pair {outside[0]!r} names an element outside the domain")
+    return pairs
+
+
 def relation_to_r_val(
     domain: Sequence[str], relation: Iterable[tuple[str, str]]
 ) -> dict[tuple[str, str], ThreeVal]:
-    """Spread a crisp relation over all domain pairs as TT/FF profiles."""
-    rel = set(relation)
+    """Spread a crisp relation over all domain pairs as TT/FF profiles.
+
+    Raises ValueError for a pair naming an element outside the domain.
+    """
+    rel = _pairs_within(domain, relation)
     return {
         (u, x): (ThreeVal.TT if (u, x) in rel else ThreeVal.FF)
         for u in domain
@@ -326,7 +337,8 @@ def classical_eval(
 ) -> bool:
     """Single-world classical satisfaction for formulas over R and = only.
 
-    This is two-world evaluation with every relation atom decided.
+    This is two-world evaluation with every relation atom decided. Raises
+    ValueError for a relation pair naming an element outside the domain.
     """
     found = non_classical_node(f)
     if found:

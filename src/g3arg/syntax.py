@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .prop import (
     And,
@@ -296,10 +296,10 @@ def parse_pred(text: str) -> Formula:
 # negation.
 _PREC = {Forall: 0, Exists: 0, Imp: 1, Or: 2, And: 3, Neg: 4}
 _INFIX = {Imp: " -> ", Or: " | ", And: " & "}
-# The text of every other node but an atom; a quantifier's body follows in
-# parentheses, and a negation takes this form only over an equality.
+# The text of every other node but an atom and #n; a quantifier's body
+# follows in parentheses, and a negation takes this form only over an
+# equality.
 _TEXT = {
-    UndConst: "#n",
     Top: "true",
     Bot: "false",
     InAtom: "In({0.term.name})",
@@ -312,14 +312,36 @@ _TEXT = {
 }
 
 
-def format_formula(f: Formula) -> str:
+class MarkerText(NamedTuple):
+    """What ``format_formula`` prints for ``#n``, and how tightly that binds."""
+
+    text: str
+    prec: int
+
+    @classmethod
+    def of(cls, defn: Formula) -> MarkerText:
+        """``defn`` rendered once, to stand at every ``#n`` of later calls."""
+        kind = type(defn)
+        p = 5 if kind is Neg and type(defn.body) is EqAtom else _PREC.get(kind, 5)
+        return cls(format_formula(defn), p)
+
+
+_HASH_N = MarkerText("#n", 5)
+
+
+def format_formula(f: Formula, und: MarkerText | None = None) -> str:
     """Render a formula in the shared grammar with minimal parentheses.
 
     Quantifier bodies are always parenthesized, so parsing the output gives
-    back the same tree. Tokens are emitted from an explicit stack of pending
-    (node, context precedence, tight) operands and literal text, so depth
-    and length are not bounded by recursion.
+    back the same tree. Each ``#n`` prints as itself, or as ``und`` when
+    given: with ``und=MarkerText.of(defn)`` the output equals the rendering
+    of ``f`` with every ``#n`` replaced by ``defn``, parenthesized by the
+    same rule, without rebuilding ``f`` or rendering ``defn`` again. Tokens
+    are emitted from an explicit stack of pending (node, context precedence,
+    tight) operands and literal text, so depth and length are not bounded by
+    recursion.
     """
+    und = _HASH_N if und is None else und
     out: list[str] = []
     stack: list = [(f, 0, True)]
     while stack:
@@ -333,11 +355,15 @@ def format_formula(f: Formula) -> str:
         g, outer, tight = item
         kind = type(g)
         p = 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
+        if kind is UndConst:
+            p = und.prec
         if p < outer or (p == outer and not tight):
             out.append("(")
             stack.append(")")
         if kind in _INFIX:
             stack += ((g.right, p, True), _INFIX[kind], (g.left, p, False))
+        elif kind is UndConst:
+            out.append(und.text)
         elif p == 4:  # a negation, other than a!=b
             out.append("~")
             stack.append((g.body, 4, True))

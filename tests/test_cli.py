@@ -12,10 +12,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle
-from g3arg import cli
+from g3arg import cli, prop, translate
 from g3arg.af import LABEL_ORDER, Framework, Label, check_complete
 from g3arg.syntax import format_formula, parse_pred, parse_prop
-from g3arg.translate import CorrespondenceReport
+from g3arg.translate import (
+    CorrespondenceReport,
+    und_definition,
+    und_free_theories,
+)
 
 
 def run(capsys, *argv):
@@ -146,6 +150,86 @@ def test_translate_und_free_prints_both_theories_and_marker(capsys, cycle_doc):
     assert lines[4] == "theory und-free:"
     assert lines[5] == "  a1[a]: a -> (a | ~a) & (b | ~b) | ~b"
     assert lines[-1] == "marker definition: (a | ~a) & (b | ~b)"
+
+
+ONE_ARGUMENT_UND_FREE = (
+    "mode: und-free\n"
+    "theory stable:\n"
+    "  fix[a]: (a -> true) & (true -> a)\n"
+    "theory und-free:\n"
+    "  a1[a]: a -> (a | ~a) | true\n"
+    "  a2[a]: true -> (a | ~a) | a\n"
+    "  b1[a]: ~a -> (a | ~a) | false\n"
+    "  b2[a]: false -> ~a | a | ~a\n"
+    "marker definition: a | ~a\n"
+)
+
+
+def test_translate_und_free_of_one_argument(capsys, tmp_path):
+    """One argument's definition is a disjunction: parenthesized on the left
+    of ``|``, bare on its tight right."""
+    doc = write_doc(tmp_path, "arg(a).\n")
+    assert run(capsys, "translate", doc, "--mode", "und-free") == (
+        0, ONE_ARGUMENT_UND_FREE, ""
+    )
+    code, out, _ = run(capsys, "translate", doc, "--mode", "und-free", "--format", "json")
+    assert code == 0
+    assert [c["formula"] for c in json.loads(out)["theories"][1]["clauses"]] == [
+        "a -> (a | ~a) | true",
+        "true -> (a | ~a) | a",
+        "~a -> (a | ~a) | false",
+        "false -> ~a | a | ~a",
+    ]
+
+
+def test_translate_und_free_rebuilds_no_clause(capsys, tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the und-free display rebuilt the clause theory")
+
+    for module, name in [
+        (prop, "replace_und"), (translate, "replace_und"),
+        (translate, "und_free_theories"),
+    ]:
+        monkeypatch.setattr(module, name, fail)
+    doc = write_doc(tmp_path, "arg(a).\n")
+    assert run(capsys, "translate", doc, "--mode", "und-free") == (
+        0, ONE_ARGUMENT_UND_FREE, ""
+    )
+
+
+@st.composite
+def small_frameworks(draw):
+    names = "abcdef"[: draw(st.integers(1, 6))]
+    pairs = [(u, x) for u in names for x in names]  # self-attacks included
+    return Framework.make(names, draw(st.sets(st.sampled_from(pairs))))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_frameworks())
+def test_und_free_display_matches_the_rebuilt_theory(capsys, tmp_path, fw):
+    """Printing #n as its definition equals printing the replaced clauses."""
+    facts = [f"arg({x})." for x in fw.arguments]
+    facts += [f"att({u},{x})." for u, x in sorted(fw.attacks)]
+    doc = write_doc(tmp_path, " ".join(facts) + "\n")
+    _, free = und_free_theories(fw)
+    want = [(name, format_formula(g)) for name, g in free.clauses]
+    definition = format_formula(und_definition(fw))
+
+    code, out, err = run(capsys, "translate", doc, "--mode", "und-free")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    start = lines.index("theory und-free:") + 1
+    assert lines[start:] == [f"  {n}: {t}" for n, t in want] + [
+        f"marker definition: {definition}"
+    ]
+
+    code, out, err = run(capsys, "translate", doc, "--mode", "und-free", "--format", "json")
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert [t["tag"] for t in result["theories"]] == ["stable", "und-free"]
+    assert [(c["name"], c["formula"]) for c in result["theories"][1]["clauses"]] == want
+    assert result["marker_definition"] == definition
 
 
 def test_translate_pred_prints_closed_theory(capsys, cycle_doc):
@@ -382,6 +466,59 @@ def test_json_solve_higher_status_keys(capsys, loop_doc):
     for model in payload["models"]:
         assert sorted(model["statuses"]) == ["r(a,a)", "raa"]
         assert model["nodes"] == {"a": "und"}
+
+
+def test_main_builds_its_parser_once(capsys, cycle_doc, monkeypatch):
+    run(capsys, "extensions", cycle_doc)
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    for argv in (["extensions", cycle_doc], ["valid", "x | ~x"], ["models", "--bogus"]):
+        run(capsys, *argv)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "before, argv, code",
+    [
+        (["extensions", "{plain}", "--semantics", "stable"],
+         ["extensions", "{plain}", "--bogus"], 1),
+        (["translate", "{plain}", "--mode", "prop"],
+         ["extensions", "{plain}", "--semantics", "bogus"], 1),
+        (["extensions", "{plain}"], ["extensions", "{plain}", "--format", "json"], 0),
+        (["extensions", "{plain}", "--format", "json"], ["extensions", "{plain}"], 0),
+        (["valid", "x"], ["solve-higher", "{higher}", "--max-unknowns", "6"], 3),
+        (["solve-higher", "{higher}", "--max-unknowns", "6"],
+         ["solve-higher", "{higher}"], 0),
+    ],
+)
+def test_a_reused_parser_carries_no_state_between_calls(
+    capsys, tmp_path, monkeypatch, before, argv, code
+):
+    """A call right after another prints what it prints on a fresh parser."""
+    docs = {
+        "plain": write_doc(tmp_path, "arg(a). arg(b). att(a,b). att(b,a).\n"),
+        "higher": str(tmp_path / "higher.facts"),
+    }
+    (tmp_path / "higher.facts").write_text(
+        "arg(a). arg(b). att(a,b). att(b,a). att(a, r(b,a)).\n"
+    )
+    before = [x.format(**docs) for x in before]
+    argv = [x.format(**docs) for x in argv]
+    parser = cli._build_parser()
+    run(capsys, *before)
+    reused = run(capsys, *argv)
+    assert cli._build_parser() is parser
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = run(capsys, *argv)
+    assert reused == fresh
+    assert reused[0] == code
+    assert (reused[1] == "") == (code != 0)
 
 
 def test_json_output_is_byte_stable(capsys, cycle_doc):

@@ -227,6 +227,18 @@ def test_pinned_relation_pairs_must_name_domain_elements():
         grounding(("a", "b"), [("c", "a")])
 
 
+def test_classical_eval_rejects_a_pair_outside_the_domain():
+    """The pair is named, with the message the pinned grounding uses."""
+    X = Variable("X")
+    message = r"relation pair \('zz', 'zz'\) names an element outside the domain"
+    with pytest.raises(ValueError, match=message):
+        classical_eval(Exists("X", RAtom(X, X)), ("a", "b"), [("zz", "zz")])
+    with pytest.raises(ValueError, match=message):
+        grounding(("a", "b"), [("zz", "zz")])
+    with pytest.raises(ValueError, match=r"\('a', 'c'\)"):
+        relation_to_r_val(("a", "b"), [("a", "b"), ("a", "c")])
+
+
 def test_grounding_rejects_propositional_atoms():
     for relation in (None, [("a", "a")]):
         with pytest.raises(EvalError, match="not a predicate formula node"):
