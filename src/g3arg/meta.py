@@ -27,7 +27,6 @@ from .pred import (
     free_vars,
     grounding,
     is_closed,
-    relation_dims,
     relation_to_r_val,
 )
 from .threeval import VALUE_ORDER, ThreeVal
@@ -296,7 +295,7 @@ def solve_higher(
     nodes = hn.nodes
     pairs = [(u, v) for u in nodes for v in nodes]
     relation = None if fixed_r is None else list(fixed_r)
-    r_dims = relation_dims(nodes, VALUE_ORDER) if relation is None else []
+    r_dims = [(p, VALUE_ORDER) for p in pairs] if relation is None else []
     unknowns = len(nodes) + len(r_dims) + len(hn.wffs)
     if unknowns > max_unknowns:
         raise SearchSpaceExceeded(

@@ -9,7 +9,7 @@ three-valued truth profiles, equality is identity on element names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .prop import (
     ALL,
@@ -30,6 +30,7 @@ from .prop import (
     fold,
     iff,
     scan,
+    select_assignments,
     walk,
     with_subformulas,
 )
@@ -172,10 +173,10 @@ def grounding(
     given: ``R(u,x)`` is true exactly when ``(u, x)`` is one of its pairs,
     and the compiler's folds take it from there. ``forall`` is the pointwise
     AND of its instances over the domain, ``exists`` the pointwise OR.
-    Raises ValueError for a relation pair naming an element outside the
-    domain.
+    Raises ValueError for a domain that lists an element twice, and for a
+    relation pair naming an element outside the domain.
     """
-    dom = tuple(domain)
+    dom = distinct_domain(domain)
     pinned = None if relation is None else _pairs_within(dom, relation)
 
     def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
@@ -238,6 +239,15 @@ def pred_value(
     return _pair(f, m, None, statuses)
 
 
+def distinct_domain(domain: Iterable[str]) -> tuple[str, ...]:
+    """``domain`` as a tuple; ValueError names an element it lists twice."""
+    dom = tuple(domain)
+    if len(set(dom)) < len(dom):
+        repeated = next(d for i, d in enumerate(dom) if d in dom[:i])
+        raise ValueError(f"domain element {repeated!r} is listed twice")
+    return dom
+
+
 def _pairs_within(
     domain: Sequence[str], relation: Iterable[tuple[str, str]]
 ) -> set[tuple[str, str]]:
@@ -268,13 +278,6 @@ def mentions_in(f: Formula) -> bool:
     return any(isinstance(node, InAtom) for node in walk(f))
 
 
-def relation_dims(
-    domain: Sequence[str], order: Sequence[ThreeVal]
-) -> list[tuple[tuple[str, str], Sequence[ThreeVal]]]:
-    """Scan dimensions of the R profiles, each ranging over ``order``."""
-    return [((u, x), order) for u in domain for x in domain]
-
-
 def enumerate_interps(
     domain: Sequence[str],
     theory: Iterable[Formula],
@@ -291,30 +294,33 @@ def enumerate_interps(
     profiles finds every interpretation; a pair outside the domain raises
     ValueError. With a free relation, a first scan over the R choices alone
     keeps those satisfying the formulas that never mention ``In``; the In
-    profiles are scanned only under the survivors, each bound throughout.
+    profiles are scanned only under the survivors (``scan_interps``).
     """
     dom = tuple(domain)
     formulas = list(theory)
-    in_dims = [(d, VALUE_ORDER) for d in dom]
     if fixed_r is not None:
         relation = list(fixed_r)
         program = Program(formulas, grounding(dom, relation))
-        r_val = relation_to_r_val(dom, relation)
-        return [
-            PredInterp(dom, {d: VALUE_ORDER[c] for d, c in zip(dom, index)}, r_val)
-            for index in scan(in_dims, program.holds)
-        ]
+        return scan_interps(dom, program.holds, [relation_to_r_val(dom, relation)])
     expand = grounding(dom)
     in_free = Program([f for f in formulas if not mentions_in(f)], expand)
     in_dependent = Program([f for f in formulas if mentions_in(f)], expand)
-    r_dims = relation_dims(dom, DECIDED_ORDER if r_decided else VALUE_ORDER)
-    found: list[PredInterp] = []
-    for r_index in scan(r_dims, in_free.holds):
-        r_val = {p: choices[c] for (p, choices), c in zip(r_dims, r_index)}
-        for index in scan(in_dims, in_dependent.holds, r_val):
-            in_val = {d: VALUE_ORDER[c] for d, c in zip(dom, index)}
-            found.append(PredInterp(dom, in_val, r_val))
-    return found
+    pairs = [(u, x) for u in dom for x in dom]
+    order = DECIDED_ORDER if r_decided else VALUE_ORDER
+    relations = select_assignments(pairs, in_free.holds, order)
+    return scan_interps(dom, in_dependent.holds, relations)
+
+
+def scan_interps(
+    domain: tuple[str, ...], keep: Callable[[dict, int], int], relations: Iterable[Mapping]
+) -> list[PredInterp]:
+    """Interpretations whose In profiles ``keep`` marks, under each of ``relations``."""
+    in_dims = [(d, VALUE_ORDER) for d in domain]
+    return [
+        PredInterp(domain, {d: VALUE_ORDER[c] for d, c in zip(domain, index)}, r_val)
+        for r_val in relations
+        for index in scan(in_dims, keep, r_val)
+    ]
 
 
 def non_classical_node(f: Formula) -> str | None:

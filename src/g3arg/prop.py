@@ -237,6 +237,13 @@ class Program:
             ]
             self.roots = [index[r] for r in roots]
 
+    def renamed(self, key: Callable[[object], object]) -> "Program":
+        """A copy that reads ``key(k)`` for each leaf ``k``; ``key`` must be one-to-one."""
+        copy = object.__new__(Program)
+        copy.code = [(op, key(args) if op == LEAF else args) for op, args in self.code]
+        copy.roots = list(self.roots)
+        return copy
+
     def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 

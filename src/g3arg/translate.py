@@ -10,9 +10,10 @@ the attack relation only up to renaming.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .af import (
     Framework,
@@ -51,7 +52,10 @@ from .pred import (
     InAtom,
     RAtom,
     Variable,
-    enumerate_interps,
+    distinct_domain,
+    grounding,
+    relation_to_r_val,
+    scan_interps,
 )
 from .syntax import format_formula
 from .threeval import DECIDED_ORDER, ThreeVal
@@ -341,11 +345,30 @@ def pred_theory() -> Theory:
     return Theory("pred", clauses)
 
 
-def verify_pred_theory(f: Framework) -> CorrespondenceReport:
-    """Predicate route with the relation pinned to the framework's attacks."""
-    interps = enumerate_interps(
-        f.arguments, pred_theory().formulas(), fixed_r=f.attacks
+@functools.cache
+def _delta_over_positions(n: int) -> Program:
+    """Delta_A over 0..n-1: ``In(i)`` keyed ``i``, ``R(i,j)`` keyed ``(i, j)``."""
+    return Program(pred_theory().formulas(), grounding(range(n)))
+
+
+def delta_program(domain: Sequence[str]) -> Program:
+    """The Program of ``pred_theory().formulas()`` over ``domain``.
+
+    Delta_A names no element and depends on the framework only through R,
+    so it is compiled once per domain size, over positions, and each call
+    renames its leaves; bind R as data. Raises ValueError for a domain that
+    lists an element twice.
+    """
+    dom = distinct_domain(domain)
+    return _delta_over_positions(len(dom)).renamed(
+        lambda key: dom[key] if type(key) is int else (dom[key[0]], dom[key[1]])
     )
+
+
+def verify_pred_theory(f: Framework) -> CorrespondenceReport:
+    """Predicate route: ``delta_program`` scanned over In, the attacks bound as R."""
+    r_val = relation_to_r_val(f.arguments, f.attacks)
+    interps = scan_interps(f.arguments, delta_program(f.arguments).holds, [r_val])
     model_side = {
         canonical({x: VALUE_TO_LABEL[m.in_val[x]] for x in f.arguments})
         for m in interps
@@ -410,11 +433,14 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
 
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
-    decided values. The expected side is the framework's complete
+    decided values: ``delta_program`` is scanned under each relation that
+    the diagram admits. The expected side is the framework's complete
     labellings pushed through every renaming of the arguments.
     """
-    theory = pred_theory().formulas() + [domain_diagram(f)]
-    interps = enumerate_interps(f.arguments, theory, r_decided=True)
+    dom = f.arguments
+    diagram = Program([domain_diagram(f)], grounding(dom))
+    relations = select_assignments(itertools.product(dom, dom), diagram.holds, DECIDED_ORDER)
+    interps = scan_interps(dom, delta_program(dom).holds, relations)
     found = {
         (
             tuple(sorted(m.relation)),

@@ -239,6 +239,22 @@ def test_classical_eval_rejects_a_pair_outside_the_domain():
         relation_to_r_val(("a", "b"), [("a", "b"), ("a", "c")])
 
 
+def test_a_domain_listing_an_element_twice_is_refused():
+    """Two positions of one name would list each model more than once."""
+    message = r"domain element 'a' is listed twice"
+    with pytest.raises(ValueError, match=message):
+        enumerate_interps(("a", "a"), [InAtom(A)], fixed_r=[])
+    with pytest.raises(ValueError, match=message):
+        enumerate_interps(("a", "b", "a"), [], r_decided=True)
+    m = PredInterp(("a", "a"), {"a": ThreeVal.TT}, {("a", "a"): ThreeVal.FF})
+    with pytest.raises(ValueError, match=message):
+        pred_value(InAtom(A), m)
+    with pytest.raises(ValueError, match=message):
+        eval_pred(World.HERE, InAtom(A), m)
+    with pytest.raises(ValueError, match=message):
+        grounding(("b", "a", "a"))
+
+
 def test_grounding_rejects_propositional_atoms():
     for relation in (None, [("a", "a")]):
         with pytest.raises(EvalError, match="not a predicate formula node"):

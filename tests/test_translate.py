@@ -1,22 +1,28 @@
 """Translation routes: clause theories, marker elimination, instantiation,
 quantified clauses and the domain diagram."""
 
+import itertools
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+from g3arg import prop, translate
+from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label
-from g3arg.corpus import random_framework
-from g3arg.prop import ALL, LEAF, Atom, Program, select_assignments
-from g3arg.syntax import parse_prop
+from g3arg.corpus import all_frameworks, random_framework
+from g3arg.prop import ALL, LEAF, Atom, Program, scan, select_assignments
+from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, mentions_in
-from g3arg.threeval import ThreeVal
+from g3arg.threeval import VALUE_ORDER, ThreeVal
 from g3arg.translate import (
     CorrespondenceReport,
     Theory,
     assignment_to_labelling,
     defined_marker,
+    delta_program,
     domain_diagram,
     framework_key,
     instantiate,
@@ -253,6 +259,93 @@ def test_pinned_relation_folds_the_quantified_clauses():
     assert {op for op, _ in a1.code} == {ALL}
     pinned = Program(theory.formulas(), grounding(dom, [("a", "b")]))
     assert all(type(key) is str for op, key in pinned.code if op == LEAF)  # In leaves only
+
+
+@st.composite
+def skewed_domains(draw):
+    """1-3 elements in any order, with R profiles that are not symmetric.
+
+    A rename that looked ``R(i,j)`` up as the pair of the j-th and i-th
+    element would read a different profile somewhere.
+    """
+    dom = tuple(draw(st.permutations("cba"))[: draw(st.integers(1, 3))])
+    pairs = [(u, x) for u in dom for x in dom]
+    profiles = st.fixed_dictionaries({p: st.sampled_from(VALUE_ORDER) for p in pairs})
+    r_val = draw(profiles.filter(
+        lambda r: len(dom) == 1 or any(r[u, x] is not r[x, u] for u, x in pairs)
+    ))
+    return dom, r_val
+
+
+@settings(max_examples=100, deadline=None)
+@given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
+def test_delta_program_matches_delta_compiled_over_the_names(case, batch):
+    """Every root, HERE and THERE, on every In candidate, the R profiles bound."""
+    dom, r_val = case
+    renamed = delta_program(dom)
+    direct = Program(pred_theory().formulas(), grounding(dom))
+    dims = [(d, VALUE_ORDER) for d in dom]
+    with patch.object(prop, "BATCH_BITS", batch):
+        for i in range(len(direct.roots)):
+            for half in (0, 1):
+                got = list(scan(dims, lambda t, full: renamed.run(t, full)[i][half], r_val))
+                want = list(scan(dims, lambda t, full: direct.run(t, full)[i][half], r_val))
+                assert got == want
+
+
+def test_delta_program_refuses_a_repeated_element():
+    with pytest.raises(ValueError, match="domain element 'b' is listed twice"):
+        delta_program(("b", "a", "b"))
+
+
+def test_delta_is_compiled_once_per_domain_size():
+    """Two frameworks of one size with disjoint names share Delta's program."""
+    compiled = []
+    init = Program.__init__
+
+    def counting(self, formulas, *args):
+        compiled.append(list(formulas))
+        init(self, formulas, *args)
+
+    translate._delta_over_positions.cache_clear()
+    assert verify_pred_theory(Framework.make("abc", [("a", "b")])).ok
+    with patch.object(Program, "__init__", counting):
+        assert verify_pred_theory(Framework.make("pqr", [("q", "p"), ("r", "r")])).ok
+        assert verify_pred_theory(Framework.make("xyz", [("x", "y"), ("y", "z")])).ok
+        assert compiled == []
+        assert verify_pred_theory(Framework.make("abcd", [("d", "a")])).ok
+        assert compiled == [pred_theory().formulas()]
+        # the other two callers compile only their own formula
+        compiled.clear()
+        cycle = Framework.make("uvw", [("u", "v"), ("v", "w"), ("w", "u")])
+        assert verify_domain_diagram(cycle).ok
+        frame = AxiomaticFrame(("a", "b", "c"), parse_pred("forall X ~R(X,X)"))
+        assert aaf_extensions(frame)
+        assert compiled == [[domain_diagram(cycle)], [frame.psi]]
+    assert translate._delta_over_positions.cache_info().currsize == 2
+    # a caller's copy shares no list with the cached program
+    mine = delta_program("abc")
+    mine.code.clear()
+    mine.roots.clear()
+    assert delta_program("abc").code and delta_program("abc").roots
+
+
+def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
+    """psi = the diagram of each 3-graph admits exactly its renamed copies.
+
+    Each is labelled by the oracle's filter over all 27 labellings.
+    """
+    names = ("a", "b", "c")
+    for f in all_frameworks(3):
+        renamed = set()
+        for perm in itertools.permutations(names):
+            sigma = dict(zip(names, perm))
+            renamed.add(tuple(sorted((sigma[u], sigma[x]) for u, x in f.attacks)))
+        want = [
+            (rel, tuple(oracle.enumerate_complete(Framework.make(names, rel))))
+            for rel in sorted(renamed)
+        ]
+        assert aaf_extensions(AxiomaticFrame(names, domain_diagram(f))) == want, f
 
 
 def test_domain_diagram_rendering():
