@@ -32,13 +32,14 @@ from .af import (
 )
 from .document import InputDocument, parse_document
 from .meta import solve_higher, star_theory
-from .prop import SearchSpaceExceeded, enumerate_models, is_valid
+from .prop import SearchSpaceExceeded, is_valid, select_assignments
 from .syntax import MarkerText, ParseError, format_formula, parse_prop
 from .threeval import ThreeVal
 from .translate import (
     CorrespondenceReport,
     DiagramReport,
     Theory,
+    clause_program,
     domain_diagram,
     instantiated_models,
     instantiation_patterns,
@@ -193,7 +194,7 @@ def _cmd_models(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
             _labelling_dict(lab) for lab in instantiation_patterns(fw, subst)
         ]
     else:
-        models = enumerate_models(prop_theory(fw).formulas(), fw.arguments)
+        models = list(select_assignments(fw.arguments, clause_program(fw).holds))
     result["count"] = len(models)
     result["models"] = [_assignment_dict(h) for h in models]
     return result, 0
@@ -425,6 +426,17 @@ def _render_text(result: dict[str, Any]) -> list[str]:
     return lines
 
 
+def _non_negative(text: str) -> int:
+    """An argparse type: an int, refused below 0 as a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 # Built once per process: parse_args leaves the parser as it found it, and
 # _Parser.error raises instead of exiting, so each call parses like the first.
 @functools.cache
@@ -468,7 +480,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve-higher", parents=[common])
     p.add_argument("file")
-    p.add_argument("--max-unknowns", type=int, default=14)
+    p.add_argument("--max-unknowns", type=_non_negative, default=14)
     p.set_defaults(handler=_cmd_solve_higher)
 
     p = sub.add_parser("aaf", parents=[common])

@@ -237,13 +237,6 @@ class Program:
             ]
             self.roots = [index[r] for r in roots]
 
-    def renamed(self, key: Callable[[object], object]) -> "Program":
-        """A copy that reads ``key(k)`` for each leaf ``k``; ``key`` must be one-to-one."""
-        copy = object.__new__(Program)
-        copy.code = [(op, key(args) if op == LEAF else args) for op, args in self.code]
-        copy.roots = list(self.roots)
-        return copy
-
     def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 
@@ -294,6 +287,39 @@ class Program:
         for (h, _), key in zip(roots[free:], ties):
             mask &= full ^ h ^ table[key][0]
         return mask
+
+
+def link(parts: Sequence[tuple[Program, Callable]], und: tuple | None = None) -> Program:
+    """One Program running the code of ``parts``, with their roots in order.
+
+    Each part is a Program and a one-to-one map from its leaf keys to the
+    keys the linked Program reads. Equal instructions are emitted once, in
+    topological order. With ``und``, a part of one root, each ``#n`` of
+    ``parts`` reads that root, which comes last. A single part and no
+    ``und`` is a renamed copy: only the leaves change.
+    """
+    linked = object.__new__(Program)
+    if und is None and len(parts) == 1:
+        (program, key), = parts  # indices stay, so operands are shared untouched
+        linked.code = [(op, key(args) if op == LEAF else args) for op, args in program.code]
+        linked.roots = list(program.roots)
+        return linked
+    code: dict[tuple, int] = {}
+
+    def place(program: Program, key, marker: int | None = None) -> list[int]:
+        index = []  # the part's instruction -> its linked index
+        for op, args in program.code:
+            if op == UND and marker is not None:
+                index.append(marker)
+                continue
+            args = key(args) if op == LEAF else tuple(map(index.__getitem__, args))
+            index.append(code.setdefault((op, args), len(code)))
+        return [index[r] for r in program.roots]
+
+    marker = place(*und)[0] if und else None
+    roots = [r for program, key in parts for r in place(program, key, marker)]
+    linked.code, linked.roots = list(code), roots if und is None else roots + [marker]
+    return linked
 
 
 class SearchSpaceExceeded(Exception):
@@ -458,15 +484,6 @@ def disj(parts: Iterable[Formula]) -> Formula:
 def iff(a: Formula, b: Formula) -> Formula:
     """Biconditional, kept out of the AST: a conjunction of two implications."""
     return And(Imp(a, b), Imp(b, a))
-
-
-def assignments(atoms: Sequence[str]) -> Iterator[dict[str, ThreeVal]]:
-    """All assignments over ``atoms`` in lexicographic FF < FT < TT order.
-
-    The given atom order is respected; pass a sorted sequence for the
-    canonical scan.
-    """
-    return select_assignments(atoms, lambda table, full: full)
 
 
 def enumerate_models(

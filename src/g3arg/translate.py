@@ -38,8 +38,8 @@ from .prop import (
     atoms_of,
     conj,
     disj,
-    enumerate_models,
     iff,
+    link,
     propositional,
     replace_und,
     select_assignments,
@@ -124,6 +124,18 @@ def _compare(
     )
 
 
+def _argument_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
+    """``prop_theory``'s clauses of an argument x with the attackers ys."""
+    all_out = conj([Neg(Atom(y)) for y in ys])
+    some_in = disj([Atom(y) for y in ys])
+    return [
+        (f"a1[{x}]", Imp(Atom(x), Or(UndConst(), all_out))),
+        (f"a2[{x}]", Imp(all_out, Or(UndConst(), Atom(x)))),
+        (f"b1[{x}]", Imp(Neg(Atom(x)), Or(UndConst(), some_in))),
+        (f"b2[{x}]", Imp(some_in, Or(Neg(Atom(x)), UndConst()))),
+    ]
+
+
 def prop_theory(f: Framework) -> Theory:
     """The four propositional clause families, one group per argument.
 
@@ -136,16 +148,43 @@ def prop_theory(f: Framework) -> Theory:
     literally in the clauses.
     """
     table = f.attacker_table()
-    clauses: list[tuple[str, Formula]] = []
-    for x in f.arguments:
-        ys = table[x]
-        all_out = conj([Neg(Atom(y)) for y in ys])
-        some_in = disj([Atom(y) for y in ys])
-        clauses.append((f"a1[{x}]", Imp(Atom(x), Or(UndConst(), all_out))))
-        clauses.append((f"a2[{x}]", Imp(all_out, Or(UndConst(), Atom(x)))))
-        clauses.append((f"b1[{x}]", Imp(Neg(Atom(x)), Or(UndConst(), some_in))))
-        clauses.append((f"b2[{x}]", Imp(some_in, Or(Neg(Atom(x)), UndConst()))))
-    return Theory("prop", tuple(clauses))
+    return Theory("prop", tuple(
+        clause for x in f.arguments for clause in _argument_clauses(x, table[x])
+    ))
+
+
+@functools.cache
+def _shape_group(clauses, k: int, p: int) -> Program:
+    """``clauses`` of an argument with k attackers, itself at position p (-1: none).
+
+    Compiled over positions: the atoms "-1", "0", "1", .. become the leaves
+    -1, 0, 1, ..; leaf i reads the i-th attacker and leaf -1 the argument,
+    so a self-attack shares the argument's leaf.
+    """
+    return link([(Program(g for _, g in clauses(str(p), [*map(str, range(k))])), int)])
+
+
+def _linked(f: Framework, clauses, und: bool = False) -> Program:
+    """The shape group of ``clauses`` for each argument, linked in argument order.
+
+    With ``und``, each ``#n`` reads ``und_definition(f)``, whose root comes last.
+    """
+    parts = []
+    for x, ys in f.attacker_table().items():
+        p = ys.index(x) if x in ys else -1
+        parts.append((_shape_group(clauses, len(ys), p), (*ys, x).__getitem__))
+    if not und:
+        return link(parts)
+    return link(parts, (_und_over_positions(len(f.arguments)), f.arguments.__getitem__))
+
+
+def clause_program(f: Framework) -> Program:
+    """The Program of ``prop_theory(f).formulas()``, linked from per-shape groups.
+
+    An argument's clauses depend only on how many attackers it has and on
+    where it attacks itself, so each such shape is compiled once.
+    """
+    return _linked(f, _argument_clauses)
 
 
 def labelling_to_assignment(lab: Mapping[str, Label]) -> dict[str, ThreeVal]:
@@ -157,24 +196,40 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 
 
 def verify_prop_theory(f: Framework) -> CorrespondenceReport:
-    """Check that the clause theory's models are the complete labellings."""
-    models = enumerate_models(prop_theory(f).formulas(), f.arguments)
+    """Check that the clause theory's models are the complete labellings.
+
+    The models are scanned with ``clause_program(f)``; no clause tree is built.
+    """
+    models = list(select_assignments(f.arguments, clause_program(f).holds))
     model_side = {canonical(assignment_to_labelling(h)) for h in models}
     lab_side = {canonical(lab) for lab in enumerate_complete(f)}
     return _compare(framework_key(f), model_side, lab_side, len(models))
 
 
+def _decided(names: Sequence[str]) -> Formula:
+    return conj([Or(Atom(x), Neg(Atom(x))) for x in names])
+
+
 def und_definition(f: Framework) -> Formula:
     """The defined undecidedness marker: every argument is decided."""
-    return conj([Or(Atom(x), Neg(Atom(x))) for x in f.arguments])
+    return _decided(f.arguments)
+
+
+@functools.cache
+def _und_over_positions(n: int) -> Program:
+    return link([(Program([_decided([*map(str, range(n))])]), int)])
+
+
+def _fix_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
+    """``stable_theory``'s clause of an argument x with the attackers ys."""
+    return [(f"fix[{x}]", iff(Atom(x), conj([Neg(Atom(y)) for y in ys])))]
 
 
 def stable_theory(f: Framework) -> Theory:
     """Each argument equivalent to the conjunction of its attackers' negations."""
     table = f.attacker_table()
     return Theory("stable", tuple(
-        (f"fix[{x}]", iff(Atom(x), conj([Neg(Atom(y)) for y in table[x]])))
-        for x in f.arguments
+        clause for x in f.arguments for clause in _fix_clauses(x, table[x])
     ))
 
 
@@ -201,8 +256,8 @@ def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     attackers' negations). The second is the clause theory with the marker
     constant textually replaced by its definition; its models with the
     defined marker undecided cover the non-stable complete labellings.
-    ``verify_und_free`` compiles the clause theory with ``defined_marker``
-    instead of building the second theory; this one is for display.
+    ``verify_und_free`` links the clause program to the definition instead
+    of building either theory; these are for display.
     """
     defn = und_definition(f)
     free_clauses = tuple(
@@ -228,28 +283,30 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     Stable labellings must equal the two-valued models of the first theory
     of ``und_free_theories``; non-stable complete labellings must equal the
     models of the second in which the defined marker is undecided; together
-    the two sides must rebuild the complete set. The second theory is the
-    clause theory compiled with each ``#n`` standing for the definition
-    (``defined_marker``), which has the same models as the rebuilt clauses.
+    the two sides must rebuild the complete set. Both theories run as
+    programs linked from per-shape groups, like ``clause_program``; no
+    clause tree is built. Each ``#n`` of the clause program reads the root
+    of ``und_definition``, compiled once per number of arguments, which has
+    the same models as the rebuilt clauses. That root is one more root of
+    the program, so each batch runs the code once.
     """
     subject = framework_key(f)
 
     stable_models = list(
-        select_assignments(
-            f.arguments, Program(stable_theory(f).formulas()).holds, DECIDED_ORDER
-        )
+        select_assignments(f.arguments, _linked(f, _fix_clauses).holds, DECIDED_ORDER)
     )
     stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
 
-    defn = und_definition(f)
-    free = Program(prop_theory(f).formulas(), defined_marker(defn))
-    marker = Program([defn])
-    partial_models = list(
-        select_assignments(
-            f.arguments,
-            lambda table, full: free.holds(table, full) & ~marker.holds(table, full),
-        )
-    )
+    free = _linked(f, _argument_clauses, und=True)
+
+    def undecided(table: Mapping, full: int) -> int:
+        *clauses, (decided, _) = free.run(table, full)
+        mask = full ^ decided
+        for h, _ in clauses:
+            mask &= h
+        return mask
+
+    partial_models = list(select_assignments(f.arguments, undecided))
     partial_side = {canonical(assignment_to_labelling(h)) for h in partial_models}
 
     complete = {canonical(lab) for lab in enumerate_complete(f)}
@@ -356,13 +413,14 @@ def delta_program(domain: Sequence[str]) -> Program:
 
     Delta_A names no element and depends on the framework only through R,
     so it is compiled once per domain size, over positions, and each call
-    renames its leaves; bind R as data. Raises ValueError for a domain that
-    lists an element twice.
+    links it alone, renaming its leaves; bind R as data. Raises ValueError
+    for a domain that lists an element twice.
     """
     dom = distinct_domain(domain)
-    return _delta_over_positions(len(dom)).renamed(
-        lambda key: dom[key] if type(key) is int else (dom[key[0]], dom[key[1]])
-    )
+    return link([(
+        _delta_over_positions(len(dom)),
+        lambda key: dom[key] if type(key) is int else (dom[key[0]], dom[key[1]]),
+    )])
 
 
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:

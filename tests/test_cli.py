@@ -333,10 +333,20 @@ def test_solve_higher_reports_relation_and_wff_statuses(capsys, loop_doc):
 
 
 def test_solve_higher_guard_exits_three(capsys, higher_doc):
-    code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", "2")
-    assert code == 3
+    for bound in ("2", "0"):
+        code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", bound)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: 7 three-valued unknowns exceed the bound {bound}\n"
+
+
+def test_solve_higher_refuses_a_negative_bound_as_usage(capsys, higher_doc):
+    code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", "-1")
+    assert code == 1
     assert out == ""
-    assert err == "error: 7 three-valued unknowns exceed the bound 2\n"
+    assert err == (
+        "error: argument --max-unknowns: expected a non-negative integer, got '-1'\n"
+    )
 
 
 def test_aaf_lists_admissible_relations(capsys, aaf_doc):

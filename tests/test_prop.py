@@ -13,7 +13,6 @@ from g3arg.prop import (
     Or,
     Top,
     UndConst,
-    assignments,
     atoms_of,
     conj,
     disj,
@@ -22,6 +21,7 @@ from g3arg.prop import (
     iff,
     is_valid,
     replace_und,
+    select_assignments,
     substitute,
     value,
 )
@@ -156,7 +156,7 @@ def test_enumerate_models_order_and_extra_atoms():
 
 
 def test_assignments_respect_given_order():
-    got = list(assignments(["b", "a"]))
+    got = list(select_assignments(["b", "a"], lambda table, full: full))
     assert got[0] == {"b": ThreeVal.FF, "a": ThreeVal.FF}
     assert got[1] == {"b": ThreeVal.FF, "a": ThreeVal.FT}
     assert len(got) == 9

@@ -6,7 +6,7 @@ from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from g3arg import prop, translate
@@ -21,6 +21,7 @@ from g3arg.translate import (
     CorrespondenceReport,
     Theory,
     assignment_to_labelling,
+    clause_program,
     defined_marker,
     delta_program,
     domain_diagram,
@@ -32,6 +33,7 @@ from g3arg.translate import (
     pred_theory,
     prop_theory,
     serialize_theory,
+    stable_theory,
     und_definition,
     und_free_theories,
     verify_domain_diagram,
@@ -413,10 +415,72 @@ def test_prop_and_marker_free_routes_agree_everywhere(f):
 @given(st.integers(1, 6), st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_defined_marker_program_has_the_displayed_theory_s_models(n, seed):
-    """verify_und_free's program and the printed und-free theory cannot drift apart."""
+    """The defined-marker program and the printed und-free theory cannot drift apart."""
     f = random_framework(n, Random(seed))
     hooked = Program(prop_theory(f).formulas(), defined_marker(und_definition(f)))
     rebuilt = Program(und_free_theories(f)[1].formulas())
     assert list(select_assignments(f.arguments, hooked.holds)) == list(
         select_assignments(f.arguments, rebuilt.holds)
     )
+
+
+# a, b and c share their attackers a, b, at positions 0, 1 and none
+SELF_SHAPES = Framework.make(
+    "abc", [("a", "a"), ("b", "a"), ("a", "b"), ("b", "b"), ("a", "c"), ("b", "c")]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frameworks(max_args=6), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
+@example(SELF_SHAPES, 1)
+@example(Framework.make("abc", [("a", "b"), ("b", "c"), ("c", "a")]), 3)
+@example(Framework.make("pqrs", [("q", "p"), ("p", "q"), ("s", "s"), ("r", "s")]), 9)
+def test_linked_programs_match_direct_compiles(f, batch):
+    """HERE and THERE of every root on every candidate, linked against direct.
+
+    The und-free program is the clause program with ``#n`` linked to the
+    definition, and the definition's root last.
+    """
+    defn = und_definition(f)
+    pairs = [
+        (clause_program(f), [Program(prop_theory(f).formulas())]),
+        (translate._linked(f, translate._fix_clauses), [Program(stable_theory(f).formulas())]),
+        (translate._linked(f, translate._argument_clauses, und=True),
+         [Program(prop_theory(f).formulas(), defined_marker(defn)), Program([defn])]),
+    ]
+
+    def agree(table, full):
+        for linked, direct in pairs:
+            assert linked.run(table, full) == [r for p in direct for r in p.run(table, full)]
+        return 0
+
+    with patch.object(prop, "BATCH_BITS", batch):
+        assert list(scan([(x, VALUE_ORDER) for x in f.arguments], agree)) == []
+
+
+def test_clause_groups_are_compiled_once_per_shape():
+    """Frameworks of the same shapes share their groups whatever their names."""
+    compiled = []
+    init = Program.__init__
+
+    def counting(self, formulas, *args):
+        compiled.append(list(formulas))
+        init(self, compiled[-1], *args)
+
+    def verify(f):
+        assert verify_prop_theory(f).ok and verify_und_free(f).ok
+
+    translate._shape_group.cache_clear()
+    translate._und_over_positions.cache_clear()
+    verify(Framework.make("abc", [("a", "b"), ("b", "a"), ("a", "c"), ("c", "c")]))
+    with patch.object(Program, "__init__", counting):
+        verify(Framework.make("pqr", [("p", "q"), ("q", "p"), ("p", "r"), ("r", "r")]))
+        assert compiled == []
+        # x is attacked by itself and y, at position 0: the one new shape
+        new_shape = Framework.make("xyz", [("x", "x"), ("y", "x"), ("x", "y"), ("y", "z")])
+        assert verify_und_free(new_shape).ok
+        assert [len(formulas) for formulas in compiled] == [1, 4]  # fix[x], then a1..b2[x]
+        assert verify_prop_theory(new_shape).ok
+        assert len(compiled) == 2
+    assert translate._shape_group.cache_info().currsize == 6  # 3 shapes, 2 theories
+    assert translate._und_over_positions.cache_info().currsize == 1
