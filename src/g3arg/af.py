@@ -75,9 +75,6 @@ class Framework:
             frozenset((u, x) for u, x in attacks),
         )
 
-    def attackers_of(self, x: str) -> tuple[str, ...]:
-        return tuple(sorted(u for u, t in self.attacks if t == x))
-
     def attacker_table(self) -> dict[str, tuple[str, ...]]:
         table: dict[str, list[str]] = {x: [] for x in self.arguments}
         for u, x in sorted(self.attacks):
@@ -126,75 +123,91 @@ def _search(f: Framework) -> list[Labelling]:
     enumerate_complete_determined.
 
     It sits apart from both so that a wrapper around either public name (a
-    tracing span, say) sees one search per call. Branching on the first
-    unlabelled argument, with every earlier one labelled, yields the
+    tracing span, say) sees one search per call. The rules read the
+    labelling as three bit sets, ``ins``, ``outs`` and ``unds`` (bit i for
+    argument i), against each argument's attacker mask; ``lab`` holds the
+    same labels as LABEL_ORDER members, for the leaves. Branching on the
+    first unlabelled argument, with every earlier one labelled, yields the
     labellings in lexicographic order without a sort. The stack holds one
     frame per open choice: [argument, next label index, trail length before
-    the choice]; undoing the trail to that length restores the labelling the
-    choice was made in.
+    the choice]; unlabelling the arguments trailed since, and clearing their
+    bits, restores the labelling the choice was made in.
     """
     names = f.arguments
     n = len(names)
     index = {x: i for i, x in enumerate(names)}
-    attackers: list[list[int]] = [[] for _ in names]
+    attackers = [0] * n
     targets: list[list[int]] = [[] for _ in names]
     for u, x in f.attacks:
-        attackers[index[x]].append(index[u])
+        attackers[index[x]] |= 1 << index[u]
         targets[index[u]].append(index[x])
+    everyone = (1 << n) - 1
+    IN, OUT, UND = LABEL_ORDER
     lab: list[Label | None] = [None] * n
+    ins = outs = unds = 0
     trail: list[int] = []
-
-    def propagate(queue: list[int]) -> bool:
-        """Label what the conditions force; False on a conflict."""
+    found: list[Labelling] = []
+    stack: list[list[int]] = []
+    queue = list(range(n))
+    while True:
+        # Label what the rules force; a break is a conflict.
         while queue:
             x = queue.pop()
-            seen = [lab[y] for y in attackers[x]]
-            if all(v is Label.OUT for v in seen):
-                forced = Label.IN
-            elif Label.IN in seen:
-                forced = Label.OUT
-            elif None not in seen:
-                forced = Label.UND
-            elif lab[x] is Label.IN and Label.UND in seen:
-                return False  # an undecided attacker already rules out in
+            att = attackers[x]
+            if not att & ~outs:
+                forced = IN
+            elif att & ins:
+                forced = OUT
+            elif not att & ~(ins | outs | unds):
+                forced = UND
+            elif att & unds and ins >> x & 1:
+                break
             else:
                 continue
             if lab[x] is None:
                 lab[x] = forced
+                if forced is IN:
+                    ins |= 1 << x
+                elif forced is OUT:
+                    outs |= 1 << x
+                else:
+                    unds |= 1 << x
                 trail.append(x)
                 queue.extend(targets[x])
             elif lab[x] is not forced:
-                return False
-        return True
-
-    found: list[Labelling] = []
-    stack: list[list[int]] = []
-
-    def descend(x: int) -> None:
-        """Open a choice at the first unlabelled argument from ``x`` on."""
-        while x < n and lab[x] is not None:
-            x += 1
-        if x == n:
-            found.append(dict(zip(names, lab)))
+                break
         else:
-            stack.append([x, 0, len(trail)])
-
-    if propagate(list(range(n))):
-        descend(0)
-    while stack:
-        frame = stack[-1]
-        x, choice, mark = frame
-        while len(trail) > mark:
-            lab[trail.pop()] = None
-        if choice == len(LABEL_ORDER):
+            free = everyone & ~(ins | outs | unds)
+            if free:
+                stack.append([(free & -free).bit_length() - 1, 0, len(trail)])
+            else:
+                found.append(dict(zip(names, lab)))
+        while stack:
+            frame = stack[-1]
+            x, choice, mark = frame
+            gone = 0
+            while len(trail) > mark:
+                y = trail.pop()
+                lab[y] = None
+                gone |= 1 << y
+            ins &= ~gone
+            outs &= ~gone
+            unds &= ~gone
+            if choice < len(LABEL_ORDER):
+                break
             stack.pop()
-            continue
+        else:
+            return found
         frame[1] = choice + 1
         lab[x] = LABEL_ORDER[choice]
+        if choice == 0:
+            ins |= 1 << x
+        elif choice == 1:
+            outs |= 1 << x
+        else:
+            unds |= 1 << x
         trail.append(x)
-        if propagate([x, *targets[x]]):
-            descend(x + 1)
-    return found
+        queue = [x, *targets[x]]
 
 
 @dataclass(frozen=True)

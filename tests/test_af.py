@@ -29,7 +29,6 @@ def test_make_sorts_and_dedupes():
     f = Framework.make(["b", "a", "b"], [("b", "a"), ("b", "a")])
     assert f.arguments == ("a", "b")
     assert f.attacks == frozenset({("b", "a")})
-    assert f.attackers_of("a") == ("b",)
     assert f.attacker_table() == {"a": ("b",), "b": ()}
 
 

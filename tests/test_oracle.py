@@ -27,6 +27,7 @@ from g3arg.corpus import (
     all_adf_nets_2,
     all_conjunctive_nets,
     all_frameworks,
+    argument_names,
     random_framework,
 )
 from g3arg.meta import HigherNetwork, solve_higher
@@ -412,6 +413,54 @@ def test_complete_labellings_match_the_oracle_on_the_corpus():
     corpus = [*all_frameworks(3), *(random_framework(5, rng) for _ in range(200))]
     for f in corpus:
         assert enumerate_complete(f) == oracle.enumerate_complete(f), f
+
+
+def shaped_framework(n, shape, density, rng):
+    """n arguments and round(density * n * n / 2) attacks: an acyclic graph,
+    a ring of even or odd length with chords, or random pairs with
+    self-attacks allowed."""
+    names = argument_names(n)
+    m = round(density * n * n / 2)
+    if shape == "acyclic":
+        order = rng.sample(names, n)
+        pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        return Framework.make(names, rng.sample(pairs, m))
+    if shape == "random":
+        pairs = [(u, x) for u in names for x in names]
+        return Framework.make(names, rng.sample(pairs, m))
+    k = rng.choice(range(2 if shape == "even cycle" else 3, n + 1, 2))
+    ring = rng.sample(names, k)
+    edges = {(ring[i], ring[(i + 1) % k]) for i in range(k)}
+    chords = [(u, x) for u in names for x in names if u != x and (u, x) not in edges]
+    return Framework.make(names, edges.union(rng.sample(chords, max(m - k, 0))))
+
+
+def test_complete_labellings_match_the_oracle_at_seven_to_nine_arguments():
+    """24 seeded frameworks of the labelling benchmark's sizes and shapes.
+    The oracle scans 3^n labellings, so nine arguments are the fewest."""
+    rng = random.Random(2024)
+    for shape in ("acyclic", "even cycle", "odd cycle", "random"):
+        for n in (7, 7, 7, 8, 8, 9):
+            f = shaped_framework(n, shape, rng.choice((0.15, 0.35, 0.6)), rng)
+            assert enumerate_complete(f) == oracle.enumerate_complete(f), f
+
+
+def test_backtracking_unlabels_what_a_dead_branch_labelled():
+    """Three 2-cycles and a self-attacker ``z`` share the targets ``s`` and
+    ``t``. ``z`` sorts last, so under every combination of cycle labels, and
+    of the labels tried at ``s`` and ``t`` while ``z`` leaves them open,
+    its in and out branches both contradict themselves before und is tried.
+    A label a refuted branch leaves behind changes what the next one
+    derives."""
+    f = Framework.make(
+        ["a", "b", "c", "d", "e", "g", "s", "t", "z"],
+        [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("e", "g"), ("g", "e"),
+         ("z", "z"), ("z", "s"), ("z", "t"), ("a", "s"), ("c", "s"), ("e", "t"),
+         ("b", "t")],
+    )
+    labs = enumerate_complete(f)
+    assert labs == oracle.enumerate_complete(f)
+    assert len(labs) == 27
 
 
 @st.composite
