@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import re
+import types
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -75,11 +76,16 @@ class Framework:
             frozenset((u, x) for u, x in attacks),
         )
 
-    def attacker_table(self) -> dict[str, tuple[str, ...]]:
-        table: dict[str, list[str]] = {x: [] for x in self.arguments}
-        for u, x in sorted(self.attacks):
-            table[x].append(u)
-        return {x: tuple(ys) for x, ys in table.items()}
+    def attacker_table(self) -> Mapping[str, tuple[str, ...]]:
+        """Each argument's sorted attackers: a read-only view of one table per framework."""
+        table = self.__dict__.get("_attackers")
+        if table is None:
+            table = {x: [] for x in self.arguments}
+            for u, x in sorted(self.attacks):
+                table[x].append(u)
+            table = {x: tuple(ys) for x, ys in table.items()}
+            object.__setattr__(self, "_attackers", table)
+        return types.MappingProxyType(table)
 
 
 def check_complete(

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from .aaf import (
     EncodingError,
@@ -40,12 +40,11 @@ from .translate import (
     DiagramReport,
     Theory,
     clause_program,
+    clause_texts,
     domain_diagram,
     instantiated_models,
     instantiation_patterns,
-    prop_theory,
     pred_theory,
-    stable_theory,
     und_definition,
     verify_domain_diagram,
     verify_pred_theory,
@@ -76,13 +75,15 @@ def _assignment_dict(h: Mapping[str, ThreeVal]) -> dict[str, str]:
     return {x: _profile(h[x]) for x in sorted(h)}
 
 
-def _theory_dict(t: Theory, und: MarkerText | None = None) -> dict[str, Any]:
+def _theory_dict(tag: str, texts: Iterable[tuple[str, str]]) -> dict[str, Any]:
     return {
-        "tag": t.tag,
-        "clauses": [
-            {"name": name, "formula": format_formula(g, und)} for name, g in t.clauses
-        ],
+        "tag": tag,
+        "clauses": [{"name": name, "formula": text} for name, text in texts],
     }
+
+
+def _formatted(t: Theory) -> dict[str, Any]:
+    return _theory_dict(t.tag, ((name, format_formula(g)) for name, g in t.clauses))
 
 
 def _corr_dict(r: CorrespondenceReport) -> dict[str, Any]:
@@ -160,23 +161,22 @@ def _cmd_translate(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "mode": ns.mode,
     }
     if ns.mode == "higher":
-        result["theories"] = [_theory_dict(star_theory(doc.to_higher()))]
+        result["theories"] = [_formatted(star_theory(doc.to_higher()))]
     elif ns.mode == "prop":
-        result["theories"] = [_theory_dict(prop_theory(doc.to_framework()))]
+        result["theories"] = [_theory_dict("prop", clause_texts(doc.to_framework()))]
     elif ns.mode == "und-free":
-        # the clause theory with each #n printed as its definition, which
-        # is rendered once: und_free_theories' second theory, not rebuilt
+        # und_free_theories, rendered without building either: the clause
+        # texts with each #n printed as its definition, rendered once
         fw = doc.to_framework()
         marker = MarkerText.of(und_definition(fw))
-        free = Theory("und-free", prop_theory(fw).clauses)
         result["theories"] = [
-            _theory_dict(stable_theory(fw)),
-            _theory_dict(free, marker),
+            _theory_dict("stable", clause_texts(fw, stable=True)),
+            _theory_dict("und-free", clause_texts(fw, und=marker)),
         ]
         result["marker_definition"] = marker.text
     elif ns.mode == "pred":
         doc.to_framework()
-        result["theories"] = [_theory_dict(pred_theory())]
+        result["theories"] = [_formatted(pred_theory())]
     else:
         result["formula"] = format_formula(domain_diagram(doc.to_framework()))
     return result, 0

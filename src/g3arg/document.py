@@ -374,7 +374,7 @@ def parse_document(text: str) -> InputDocument:
             accs[x] = text_
         elif fact.name == "psi":
             if psi is not None:
-                raise fact.fail("duplicate psi fact")
+                raise ParseError("duplicate psi fact", fact.line, fact.col)
             psi = _as_quoted(fact.args[0], fact)
             _parse_formula(parse_pred, fact.args[0], fact)
 

@@ -326,7 +326,8 @@ class MarkerText(NamedTuple):
         return cls(format_formula(defn), p)
 
 
-_HASH_N = MarkerText("#n", 5)
+# ``#n`` printed as itself.
+HASH_N = MarkerText("#n", 5)
 
 
 def format_formula(f: Formula, und: MarkerText | None = None) -> str:
@@ -341,7 +342,7 @@ def format_formula(f: Formula, und: MarkerText | None = None) -> str:
     tight) operands and literal text, so depth and length are not bounded by
     recursion.
     """
-    und = _HASH_N if und is None else und
+    und = HASH_N if und is None else und
     out: list[str] = []
     stack: list = [(f, 0, True)]
     while stack:

@@ -57,7 +57,7 @@ from .pred import (
     relation_to_r_val,
     scan_interps,
 )
-from .syntax import format_formula
+from .syntax import HASH_N, MarkerText, format_formula
 from .threeval import DECIDED_ORDER, ThreeVal
 
 
@@ -178,6 +178,22 @@ def _linked(f: Framework, clauses, und: bool = False) -> Program:
     return link(parts, (_und_over_positions(len(f.arguments)), f.arguments.__getitem__))
 
 
+@functools.cache
+def _shape_texts(clauses, k: int, prec: int) -> tuple[tuple[str, str], ...]:
+    """``clauses`` of an argument with k attackers, rendered once over placeholders.
+
+    ``{i}`` stands for the i-th attacker, ``{k}`` for the argument and
+    ``{k+1}`` for each ``#n``, which binds as tightly as ``prec``. Names and
+    texts alike are filled in with ``str.format``; no name holds a brace, by
+    ``af.NAME_RE``. Unlike ``_shape_group``, the key needs no self-attack
+    position: a text is filled in by name, so an argument that attacks
+    itself reads the same name at ``{k}`` as at its attacker slot.
+    """
+    marker = MarkerText(f"{{{k + 1}}}", prec)
+    group = clauses(f"{{{k}}}", [f"{{{i}}}" for i in range(k)])
+    return tuple((name, format_formula(g, marker)) for name, g in group)
+
+
 def clause_program(f: Framework) -> Program:
     """The Program of ``prop_theory(f).formulas()``, linked from per-shape groups.
 
@@ -233,6 +249,26 @@ def stable_theory(f: Framework) -> Theory:
     ))
 
 
+def clause_texts(
+    f: Framework, stable: bool = False, und: MarkerText = HASH_N
+) -> list[tuple[str, str]]:
+    """``(name, format_formula(g, und))`` for each clause of ``prop_theory(f)``.
+
+    With ``stable``, the clauses of ``stable_theory(f)``, which have no ``#n``.
+    Each attacker shape is rendered once and its names filled in, so no
+    clause tree of ``f`` is built.
+    """
+    clauses = _fix_clauses if stable else _argument_clauses
+    texts = []
+    for x, ys in f.attacker_table().items():
+        names = (*ys, x, und.text)
+        texts += (
+            (name.format(*names), text.format(*names))
+            for name, text in _shape_texts(clauses, len(ys), und.prec)
+        )
+    return texts
+
+
 def defined_marker(defn: Formula):
     """Program's ``expand`` hook that compiles each ``#n`` as a reference to ``defn``.
 
@@ -256,8 +292,8 @@ def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     attackers' negations). The second is the clause theory with the marker
     constant textually replaced by its definition; its models with the
     defined marker undecided cover the non-stable complete labellings.
-    ``verify_und_free`` links the clause program to the definition instead
-    of building either theory; these are for display.
+    ``verify_und_free`` links the clause program to the definition, and the
+    CLI prints both theories with ``clause_texts``; neither builds them.
     """
     defn = und_definition(f)
     free_clauses = tuple(

@@ -1,5 +1,7 @@
 """Framework construction, labelling checks, enumeration, classification."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,16 @@ def test_make_sorts_and_dedupes():
     assert f.arguments == ("a", "b")
     assert f.attacks == frozenset({("b", "a")})
     assert f.attacker_table() == {"a": ("b",), "b": ()}
+
+
+def test_attacker_table_is_kept_read_only_and_leaves_equality_alone():
+    f = Framework.make(["a", "b"], [("b", "a"), ("a", "a")])
+    with pytest.raises(TypeError):
+        f.attacker_table()["b"] = ("a",)
+    assert f.attacker_table() == {"a": ("a", "b"), "b": ()}
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and hash(g) == hash(f)
+    assert g.attacker_table() == f.attacker_table()
 
 
 def test_validation_errors():

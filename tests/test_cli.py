@@ -17,6 +17,8 @@ from g3arg.af import LABEL_ORDER, Framework, Label, check_complete
 from g3arg.syntax import format_formula, parse_pred, parse_prop
 from g3arg.translate import (
     CorrespondenceReport,
+    prop_theory,
+    stable_theory,
     und_definition,
     und_free_theories,
 )
@@ -204,32 +206,83 @@ def small_frameworks(draw):
     return Framework.make(names, draw(st.sets(st.sampled_from(pairs))))
 
 
+def assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw):
+    """``translate --mode prop|und-free`` prints format_formula of the rebuilt
+    clauses, in text and in JSON."""
+    facts = [f"arg({x})." for x in fw.arguments]
+    facts += [f"att({u},{x})." for u, x in sorted(fw.attacks)]
+    doc = write_doc(tmp_path, " ".join(facts) + "\n")
+    definition = format_formula(und_definition(fw))
+    want = {
+        "prop": [prop_theory(fw)],
+        "und-free": [stable_theory(fw), und_free_theories(fw)[1]],
+    }
+    for mode, theories in want.items():
+        theories = [
+            (t.tag, [(name, format_formula(g)) for name, g in t.clauses])
+            for t in theories
+        ]
+        lines = [f"mode: {mode}"]
+        for tag, clauses in theories:
+            lines += [f"theory {tag}:"] + [f"  {n}: {t}" for n, t in clauses]
+        if mode == "und-free":
+            lines.append(f"marker definition: {definition}")
+
+        code, out, err = run(capsys, "translate", doc, "--mode", mode)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+
+        code, out, err = run(capsys, "translate", doc, "--mode", mode, "--format", "json")
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert [
+            (t["tag"], [(c["name"], c["formula"]) for c in t["clauses"]])
+            for t in result["theories"]
+        ] == theories
+        if mode == "und-free":
+            assert result["marker_definition"] == definition
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(small_frameworks())
 def test_und_free_display_matches_the_rebuilt_theory(capsys, tmp_path, fw):
-    """Printing #n as its definition equals printing the replaced clauses."""
-    facts = [f"arg({x})." for x in fw.arguments]
-    facts += [f"att({u},{x})." for u, x in sorted(fw.attacks)]
-    doc = write_doc(tmp_path, " ".join(facts) + "\n")
-    _, free = und_free_theories(fw)
-    want = [(name, format_formula(g)) for name, g in free.clauses]
-    definition = format_formula(und_definition(fw))
+    """Printing #n as its definition equals printing the replaced clauses,
+    and the prop and stable theories equal their rebuilt clauses too."""
+    assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw)
 
-    code, out, err = run(capsys, "translate", doc, "--mode", "und-free")
-    assert (code, err) == (0, "")
-    lines = out.splitlines()
-    start = lines.index("theory und-free:") + 1
-    assert lines[start:] == [f"  {n}: {t}" for n, t in want] + [
-        f"marker definition: {definition}"
+
+def test_translate_fills_a_renamed_copy_with_its_own_names(capsys, tmp_path):
+    """A renamed copy has the same attacker shapes, so it is printed from the
+    first copy's clause texts; digit names show a fill with the wrong ones."""
+    rng = random.Random(13)
+    names = "abcdef"
+    attacks = {(u, x) for u in names for x in names if rng.random() < 0.35}
+    attacks.add(("c", "c"))
+    digits = dict(zip(names, ["0", "1", "10", "11", "2", "20"]))
+    for fw in (
+        Framework.make(names, attacks),
+        Framework.make(digits.values(), {(digits[u], digits[x]) for u, x in attacks}),
+    ):
+        assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw)
+
+
+def test_translate_builds_no_clause_theory(capsys, tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("translate built a clause theory")
+
+    fw = Framework.make("abc", [("a", "b"), ("b", "b"), ("c", "b"), ("b", "c")])
+    assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw)
+    calls = [
+        ("translate", str(tmp_path / "input.facts"), "--mode", mode, "--format", fmt)
+        for mode in ("prop", "und-free") for fmt in ("text", "json")
     ]
-
-    code, out, err = run(capsys, "translate", doc, "--mode", "und-free", "--format", "json")
-    assert (code, err) == (0, "")
-    result = json.loads(out)
-    assert [t["tag"] for t in result["theories"]] == ["stable", "und-free"]
-    assert [(c["name"], c["formula"]) for c in result["theories"][1]["clauses"]] == want
-    assert result["marker_definition"] == definition
+    want = [run(capsys, *argv) for argv in calls]
+    for module in (cli, translate):
+        for name in ("prop_theory", "stable_theory"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    translate._shape_texts.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == want
 
 
 def test_translate_pred_prints_closed_theory(capsys, cycle_doc):

@@ -159,6 +159,12 @@ def test_rejected_documents(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_a_second_psi_fact_is_named_once():
+    with pytest.raises(ParseError) as exc:
+        parse_document('arg(a). psi "R(a,a)". psi "R(a,a)".')
+    assert str(exc.value) == "duplicate psi fact (line 1, column 23)"
+
+
 @pytest.mark.parametrize(
     "text,message,line,col",
     [
