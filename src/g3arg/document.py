@@ -20,8 +20,8 @@ round-trip exactly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import NAME_RE, Framework
@@ -30,77 +30,76 @@ from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan
 from .syntax import ParseError, parse_pred, parse_prop
 from .threeval import DECIDED_ORDER
 
-_FACT_ARITY = {
-    "arg": 1,
-    "att": 2,
-    "wff": 2,
-    "inst": 2,
-    "datt": 2,
-    "catt": 2,
-    "acc": 2,
-    "psi": 1,
+# each fact's arity, and the species its presence marks
+_FACTS = {
+    "arg": (1, None),
+    "att": (2, None),
+    "wff": (2, "higher"),
+    "inst": (2, None),
+    "datt": (2, "disjunctive"),
+    "catt": (2, "conjunctive"),
+    "acc": (2, "adf"),
+    "psi": (1, "aaf"),
 }
 
-
-@dataclass(frozen=True)
-class _Fact:
-    name: str
-    args: tuple[str, ...]
-    line: int
-    col: int
-    text: str  # as read from its first character on, comments dropped
-
-    def fail(self, message: str) -> "ParseError":
-        return ParseError(f"{message} in {self.name} fact", self.line, self.col)
-
-
-# One piece pattern per level decides what is quoted. A quoted string runs
-# to its closing quote, across line breaks; a quote that is never closed is
-# a piece of its own. Outside quotes, `#` opens a comment to the end of its
-# line.
-_FACT_PIECE_RE = re.compile(r'"[^"]*"|"|#[^\n]*|\.|[^"#.]+')
+# One findall cuts the text into (blanks and comments, body, terminator)
+# triples. A quoted string runs to its closing quote, across line breaks;
+# outside quotes `#` opens a comment to the end of its line. A body ends at
+# its terminator: a `.`, a quote that is never closed, or the end of the
+# text. After the greedy body only a terminator can follow, so the match
+# never backtracks.
+_FACT_RE = re.compile(r'((?:\s+|#[^\n]*)*)((?:[^"#.]+|"[^"]*"|#[^\n]*)*)(\.|"|\Z)')
+# a comment in a body; a quoted string matches as group 1, which the sub keeps
+_COMMENT_RE = re.compile(r'("[^"]*")|#[^\n]*')
+_HEAD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*")
+# a fact whose parenthesized items hold no quote and no bracket
+_PLAIN_FACT_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)\s*\(([^"()\[\]]*)\)\Z')
 _ITEM_PIECE_RE = re.compile(r'"[^"]*"|"|[(\[]|[)\]]|,|[^"(\[)\],]+')
 
+# A fact is read into (name, items, start, text, document): its text runs
+# from its first character, at offset start in the document, comments
+# dropped.
+_Fact = tuple[str, list[str], int, str, str]
 
-def _split_facts(text: str) -> list[tuple[str, int, int]]:
-    """Cut the text at `.` pieces and drop comments, tracking positions."""
-    # offsets are located in increasing order, so each character is counted
-    # once; `line` and `line_start` hold for offset `mark`
-    line, line_start, mark = 1, 0, 0
 
-    def locate(offset: int) -> tuple[int, int]:
-        nonlocal line, line_start, mark
-        line += text.count("\n", mark, offset)
-        line_start = max(line_start, text.rfind("\n", mark, offset) + 1)
-        mark = offset
-        return line, offset - line_start + 1
+def _position(document: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, worked out for an error."""
+    line_start = document.rfind("\n", 0, offset) + 1
+    return document.count("\n", 0, offset) + 1, offset - line_start + 1
 
-    facts = []
-    buf: list[str] = []
-    start: tuple[int, int] | None = None
+
+def _place(fact: _Fact) -> tuple[int, int]:
+    return _position(fact[4], fact[2])
+
+
+def _fail(fact: _Fact, message: str) -> ParseError:
+    return ParseError(f"{message} in {fact[0]} fact", *_place(fact))
+
+
+def _bodies(text: str) -> Iterator[tuple[int, str]]:
+    """Yield each fact's start offset and text, comments dropped.
+
+    A `.` with no fact before it, a quote never closed and a fact with no
+    final `.` raise here, in the order they occur.
+    """
     pos = 0
-    for piece in _FACT_PIECE_RE.findall(text):
-        if piece == ".":
-            chunk = "".join(buf).strip()
-            if not chunk:
-                raise ParseError("empty fact", *locate(pos))
-            assert start is not None
-            facts.append((chunk, *start))
-            buf, start = [], None
-        elif piece[0] != "#":
-            if piece == '"':
-                raise ParseError("unterminated string", *locate(len(text)))
-            if start is None and not piece.isspace():
-                start = locate(pos + len(piece) - len(piece.lstrip()))
-            buf.append(piece)
-        pos += len(piece)
-    if "".join(buf).strip():
-        assert start is not None
-        raise ParseError("fact missing final '.'", *start)
-    return facts
+    for blank, body, end in _FACT_RE.findall(text):
+        start = pos + len(blank)
+        pos = start + len(body) + len(end)
+        if end != ".":
+            if end:
+                raise ParseError("unterminated string", *_position(text, len(text)))
+            if body:
+                raise ParseError("fact missing final '.'", *_position(text, start))
+            return
+        if not body:
+            raise ParseError("empty fact", *_position(text, start))
+        if "#" in body:
+            body = _COMMENT_RE.sub(r"\1", body)
+        yield start, body.rstrip()
 
 
-def _split_items(body: str, line: int, col: int) -> list[str]:
+def _split_items(body: str, text: str, start: int) -> list[str]:
     """Split on top-level commas, respecting parens, brackets and quotes."""
     items = []
     buf: list[str] = []
@@ -115,37 +114,80 @@ def _split_items(body: str, line: int, col: int) -> list[str]:
         elif piece == ")" or piece == "]":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced bracket", line, col)
+                raise ParseError("unbalanced bracket", *_position(text, start))
         buf.append(piece)
     items.append("".join(buf).strip())
     if not all(items):
-        raise ParseError("empty item in fact arguments", line, col)
+        raise ParseError("empty item in fact arguments", *_position(text, start))
     return items
 
 
-def _parse_fact(chunk: str, line: int, col: int) -> _Fact:
-    head = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*", chunk)
+def _read_items(chunk: str, text: str, start: int) -> tuple[str, list[str]]:
+    """A fact's name and items, through the piece loop for quotes and brackets."""
+    head = _HEAD_RE.match(chunk)
     if head is None:
-        raise ParseError("expected a fact name", line, col)
+        raise ParseError("expected a fact name", *_position(text, start))
     name = head.group(1)
-    if name not in _FACT_ARITY:
-        raise ParseError(f"unknown fact {name!r}", line, col)
+    if name not in _FACTS:
+        raise ParseError(f"unknown fact {name!r}", *_position(text, start))
     rest = chunk[head.end() :].strip()
     if name == "psi":
-        fact = _Fact(name, (rest,), line, col, chunk)
-    else:
-        if not (rest.startswith("(") and rest.endswith(")")):
-            raise ParseError(f"expected parenthesized arguments after {name!r}", line, col)
-        items = tuple(_split_items(rest[1:-1], line, col))
-        fact = _Fact(name, items, line, col, chunk)
-    if len(fact.args) != _FACT_ARITY[name]:
-        raise fact.fail(f"expected {_FACT_ARITY[name]} argument(s)")
-    return fact
+        return name, [rest]
+    if not (rest.startswith("(") and rest.endswith(")")):
+        raise ParseError(
+            f"expected parenthesized arguments after {name!r}", *_position(text, start)
+        )
+    return name, _split_items(rest[1:-1], text, start)
+
+
+def _read_facts(text: str) -> tuple[list[_Fact], list[_Fact], list[_Fact], set[str]]:
+    """Read every fact in one pass.
+
+    Returns the arg facts, the wff facts, the other facts in document order
+    and the species the facts mark.
+    """
+    arg_facts: list[_Fact] = []
+    wff_facts: list[_Fact] = []
+    others: list[_Fact] = []
+    markers: set[str] = set()
+    bodies = _bodies(text)
+    try:
+        for start, chunk in bodies:
+            plain = _PLAIN_FACT_RE.match(chunk)
+            if plain and plain[1] != "psi" and plain[1] in _FACTS:
+                name = plain[1]
+                items = [item.strip() for item in plain[2].split(",")]
+                if not all(items):
+                    raise ParseError(
+                        "empty item in fact arguments", *_position(text, start)
+                    )
+            else:
+                name, items = _read_items(chunk, text, start)
+                if name == "att" and any(R_UNIT_RE.match(t) for t in items):
+                    markers.add("higher")
+            fact = (name, items, start, chunk, text)
+            arity, marker = _FACTS[name]
+            if len(items) != arity:
+                raise _fail(fact, f"expected {arity} argument(s)")
+            if marker:
+                markers.add(marker)
+            if name == "arg":
+                arg_facts.append(fact)
+            elif name == "wff":
+                wff_facts.append(fact)
+            else:
+                others.append(fact)
+    except ParseError:
+        # a misplaced `.` or quote anywhere in the text is reported first
+        for _ in bodies:
+            pass
+        raise
+    return arg_facts, wff_facts, others, markers
 
 
 def _as_id(token: str, fact: _Fact) -> str:
     if not NAME_RE.match(token):
-        raise fact.fail(f"{token!r} is not a valid name")
+        raise _fail(fact, f"{token!r} is not a valid name")
     return token
 
 
@@ -158,7 +200,7 @@ def _as_unit(token: str, fact: _Fact) -> str:
 
 def _as_quoted(token: str, fact: _Fact) -> str:
     if not (len(token) >= 2 and token.startswith('"') and token.endswith('"')):
-        raise fact.fail(f"expected a quoted formula, got {token!r}")
+        raise _fail(fact, f"expected a quoted formula, got {token!r}")
     return token[1:-1]
 
 
@@ -170,33 +212,39 @@ def _parse_formula(
         return parse(token[1:-1])
     except ParseError as e:
         # find the error in the fact text, padded to start at the fact's column
-        text = " " * (fact.col - 1) + fact.text
+        line, col = _place(fact)
+        text = " " * (col - 1) + fact[3]
         at = text.index(token)
         for _ in range(e.line - 1):
             at = text.index("\n", at + 1)
-        at += e.col
-        line = fact.line + text.count("\n", 0, at)
-        raise ParseError(e.message, line, at - text.rfind("\n", 0, at)) from None
+        lines, col = _position(text, at + e.col)
+        raise ParseError(e.message, line + lines - 1, col) from None
 
 
 def _as_list(token: str, fact: _Fact) -> tuple[str, ...]:
     if not (token.startswith("[") and token.endswith("]")):
-        raise fact.fail(f"expected a bracketed name list, got {token!r}")
+        raise _fail(fact, f"expected a bracketed name list, got {token!r}")
     body = token[1:-1].strip()
     if not body:
-        raise fact.fail("empty name list")
-    return tuple(_as_id(item, fact) for item in _split_items(body, fact.line, fact.col))
+        raise _fail(fact, "empty name list")
+    return tuple(_as_id(item, fact) for item in _split_items(body, fact[4], fact[2]))
 
 
 def _check_declared(fact: _Fact, args: set[str], names: Iterable[str]) -> None:
     for name in names:
         if name not in args:
-            raise fact.fail(f"undeclared argument {name!r}")
+            raise _fail(fact, f"undeclared argument {name!r}")
 
 
 @dataclass(frozen=True)
 class InputDocument:
-    """A validated fact file; fields are sorted and formula texts verbatim."""
+    """A validated fact file; fields are sorted and formula texts verbatim.
+
+    ``trees`` maps each formula text to its tree as `parse_document` read
+    it, so the conversions parse nothing again; it takes no part in
+    equality. One document's formulas are all predicate (`wff`, `psi`) or
+    all propositional (`inst`, `acc`).
+    """
 
     species: str
     args: tuple[str, ...]
@@ -207,6 +255,9 @@ class InputDocument:
     catts: tuple[tuple[tuple[str, ...], str], ...]
     accs: tuple[tuple[str, str], ...]
     psi: str | None
+    trees: Mapping[str, Formula] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def to_framework(self) -> Framework:
         self._expect("plain")
@@ -214,7 +265,7 @@ class InputDocument:
 
     def to_higher(self) -> HigherNetwork:
         self._expect("higher")
-        wffs = [(name, parse_pred(text)) for name, text in self.wffs]
+        wffs = [(name, self._tree(parse_pred, text)) for name, text in self.wffs]
         return HigherNetwork.make(self.args, wffs, self.atts)
 
     def to_disjunctive(self) -> DisjunctiveNet:
@@ -229,8 +280,12 @@ class InputDocument:
         self._expect("adf")
         table = {}
         for x, text in self.accs:
-            condition = parse_prop(text)
-            _check_condition(condition, set(self.args))
+            condition = self.trees.get(text)
+            if condition is None:
+                condition = parse_prop(text)
+                message = _condition_error(condition, set(self.args))
+                if message:
+                    raise ParseError(message)
             parents = tuple(sorted(atoms_of(condition)))
             # a row is a 0/1 vector over the parents, the indices of a
             # decided-order scan
@@ -243,11 +298,15 @@ class InputDocument:
     def to_aaf(self) -> AxiomaticFrame:
         self._expect("aaf")
         assert self.psi is not None
-        return AxiomaticFrame.make(self.args, parse_pred(self.psi))
+        return AxiomaticFrame.make(self.args, self._tree(parse_pred, self.psi))
 
     def to_substitution(self) -> dict[str, Formula]:
         self._expect("plain")
-        return {x: parse_prop(text) for x, text in self.insts}
+        return {x: self._tree(parse_prop, text) for x, text in self.insts}
+
+    def _tree(self, parse: Callable[[str], Formula], text: str) -> Formula:
+        tree = self.trees.get(text)
+        return parse(text) if tree is None else tree
 
     def _expect(self, species: str) -> None:
         if self.species != species:
@@ -256,55 +315,29 @@ class InputDocument:
             )
 
 
-def _check_condition(f: Formula, declared: set[str], line: int = 0, col: int = 0) -> None:
-    """Acceptance conditions: and/or over literals, true, false.
+def _condition_error(f: Formula, declared: set[str]) -> str | None:
+    """What keeps ``f`` from being an acceptance condition, if anything.
 
-    An error names ``line`` and ``col``, where the acc fact starts, if given.
+    Acceptance conditions are and/or over literals, true and false.
     """
     for node in walk(f):
         if isinstance(node, Atom) and node.name not in declared:
-            raise ParseError(
-                f"acceptance condition mentions undeclared {node.name!r}", line, col
-            )
+            return f"acceptance condition mentions undeclared {node.name!r}"
         if isinstance(node, Neg) and not isinstance(node.body, Atom):
-            raise ParseError("acceptance conditions may negate atoms only", line, col)
+            return "acceptance conditions may negate atoms only"
         if not isinstance(node, (Atom, Neg, And, Or, Top, Bot)):
-            raise ParseError(
-                f"{type(node).__name__} is not allowed in an acceptance condition",
-                line,
-                col,
-            )
-
-
-def _detect_species(facts: list[_Fact]) -> str:
-    markers = set()
-    for fact in facts:
-        if fact.name == "datt":
-            markers.add("disjunctive")
-        elif fact.name == "catt":
-            markers.add("conjunctive")
-        elif fact.name == "acc":
-            markers.add("adf")
-        elif fact.name == "psi":
-            markers.add("aaf")
-        elif fact.name == "wff":
-            markers.add("higher")
-        elif fact.name == "att" and any(R_UNIT_RE.match(t.strip()) for t in fact.args):
-            markers.add("higher")
-    if len(markers) > 1:
-        raise ParseError(f"mixed species: {' and '.join(sorted(markers))}")
-    return markers.pop() if markers else "plain"
+            return f"{type(node).__name__} is not allowed in an acceptance condition"
+    return None
 
 
 def parse_document(text: str) -> InputDocument:
     """Parse and validate a fact file into a single-species document."""
-    facts = [_parse_fact(*chunk) for chunk in _split_facts(text)]
-    species = _detect_species(facts)
+    arg_facts, wff_facts, others, markers = _read_facts(text)
+    if len(markers) > 1:
+        raise ParseError(f"mixed species: {' and '.join(sorted(markers))}")
+    species = markers.pop() if markers else "plain"
 
-    args: set[str] = set()
-    for fact in facts:
-        if fact.name == "arg":
-            args.add(_as_id(fact.args[0], fact))
+    args = {_as_id(fact[1][0], fact) for fact in arg_facts}
     if not args:
         raise ParseError("a document needs at least one arg fact")
 
@@ -315,68 +348,76 @@ def parse_document(text: str) -> InputDocument:
     catts: set[tuple[tuple[str, ...], str]] = set()
     accs: dict[str, str] = {}
     psi: str | None = None
+    trees: dict[str, Formula] = {}
 
-    for fact in facts:
-        if fact.name == "wff":
-            name = _as_id(fact.args[0], fact)
-            text_ = _as_quoted(fact.args[1], fact)
-            if name in args:
-                raise fact.fail(f"wff name {name!r} collides with an argument")
-            if wffs.get(name, text_) != text_:
-                raise fact.fail(f"conflicting formulas for wff {name!r}")
-            _parse_formula(parse_pred, fact.args[1], fact)
-            wffs[name] = text_
+    for fact in wff_facts:
+        token, quoted = fact[1]
+        name = _as_id(token, fact)
+        text_ = _as_quoted(quoted, fact)
+        if name in args:
+            raise _fail(fact, f"wff name {name!r} collides with an argument")
+        if wffs.get(name, text_) != text_:
+            raise _fail(fact, f"conflicting formulas for wff {name!r}")
+        trees[text_] = _parse_formula(parse_pred, quoted, fact)
+        wffs[name] = text_
 
-    for fact in facts:
-        if fact.name == "arg":
-            continue
-        if fact.name == "att":
+    for fact in others:
+        kind, items = fact[0], fact[1]
+        if kind == "att":
             if species not in ("plain", "higher"):
-                raise fact.fail(f"att facts do not apply to {species} documents")
+                raise _fail(fact, f"att facts do not apply to {species} documents")
+            u, x = items
+            if u in args and x in args:
+                atts.add((u, x))
+                continue
             endpoints = []
-            for token in fact.args:
+            for token in items:
                 unit = _as_unit(token, fact)
                 m = R_UNIT_RE.match(unit)
                 if m:
                     _check_declared(fact, args, m.groups())
                 elif unit not in args and unit not in wffs:
-                    raise fact.fail(f"undeclared name {unit!r}")
+                    raise _fail(fact, f"undeclared name {unit!r}")
                 endpoints.append(unit)
             atts.add((endpoints[0], endpoints[1]))
-        elif fact.name == "inst":
+        elif kind == "inst":
             if species != "plain":
-                raise fact.fail("inst facts apply to plain documents only")
-            x = _as_id(fact.args[0], fact)
+                raise _fail(fact, "inst facts apply to plain documents only")
+            x = _as_id(items[0], fact)
             _check_declared(fact, args, (x,))
-            text_ = _as_quoted(fact.args[1], fact)
+            text_ = _as_quoted(items[1], fact)
             if insts.get(x, text_) != text_:
-                raise fact.fail(f"conflicting replacements for {x!r}")
-            _parse_formula(parse_prop, fact.args[1], fact)
+                raise _fail(fact, f"conflicting replacements for {x!r}")
+            trees[text_] = _parse_formula(parse_prop, items[1], fact)
             insts[x] = text_
-        elif fact.name == "datt":
-            z = _as_id(fact.args[0], fact)
-            targets = _as_list(fact.args[1], fact)
+        elif kind == "datt":
+            z = _as_id(items[0], fact)
+            targets = _as_list(items[1], fact)
             _check_declared(fact, args, (z, *targets))
             datts.add((z, tuple(sorted(set(targets)))))
-        elif fact.name == "catt":
-            group = _as_list(fact.args[0], fact)
-            z = _as_id(fact.args[1], fact)
+        elif kind == "catt":
+            group = _as_list(items[0], fact)
+            z = _as_id(items[1], fact)
             _check_declared(fact, args, (*group, z))
             catts.add((tuple(sorted(set(group))), z))
-        elif fact.name == "acc":
-            x = _as_id(fact.args[0], fact)
+        elif kind == "acc":
+            x = _as_id(items[0], fact)
             _check_declared(fact, args, (x,))
-            text_ = _as_quoted(fact.args[1], fact)
+            text_ = _as_quoted(items[1], fact)
             if x in accs:
-                raise fact.fail(f"duplicate acceptance condition for {x!r}")
-            condition = _parse_formula(parse_prop, fact.args[1], fact)
-            _check_condition(condition, args, fact.line, fact.col)
+                raise _fail(fact, f"duplicate acceptance condition for {x!r}")
+            condition = _parse_formula(parse_prop, items[1], fact)
+            message = _condition_error(condition, args)
+            if message:
+                # an error in a condition names where its acc fact starts
+                raise ParseError(message, *_place(fact))
+            trees[text_] = condition
             accs[x] = text_
-        elif fact.name == "psi":
+        elif kind == "psi":
             if psi is not None:
-                raise ParseError("duplicate psi fact", fact.line, fact.col)
-            psi = _as_quoted(fact.args[0], fact)
-            _parse_formula(parse_pred, fact.args[0], fact)
+                raise ParseError("duplicate psi fact", *_place(fact))
+            psi = _as_quoted(items[0], fact)
+            trees[psi] = _parse_formula(parse_pred, items[0], fact)
 
     if species == "adf" and set(accs) != args:
         missing = sorted(args - set(accs))
@@ -392,6 +433,7 @@ def parse_document(text: str) -> InputDocument:
         catts=tuple(sorted(catts)),
         accs=tuple(sorted(accs.items())),
         psi=psi,
+        trees=trees,
     )
 
 

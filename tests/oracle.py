@@ -14,19 +14,22 @@ in-set and sweeps for the maximal ones.
 The structural walks (formatting, free variables, leaf replacement, AC
 normal form) are the recursive definitions that the package's explicit-stack
 traversals must agree with.
-The fact reader at the end is the character-loop reader the package's piece
-scanner replaced; it forgets an open quote at every line break, so it is the
-reference only for documents whose quoted strings stay on one line.
+The fact reader at the end is a character-loop reader with the fact
+parsing, species detection and validation passes the package's one-pass
+reader replaced; it patches nothing in the package. It forgets an open quote
+at every line break, so it is the reference only for documents whose quoted
+strings stay on one line.
 """
 
 from __future__ import annotations
 
 import itertools
-from unittest.mock import patch
+import re
+from dataclasses import dataclass
 
-from g3arg import document
-from g3arg.af import LABEL_ORDER, Classified, Framework, Label, check_complete
-from g3arg.meta import GeneralizedModel, _star_clauses
+from g3arg.af import LABEL_ORDER, NAME_RE, Classified, Framework, Label, check_complete
+from g3arg.document import InputDocument
+from g3arg.meta import R_UNIT_RE, GeneralizedModel, _star_clauses
 from g3arg.pred import (
     EqAtom,
     Exists,
@@ -52,7 +55,7 @@ from g3arg.prop import (
     conj,
     disj,
 )
-from g3arg.syntax import ParseError
+from g3arg.syntax import ParseError, parse_pred, parse_prop
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
 from g3arg.translate import prop_theory
 
@@ -527,7 +530,234 @@ def _split_items(body: str, line: int, col: int) -> list[str]:
     return items
 
 
+# What follows is the fact parsing, species detection and validation of the
+# reader the one-pass reader replaced, reading the facts cut by the
+# character loop above.
+
+_FACT_ARITY = {
+    "arg": 1,
+    "att": 2,
+    "wff": 2,
+    "inst": 2,
+    "datt": 2,
+    "catt": 2,
+    "acc": 2,
+    "psi": 1,
+}
+
+
+@dataclass(frozen=True)
+class _Fact:
+    name: str
+    args: tuple[str, ...]
+    line: int
+    col: int
+    text: str  # as read from its first character on, comments dropped
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(f"{message} in {self.name} fact", self.line, self.col)
+
+
+def _parse_fact(chunk: str, line: int, col: int) -> _Fact:
+    head = re.match(r"([A-Za-z_][A-Za-z0-9_]*)\s*", chunk)
+    if head is None:
+        raise ParseError("expected a fact name", line, col)
+    name = head.group(1)
+    if name not in _FACT_ARITY:
+        raise ParseError(f"unknown fact {name!r}", line, col)
+    rest = chunk[head.end() :].strip()
+    if name == "psi":
+        fact = _Fact(name, (rest,), line, col, chunk)
+    else:
+        if not (rest.startswith("(") and rest.endswith(")")):
+            raise ParseError(f"expected parenthesized arguments after {name!r}", line, col)
+        items = tuple(_split_items(rest[1:-1], line, col))
+        fact = _Fact(name, items, line, col, chunk)
+    if len(fact.args) != _FACT_ARITY[name]:
+        raise fact.fail(f"expected {_FACT_ARITY[name]} argument(s)")
+    return fact
+
+
+def _as_id(token, fact):
+    if not NAME_RE.match(token):
+        raise fact.fail(f"{token!r} is not a valid name")
+    return token
+
+
+def _as_unit(token, fact):
+    m = R_UNIT_RE.match(token)
+    if m:
+        return f"r({m.group(1)},{m.group(2)})"
+    return _as_id(token, fact)
+
+
+def _as_quoted(token, fact):
+    if not (len(token) >= 2 and token.startswith('"') and token.endswith('"')):
+        raise fact.fail(f"expected a quoted formula, got {token!r}")
+    return token[1:-1]
+
+
+def _parse_formula(parse, token, fact):
+    """Parse a quoted formula; a ParseError names its place in the file."""
+    try:
+        return parse(token[1:-1])
+    except ParseError as e:
+        # find the error in the fact text, padded to start at the fact's column
+        text = " " * (fact.col - 1) + fact.text
+        at = text.index(token)
+        for _ in range(e.line - 1):
+            at = text.index("\n", at + 1)
+        at += e.col
+        line = fact.line + text.count("\n", 0, at)
+        raise ParseError(e.message, line, at - text.rfind("\n", 0, at)) from None
+
+
+def _as_list(token, fact):
+    if not (token.startswith("[") and token.endswith("]")):
+        raise fact.fail(f"expected a bracketed name list, got {token!r}")
+    body = token[1:-1].strip()
+    if not body:
+        raise fact.fail("empty name list")
+    return tuple(_as_id(item, fact) for item in _split_items(body, fact.line, fact.col))
+
+
+def _check_declared(fact, args, names):
+    for name in names:
+        if name not in args:
+            raise fact.fail(f"undeclared argument {name!r}")
+
+
+def _check_condition(f, declared, line=0, col=0):
+    """Acceptance conditions: and/or over literals, true, false."""
+    for node in walk(f):
+        if isinstance(node, Atom) and node.name not in declared:
+            raise ParseError(
+                f"acceptance condition mentions undeclared {node.name!r}", line, col
+            )
+        if isinstance(node, Neg) and not isinstance(node.body, Atom):
+            raise ParseError("acceptance conditions may negate atoms only", line, col)
+        if not isinstance(node, (Atom, Neg, And, Or, Top, Bot)):
+            raise ParseError(
+                f"{type(node).__name__} is not allowed in an acceptance condition",
+                line,
+                col,
+            )
+
+
+def _detect_species(facts):
+    markers = set()
+    for fact in facts:
+        if fact.name == "datt":
+            markers.add("disjunctive")
+        elif fact.name == "catt":
+            markers.add("conjunctive")
+        elif fact.name == "acc":
+            markers.add("adf")
+        elif fact.name == "psi":
+            markers.add("aaf")
+        elif fact.name == "wff":
+            markers.add("higher")
+        elif fact.name == "att" and any(R_UNIT_RE.match(t.strip()) for t in fact.args):
+            markers.add("higher")
+    if len(markers) > 1:
+        raise ParseError(f"mixed species: {' and '.join(sorted(markers))}")
+    return markers.pop() if markers else "plain"
+
+
 def parse_document(text):
-    """The package's parse_document, reading facts with the reader above."""
-    with patch.multiple(document, _split_facts=_split_facts, _split_items=_split_items):
-        return document.parse_document(text)
+    """Parse and validate a fact file, reading facts with the loops above."""
+    facts = [_parse_fact(*chunk) for chunk in _split_facts(text)]
+    species = _detect_species(facts)
+
+    args = set()
+    for fact in facts:
+        if fact.name == "arg":
+            args.add(_as_id(fact.args[0], fact))
+    if not args:
+        raise ParseError("a document needs at least one arg fact")
+
+    atts = set()
+    wffs = {}
+    insts = {}
+    datts = set()
+    catts = set()
+    accs = {}
+    psi = None
+
+    for fact in facts:
+        if fact.name == "wff":
+            name = _as_id(fact.args[0], fact)
+            text_ = _as_quoted(fact.args[1], fact)
+            if name in args:
+                raise fact.fail(f"wff name {name!r} collides with an argument")
+            if wffs.get(name, text_) != text_:
+                raise fact.fail(f"conflicting formulas for wff {name!r}")
+            _parse_formula(parse_pred, fact.args[1], fact)
+            wffs[name] = text_
+
+    for fact in facts:
+        if fact.name == "arg":
+            continue
+        if fact.name == "att":
+            if species not in ("plain", "higher"):
+                raise fact.fail(f"att facts do not apply to {species} documents")
+            endpoints = []
+            for token in fact.args:
+                unit = _as_unit(token, fact)
+                m = R_UNIT_RE.match(unit)
+                if m:
+                    _check_declared(fact, args, m.groups())
+                elif unit not in args and unit not in wffs:
+                    raise fact.fail(f"undeclared name {unit!r}")
+                endpoints.append(unit)
+            atts.add((endpoints[0], endpoints[1]))
+        elif fact.name == "inst":
+            if species != "plain":
+                raise fact.fail("inst facts apply to plain documents only")
+            x = _as_id(fact.args[0], fact)
+            _check_declared(fact, args, (x,))
+            text_ = _as_quoted(fact.args[1], fact)
+            if insts.get(x, text_) != text_:
+                raise fact.fail(f"conflicting replacements for {x!r}")
+            _parse_formula(parse_prop, fact.args[1], fact)
+            insts[x] = text_
+        elif fact.name == "datt":
+            z = _as_id(fact.args[0], fact)
+            targets = _as_list(fact.args[1], fact)
+            _check_declared(fact, args, (z, *targets))
+            datts.add((z, tuple(sorted(set(targets)))))
+        elif fact.name == "catt":
+            group = _as_list(fact.args[0], fact)
+            z = _as_id(fact.args[1], fact)
+            _check_declared(fact, args, (*group, z))
+            catts.add((tuple(sorted(set(group))), z))
+        elif fact.name == "acc":
+            x = _as_id(fact.args[0], fact)
+            _check_declared(fact, args, (x,))
+            text_ = _as_quoted(fact.args[1], fact)
+            if x in accs:
+                raise fact.fail(f"duplicate acceptance condition for {x!r}")
+            condition = _parse_formula(parse_prop, fact.args[1], fact)
+            _check_condition(condition, args, fact.line, fact.col)
+            accs[x] = text_
+        elif fact.name == "psi":
+            if psi is not None:
+                raise ParseError("duplicate psi fact", fact.line, fact.col)
+            psi = _as_quoted(fact.args[0], fact)
+            _parse_formula(parse_pred, fact.args[0], fact)
+
+    if species == "adf" and set(accs) != args:
+        missing = sorted(args - set(accs))
+        raise ParseError(f"missing acceptance condition for {missing[0]!r}")
+
+    return InputDocument(
+        species=species,
+        args=tuple(sorted(args)),
+        atts=tuple(sorted(atts)),
+        wffs=tuple(sorted(wffs.items())),
+        insts=tuple(sorted(insts.items())),
+        datts=tuple(sorted(datts)),
+        catts=tuple(sorted(catts)),
+        accs=tuple(sorted(accs.items())),
+        psi=psi,
+    )

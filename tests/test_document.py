@@ -1,9 +1,12 @@
 """Fact-file parsing: species detection, validation, conversion, round trips."""
 
+from unittest.mock import patch
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
+from g3arg import document
 from g3arg.document import InputDocument, parse_document, serialize_document
 from g3arg.syntax import ParseError
 
@@ -329,3 +332,47 @@ def _outcome(read, text):
 @given(documents())
 def test_reader_matches_the_character_loop_reader(text):
     assert _outcome(parse_document, text) == _outcome(oracle.parse_document, text)
+
+
+@settings(
+    max_examples=2000, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
+@given(st.text(alphabet='abw R(),.#n|&~[]"\n\t psiargtdc', max_size=80))
+def test_reader_matches_the_character_loop_reader_on_raw_text(text):
+    # the character-loop reader forgets an open quote at a line break
+    assume(all(line.count('"') % 2 == 0 for line in text.split("\n")))
+    assert _outcome(parse_document, text) == _outcome(oracle.parse_document, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'arg(a). arg(b).\nwff(w, "R(a,b) |\nR(b,a)").\natt(a, w). att(w, r(a,b)).\n',
+        'arg(a). arg(b). acc(a, "b | ~b").\nacc(b, "true").',
+        'arg(a). arg(b). psi "forall X (R(X,a) -> X = b)".',
+        'arg(x). arg(y). att(x,y). inst(x, "p | ~p"). inst(y, "#n & q").',
+    ],
+)
+def test_conversions_use_the_trees_read_with_the_document(text):
+    doc = parse_document(text)
+    # the same fields without the trees, as a document built by hand
+    fields = [f for f in doc.__dataclass_fields__ if f != "trees"]
+    fresh = InputDocument(**{f: getattr(doc, f) for f in fields})
+    assert fresh == doc and hash(fresh) == hash(doc) and repr(fresh) == repr(doc)
+    convert = {
+        "higher": InputDocument.to_higher,
+        "adf": InputDocument.to_adf,
+        "aaf": InputDocument.to_aaf,
+        "plain": InputDocument.to_substitution,
+    }[doc.species]
+    want = convert(fresh)
+    with patch.object(document, "parse_prop", side_effect=AssertionError), patch.object(
+        document, "parse_pred", side_effect=AssertionError
+    ), patch.object(document, "_condition_error", side_effect=AssertionError):
+        assert convert(doc) == want
+
+
+def test_a_document_built_by_hand_checks_its_conditions():
+    doc = InputDocument("adf", ("a",), (), (), (), (), (), (("a", "~(a & a)"),), None)
+    with pytest.raises(ParseError, match="^acceptance conditions may negate atoms only$"):
+        doc.to_adf()
