@@ -31,7 +31,7 @@ from .af import (
     enumerate_complete_determined,
 )
 from .document import InputDocument, parse_document
-from .meta import solve_higher, star_theory
+from .meta import solve_higher, star_texts
 from .prop import SearchSpaceExceeded, is_valid, select_assignments
 from .syntax import MarkerText, ParseError, format_formula, parse_prop
 from .threeval import ThreeVal
@@ -161,7 +161,7 @@ def _cmd_translate(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         "mode": ns.mode,
     }
     if ns.mode == "higher":
-        result["theories"] = [_formatted(star_theory(doc.to_higher()))]
+        result["theories"] = [_theory_dict("higher", star_texts(doc.to_higher()))]
     elif ns.mode == "prop":
         result["theories"] = [_theory_dict("prop", clause_texts(doc.to_framework()))]
     elif ns.mode == "und-free":

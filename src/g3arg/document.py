@@ -54,6 +54,14 @@ _COMMENT_RE = re.compile(r'("[^"]*")|#[^\n]*')
 _HEAD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*")
 # a fact whose parenthesized items hold no quote and no bracket
 _PLAIN_FACT_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)\s*\(([^"()\[\]]*)\)\Z')
+# a catt or datt fact whose name list holds no quote, paren or bracket, and
+# whose other item no comma either: the list is one item, the other is plain
+_LIST_FACT_RE = re.compile(
+    r'catt\s*\(\s*(\[[^"()\[\]]*\])\s*,([^"()\[\],]*)\)\Z'
+    r'|datt\s*\(([^"()\[\],]*),\s*(\[[^"()\[\]]*\])\s*\)\Z'
+)
+# a name list that ``_plain_items`` splits as the piece loop would
+_PLAIN_LIST_RE = re.compile(r'[^"()\[\]]*\Z')
 _ITEM_PIECE_RE = re.compile(r'"[^"]*"|"|[(\[]|[)\]]|,|[^"(\[)\],]+')
 
 # A fact is read into (name, items, start, text, document): its text runs
@@ -97,6 +105,14 @@ def _bodies(text: str) -> Iterator[tuple[int, str]]:
         if "#" in body:
             body = _COMMENT_RE.sub(r"\1", body)
         yield start, body.rstrip()
+
+
+def _plain_items(body: str, text: str, start: int) -> list[str]:
+    """``_split_items`` for a body with no quote, paren or bracket."""
+    items = [item.strip() for item in body.split(",")]
+    if not all(items):
+        raise ParseError("empty item in fact arguments", *_position(text, start))
+    return items
 
 
 def _split_items(body: str, text: str, start: int) -> list[str]:
@@ -155,12 +171,14 @@ def _read_facts(text: str) -> tuple[list[_Fact], list[_Fact], list[_Fact], set[s
         for start, chunk in bodies:
             plain = _PLAIN_FACT_RE.match(chunk)
             if plain and plain[1] != "psi" and plain[1] in _FACTS:
-                name = plain[1]
-                items = [item.strip() for item in plain[2].split(",")]
-                if not all(items):
-                    raise ParseError(
-                        "empty item in fact arguments", *_position(text, start)
-                    )
+                name, items = plain[1], _plain_items(plain[2], text, start)
+            elif listed := _LIST_FACT_RE.match(chunk):
+                if listed[1]:
+                    name = "catt"
+                    items = [listed[1], *_plain_items(listed[2], text, start)]
+                else:
+                    name = "datt"
+                    items = [*_plain_items(listed[3], text, start), listed[4]]
             else:
                 name, items = _read_items(chunk, text, start)
                 if name == "att" and any(R_UNIT_RE.match(t) for t in items):
@@ -227,7 +245,8 @@ def _as_list(token: str, fact: _Fact) -> tuple[str, ...]:
     body = token[1:-1].strip()
     if not body:
         raise _fail(fact, "empty name list")
-    return tuple(_as_id(item, fact) for item in _split_items(body, fact[4], fact[2]))
+    split = _plain_items if _PLAIN_LIST_RE.match(body) else _split_items
+    return tuple(_as_id(item, fact) for item in split(body, fact[4], fact[2]))
 
 
 def _check_declared(fact: _Fact, args: set[str], names: Iterable[str]) -> None:

@@ -10,6 +10,8 @@ three-valued.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -19,6 +21,7 @@ from .prop import (
 )
 from .pred import (
     Constant,
+    EqAtom,
     InAtom,
     PredInterp,
     RAtom,
@@ -29,6 +32,7 @@ from .pred import (
     is_closed,
     relation_to_r_val,
 )
+from .syntax import MarkerText, format_formula
 from .threeval import VALUE_ORDER, ThreeVal
 from .translate import Theory
 
@@ -144,12 +148,7 @@ def attack_formula(hn: HigherNetwork, source: str, target: str) -> Formula:
     formula -> formula: body -> ~body
     """
     s_in, _ = _source_forms(hn, source, target, _inline)
-    t_in = (
-        InAtom(Constant(target))
-        if hn.is_node(target)
-        else hn.wff(target).formula
-    )
-    return Imp(s_in, Neg(t_in))
+    return Imp(s_in, _unit_forms(hn, target, _inline)[1])
 
 
 def _inline(unit: WffUnit) -> Formula:
@@ -158,6 +157,23 @@ def _inline(unit: WffUnit) -> Formula:
 
 def _as_status(unit: WffUnit) -> Formula:
     return unit.formula if unit.is_r_atom else StatusRef(unit.name)
+
+
+def _forms(body: Formula) -> tuple[Formula, Formula]:
+    return body, Neg(body)
+
+
+def _edge_forms(source: str, target: str) -> tuple[Formula, Formula]:
+    """(holds, fails) of a node attacking a node, jointly with the attack atom."""
+    member, edge = InAtom(Constant(source)), RAtom(Constant(source), Constant(target))
+    return And(member, edge), Or(Neg(member), Neg(edge))
+
+
+def _unit_forms(
+    hn: HigherNetwork, name: str, wff_form: Callable[[WffUnit], Formula]
+) -> tuple[Formula, Formula]:
+    """(holds, fails) of a unit: its membership if a node, else its formula."""
+    return _forms(InAtom(Constant(name)) if hn.is_node(name) else wff_form(hn.wff(name)))
 
 
 def _source_forms(
@@ -172,24 +188,36 @@ def _source_forms(
     a node attacking a formula acts through its membership alone; a formula
     acts through itself.
     """
-    if hn.is_node(source):
-        member = InAtom(Constant(source))
-        if hn.is_node(target):
-            edge = RAtom(Constant(source), Constant(target))
-            return And(member, edge), Or(Neg(member), Neg(edge))
-        return member, Neg(member)
-    body = wff_form(hn.wff(source))
-    return body, Neg(body)
+    if hn.is_node(source) and hn.is_node(target):
+        return _edge_forms(source, target)
+    return _unit_forms(hn, source, wff_form)
 
 
-def _target_forms(
-    hn: HigherNetwork, target: str, wff_form: Callable[[WffUnit], Formula]
-) -> tuple[Formula, Formula]:
-    if hn.is_node(target):
-        member = InAtom(Constant(target))
-        return member, Neg(member)
-    body = wff_form(hn.wff(target))
-    return body, Neg(body)
+_UND = UndConst()
+
+
+def _unit_clauses(
+    name: str, holds: Formula, fails: Formula, attackers: list[tuple[Formula, Formula]]
+) -> list[tuple[str, Formula]]:
+    """One unit's a1, a2 (only when attacked), b1 and b2, from its attackers' forms."""
+    outs = conj([fail for _, fail in attackers])
+    ins = disj([hold for hold, _ in attackers])
+    clauses = [(f"a1[{name}]", Imp(holds, Or(_UND, outs)))]
+    if attackers:
+        clauses.append((f"a2[{name}]", Imp(outs, Or(_UND, holds))))
+    clauses.append((f"b1[{name}]", Imp(fails, Or(_UND, ins))))
+    clauses.append((f"b2[{name}]", Imp(ins, Or(_UND, fails))))
+    return clauses
+
+
+def _extra_attackers(hn: HigherNetwork) -> dict[str, list[str]]:
+    """Each unit's declared attackers in ``hattacks`` order, but for node -> node,
+    which the implicit attacks of every node on every node cover."""
+    extra: dict[str, list[str]] = {name: [] for name in hn.unit_names()}
+    for s, t in hn.hattacks:
+        if not (hn.is_node(s) and hn.is_node(t)):
+            extra[t].append(s)
+    return extra
 
 
 def _star_clauses(
@@ -197,42 +225,26 @@ def _star_clauses(
     implicit: bool,
     wff_form: Callable[[WffUnit], Formula],
 ) -> tuple[tuple[str, Formula], ...]:
-    und = UndConst()
     clauses: list[tuple[str, Formula]] = []
     if implicit:
-        for name in hn.unit_names():
-            holds, fails = _target_forms(hn, name, wff_form)
-            if hn.is_node(name):
-                attackers = [
-                    _source_forms(hn, y, name, wff_form) for y in hn.nodes
-                ]
-            else:
-                attackers = []
-            attackers.extend(
-                _source_forms(hn, s, name, wff_form)
-                for s, t in hn.hattacks
-                if t == name and not (hn.is_node(s) and hn.is_node(name))
-            )
-            outs = conj([fail for _, fail in attackers])
-            ins = disj([hold for hold, _ in attackers])
-            clauses.append((f"a1[{name}]", Imp(holds, Or(und, outs))))
-            if attackers:
-                clauses.append((f"a2[{name}]", Imp(outs, Or(und, holds))))
-            clauses.append((f"b1[{name}]", Imp(fails, Or(und, ins))))
-            clauses.append((f"b2[{name}]", Imp(ins, Or(und, fails))))
+        for name, sources in _extra_attackers(hn).items():
+            implied = hn.nodes if hn.is_node(name) else ()
+            attackers = [_edge_forms(y, name) for y in implied]
+            attackers += [_source_forms(hn, s, name, wff_form) for s in sources]
+            clauses += _unit_clauses(name, *_unit_forms(hn, name, wff_form), attackers)
         return tuple(clauses)
     for family in ("a1", "a2", "b1", "b2"):
         for s, t in hn.hattacks:
-            t_holds, t_fails = _target_forms(hn, t, wff_form)
+            t_holds, t_fails = _unit_forms(hn, t, wff_form)
             s_holds, s_fails = _source_forms(hn, s, t, wff_form)
             if family == "a1":
-                g = Imp(t_holds, Or(und, s_fails))
+                g = Imp(t_holds, Or(_UND, s_fails))
             elif family == "a2":
-                g = Imp(s_fails, Or(und, t_holds))
+                g = Imp(s_fails, Or(_UND, t_holds))
             elif family == "b1":
-                g = Imp(t_fails, Or(und, s_holds))
+                g = Imp(t_fails, Or(_UND, s_holds))
             else:
-                g = Imp(s_holds, Or(und, t_fails))
+                g = Imp(s_holds, Or(_UND, t_fails))
             clauses.append((f"{family}[{t}<-{s}]", g))
     return tuple(clauses)
 
@@ -245,12 +257,75 @@ def star_theory(hn: HigherNetwork, implicit: bool = True) -> Theory:
     between them, whether or not that attack is declared, while formula
     units are attacked only as declared. A formula unit with no attackers
     gets no lower-bound clause (its standing is not forced up), but keeps
-    the clause forbidding it to fail outright.
+    the clause forbidding it to fail outright. ``star_texts`` renders these
+    clauses without building them.
 
     With ``implicit`` off, clauses are generated one per declared attack,
     the display form used for worked examples.
     """
     return Theory("higher", _star_clauses(hn, implicit, _inline))
+
+
+@functools.cache
+def _unit_shape_texts(
+    target: str | int, n: int, extras: tuple[str | int, ...]
+) -> tuple[tuple[str, str], ...]:
+    """A unit's clauses of ``star_theory``, rendered once over placeholders.
+
+    A kind is "node", or how a formula unit's body binds: "eq" for a bare
+    equality, which stays an equality so that its negation prints as
+    ``a!=b``, else the body's precedence, which a ``MarkerText`` leaf
+    parenthesizes by. ``{0}`` stands for the unit's name. A node target
+    (n nodes) reads the nodes at ``{1}``..``{n}``; a formula target reads
+    its body next (two slots for an equality, one otherwise). Then each
+    extra attacker of kind ``extras[i]`` takes its slots in turn.
+    """
+    slots = map("{{{}}}".format, itertools.count(1))
+
+    def placeholder(kind: str | int) -> Formula:
+        if kind == "node":
+            return InAtom(Constant(next(slots)))
+        if kind == "eq":
+            return EqAtom(Constant(next(slots)), Constant(next(slots)))
+        return MarkerText(next(slots), kind)  # type: ignore[return-value]
+
+    if target == "node":
+        holds = InAtom(Constant("{0}"))
+        attackers = [_edge_forms(next(slots), "{0}") for _ in range(n)]
+    else:
+        holds = placeholder(target)
+        attackers = []
+    attackers += [_forms(placeholder(kind)) for kind in extras]
+    clauses = _unit_clauses("{0}", *_forms(holds), attackers)
+    return tuple((name, format_formula(g)) for name, g in clauses)
+
+
+def star_texts(hn: HigherNetwork) -> list[tuple[str, str]]:
+    """``(name, format_formula(g))`` for each clause of ``star_theory(hn)``.
+
+    Each unit shape (its kind, its node count if a node, and its extra
+    attackers' kinds in order) is rendered once, and each formula body
+    once per call; the names and body texts are filled in with
+    ``str.format``, so no clause tree of ``hn`` is built.
+    """
+    kinds: dict[str, str | int] = dict.fromkeys(hn.nodes, "node")
+    fills = {x: (x,) for x in hn.nodes}
+    for unit in hn.wffs:
+        f = unit.formula
+        if type(f) is EqAtom:
+            kinds[unit.name], fills[unit.name] = "eq", (f.left.name, f.right.name)
+        else:
+            marker = MarkerText.of(f)
+            kinds[unit.name], fills[unit.name] = marker.prec, (marker.text,)
+    texts = []
+    for name, sources in _extra_attackers(hn).items():
+        n = len(hn.nodes) if kinds[name] == "node" else 0
+        names = [name, *(hn.nodes if n else fills[name])]
+        for s in sources:
+            names += fills[s]
+        shape = _unit_shape_texts(kinds[name], n, tuple(kinds[s] for s in sources))
+        texts += ((c.format(*names), t.format(*names)) for c, t in shape)
+    return texts
 
 
 @dataclass(frozen=True)

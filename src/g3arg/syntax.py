@@ -313,7 +313,11 @@ _TEXT = {
 
 
 class MarkerText(NamedTuple):
-    """What ``format_formula`` prints for ``#n``, and how tightly that binds."""
+    """Text that ``format_formula`` prints as a leaf, and how tightly it binds.
+
+    It stands for ``#n`` (the ``und`` argument), or sits in a tree itself as
+    a placeholder for a formula rendered elsewhere.
+    """
 
     text: str
     prec: int
@@ -334,7 +338,8 @@ def format_formula(f: Formula, und: MarkerText | None = None) -> str:
     """Render a formula in the shared grammar with minimal parentheses.
 
     Quantifier bodies are always parenthesized, so parsing the output gives
-    back the same tree. Each ``#n`` prints as itself, or as ``und`` when
+    back the same tree. A ``MarkerText`` leaf prints its text, parenthesized
+    by its precedence. Each ``#n`` reads as the leaf ``und``, itself when not
     given: with ``und=MarkerText.of(defn)`` the output equals the rendering
     of ``f`` with every ``#n`` replaced by ``defn``, parenthesized by the
     same rule, without rebuilding ``f`` or rendering ``defn`` again. Tokens
@@ -354,17 +359,20 @@ def format_formula(f: Formula, und: MarkerText | None = None) -> str:
             out.append(item[0].name)
             continue
         g, outer, tight = item
+        if type(g) is UndConst:
+            g = und
         kind = type(g)
-        p = 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
-        if kind is UndConst:
-            p = und.prec
+        if kind is MarkerText:
+            p = g.prec
+        else:
+            p = 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
         if p < outer or (p == outer and not tight):
             out.append("(")
             stack.append(")")
         if kind in _INFIX:
             stack += ((g.right, p, True), _INFIX[kind], (g.left, p, False))
-        elif kind is UndConst:
-            out.append(und.text)
+        elif kind is MarkerText:
+            out.append(g.text)
         elif p == 4:  # a negation, other than a!=b
             out.append("~")
             stack.append((g.body, 4, True))

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import oracle
-from g3arg import cli, prop, translate
+from g3arg import cli, meta, prop, translate
+from g3arg.document import parse_document
 from g3arg.af import LABEL_ORDER, Framework, Label, check_complete
 from g3arg.syntax import format_formula, parse_pred, parse_prop
 from g3arg.translate import (
@@ -283,6 +284,58 @@ def test_translate_builds_no_clause_theory(capsys, tmp_path, monkeypatch):
             monkeypatch.setattr(module, name, fail, raising=False)
     translate._shape_texts.cache_clear()
     assert [run(capsys, *argv) for argv in calls] == want
+
+
+# every kind of unit, body and attack: a bare equality, its negation, a
+# disjunction, a quantifier and a negation as bodies; node -> node, node ->
+# formula, formula -> formula, formula -> node, self-attacks and r(u,v)
+# endpoints
+HIGHER_TEMPLATE = (
+    "arg({a}). arg({b}). arg({c}).\n"
+    'wff({u}, "{a}={b}"). wff({v}, "{a}!={c}"). wff({w}, "R({b},{a}) | In({c})").\n'
+    'wff({x}, "forall X (In(X) -> R(X,{a}))"). wff({y}, "~In({b})").\n'
+    "att({a},{b}). att({b},{b}). att({a},{u}). att({u},{v}). att({v},{u}).\n"
+    "att({w},{c}). att({x},{x}). att({y},{w}). att({u},{w}). att({c},{w}).\n"
+    "att({a}, r({c},{b})). att(r({b},{a}), {x}). att({v}, r({c},{b})).\n"
+)
+
+
+def rendered_star_theory(text):
+    """``translate --mode higher``'s text and JSON for a document, from the
+    rendered clauses of ``star_theory``."""
+    clauses = [
+        (name, format_formula(g))
+        for name, g in meta.star_theory(parse_document(text).to_higher()).clauses
+    ]
+    lines = ["mode: higher", "theory higher:"] + [f"  {n}: {t}" for n, t in clauses]
+    return "\n".join(lines) + "\n", [
+        {"name": name, "formula": formula} for name, formula in clauses
+    ]
+
+
+def test_translate_higher_builds_no_star_theory(capsys, tmp_path, monkeypatch):
+    def fail(*args):
+        raise AssertionError("translate built a star theory")
+
+    names = dict(a="a", b="b", c="c", u="u", v="v", w="w", x="x", y="y")
+    # a rename that keeps the names' order keeps each unit's attackers' order
+    renamed = dict(a="a1", b="b0", c="c_", u="u9", v="v", w="w_w", x="x2", y="yy")
+    want = [rendered_star_theory(HIGHER_TEMPLATE.format(**n)) for n in (names, renamed)]
+    monkeypatch.setattr(meta, "star_theory", fail)
+    monkeypatch.setattr(meta, "_star_clauses", fail)
+    monkeypatch.setattr(cli, "star_theory", fail, raising=False)
+    meta._unit_shape_texts.cache_clear()
+    shapes = None
+    for fill, (text, clauses) in zip((names, renamed), want):
+        doc = write_doc(tmp_path, HIGHER_TEMPLATE.format(**fill))
+        assert run(capsys, "translate", doc, "--mode", "higher") == (0, text, "")
+        code, out, err = run(capsys, "translate", doc, "--mode", "higher", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["theories"] == [{"tag": "higher", "clauses": clauses}]
+        # the renamed copy is filled in from the first copy's shapes
+        if shapes is None:
+            shapes = meta._unit_shape_texts.cache_info().currsize
+        assert meta._unit_shape_texts.cache_info().currsize == shapes
 
 
 def test_translate_pred_prints_closed_theory(capsys, cycle_doc):

@@ -1,6 +1,9 @@
 """Higher networks: unit declaration, starred clauses, generalized models."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g3arg.meta import (
     GeneralizedModel,
@@ -9,10 +12,11 @@ from g3arg.meta import (
     WffUnit,
     attack_formula,
     solve_higher,
+    star_texts,
     star_theory,
 )
-from g3arg.pred import Constant, Exists, InAtom, RAtom, Variable
-from g3arg.prop import Neg
+from g3arg.pred import Constant, EqAtom, Exists, Forall, InAtom, RAtom, Variable
+from g3arg.prop import And, Bot, Imp, Neg, Or, Top, UndConst
 from g3arg.syntax import format_formula, parse_pred
 from g3arg.translate import serialize_theory
 
@@ -229,3 +233,58 @@ def test_generalized_model_accessors():
     assert isinstance(m, GeneralizedModel)
     assert m.in_value("a") is m.interp.in_val["a"]
     assert dict(m.statuses)["r(a,a)"] is m.status("r(a,a)")
+
+
+@functools.cache
+def formula_bodies(nodes):
+    """Closed bodies over ``nodes`` that bind every way a body can: a bare
+    a=b, a!=b, a quantifier, a negation, #n, true or false, and &, | or ->
+    at the top. Built once per node tuple, as building is the slow part."""
+    const = st.sampled_from(nodes).map(Constant)
+    pair = st.tuples(const, const)
+    leaves = st.one_of(
+        const.map(InAtom),
+        pair.map(lambda p: RAtom(*p)),
+        pair.map(lambda p: EqAtom(*p)),
+        pair.map(lambda p: Neg(EqAtom(*p))),
+        st.sampled_from([UndConst(), Top(), Bot()]),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(Neg),
+            st.tuples(sub, sub).map(lambda p: And(*p)),
+            st.tuples(sub, sub).map(lambda p: Or(*p)),
+            st.tuples(sub, sub).map(lambda p: Imp(*p)),
+            sub.map(lambda b: Forall("X", Imp(InAtom(X), b))),
+            sub.map(lambda b: Exists("X", And(InAtom(X), b))),
+        ),
+        max_leaves=5,
+    )
+
+
+@st.composite
+def higher_networks(draw):
+    """1-5 nodes, 0-4 formula units and up to 2 r(u,v) units, attacked at
+    random: self-attacks, and every pair of unit kinds."""
+    nodes = tuple(draw(
+        st.lists(st.sampled_from(["a", "b", "c", "d1", "e_2", "f"]),
+                 min_size=1, max_size=5, unique=True)
+    ))
+    bodies = formula_bodies(nodes)
+    wffs = [(f"w{i}", draw(bodies)) for i in range(draw(st.integers(0, 4)))]
+    r_units = [f"r({u},{v})" for u, v in draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)), max_size=2)
+    )]
+    ends = st.sampled_from([*nodes, *(name for name, _ in wffs), *r_units])
+    attacks = draw(st.lists(st.tuples(ends, ends), max_size=10, unique=True))
+    return HigherNetwork.make(nodes, wffs, attacks)
+
+
+@settings(max_examples=500, deadline=None)
+@given(higher_networks())
+def test_star_texts_render_the_star_theory(hn):
+    """Each unit shape's texts, filled in, are the rendered clauses; the
+    per-shape cache carries over from one network to the next."""
+    want = [(name, format_formula(g)) for name, g in star_theory(hn).clauses]
+    assert star_texts(hn) == want

@@ -13,8 +13,15 @@ from g3arg.pred import (
     StatusRef,
     Variable,
 )
-from g3arg.prop import And, Atom, Bot, Imp, Neg, Or, Top, UndConst
-from g3arg.syntax import MAX_NESTING, ParseError, format_formula, parse_pred, parse_prop
+from g3arg.prop import And, Atom, Bot, Imp, Neg, Or, Top, UndConst, replace_und
+from g3arg.syntax import (
+    MAX_NESTING,
+    MarkerText,
+    ParseError,
+    format_formula,
+    parse_pred,
+    parse_prop,
+)
 
 
 def test_precedence_ladder():
@@ -163,6 +170,25 @@ _prop_trees = st.recursive(
 @given(_prop_trees)
 def test_prop_format_parse_round_trip(f):
     assert parse_prop(format_formula(f)) == f
+
+
+# a definition for #n with each connective at the top, and an atom
+_definitions = {
+    "atom": st.just(Atom("z")),
+    "~": _prop_trees.map(Neg),
+    "&": st.tuples(_prop_trees, _prop_trees).map(lambda p: And(*p)),
+    "|": st.tuples(_prop_trees, _prop_trees).map(lambda p: Or(*p)),
+    "->": st.tuples(_prop_trees, _prop_trees).map(lambda p: Imp(*p)),
+}
+
+
+@pytest.mark.parametrize("top", sorted(_definitions))
+@given(data=st.data())
+def test_marker_leaf_prints_as_the_replaced_definition(top, data):
+    """#n read as the marker leaf of ``d`` prints as ``d`` put in its place."""
+    f = data.draw(_prop_trees, "f")
+    d = data.draw(_definitions[top], "d")
+    assert format_formula(f, MarkerText.of(d)) == format_formula(replace_und(f, d))
 
 
 _terms = st.sampled_from(
