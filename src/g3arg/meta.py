@@ -71,7 +71,8 @@ class HigherNetwork:
         """Normalize and validate; relation-atom endpoints are auto-declared.
 
         An attack endpoint written ``r(u,v)`` that names no declared unit
-        becomes a formula unit with body R(u,v).
+        becomes a formula unit with body R(u,v). A repeated attack is kept
+        once, as ``parse_document`` keeps a repeated ``att`` fact.
         """
         node_tuple = tuple(sorted(set(nodes)))
         units: dict[str, WffUnit] = {}
@@ -98,7 +99,7 @@ class HigherNetwork:
         hn = cls(
             node_tuple,
             tuple(sorted(units.values(), key=lambda u: u.name)),
-            tuple(sorted(attack_list)),
+            tuple(sorted(set(attack_list))),
         )
         hn._validate()
         return hn

@@ -9,6 +9,7 @@ guessing. Each node class declares which of its fields hold subformulas;
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -89,6 +90,8 @@ PropAssignment = Mapping[str, ThreeVal]
 # satisfies it at that world. The widest batch one run covers is BATCH_BITS;
 # wider scans loop over their leading dimensions.
 BATCH_BITS = 1 << 13
+# Scan plans kept, one per dimension shape (see ``scan``).
+PLAN_CACHE = 32
 
 # Instruction kinds. Program's ``expand`` hook maps each node the connectives
 # do not cover to (LEAF, table key), to (UND, ()) or to (ALL or ANY,
@@ -149,6 +152,12 @@ class Program:
     to earlier results; equal instructions are emitted once. A subformula
     object is compiled once per binding of its variables: a memo keyed on
     the node and its (interned) environment hands back the first result.
+    A right-nested And chain compiles to one ALL over its conjuncts, an Or
+    chain to one ANY, and only its head enters the memo. The spine is
+    walked one link per operand and stops at a link the memo holds (a
+    suffix compiled on its own, say under a negation), which becomes the
+    last operand, so a compiled suffix is never walked again; a suffix
+    that only chains share is walked by each of them.
     Constants fold while compiling: true, false and whatever the ``expand``
     hook decides (an equality, a pinned relation atom) vanish into their ALL
     or ANY, a zero absorbs the whole node, and NEG and IMP of a constant
@@ -176,7 +185,8 @@ class Program:
         roots = []
         top = intern(env or {})
         for f in formulas:
-            frames: list[tuple] = []  # (op, operands to go, operand refs, memo key)
+            # (op, operands to go, operand refs, memo key, chain kind or None)
+            frames: list[tuple] = []
             node, env = f, top
             while True:
                 key = (id(node), id(env))
@@ -184,11 +194,12 @@ class Program:
                 if ref is None:
                     kind = type(node)
                     if kind in _BINARY:
-                        frames.append((_BINARY[kind], [(node.right, env)], [], key))
+                        chain = None if kind is Imp else kind
+                        frames.append((_BINARY[kind], [(node.right, env)], [], key, chain))
                         node = node.left
                         continue
                     if kind is Neg:
-                        frames.append((NEG, [], [], key))
+                        frames.append((NEG, [], [], key, None))
                         node = node.body
                         continue
                     op, payload = expand(node, env)
@@ -197,7 +208,7 @@ class Program:
                     elif payload:
                         todo = [(g, e if e is env else intern(e))
                                 for g, e in reversed(payload)]
-                        frames.append((op, todo, [], key))
+                        frames.append((op, todo, [], key, None))
                         node, env = todo.pop()
                         continue
                     else:  # true, false, a decided equality
@@ -205,14 +216,18 @@ class Program:
                     memo[key] = ref
                 # hand the result up until some node still needs an operand
                 while frames:
-                    op, todo, args, key = frames[-1]
+                    op, todo, args, key, chain = frames[-1]
                     ref = _combine(op, args, ref, todo, emit)
                     if ref is None:
                         break
                     frames.pop()
                     memo[key] = ref
                 if ref is None:
-                    node, env = frames[-1][1].pop()
+                    node, env = todo.pop()
+                    # walk the chain's spine one link per operand, up to a compiled node
+                    while type(node) is chain and (id(node), id(env)) not in memo:
+                        todo.append((node.right, env))
+                        node = node.left
                     continue
                 roots.append(ref)
                 break
@@ -326,6 +341,45 @@ class SearchSpaceExceeded(Exception):
     """A brute-force search refused an instance as too large."""
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def _plan(shape: tuple[tuple[ThreeVal, ...], ...], batch_bits: int) -> tuple:
+    """``scan``'s plan for one dimension shape, built from the shape alone.
+
+    Returns (split, full, profiles, patterns, p, high, low): the dimensions
+    from ``split`` on form a batch of ``full``'s bits and the others are
+    looped over; ``profiles`` maps each profile to its constant bitsets and
+    ``patterns`` holds each inner dimension's; a kept bit decodes to
+    ``high[bit // p] + low[bit % p]``. Every scan of the shape shares the
+    plan, so nothing may change it.
+    """
+    sizes = [len(choices) for choices in shape]
+    split, width = len(shape), 1
+    while split and width * sizes[split - 1] <= batch_bits:
+        split -= 1
+        width *= sizes[split]
+    full = (1 << width) - 1
+    profiles = {v: (full if v.here else 0, full if v.there else 0) for v in ThreeVal}
+    patterns = []
+    stride = 1
+    for choices in reversed(shape[split:]):
+        # choice c fills bits [c * stride, (c + 1) * stride) of each period
+        period = stride * len(choices)
+        repunit = full // ((1 << period) - 1)
+        block = (1 << stride) - 1
+        h = sum(block << c * stride for c, v in enumerate(choices) if v.here)
+        t = sum(block << c * stride for c, v in enumerate(choices) if v.there)
+        patterns.append((h * repunit, t * repunit))
+        stride = period
+    # the low half takes trailing dimensions until it spans about sqrt(width)
+    cut, p = len(shape), 1
+    while cut > split and p * p < width:
+        cut -= 1
+        p *= sizes[cut]
+    high = tuple(itertools.product(*map(range, sizes[split:cut])))
+    low = tuple(itertools.product(*map(range, sizes[cut:])))
+    return split, full, profiles, tuple(reversed(patterns)), p, high, low
+
+
 def scan(
     dims: Sequence[tuple[object, Sequence[ThreeVal]]],
     keep: Callable[[dict, int], int],
@@ -340,38 +394,28 @@ def scan(
     trailing dimensions that fit in BATCH_BITS form one batch; the leading
     ones are looped over, their keys bound to constant bitsets, as are the
     keys of ``bound`` to their one profile.
+
+    What depends on the dimensions' shape alone comes from a plan (see
+    ``_plan``), cached on each dimension's choice order and BATCH_BITS and
+    on nothing else, PLAN_CACHE plans at most, least recently used out
+    first: the split, the inner dimensions' bitsets, and two mixed-radix
+    decode tables. A kept bit decodes to the choice indices of the leading
+    inner dimensions from one table and of the trailing ones from the other.
     """
-    sizes = [len(choices) for _, choices in dims]
-    split, width = len(dims), 1
-    while split and width * sizes[split - 1] <= BATCH_BITS:
-        split -= 1
-        width *= sizes[split]
-    full = (1 << width) - 1
-    table = {key: (full * v.here, full * v.there) for key, v in (bound or {}).items()}
-    places: list[tuple[int, int]] = []  # (stride, size) of the inner dimensions
-    stride = 1
-    for key, choices in reversed(dims[split:]):
-        places.insert(0, (stride, len(choices)))
-        # choice c fills bits [c * stride, (c + 1) * stride) of each period
-        period = stride * len(choices)
-        repunit = full // ((1 << period) - 1)
-        block = (1 << stride) - 1
-        h = sum(block << c * stride for c, v in enumerate(choices) if v.here)
-        t = sum(block << c * stride for c, v in enumerate(choices) if v.there)
-        table[key] = (h * repunit, t * repunit)
-        stride = period
-    decoded: dict[int, tuple[int, ...]] = {}  # bit -> its inner choice indices
-    for outer in itertools.product(*map(range, sizes[:split])):
-        for (key, choices), c in zip(dims, outer):
-            table[key] = (full if choices[c].here else 0, full if choices[c].there else 0)
+    shape = tuple([tuple(choices) for _, choices in dims])
+    split, full, profiles, patterns, p, high, low = _plan(shape, BATCH_BITS)
+    table = {key: profiles[v] for key, v in bound.items()} if bound else {}
+    table.update(zip([key for key, _ in dims[split:]], patterns))
+    outer_dims = dims[:split]
+    for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
+        for (key, choices), c in zip(outer_dims, outer):
+            table[key] = profiles[choices[c]]
         mask = keep(table, full)
         while mask:
-            low = mask & -mask
-            mask ^= low
-            bit = low.bit_length() - 1
-            if bit not in decoded:
-                decoded[bit] = tuple(bit // s % n for s, n in places)
-            yield outer + decoded[bit]
+            last = mask & -mask
+            mask ^= last
+            bit = last.bit_length() - 1
+            yield outer + high[bit // p] + low[bit % p]
 
 
 def select_assignments(

@@ -26,7 +26,6 @@ from .af import (
     enumerate_complete,
 )
 from .prop import (
-    ALL,
     And,
     Atom,
     Formula,
@@ -40,7 +39,6 @@ from .prop import (
     disj,
     iff,
     link,
-    propositional,
     replace_und,
     select_assignments,
     substitute,
@@ -267,21 +265,6 @@ def clause_texts(
             for name, text in _shape_texts(clauses, len(ys), und.prec)
         )
     return texts
-
-
-def defined_marker(defn: Formula):
-    """Program's ``expand`` hook that compiles each ``#n`` as a reference to ``defn``.
-
-    The definition is compiled once, where ``#n`` first occurs, and shared
-    by every later occurrence: the clause trees are never rebuilt.
-    """
-
-    def expand(g: Formula, env) -> tuple[int, object]:
-        if type(g) is UndConst:
-            return ALL, [(defn, env)]
-        return propositional(g, env)
-
-    return expand
 
 
 def und_free_theories(f: Framework) -> tuple[Theory, Theory]:

@@ -13,7 +13,8 @@ classify compares every pair of in-sets, where the package takes the least
 in-set and sweeps for the maximal ones.
 The structural walks (formatting, free variables, leaf replacement, AC
 normal form) are the recursive definitions that the package's explicit-stack
-traversals must agree with.
+traversals must agree with. defined_marker compiles each #n as a reference
+to its definition, the direct compile that linked programs are checked against.
 The fact reader at the end is a character-loop reader with the fact
 parsing, species detection and validation passes the package's one-pass
 reader replaced; it patches nothing in the package. It forgets an open quote
@@ -42,6 +43,7 @@ from g3arg.pred import (
     relation_to_r_val,
 )
 from g3arg.prop import (
+    ALL,
     And,
     Atom,
     Bot,
@@ -54,6 +56,7 @@ from g3arg.prop import (
     atoms_of,
     conj,
     disj,
+    propositional,
 )
 from g3arg.syntax import ParseError, parse_pred, parse_prop
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
@@ -359,6 +362,21 @@ def substitute(f, mapping):
 
 def replace_und(f, replacement):
     return _rebuild(f, lambda g: replacement if isinstance(g, UndConst) else g)
+
+
+def defined_marker(defn):
+    """Program's ``expand`` hook that compiles each ``#n`` as a reference to ``defn``.
+
+    The hook-side counterpart of ``replace_und``: the definition is compiled
+    once, where ``#n`` first occurs, and shared by every later occurrence.
+    """
+
+    def expand(g, env):
+        if type(g) is UndConst:
+            return ALL, [(defn, env)]
+        return propositional(g, env)
+
+    return expand
 
 
 def ac_normal_form(f):

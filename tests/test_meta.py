@@ -57,6 +57,17 @@ def test_make_auto_declares_relation_atom_endpoints():
         hn.wff("r(b,a)")
 
 
+def test_make_keeps_a_repeated_attack_once():
+    wffs = [("w", RAtom(A, Constant("b")))]
+    twice = HigherNetwork.make(["a", "b"], wffs, [("a", "w"), ("a", "w"), ("b", "a")])
+    once = HigherNetwork.make(["a", "b"], wffs, [("a", "w"), ("b", "a")])
+    assert twice == once
+    explicit = serialize_theory(star_theory(twice, implicit=False))
+    assert explicit.count("b1[w<-a]") == 1
+    assert format_formula(star_theory(twice).clause("b1[w]")) == "~R(a,b) -> #n | In(a)"
+    assert solve_higher(twice) == solve_higher(once)
+
+
 def test_is_r_atom_needs_constant_endpoints():
     assert WffUnit("u", RAtom(A, A)).is_r_atom
     assert not WffUnit("u", RAtom(A, X)).is_r_atom

@@ -1,9 +1,16 @@
 """Two-world propositional semantics: profiles, evaluation, models, validity."""
 
-import pytest
-from hypothesis import given, strategies as st
+import itertools
+from unittest.mock import patch
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from g3arg import prop
 from g3arg.prop import (
+    ALL,
+    ANY,
+    LEAF,
     And,
     Atom,
     Bot,
@@ -11,6 +18,7 @@ from g3arg.prop import (
     Imp,
     Neg,
     Or,
+    Program,
     Top,
     UndConst,
     atoms_of,
@@ -21,6 +29,7 @@ from g3arg.prop import (
     iff,
     is_valid,
     replace_und,
+    scan,
     select_assignments,
     substitute,
     value,
@@ -190,3 +199,120 @@ def test_connective_builders():
     assert conj([x, y, z]) == And(x, And(y, z))
     assert disj([x, y]) == Or(x, y)
     assert iff(x, y) == And(Imp(x, y), Imp(y, x))
+
+
+# A dimension ranges over 2 or 3 distinct profiles in any order, given as a
+# list or a tuple; a bound key holds one profile.
+_orders = st.lists(st.sampled_from(VALUE_ORDER), min_size=2, max_size=3, unique=True)
+_shapes = st.lists(st.one_of(_orders, _orders.map(tuple)), max_size=6)
+_bound = st.dictionaries(st.sampled_from(["b0", "b1"]), st.sampled_from(VALUE_ORDER))
+
+
+@st.composite
+def _scans(draw):
+    """Dimensions, bound keys and a keep rule: a disjunction of literal terms.
+
+    A literal (key, half, negated) asks the key's profile at HERE (half 0) or
+    THERE (half 1) to be true, or false when negated.
+    """
+    orders = draw(_shapes)
+    dims = [(f"d{i}", choices) for i, choices in enumerate(orders)]
+    bound = draw(_bound)
+    keys = [key for key, _ in dims] + sorted(bound)
+    literal = st.tuples(st.sampled_from(keys), st.sampled_from([0, 1]), st.booleans())
+    terms = st.lists(st.lists(literal, max_size=3), max_size=3) if keys else st.just([[]])
+    return dims, bound, draw(terms)
+
+
+def _keep(terms, rename=lambda key: key):
+    def keep(table, full):
+        mask = 0
+        for term in terms:
+            m = full
+            for key, half, negated in term:
+                m &= table[rename(key)][half] ^ (full if negated else 0)
+            mask |= m
+        return mask
+
+    return keep
+
+
+@settings(deadline=None)
+@given(_scans(), st.sampled_from([1, 3, 9, 8192]))
+def test_scan_is_the_filtered_product(case, batch):
+    """Kept candidates in product order, from a fresh plan, a cached one and renamed keys."""
+    dims, bound, terms = case
+    want = []
+    for index in itertools.product(*[range(len(choices)) for _, choices in dims]):
+        profile = {**bound, **{key: choices[c] for (key, choices), c in zip(dims, index)}}
+        if any(all(profile[k].value[half] != neg for k, half, neg in t) for t in terms):
+            want.append(index)
+    renamed = [(("other", key), choices) for key, choices in dims]
+    other_bound = {("other", key): v for key, v in bound.items()}
+    with patch.object(prop, "BATCH_BITS", batch):
+        misses = prop._plan.cache_info().misses
+        assert list(scan(dims, _keep(terms), bound)) == want
+        assert list(scan(dims, _keep(terms), bound)) == want
+        keep = _keep(terms, lambda key: ("other", key))
+        assert list(scan(renamed, keep, other_bound)) == want
+        assert prop._plan.cache_info().misses - misses <= 1  # one plan per shape
+        # nothing the scans kept went into the cached plan
+        shape = tuple(tuple(choices) for _, choices in dims)
+        assert prop._plan(shape, batch) == prop._plan.__wrapped__(shape, batch)
+
+
+def test_plans_are_bounded_and_keyed_on_the_shape_alone():
+    assert prop._plan.cache_parameters()["maxsize"] == prop.PLAN_CACHE
+    order = [ThreeVal.TT, ThreeVal.FF]
+    assert prop._plan((tuple(order),), 8) is prop._plan((tuple(order),), 8)
+    assert prop._plan((VALUE_ORDER,), 8) is not prop._plan((VALUE_ORDER,), 9)
+
+
+@pytest.mark.parametrize("k", [2, 3, 40])
+def test_a_chain_compiles_to_one_n_ary_instruction(k):
+    atoms = [Atom(f"x{i}") for i in range(k)]
+    leaves = [(LEAF, f"x{i}") for i in range(k)]
+    assert Program([conj(atoms)]).code == leaves + [(ALL, tuple(range(k)))]
+    assert Program([disj(atoms)]).code == leaves + [(ANY, tuple(range(k)))]
+    # constants fold inside the chain, and a zero ends it before later links compile
+    assert Program([conj([atoms[0], Top(), atoms[1]])]).code == leaves[:2] + [(ALL, (0, 1))]
+    assert value(conj([Top(), Bot(), Atom("q"), Atom("r")]), {}) is ThreeVal.FF
+    assert Program([disj([atoms[0], Top()] + atoms[1:])]).code == [(ALL, ())]
+    # a left-nested conjunction is an operand of its own
+    assert Program([And(And(atoms[0], atoms[1]), atoms[0])]).code == [
+        (LEAF, "x0"), (LEAF, "x1"), (ALL, (0, 1)), (ALL, (2, 0))
+    ]
+
+
+def test_a_chain_stops_at_a_compiled_link():
+    x, y, z = Atom("x"), Atom("y"), Atom("z")
+    suffix = And(y, z)
+    program = Program([suffix, And(x, suffix)])
+    assert program.code == [(LEAF, "y"), (LEAF, "z"), (ALL, (0, 1)), (LEAF, "x"), (ALL, (3, 2))]
+    assert program.roots == [2, 4]
+
+
+def test_a_shared_chain_suffix_compiles_in_linear_steps():
+    """Each link's suffix is compiled first under a negation, then reached by the spine.
+
+    Walking on into a compiled suffix would take quadratic steps; a step is a
+    memo lookup, counted through ``id``.
+    """
+
+    def steps(depth: int) -> int:
+        f = Atom("x")
+        for _ in range(depth):
+            f = And(Neg(f), f)
+        count = 0
+
+        def counted(obj):
+            nonlocal count
+            count += 1
+            return id(obj)
+
+        with patch.object(prop, "id", counted, create=True):
+            program = Program([f])
+        assert len(program.code) == 2 * depth + 1  # a NEG and an ALL per link
+        return count
+
+    assert steps(400) <= 2 * steps(200) + 8

@@ -22,7 +22,6 @@ from g3arg.translate import (
     Theory,
     assignment_to_labelling,
     clause_program,
-    defined_marker,
     delta_program,
     domain_diagram,
     framework_key,
@@ -417,7 +416,7 @@ def test_prop_and_marker_free_routes_agree_everywhere(f):
 def test_defined_marker_program_has_the_displayed_theory_s_models(n, seed):
     """The defined-marker program and the printed und-free theory cannot drift apart."""
     f = random_framework(n, Random(seed))
-    hooked = Program(prop_theory(f).formulas(), defined_marker(und_definition(f)))
+    hooked = Program(prop_theory(f).formulas(), oracle.defined_marker(und_definition(f)))
     rebuilt = Program(und_free_theories(f)[1].formulas())
     assert list(select_assignments(f.arguments, hooked.holds)) == list(
         select_assignments(f.arguments, rebuilt.holds)
@@ -446,7 +445,7 @@ def test_linked_programs_match_direct_compiles(f, batch):
         (clause_program(f), [Program(prop_theory(f).formulas())]),
         (translate._linked(f, translate._fix_clauses), [Program(stable_theory(f).formulas())]),
         (translate._linked(f, translate._argument_clauses, und=True),
-         [Program(prop_theory(f).formulas(), defined_marker(defn)), Program([defn])]),
+         [Program(prop_theory(f).formulas(), oracle.defined_marker(defn)), Program([defn])]),
     ]
 
     def agree(table, full):
