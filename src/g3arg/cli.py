@@ -279,7 +279,8 @@ def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
     doc = _load(ns.file)
     source = ns.source or doc.species
     if source not in ("conjunctive", "disjunctive", "adf"):
-        raise _UsageError(f"cannot encode a {doc.species} document")
+        article = "an" if doc.species[0] in "aeiou" else "a"
+        raise _UsageError(f"cannot encode {article} {doc.species} document")
     if source != doc.species:
         raise _UsageError(
             f"--from {source} does not match this {doc.species} document"

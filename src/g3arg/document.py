@@ -329,8 +329,9 @@ class InputDocument:
 
     def _expect(self, species: str) -> None:
         if self.species != species:
+            article = "an" if species[0] in "aeiou" else "a"
             raise ValueError(
-                f"this operation needs a {species} document, got {self.species}"
+                f"this operation needs {article} {species} document, got {self.species}"
             )
 
 

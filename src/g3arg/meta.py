@@ -369,10 +369,9 @@ def solve_higher(
     pairs when free, formula units) exceeds ``max_unknowns``.
     """
     nodes = hn.nodes
-    pairs = [(u, v) for u in nodes for v in nodes]
-    relation = None if fixed_r is None else list(fixed_r)
-    r_dims = [(p, VALUE_ORDER) for p in pairs] if relation is None else []
-    unknowns = len(nodes) + len(r_dims) + len(hn.wffs)
+    decided = {} if fixed_r is None else relation_to_r_val(nodes, fixed_r)
+    pairs = [p for p in itertools.product(nodes, nodes) if p not in decided]
+    unknowns = len(nodes) + len(pairs) + len(hn.wffs)
     if unknowns > max_unknowns:
         raise SearchSpaceExceeded(
             f"{unknowns} three-valued unknowns exceed the bound {max_unknowns}"
@@ -385,21 +384,20 @@ def solve_higher(
     ]
     general_units = [u for u in hn.wffs if not u.is_r_atom]
     program = Program(
-        clauses + [u.formula for u in general_units], grounding(nodes, relation)
+        clauses + [u.formula for u in general_units], grounding(nodes, decided)
     )
     # An R-atom unit is its own R atom; a general unit's standing is a scan
     # dimension that must agree with its formula at the actual world.
     ties = [StatusRef(u.name) for u in general_units]
-    dims = [(n, VALUE_ORDER) for n in nodes] + r_dims
+    dims = [(n, VALUE_ORDER) for n in nodes] + [(p, VALUE_ORDER) for p in pairs]
     dims += [(ref, VALUE_ORDER) for ref in ties]
-    pinned = None if relation is None else relation_to_r_val(nodes, relation)
     models: list[GeneralizedModel] = []
     for index in scan(dims, lambda table, full: program.holds(table, full, ties)):
         values = [choices[c] for (_, choices), c in zip(dims, index)]
-        r_val = dict(zip(pairs, values[len(nodes) :])) if pinned is None else pinned
+        r_val = {**decided, **dict(zip(pairs, values[len(nodes) :]))}
         statuses = {name: r_val[pair] for name, pair in r_units}
         statuses.update(
-            zip((u.name for u in general_units), values[len(nodes) + len(r_dims) :])
+            zip((u.name for u in general_units), values[len(nodes) + len(pairs) :])
         )
         interp = PredInterp(nodes, dict(zip(nodes, values)), r_val)
         models.append(GeneralizedModel(interp, tuple(sorted(statuses.items()))))

@@ -8,6 +8,7 @@ three-valued truth profiles, equality is identity on element names.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -30,7 +31,6 @@ from .prop import (
     fold,
     iff,
     scan,
-    select_assignments,
     walk,
     with_subformulas,
 )
@@ -163,21 +163,20 @@ def _resolve(t: Term, domain: Sequence[str], env: Mapping[str, str]) -> str:
 
 
 def grounding(
-    domain: Sequence[str], relation: Iterable[tuple[str, str]] | None = None
+    domain: Sequence[str], decided: Mapping[tuple[str, str], ThreeVal] | None = None
 ):
     """The predicate layer's ``expand`` hook for Program over ``domain``.
 
     ``In(d)`` is a leaf keyed by the element ``d``, ``R(u,x)`` by the pair
     ``(u, x)``, a status reference by the node itself. Equality is decided
-    while compiling, and so is every R atom when a decided ``relation`` is
-    given: ``R(u,x)`` is true exactly when ``(u, x)`` is one of its pairs,
-    and the compiler's folds take it from there. ``forall`` is the pointwise
+    while compiling, and so is each R atom whose pair ``decided`` maps to
+    TT or FF (see ``relation_to_r_val``): the compiler's folds take it from
+    there, and a pair left out stays a leaf. ``forall`` is the pointwise
     AND of its instances over the domain, ``exists`` the pointwise OR.
-    Raises ValueError for a domain that lists an element twice, and for a
-    relation pair naming an element outside the domain.
+    Raises ValueError for a domain that lists an element twice.
     """
     dom = distinct_domain(domain)
-    pinned = None if relation is None else _pairs_within(dom, relation)
+    decided = decided or {}
 
     def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
         kind = type(f)
@@ -187,9 +186,9 @@ def grounding(
             return LEAF, _resolve(f.term, dom, env)
         if kind is RAtom:
             pair = (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
-            if pinned is None:
+            if pair not in decided:
                 return LEAF, pair
-            return (ALL if pair in pinned else ANY), ()
+            return (ALL if decided[pair] is ThreeVal.TT else ANY), ()
         if kind is EqAtom:
             same = _resolve(f.left, dom, env) == _resolve(f.right, dom, env)
             return (ALL if same else ANY), ()
@@ -248,17 +247,6 @@ def distinct_domain(domain: Iterable[str]) -> tuple[str, ...]:
     return dom
 
 
-def _pairs_within(
-    domain: Sequence[str], relation: Iterable[tuple[str, str]]
-) -> set[tuple[str, str]]:
-    """The pairs of ``relation``; ValueError if one names an element outside ``domain``."""
-    pairs, dom = set(relation), set(domain)
-    outside = sorted(p for p in pairs if not set(p) <= dom)
-    if outside:
-        raise ValueError(f"relation pair {outside[0]!r} names an element outside the domain")
-    return pairs
-
-
 def relation_to_r_val(
     domain: Sequence[str], relation: Iterable[tuple[str, str]]
 ) -> dict[tuple[str, str], ThreeVal]:
@@ -266,16 +254,15 @@ def relation_to_r_val(
 
     Raises ValueError for a pair naming an element outside the domain.
     """
-    rel = _pairs_within(domain, relation)
+    rel, dom = set(relation), set(domain)
+    outside = sorted(p for p in rel if not set(p) <= dom)
+    if outside:
+        raise ValueError(f"relation pair {outside[0]!r} names an element outside the domain")
     return {
         (u, x): (ThreeVal.TT if (u, x) in rel else ThreeVal.FF)
         for u in domain
         for x in domain
     }
-
-
-def mentions_in(f: Formula) -> bool:
-    return any(isinstance(node, InAtom) for node in walk(f))
 
 
 def enumerate_interps(
@@ -289,26 +276,27 @@ def enumerate_interps(
 
     R profiles range over all three values unless ``r_decided`` limits them
     to the classical two, or ``fixed_r`` pins the relation outright. In
-    profiles always range over all three values. A pinned relation is
-    decided while compiling (see ``grounding``), so one scan over the In
-    profiles finds every interpretation; a pair outside the domain raises
-    ValueError. With a free relation, a first scan over the R choices alone
-    keeps those satisfying the formulas that never mention ``In``; the In
-    profiles are scanned only under the survivors (``scan_interps``).
+    profiles always range over all three values. The pinned pairs are
+    decided while compiling (see ``grounding``); one scan runs over the open
+    R pairs, then the In profiles. A pair outside the domain raises
+    ValueError.
     """
     dom = tuple(domain)
-    formulas = list(theory)
-    if fixed_r is not None:
-        relation = list(fixed_r)
-        program = Program(formulas, grounding(dom, relation))
-        return scan_interps(dom, program.holds, [relation_to_r_val(dom, relation)])
-    expand = grounding(dom)
-    in_free = Program([f for f in formulas if not mentions_in(f)], expand)
-    in_dependent = Program([f for f in formulas if mentions_in(f)], expand)
-    pairs = [(u, x) for u in dom for x in dom]
+    decided = {} if fixed_r is None else relation_to_r_val(dom, fixed_r)
     order = DECIDED_ORDER if r_decided else VALUE_ORDER
-    relations = select_assignments(pairs, in_free.holds, order)
-    return scan_interps(dom, in_dependent.holds, relations)
+    pairs = [p for p in itertools.product(dom, dom) if p not in decided]
+    dims = [(p, order) for p in pairs] + [(d, VALUE_ORDER) for d in dom]
+    program = Program(theory, grounding(dom, decided))
+    k = len(pairs)
+    interps = []
+    # the scan runs through each relation's In profiles in a row: one R dict each
+    for r_index, kept in itertools.groupby(scan(dims, program.holds), lambda i: i[:k]):
+        r_val = {**decided, **{p: order[c] for p, c in zip(pairs, r_index)}}
+        interps += [
+            PredInterp(dom, {d: VALUE_ORDER[c] for d, c in zip(dom, i[k:])}, r_val)
+            for i in kept
+        ]
+    return interps
 
 
 def scan_interps(

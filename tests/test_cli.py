@@ -505,10 +505,21 @@ def test_encode_from_mismatch_is_usage_error(capsys, conj_doc):
     assert "--from adf does not match this conjunctive document" in err
 
 
-def test_encode_plain_document_is_usage_error(capsys, cycle_doc):
+def test_encode_plain_document_is_usage_error(capsys, cycle_doc, tmp_path):
     code, _, err = run(capsys, "encode", cycle_doc)
     assert code == 1
     assert "cannot encode a plain document" in err
+    # a species that starts with a vowel takes "an"
+    aaf_doc = tmp_path / "aaf.facts"
+    aaf_doc.write_text('arg(a). psi "~R(a,a)".\n')
+    code, _, err = run(capsys, "encode", str(aaf_doc))
+    assert code == 1
+    assert "cannot encode an aaf document" in err
+    code, _, err = run(capsys, "aaf", cycle_doc)
+    assert code == 1
+    assert "this operation needs an aaf document, got plain" in err
+    with pytest.raises(ValueError, match="needs an adf document, got plain"):
+        parse_document("arg(a).").to_adf()
 
 
 def test_encode_disjunctive_rejects_projection(capsys, disj_doc):

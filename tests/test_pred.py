@@ -26,7 +26,6 @@ from g3arg.pred import (
     free_vars,
     grounding,
     is_closed,
-    mentions_in,
     pred_value,
     relation_to_r_val,
     walk,
@@ -200,11 +199,6 @@ def test_relation_to_r_val_spreads_over_all_pairs():
     assert r[("b", "a")] is ThreeVal.FF
 
 
-def test_mentions_in():
-    assert mentions_in(Forall("X", Imp(RAtom(X, A), InAtom(X))))
-    assert not mentions_in(Forall("X", Neg(RAtom(X, X))))
-
-
 def test_enumerate_interps_r_modes():
     empty = enumerate_interps(("a",), [])
     assert len(empty) == 9
@@ -224,17 +218,17 @@ def test_pinned_relation_pairs_must_name_domain_elements():
     with pytest.raises(ValueError, match=r"\('a', 'zz'\)"):
         enumerate_interps(("a",), [], fixed_r=[("a", "a"), ("a", "zz")])
     with pytest.raises(ValueError, match="outside the domain"):
-        grounding(("a", "b"), [("c", "a")])
+        relation_to_r_val(("a", "b"), [("c", "a")])
 
 
 def test_classical_eval_rejects_a_pair_outside_the_domain():
-    """The pair is named, with the message the pinned grounding uses."""
+    """The pair is named, with the message every pinned relation gives."""
     X = Variable("X")
     message = r"relation pair \('zz', 'zz'\) names an element outside the domain"
     with pytest.raises(ValueError, match=message):
         classical_eval(Exists("X", RAtom(X, X)), ("a", "b"), [("zz", "zz")])
     with pytest.raises(ValueError, match=message):
-        grounding(("a", "b"), [("zz", "zz")])
+        relation_to_r_val(("a", "b"), [("zz", "zz")])
     with pytest.raises(ValueError, match=r"\('a', 'c'\)"):
         relation_to_r_val(("a", "b"), [("a", "b"), ("a", "c")])
 
@@ -256,13 +250,13 @@ def test_a_domain_listing_an_element_twice_is_refused():
 
 
 def test_grounding_rejects_propositional_atoms():
-    for relation in (None, [("a", "a")]):
+    for decided in (None, relation_to_r_val(("a",), [("a", "a")])):
         with pytest.raises(EvalError, match="not a predicate formula node"):
-            Program([And(RAtom(A, A), Atom("x"))], grounding(("a",), relation))
+            Program([And(RAtom(A, A), Atom("x"))], grounding(("a",), decided))
 
 
 def test_no_scan_has_a_one_choice_dimension():
-    """A pinned relation is compiled in, a surviving free one bound in the table."""
+    """A pinned relation is compiled in, not scanned as one-choice dimensions."""
 
     def checked(dims, keep, bound=None):
         assert all(len(choices) > 1 for _, choices in dims), dims

@@ -15,7 +15,7 @@ from g3arg.af import Framework, Label
 from g3arg.corpus import all_frameworks, random_framework
 from g3arg.prop import ALL, LEAF, Atom, Program, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
-from g3arg.pred import grounding, is_closed, mentions_in
+from g3arg.pred import grounding, is_closed, relation_to_r_val
 from g3arg.threeval import VALUE_ORDER, ThreeVal
 from g3arg.translate import (
     CorrespondenceReport,
@@ -252,13 +252,14 @@ def test_pinned_relation_folds_the_quantified_clauses():
     dom = ("a", "b")
     theory = pred_theory()
     # decided-r holds of any pinned relation: every instance folds to true
-    assert Program([theory.clause("decided-r")], grounding(dom, [("a", "b")])).code == [
+    decided = relation_to_r_val(dom, [("a", "b")])
+    assert Program([theory.clause("decided-r")], grounding(dom, decided)).code == [
         (ALL, ())
     ]
     # with no attacks, R(Y,X) -> ~In(Y) is true before its consequent compiles
-    a1 = Program([theory.clause("a1")], grounding(dom, []))
+    a1 = Program([theory.clause("a1")], grounding(dom, relation_to_r_val(dom, [])))
     assert {op for op, _ in a1.code} == {ALL}
-    pinned = Program(theory.formulas(), grounding(dom, [("a", "b")]))
+    pinned = Program(theory.formulas(), grounding(dom, decided))
     assert all(type(key) is str for op, key in pinned.code if op == LEAF)  # In leaves only
 
 
@@ -385,10 +386,8 @@ def test_five_argument_diagram_compiles_small():
     Only compiles: scanning 2^25 relations is out of a unit test's reach.
     """
     f = random_framework(5, Random(5))
-    theory = pred_theory().formulas() + [domain_diagram(f)]
-    in_free = [g for g in theory if not mentions_in(g)]
-    assert len(in_free) == 2  # decided-r and the diagram
-    assert len(Program(in_free, grounding(f.arguments)).code) <= 5000
+    formulas = [pred_theory().clause("decided-r"), domain_diagram(f)]
+    assert len(Program(formulas, grounding(f.arguments)).code) <= 5000
 
 
 @st.composite
