@@ -231,23 +231,15 @@ def _star_clauses(
         for name, sources in _extra_attackers(hn).items():
             implied = hn.nodes if hn.is_node(name) else ()
             attackers = [_edge_forms(y, name) for y in implied]
-            attackers += [_source_forms(hn, s, name, wff_form) for s in sources]
+            attackers += [_unit_forms(hn, s, wff_form) for s in sources]  # never node -> node
             clauses += _unit_clauses(name, *_unit_forms(hn, name, wff_form), attackers)
         return tuple(clauses)
-    for family in ("a1", "a2", "b1", "b2"):
-        for s, t in hn.hattacks:
-            t_holds, t_fails = _unit_forms(hn, t, wff_form)
-            s_holds, s_fails = _source_forms(hn, s, t, wff_form)
-            if family == "a1":
-                g = Imp(t_holds, Or(_UND, s_fails))
-            elif family == "a2":
-                g = Imp(s_fails, Or(_UND, t_holds))
-            elif family == "b1":
-                g = Imp(t_fails, Or(_UND, s_holds))
-            else:
-                g = Imp(s_holds, Or(_UND, t_fails))
-            clauses.append((f"{family}[{t}<-{s}]", g))
-    return tuple(clauses)
+    for s, t in hn.hattacks:
+        clauses += _unit_clauses(
+            f"{t}<-{s}", *_unit_forms(hn, t, wff_form), [_source_forms(hn, s, t, wff_form)]
+        )
+    # stable on the family: a1, a2, b1, b2, each in attack order
+    return tuple(sorted(clauses, key=lambda clause: clause[0][:2]))
 
 
 def star_theory(hn: HigherNetwork, implicit: bool = True) -> Theory:

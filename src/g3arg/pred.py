@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .prop import (
     ALL,
@@ -105,15 +105,6 @@ class PredInterp:
     r_val: Mapping[tuple[str, str], ThreeVal]
 
     __hash__ = None  # type: ignore[assignment]
-
-    @property
-    def r_is_decided(self) -> bool:
-        return all(v.decided for v in self.r_val.values())
-
-    @property
-    def relation(self) -> frozenset[tuple[str, str]]:
-        """The pairs whose R profile is true at the actual world."""
-        return frozenset(p for p, v in self.r_val.items() if v.here)
 
 
 def _terms(f: Formula) -> tuple[Term, ...]:
@@ -297,18 +288,6 @@ def enumerate_interps(
             for i in kept
         ]
     return interps
-
-
-def scan_interps(
-    domain: tuple[str, ...], keep: Callable[[dict, int], int], relations: Iterable[Mapping]
-) -> list[PredInterp]:
-    """Interpretations whose In profiles ``keep`` marks, under each of ``relations``."""
-    in_dims = [(d, VALUE_ORDER) for d in domain]
-    return [
-        PredInterp(domain, {d: VALUE_ORDER[c] for d, c in zip(domain, index)}, r_val)
-        for r_val in relations
-        for index in scan(in_dims, keep, r_val)
-    ]
 
 
 def non_classical_node(f: Formula) -> str | None:

@@ -422,10 +422,12 @@ def select_assignments(
     names: Sequence[str],
     keep: Callable[[dict, int], int],
     order: Sequence[ThreeVal] = VALUE_ORDER,
+    bound: Mapping[object, ThreeVal] | None = None,
 ) -> Iterator[dict[str, ThreeVal]]:
-    """Assignments over ``names``, each ranging over ``order``, that ``keep`` marks."""
+    """Assignments over ``names``, each ranging over ``order``, that ``keep``
+    marks; each key of ``bound`` keeps its one profile, as in ``scan``."""
     names = list(dict.fromkeys(names))
-    for index in scan([(x, order) for x in names], keep):
+    for index in scan([(x, order) for x in names], keep, bound):
         yield dict(zip(names, (order[c] for c in index)))
 
 

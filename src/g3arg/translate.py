@@ -53,7 +53,6 @@ from .pred import (
     distinct_domain,
     grounding,
     relation_to_r_val,
-    scan_interps,
 )
 from .syntax import HASH_N, MarkerText, format_formula
 from .threeval import DECIDED_ORDER, ThreeVal
@@ -342,13 +341,9 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     )
 
 
-def instantiate(f: Framework, subst: Mapping[str, Formula]) -> Theory:
-    """Replace arguments by formulas throughout the clause theory.
-
-    Replacement formulas must be built from fresh atoms; the only argument
-    name a replacement may mention is the one it replaces (so the identity
-    substitution stays legal).
-    """
+def _check_substitution(f: Framework, subst: Mapping[str, Formula]) -> None:
+    """ValueError for a key that names no argument, or for a replacement that
+    mentions an argument other than the one it replaces."""
     unknown = set(subst) - set(f.arguments)
     if unknown:
         raise ValueError(f"substitution for unknown arguments {sorted(unknown)}")
@@ -358,6 +353,16 @@ def instantiate(f: Framework, subst: Mapping[str, Formula]) -> Theory:
             raise ValueError(
                 f"replacement for {x} reuses argument names {sorted(clash)}"
             )
+
+
+def instantiate(f: Framework, subst: Mapping[str, Formula]) -> Theory:
+    """Replace arguments by formulas throughout the clause theory.
+
+    Replacement formulas must be built from fresh atoms; the only argument
+    name a replacement may mention is the one it replaces (so the identity
+    substitution stays legal).
+    """
+    _check_substitution(f, subst)
     base = prop_theory(f)
     mapping = dict(subst)
     return Theory(
@@ -378,10 +383,9 @@ def instantiated_models(
     never false up there (such as excluded-middle instances) to rule the
     argument's profile FF out, and the out case would vanish. The
     actual-world reading reproduces the intended extension patterns.
+    ``subst`` must meet ``instantiate``'s conditions.
     """
-    unknown = set(subst) - set(f.arguments)
-    if unknown:
-        raise ValueError(f"substitution for unknown arguments {sorted(unknown)}")
+    _check_substitution(f, subst)
     extra = sorted(
         {a for g in subst.values() for a in atoms_of(g)} - set(f.arguments)
     )
@@ -445,13 +449,11 @@ def delta_program(domain: Sequence[str]) -> Program:
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
     """Predicate route: ``delta_program`` scanned over In, the attacks bound as R."""
     r_val = relation_to_r_val(f.arguments, f.attacks)
-    interps = scan_interps(f.arguments, delta_program(f.arguments).holds, [r_val])
-    model_side = {
-        canonical({x: VALUE_TO_LABEL[m.in_val[x]] for x in f.arguments})
-        for m in interps
-    }
+    delta = delta_program(f.arguments).holds
+    models = list(select_assignments(f.arguments, delta, bound=r_val))
+    model_side = {canonical(assignment_to_labelling(h)) for h in models}
     lab_side = {canonical(lab) for lab in enumerate_complete(f)}
-    return _compare(framework_key(f), model_side, lab_side, len(interps))
+    return _compare(framework_key(f), model_side, lab_side, len(models))
 
 
 def domain_diagram(f: Framework) -> Formula:
@@ -517,14 +519,14 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     dom = f.arguments
     diagram = Program([domain_diagram(f)], grounding(dom))
     relations = select_assignments(itertools.product(dom, dom), diagram.holds, DECIDED_ORDER)
-    interps = scan_interps(dom, delta_program(dom).holds, relations)
-    found = {
-        (
-            tuple(sorted(m.relation)),
-            canonical({x: VALUE_TO_LABEL[m.in_val[x]] for x in f.arguments}),
-        )
-        for m in interps
-    }
+    delta = delta_program(dom).holds
+    # r_val lists its pairs in product order over the sorted arguments: each relation is sorted
+    interps = [
+        (tuple(p for p, v in r_val.items() if v.here), canonical(assignment_to_labelling(h)))
+        for r_val in relations
+        for h in select_assignments(dom, delta, bound=r_val)
+    ]
+    found = set(interps)
     expected = set()
     complete = enumerate_complete(f)
     for perm in itertools.permutations(f.arguments):

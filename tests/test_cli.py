@@ -32,7 +32,9 @@ def run(capsys, *argv):
 
 
 def write_doc(tmp_path, text):
-    path = tmp_path / "input.facts"
+    """Write ``text`` to a file named by its digest, so that two documents in
+    one test never share a file."""
+    path = tmp_path / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.facts"
     path.write_text(text)
     return str(path)
 
@@ -209,7 +211,7 @@ def small_frameworks(draw):
 
 def assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw):
     """``translate --mode prop|und-free`` prints format_formula of the rebuilt
-    clauses, in text and in JSON."""
+    clauses, in text and in JSON. Returns the document's path."""
     facts = [f"arg({x})." for x in fw.arguments]
     facts += [f"att({u},{x})." for u, x in sorted(fw.attacks)]
     doc = write_doc(tmp_path, " ".join(facts) + "\n")
@@ -242,6 +244,7 @@ def assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw):
         ] == theories
         if mode == "und-free":
             assert result["marker_definition"] == definition
+    return doc
 
 
 @settings(max_examples=60, deadline=None,
@@ -273,9 +276,9 @@ def test_translate_builds_no_clause_theory(capsys, tmp_path, monkeypatch):
         raise AssertionError("translate built a clause theory")
 
     fw = Framework.make("abc", [("a", "b"), ("b", "b"), ("c", "b"), ("b", "c")])
-    assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw)
+    doc = assert_translate_prints_the_rebuilt_theories(capsys, tmp_path, fw)
     calls = [
-        ("translate", str(tmp_path / "input.facts"), "--mode", mode, "--format", fmt)
+        ("translate", doc, "--mode", mode, "--format", fmt)
         for mode in ("prop", "und-free") for fmt in ("text", "json")
     ]
     want = [run(capsys, *argv) for argv in calls]
@@ -520,6 +523,24 @@ def test_encode_plain_document_is_usage_error(capsys, cycle_doc, tmp_path):
     assert "this operation needs an aaf document, got plain" in err
     with pytest.raises(ValueError, match="needs an adf document, got plain"):
         parse_document("arg(a).").to_adf()
+
+
+def test_two_documents_in_one_test_stay_apart(capsys, cycle_doc, aaf_doc):
+    assert cycle_doc != aaf_doc
+    code, out, _ = run(capsys, "extensions", cycle_doc, "--format", "json")
+    assert (code, json.loads(out)["species"]) == (0, "plain")
+    code, out, _ = run(capsys, "aaf", aaf_doc, "--format", "json")
+    assert (code, json.loads(out)["species"]) == (0, "aaf")
+    code, _, err = run(capsys, "encode", cycle_doc)
+    assert (code, err) == (1, "error: cannot encode a plain document\n")
+
+
+@pytest.mark.parametrize("command", ["models", "extensions"])
+def test_inst_replacement_naming_another_argument_is_refused(capsys, tmp_path, command):
+    doc = write_doc(tmp_path, 'arg(a). arg(b). att(a,b). inst(a, "~b").\n')
+    assert run(capsys, command, doc) == (
+        1, "", "error: replacement for a reuses argument names ['b']\n"
+    )
 
 
 def test_encode_disjunctive_rejects_projection(capsys, disj_doc):

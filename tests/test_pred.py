@@ -173,7 +173,7 @@ def test_pred_value_is_the_pair_of_world_checks(f, m):
     assert v.there == eval_pred(World.THERE, f, m)
 
 
-def test_interp_relation_and_decidedness():
+def test_interp_is_unhashable():
     m = PredInterp(
         ("a", "b"),
         {"a": ThreeVal.FF, "b": ThreeVal.FF},
@@ -184,10 +184,6 @@ def test_interp_relation_and_decidedness():
             ("b", "b"): ThreeVal.TT,
         },
     )
-    # only pairs true at the actual world count as related
-    assert m.relation == frozenset({("a", "a"), ("b", "b")})
-    assert not m.r_is_decided
-    assert interp({"a": ThreeVal.FF, "b": ThreeVal.FF}).r_is_decided
     with pytest.raises(TypeError):
         hash(m)
 

@@ -171,6 +171,14 @@ def test_assignments_respect_given_order():
     assert len(got) == 9
 
 
+def test_assignments_hold_bound_keys_at_their_profile():
+    program = Program([Imp(Atom("c"), Atom("a"))])
+    got = list(select_assignments(["a"], program.holds, bound={"c": ThreeVal.TT}))
+    assert got == [{"a": ThreeVal.TT}]
+    got = list(select_assignments(["a"], program.holds, bound={"c": ThreeVal.FF}))
+    assert got == [{"a": v} for v in VALUE_ORDER]
+
+
 def test_validity_verdicts():
     x, y = Atom("x"), Atom("y")
     ok, counter = is_valid(Or(Imp(x, y), Imp(y, x)))

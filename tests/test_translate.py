@@ -192,6 +192,11 @@ def test_instantiate_name_rules():
         instantiate(cyc, {"z": parse_prop("p")})
     with pytest.raises(ValueError):
         instantiated_models(cyc, {"z": parse_prop("p")})
+    # the model scan applies the same rules: y here would be read as argument y
+    assert instantiated_models(cyc, {"x": parse_prop("x | p")})
+    for route in (instantiate, instantiated_models, instantiation_patterns):
+        with pytest.raises(ValueError, match=r"replacement for x reuses argument names \['y'\]"):
+            route(cyc, {"x": parse_prop("~y")})
 
 
 def test_instantiation_models_and_patterns():
@@ -378,6 +383,16 @@ def test_diagram_recovers_framework_up_to_renaming():
     assert report.ok
     # here the renamings differ, so both directed copies are expected
     assert (report.interp_count, report.expected_count) == (2, 2)
+
+
+def test_quantified_counts_agree_on_every_three_graph():
+    """Beyond ``ok``: every model found is counted once and matched, as
+    bench/workloads.py checks its quantified and verify-corpus items."""
+    for f in all_frameworks(3):
+        free = verify_domain_diagram(f)
+        assert free.interp_count == free.matched == free.expected_count, free
+        pinned = verify_pred_theory(f)
+        assert pinned.model_count == pinned.labelling_count == pinned.matched, pinned
 
 
 def test_five_argument_diagram_compiles_small():
