@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+from argparse import Namespace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -31,7 +32,7 @@ from .af import (
     enumerate_complete_determined,
 )
 from .document import InputDocument, parse_document
-from .meta import solve_higher, star_texts
+from .meta import MAX_UNKNOWNS, solve_higher, star_texts
 from .prop import SearchSpaceExceeded, is_valid, select_assignments
 from .syntax import MarkerText, ParseError, format_formula, parse_prop
 from .threeval import ThreeVal
@@ -39,6 +40,7 @@ from .translate import (
     CorrespondenceReport,
     DiagramReport,
     Theory,
+    assignment_to_labelling,
     clause_program,
     clause_texts,
     domain_diagram,
@@ -117,26 +119,16 @@ def _diagram_dict(r: DiagramReport) -> dict[str, Any]:
     }
 
 
-def _load(path: str) -> InputDocument:
-    return parse_document(Path(path).read_text(encoding="utf-8"))
-
-
-def _cmd_extensions(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
-    result: dict[str, Any] = {
-        "command": "extensions",
-        "species": doc.species,
-        "semantics": ns.semantics,
-    }
+def _cmd_extensions(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
+    result["semantics"] = ns.semantics
     fw = doc.to_framework()
     if doc.insts:
         if ns.semantics != "complete":
             raise _UsageError(
                 "instantiated documents support complete semantics only"
             )
-        patterns = instantiation_patterns(fw, doc.to_substitution())
+        chosen = instantiation_patterns(fw, doc.to_substitution())
         result["instantiated"] = True
-        chosen = patterns
     else:
         labs = enumerate_complete(fw)
         if ns.semantics == "complete":
@@ -150,16 +142,11 @@ def _cmd_extensions(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
             }[ns.semantics]
     result["count"] = len(chosen)
     result["extensions"] = [_labelling_dict(lab) for lab in chosen]
-    return result, 0
+    return 0
 
 
-def _cmd_translate(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
-    result: dict[str, Any] = {
-        "command": "translate",
-        "species": doc.species,
-        "mode": ns.mode,
-    }
+def _cmd_translate(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
+    result["mode"] = ns.mode
     if ns.mode == "higher":
         result["theories"] = [_theory_dict("higher", star_texts(doc.to_higher()))]
     elif ns.mode == "prop":
@@ -179,37 +166,30 @@ def _cmd_translate(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         result["theories"] = [_formatted(pred_theory())]
     else:
         result["formula"] = format_formula(domain_diagram(doc.to_framework()))
-    return result, 0
+    return 0
 
 
-def _cmd_models(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
+def _cmd_models(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     fw = doc.to_framework()
-    result: dict[str, Any] = {"command": "models", "species": doc.species}
     if doc.insts:
-        subst = doc.to_substitution()
-        models = instantiated_models(fw, subst)
+        models = instantiated_models(fw, doc.to_substitution())
         result["instantiated"] = True
+        labs = map(assignment_to_labelling, models)
         result["patterns"] = [
-            _labelling_dict(lab) for lab in instantiation_patterns(fw, subst)
+            _labelling_dict(lab) for lab in distinct_projections(labs, fw.arguments)
         ]
     else:
         models = list(select_assignments(fw.arguments, clause_program(fw).holds))
     result["count"] = len(models)
     result["models"] = [_assignment_dict(h) for h in models]
-    return result, 0
+    return 0
 
 
-def _cmd_verify(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
+def _cmd_verify(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     fw = doc.to_framework()
     if doc.insts:
         raise _UsageError("verify does not apply to documents with inst facts")
-    result: dict[str, Any] = {
-        "command": "verify",
-        "species": doc.species,
-        "claim": ns.claim,
-    }
+    result["claim"] = ns.claim
     if ns.claim == "prop":
         report = verify_prop_theory(fw)
         result["report"] = _corr_dict(report)
@@ -227,11 +207,10 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         report = verify_domain_diagram(fw)
         result["report"] = _diagram_dict(report)
     result["verdict"] = "MATCH" if report.ok else "MISMATCH"
-    return result, 0 if report.ok else 2
+    return 0 if report.ok else 2
 
 
-def _cmd_solve_higher(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
+def _cmd_solve_higher(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     hn = doc.to_higher()
     models = solve_higher(hn, max_unknowns=ns.max_unknowns)
     pairs = [(u, x) for u in hn.nodes for x in hn.nodes]
@@ -249,16 +228,12 @@ def _cmd_solve_higher(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
                 "statuses": statuses,
             }
         )
-    return {
-        "command": "solve-higher",
-        "species": doc.species,
-        "count": len(rows),
-        "models": rows,
-    }, 0
+    result["count"] = len(rows)
+    result["models"] = rows
+    return 0
 
 
-def _cmd_aaf(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
+def _cmd_aaf(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     rows = [
         {
             "relation": relation,  # JSON renders pair tuples as lists
@@ -267,16 +242,12 @@ def _cmd_aaf(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         }
         for relation, labs in aaf_extensions(doc.to_aaf())
     ]
-    return {
-        "command": "aaf",
-        "species": doc.species,
-        "count": len(rows),
-        "relations": rows,
-    }, 0
+    result["count"] = len(rows)
+    result["relations"] = rows
+    return 0
 
 
-def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
-    doc = _load(ns.file)
+def _cmd_encode(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     source = ns.source or doc.species
     if source not in ("conjunctive", "disjunctive", "adf"):
         article = "an" if doc.species[0] in "aeiou" else "a"
@@ -285,18 +256,14 @@ def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         raise _UsageError(
             f"--from {source} does not match this {doc.species} document"
         )
-    result: dict[str, Any] = {
-        "command": "encode",
-        "species": doc.species,
-        "from": source,
-    }
+    result["from"] = source
     if source == "disjunctive":
         if ns.project:
             raise _UsageError("--project applies to conjunctive and adf encodings")
         frame = encode_disjunctive(doc.to_disjunctive())
         result["arguments"] = list(frame.s0)
         result["psi"] = format_formula(frame.psi)
-        return result, 0
+        return 0
     if source == "conjunctive":
         fw, base = encode_conjunctive(doc.to_conjunctive())
     else:
@@ -309,18 +276,16 @@ def _cmd_encode(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
         result["projected_extensions"] = [
             _labelling_dict(lab) for lab in distinct_projections(labs, base)
         ]
-    return result, 0
+    return 0
 
 
-def _cmd_valid(ns: argparse.Namespace) -> tuple[dict[str, Any], int]:
+def _cmd_valid(ns: Namespace, doc: None, result: dict[str, Any]) -> int:
     f = parse_prop(ns.formula)
     ok, counter = is_valid(f)
-    return {
-        "command": "valid",
-        "formula": format_formula(f),
-        "verdict": "VALID" if ok else "INVALID",
-        "countermodel": None if counter is None else _assignment_dict(counter),
-    }, 0
+    result["formula"] = format_formula(f)
+    result["verdict"] = "VALID" if ok else "INVALID"
+    result["countermodel"] = None if counter is None else _assignment_dict(counter)
+    return 0
 
 
 def _pairs_line(d: Mapping[str, str]) -> str:
@@ -448,10 +413,11 @@ def _build_parser() -> _Parser:
         "--format", choices=("text", "json"), default="text",
         help="output rendering",
     )
+    document = _Parser(add_help=False)
+    document.add_argument("file")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extensions", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("extensions", parents=[common, document])
     p.add_argument(
         "--semantics",
         choices=("complete", "stable", "grounded", "preferred"),
@@ -459,8 +425,7 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(handler=_cmd_extensions)
 
-    p = sub.add_parser("translate", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("translate", parents=[common, document])
     p.add_argument(
         "--mode",
         choices=("prop", "und-free", "pred", "diagram", "higher"),
@@ -468,28 +433,23 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(handler=_cmd_translate)
 
-    p = sub.add_parser("models", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("models", parents=[common, document])
     p.set_defaults(handler=_cmd_models)
 
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("verify", parents=[common, document])
     p.add_argument(
         "--claim", choices=("prop", "und-free", "pred", "diagram"), required=True
     )
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("solve-higher", parents=[common])
-    p.add_argument("file")
-    p.add_argument("--max-unknowns", type=_non_negative, default=14)
+    p = sub.add_parser("solve-higher", parents=[common, document])
+    p.add_argument("--max-unknowns", type=_non_negative, default=MAX_UNKNOWNS)
     p.set_defaults(handler=_cmd_solve_higher)
 
-    p = sub.add_parser("aaf", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("aaf", parents=[common, document])
     p.set_defaults(handler=_cmd_aaf)
 
-    p = sub.add_parser("encode", parents=[common])
-    p.add_argument("file")
+    p = sub.add_parser("encode", parents=[common, document])
     p.add_argument(
         "--from",
         dest="source",
@@ -510,7 +470,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        result, code = ns.handler(ns)
+        # each handler adds its keys to this result and returns the exit code
+        result: dict[str, Any] = {"command": ns.command}
+        doc = None
+        if "file" in ns:
+            doc = parse_document(Path(ns.file).read_text(encoding="utf-8"))
+            result["species"] = doc.species
+        code = ns.handler(ns, doc, result)
         if ns.format == "json":
             print(json.dumps(result, sort_keys=True, indent=2), flush=True)
         else:

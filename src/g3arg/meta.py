@@ -36,6 +36,9 @@ from .syntax import MarkerText, format_formula
 from .threeval import VALUE_ORDER, ThreeVal
 from .translate import Theory
 
+# solve_higher's default bound on its scan dimensions, three values each
+MAX_UNKNOWNS = 14
+
 R_UNIT_RE = re.compile(r"r\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*\)\Z")
 
 
@@ -341,7 +344,7 @@ class GeneralizedModel:
 def solve_higher(
     hn: HigherNetwork,
     fixed_r: Iterable[tuple[str, str]] | None = None,
-    max_unknowns: int = 14,
+    max_unknowns: int = MAX_UNKNOWNS,
 ) -> list[GeneralizedModel]:
     """Enumerate generalized models of the starred clauses.
 
@@ -357,16 +360,21 @@ def solve_higher(
     models; leaving the actual world free would admit models the clause
     analysis rules out.
 
-    Raises SearchSpaceExceeded when the unknown count (nodes, relation
-    pairs when free, formula units) exceeds ``max_unknowns``.
+    Raises SearchSpaceExceeded when the scan dimensions (nodes, open
+    relation pairs, formula units other than relation atoms) outnumber
+    ``max_unknowns``.
     """
     nodes = hn.nodes
     decided = {} if fixed_r is None else relation_to_r_val(nodes, fixed_r)
     pairs = [p for p in itertools.product(nodes, nodes) if p not in decided]
-    unknowns = len(nodes) + len(pairs) + len(hn.wffs)
-    if unknowns > max_unknowns:
+    # An R-atom unit is its own R atom; a general unit's standing is a scan
+    # dimension that must agree with its formula at the actual world.
+    general_units = [u for u in hn.wffs if not u.is_r_atom]
+    ties = [StatusRef(u.name) for u in general_units]
+    dims = [(d, VALUE_ORDER) for d in [*nodes, *pairs, *ties]]
+    if len(dims) > max_unknowns:
         raise SearchSpaceExceeded(
-            f"{unknowns} three-valued unknowns exceed the bound {max_unknowns}"
+            f"{len(dims)} three-valued unknowns exceed the bound {max_unknowns}"
         )
     clauses = [g for _, g in _star_clauses(hn, True, _as_status)]
     r_units = [
@@ -374,15 +382,9 @@ def solve_higher(
         for u in hn.wffs
         if u.is_r_atom
     ]
-    general_units = [u for u in hn.wffs if not u.is_r_atom]
     program = Program(
         clauses + [u.formula for u in general_units], grounding(nodes, decided)
     )
-    # An R-atom unit is its own R atom; a general unit's standing is a scan
-    # dimension that must agree with its formula at the actual world.
-    ties = [StatusRef(u.name) for u in general_units]
-    dims = [(n, VALUE_ORDER) for n in nodes] + [(p, VALUE_ORDER) for p in pairs]
-    dims += [(ref, VALUE_ORDER) for ref in ties]
     models: list[GeneralizedModel] = []
     for index in scan(dims, lambda table, full: program.holds(table, full, ties)):
         values = [choices[c] for (_, choices), c in zip(dims, index)]

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line entry point."""
 
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -404,6 +405,30 @@ def test_models_on_instantiated_document_appends_patterns(capsys, inst_doc):
     )
 
 
+def test_models_on_instantiated_document_scans_once(capsys, inst_doc, monkeypatch):
+    calls = []
+    scanned = translate.instantiated_models
+
+    def counting(*args):
+        calls.append(args)
+        return scanned(*args)
+
+    # instantiation_patterns reaches the function through translate's globals
+    monkeypatch.setattr(cli, "instantiated_models", counting)
+    monkeypatch.setattr(translate, "instantiated_models", counting)
+    code, out, _ = run(capsys, "models", inst_doc, "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
+    with open(inst_doc) as fh:
+        doc = parse_document(fh.read())
+    patterns = translate.instantiation_patterns(
+        doc.to_framework(), doc.to_substitution()
+    )
+    assert json.loads(out)["patterns"] == [
+        {x: lab[x].value for x in sorted(lab)} for lab in patterns
+    ]
+
+
 def test_verify_prop_matches(capsys, cycle_doc):
     code, out, _ = run(capsys, "verify", cycle_doc, "--claim", "prop")
     assert code == 0
@@ -446,7 +471,21 @@ def test_solve_higher_guard_exits_three(capsys, higher_doc):
         code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", bound)
         assert code == 3
         assert out == ""
-        assert err == f"error: 7 three-valued unknowns exceed the bound {bound}\n"
+        assert err == f"error: 6 three-valued unknowns exceed the bound {bound}\n"
+
+
+def test_solve_higher_guard_counts_only_scanned_units(capsys, higher_doc):
+    # nodes a, b and the four R pairs: the r(b,a) unit stands as its R pair
+    unguarded = run(capsys, "solve-higher", higher_doc)
+    assert unguarded[0] == 0
+    assert run(capsys, "solve-higher", higher_doc, "--max-unknowns", "6") == unguarded
+
+
+def test_the_unknown_bound_has_one_default():
+    ns = cli._build_parser().parse_args(["solve-higher", "doc.facts"])
+    assert ns.max_unknowns == meta.MAX_UNKNOWNS
+    default = inspect.signature(meta.solve_higher).parameters["max_unknowns"].default
+    assert default == meta.MAX_UNKNOWNS
 
 
 def test_solve_higher_refuses_a_negative_bound_as_usage(capsys, higher_doc):
@@ -632,6 +671,33 @@ def test_main_builds_its_parser_once(capsys, cycle_doc, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (["extensions", "--semantics", "grounded"], "cycle_doc"),
+        (["translate", "--mode", "prop"], "cycle_doc"),
+        (["models"], "cycle_doc"),
+        (["verify", "--claim", "pred"], "cycle_doc"),
+        (["solve-higher"], "loop_doc"),
+        (["aaf"], "aaf_doc"),
+        (["encode", "--project"], "conj_doc"),
+        (["valid", "x | ~x"], None),
+    ],
+)
+def test_each_call_parses_its_document_once(capsys, request, monkeypatch, argv, fixture):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_document(text)
+
+    monkeypatch.setattr(cli, "parse_document", counting)
+    doc = [] if fixture is None else [request.getfixturevalue(fixture)]
+    code, _, err = run(capsys, *argv[:1], *doc, *argv[1:])
+    assert (code, err) == (0, "")
+    assert len(parsed) == len(doc)
+
+
+@pytest.mark.parametrize(
     "before, argv, code",
     [
         (["extensions", "{plain}", "--semantics", "stable"],
@@ -640,8 +706,8 @@ def test_main_builds_its_parser_once(capsys, cycle_doc, monkeypatch):
          ["extensions", "{plain}", "--semantics", "bogus"], 1),
         (["extensions", "{plain}"], ["extensions", "{plain}", "--format", "json"], 0),
         (["extensions", "{plain}", "--format", "json"], ["extensions", "{plain}"], 0),
-        (["valid", "x"], ["solve-higher", "{higher}", "--max-unknowns", "6"], 3),
-        (["solve-higher", "{higher}", "--max-unknowns", "6"],
+        (["valid", "x"], ["solve-higher", "{higher}", "--max-unknowns", "5"], 3),
+        (["solve-higher", "{higher}", "--max-unknowns", "5"],
          ["solve-higher", "{higher}"], 0),
     ],
 )

@@ -232,7 +232,7 @@ def test_pinned_decided_relation_can_starve_an_attacked_atom():
 def test_search_guard():
     with pytest.raises(SearchSpaceExceeded) as exc:
         solve_higher(worked_network())
-    assert "22 three-valued unknowns exceed the bound 14" in str(exc.value)
+    assert "20 three-valued unknowns exceed the bound 14" in str(exc.value)
     # pinning the relation brings the same network under the bound
     solve_higher(worked_network(), fixed_r=[])
     with pytest.raises(SearchSpaceExceeded):
