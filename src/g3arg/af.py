@@ -18,7 +18,7 @@ import enum
 import re
 import types
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .threeval import ThreeVal
 
@@ -43,6 +43,7 @@ LABEL_TO_VALUE = {
 VALUE_TO_LABEL = {v: k for k, v in LABEL_TO_VALUE.items()}
 
 Labelling = dict[str, Label]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -76,16 +77,23 @@ class Framework:
             frozenset((u, x) for u, x in attacks),
         )
 
+    def kept(self, name: str, build: Callable[[Framework], T]) -> T:
+        """``build(self)``, built on the first call for ``name`` and kept on the
+        instance. A kept value is no field: ``==``, ``hash`` and ``repr`` never see it."""
+        if name not in self.__dict__:
+            object.__setattr__(self, name, build(self))
+        return self.__dict__[name]
+
     def attacker_table(self) -> Mapping[str, tuple[str, ...]]:
         """Each argument's sorted attackers: a read-only view of one table per framework."""
-        table = self.__dict__.get("_attackers")
-        if table is None:
-            table = {x: [] for x in self.arguments}
-            for u, x in sorted(self.attacks):
-                table[x].append(u)
-            table = {x: tuple(ys) for x, ys in table.items()}
-            object.__setattr__(self, "_attackers", table)
-        return types.MappingProxyType(table)
+        return types.MappingProxyType(self.kept("_attackers", _attackers))
+
+
+def _attackers(f: Framework) -> dict[str, tuple[str, ...]]:
+    table: dict[str, list[str]] = {x: [] for x in f.arguments}
+    for u, x in sorted(f.attacks):
+        table[x].append(u)
+    return {x: tuple(ys) for x, ys in table.items()}
 
 
 def check_complete(

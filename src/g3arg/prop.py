@@ -252,11 +252,13 @@ class Program:
             ]
             self.roots = [index[r] for r in roots]
 
-    def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
+    def run(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 
         ``table`` maps each leaf key to its pair of bitsets; ``full`` has a
-        bit set for every candidate of the batch.
+        bit set for every candidate of the batch. Each ``#n`` reads ``und``,
+        by default the constant's own pair (0, full): a defined marker binds
+        it to its definition's bitsets.
         """
         here: list[int] = []
         there: list[int] = []
@@ -281,7 +283,7 @@ class Program:
                 elif op == LEAF:
                     h, t = table[args]
                 else:
-                    h, t = 0, full
+                    h, t = und or (0, full)
                 here.append(h)
                 there.append(t)
         except KeyError as e:
@@ -304,36 +306,31 @@ class Program:
         return mask
 
 
-def link(parts: Sequence[tuple[Program, Callable]], und: tuple | None = None) -> Program:
+def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     """One Program running the code of ``parts``, with their roots in order.
 
     Each part is a Program and a one-to-one map from its leaf keys to the
     keys the linked Program reads. Equal instructions are emitted once, in
-    topological order. With ``und``, a part of one root, each ``#n`` of
-    ``parts`` reads that root, which comes last. A single part and no
-    ``und`` is a renamed copy: only the leaves change.
+    topological order. A single part is a renamed copy: only the leaves
+    change.
     """
     linked = object.__new__(Program)
-    if und is None and len(parts) == 1:
+    if len(parts) == 1:
         (program, key), = parts  # indices stay, so operands are shared untouched
         linked.code = [(op, key(args) if op == LEAF else args) for op, args in program.code]
         linked.roots = list(program.roots)
         return linked
     code: dict[tuple, int] = {}
 
-    def place(program: Program, key, marker: int | None = None) -> list[int]:
+    def place(program: Program, key) -> list[int]:
         index = []  # the part's instruction -> its linked index
         for op, args in program.code:
-            if op == UND and marker is not None:
-                index.append(marker)
-                continue
             args = key(args) if op == LEAF else tuple(map(index.__getitem__, args))
             index.append(code.setdefault((op, args), len(code)))
         return [index[r] for r in program.roots]
 
-    marker = place(*und)[0] if und else None
-    roots = [r for program, key in parts for r in place(program, key, marker)]
-    linked.code, linked.roots = list(code), roots if und is None else roots + [marker]
+    linked.roots = [r for program, key in parts for r in place(program, key)]
+    linked.code = list(code)
     return linked
 
 

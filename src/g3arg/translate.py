@@ -161,18 +161,13 @@ def _shape_group(clauses, k: int, p: int) -> Program:
     return link([(Program(g for _, g in clauses(str(p), [*map(str, range(k))])), int)])
 
 
-def _linked(f: Framework, clauses, und: bool = False) -> Program:
-    """The shape group of ``clauses`` for each argument, linked in argument order.
-
-    With ``und``, each ``#n`` reads ``und_definition(f)``, whose root comes last.
-    """
+def _linked(f: Framework, clauses) -> Program:
+    """The shape group of ``clauses`` for each argument, linked in argument order."""
     parts = []
     for x, ys in f.attacker_table().items():
         p = ys.index(x) if x in ys else -1
         parts.append((_shape_group(clauses, len(ys), p), (*ys, x).__getitem__))
-    if not und:
-        return link(parts)
-    return link(parts, (_und_over_positions(len(f.arguments)), f.arguments.__getitem__))
+    return link(parts)
 
 
 @functools.cache
@@ -195,9 +190,15 @@ def clause_program(f: Framework) -> Program:
     """The Program of ``prop_theory(f).formulas()``, linked from per-shape groups.
 
     An argument's clauses depend only on how many attackers it has and on
-    where it attacks itself, so each such shape is compiled once.
+    where it attacks itself, so each such shape is compiled once. The
+    program is linked once per framework and kept on it.
     """
-    return _linked(f, _argument_clauses)
+    return f.kept("_clause_program", lambda f: _linked(f, _argument_clauses))
+
+
+def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
+    """The canonical complete labellings of ``f``, searched once and kept on it."""
+    return f.kept("_complete", lambda f: frozenset(map(canonical, enumerate_complete(f))))
 
 
 def labelling_to_assignment(lab: Mapping[str, Label]) -> dict[str, ThreeVal]:
@@ -215,8 +216,7 @@ def verify_prop_theory(f: Framework) -> CorrespondenceReport:
     """
     models = list(select_assignments(f.arguments, clause_program(f).holds))
     model_side = {canonical(assignment_to_labelling(h)) for h in models}
-    lab_side = {canonical(lab) for lab in enumerate_complete(f)}
-    return _compare(framework_key(f), model_side, lab_side, len(models))
+    return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
 
 
 def _decided(names: Sequence[str]) -> Formula:
@@ -274,8 +274,9 @@ def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     attackers' negations). The second is the clause theory with the marker
     constant textually replaced by its definition; its models with the
     defined marker undecided cover the non-stable complete labellings.
-    ``verify_und_free`` links the clause program to the definition, and the
-    CLI prints both theories with ``clause_texts``; neither builds them.
+    ``verify_und_free`` runs the clause program with ``#n`` bound to the
+    definition, and the CLI prints both theories with ``clause_texts``;
+    neither builds them.
     """
     defn = und_definition(f)
     free_clauses = tuple(
@@ -302,11 +303,13 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     of ``und_free_theories``; non-stable complete labellings must equal the
     models of the second in which the defined marker is undecided; together
     the two sides must rebuild the complete set. Both theories run as
-    programs linked from per-shape groups, like ``clause_program``; no
-    clause tree is built. Each ``#n`` of the clause program reads the root
-    of ``und_definition``, compiled once per number of arguments, which has
-    the same models as the rebuilt clauses. That root is one more root of
-    the program, so each batch runs the code once.
+    programs linked from per-shape groups; no clause tree is built. The
+    second is ``clause_program(f)`` itself, with ``#n`` bound at run time:
+    each batch first runs ``und_definition``, compiled once per number of
+    arguments, and its root's (HERE, THERE) pair is what every ``#n``
+    reads, which gives the rebuilt clauses' models. The complete
+    labellings and the clause program are those kept on ``f``, so the
+    other verifiers share them.
     """
     subject = framework_key(f)
 
@@ -315,19 +318,20 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     )
     stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
 
-    free = _linked(f, _argument_clauses, und=True)
+    clauses = clause_program(f)
+    defn = link([(_und_over_positions(len(f.arguments)), f.arguments.__getitem__)])
 
     def undecided(table: Mapping, full: int) -> int:
-        *clauses, (decided, _) = free.run(table, full)
-        mask = full ^ decided
-        for h, _ in clauses:
+        decided, = defn.run(table, full)
+        mask = full ^ decided[0]
+        for h, _ in clauses.run(table, full, decided):
             mask &= h
         return mask
 
     partial_models = list(select_assignments(f.arguments, undecided))
     partial_side = {canonical(assignment_to_labelling(h)) for h in partial_models}
 
-    complete = {canonical(lab) for lab in enumerate_complete(f)}
+    complete = _complete_labellings(f)
     stable_labs = {
         lab for lab in complete if all(v != Label.UND.value for _, v in lab)
     }
@@ -452,8 +456,7 @@ def verify_pred_theory(f: Framework) -> CorrespondenceReport:
     delta = delta_program(f.arguments).holds
     models = list(select_assignments(f.arguments, delta, bound=r_val))
     model_side = {canonical(assignment_to_labelling(h)) for h in models}
-    lab_side = {canonical(lab) for lab in enumerate_complete(f)}
-    return _compare(framework_key(f), model_side, lab_side, len(models))
+    return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
 
 
 def domain_diagram(f: Framework) -> Formula:

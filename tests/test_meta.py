@@ -5,6 +5,8 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g3arg.af import VALUE_TO_LABEL, canonical, enumerate_complete
+from g3arg.corpus import all_frameworks
 from g3arg.meta import (
     GeneralizedModel,
     HigherNetwork,
@@ -213,6 +215,19 @@ def test_pinned_relation_reduces_to_plain_labellings():
     assert [
         (m.in_value("a").name, m.in_value("b").name) for m in cycle
     ] == [("FF", "TT"), ("FT", "FT"), ("TT", "FF")]
+
+
+def test_pinned_plain_attacks_give_the_complete_labellings_on_every_three_graph():
+    """Conservativity: with R pinned to a graph's attacks and no formula
+    units, the node labellings of the generalized models are its complete
+    labellings, each once."""
+    for f in all_frameworks(3):
+        models = solve_higher(HigherNetwork.make(f.arguments, [], f.attacks),
+                              fixed_r=f.attacks)
+        found = [canonical({x: VALUE_TO_LABEL[m.in_value(x)] for x in f.arguments})
+                 for m in models]
+        assert len(found) == len(set(found))
+        assert set(found) == {canonical(lab) for lab in enumerate_complete(f)}, f
 
 
 def test_pinned_relation_pairs_must_name_nodes():

@@ -451,24 +451,69 @@ SELF_SHAPES = Framework.make(
 def test_linked_programs_match_direct_compiles(f, batch):
     """HERE and THERE of every root on every candidate, linked against direct.
 
-    The und-free program is the clause program with ``#n`` linked to the
-    definition, and the definition's root last.
+    The und-free check runs the clause program with ``#n`` bound to the
+    root of the definition's renamed copy, which comes last here.
     """
     defn = und_definition(f)
+    definition = prop.link([(translate._und_over_positions(len(f.arguments)),
+                             f.arguments.__getitem__)])
+
+    def und_free(table, full):
+        root, = definition.run(table, full)
+        return clause_program(f).run(table, full, root) + [root]
+
     pairs = [
-        (clause_program(f), [Program(prop_theory(f).formulas())]),
-        (translate._linked(f, translate._fix_clauses), [Program(stable_theory(f).formulas())]),
-        (translate._linked(f, translate._argument_clauses, und=True),
+        (clause_program(f).run, [Program(prop_theory(f).formulas())]),
+        (translate._linked(f, translate._fix_clauses).run,
+         [Program(stable_theory(f).formulas())]),
+        (und_free,
          [Program(prop_theory(f).formulas(), oracle.defined_marker(defn)), Program([defn])]),
     ]
 
     def agree(table, full):
-        for linked, direct in pairs:
-            assert linked.run(table, full) == [r for p in direct for r in p.run(table, full)]
+        for run, direct in pairs:
+            assert run(table, full) == [r for p in direct for r in p.run(table, full)]
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
         assert list(scan([(x, VALUE_ORDER) for x in f.arguments], agree)) == []
+
+
+def test_the_three_verifiers_share_one_search_and_one_clause_program():
+    """prop, und-free and pred on one Framework search its labellings once and
+    link its clause groups once; an equal Framework built afresh does both again."""
+    searches, clause_links = [], []
+    search, link = translate.enumerate_complete, translate.link
+    groups = {id(translate._shape_group(translate._argument_clauses, k, p))
+              for k in range(4) for p in range(-1, k)}
+
+    def counting_search(f):
+        searches.append(f)
+        return search(f)
+
+    def counting_link(parts):
+        if any(id(program) in groups for program, _ in parts):
+            clause_links.append(parts)
+        return link(parts)
+
+    def verify(f):
+        reports = verify_prop_theory(f), verify_und_free(f), verify_pred_theory(f)
+        assert all(r.ok for r in reports)
+
+    attacks = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "d")]
+    f = Framework.make("abcd", attacks)
+    fields = repr(f), hash(f)
+    with patch.object(translate, "enumerate_complete", counting_search), \
+            patch.object(translate, "link", counting_link):
+        verify(f)
+        assert searches == [f] and len(clause_links) == 1
+        verify(f)
+        assert len(searches) == 1 and len(clause_links) == 1
+        fresh = Framework.make("abcd", attacks)
+        verify(fresh)
+        assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 2
+    assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
+    assert f == fresh == Framework.make("abcd", attacks)
 
 
 def test_clause_groups_are_compiled_once_per_shape():
