@@ -89,8 +89,9 @@ class StatusRef(Formula):
     """Internal placeholder that evaluates through a named status table.
 
     Used by the higher-network solver, where the standing of a formula unit
-    is an unknown of the search rather than a derived value. Never produced
-    by the parsers.
+    is an unknown of the search rather than a derived value, and for the
+    attacks left open in the domain diagram compiled over positions. Never
+    produced by the parsers.
     """
 
     name: str

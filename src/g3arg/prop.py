@@ -116,13 +116,14 @@ def propositional(f: Formula, env) -> tuple[int, object]:
     raise EvalError(f"not a propositional formula node: {f!r}")
 
 
-def _combine(op: int, args: list, ref: int, todo: list, emit) -> int | None:
+def _combine(op: int, args: list, ref: int, todo: object, emit) -> int | None:
     """Take operand ``ref`` of an ``op`` node whose earlier operands are ``args``.
 
-    Returns the node's reference once it is decided, or None while ``todo``
-    still holds an operand it needs. Constants fold away here. The IMP folds
-    rely on every leaf profile being persistent (HERE implies THERE), so
-    TRUE -> b is b and a -> FALSE is ~a.
+    ``todo`` is true while operands after ``ref`` remain: the compiler
+    passes its list of them, ``link`` a flag. Returns the node's reference
+    once it is decided, or None while it still needs an operand. Constants
+    fold away here. The IMP folds rely on every leaf profile being
+    persistent (HERE implies THERE), so TRUE -> b is b and a -> FALSE is ~a.
     """
     if op == NEG:
         return FALSE if ref == TRUE else TRUE if ref == FALSE else emit(NEG, (ref,))
@@ -231,26 +232,13 @@ class Program:
                     continue
                 roots.append(ref)
                 break
-        roots = [r if r >= 0 else emit(ALL if r == TRUE else ANY, ()) for r in roots]
-        # keep what the roots reach: an operand compiled before a later zero is dead
-        self.code, self.roots = list(code), roots
-        live = [False] * len(code)
-        for r in roots:
-            live[r] = True
-        for i in range(len(code) - 1, -1, -1):
-            if live[i]:
-                op, args = self.code[i]
-                if op != LEAF:
-                    for a in args:
-                        live[a] = True
-        if not all(live):
-            index = list(itertools.accumulate(live, initial=-1))[1:]  # new positions
-            self.code = [
-                (op, args if op == LEAF else tuple(index[a] for a in args))
-                for (op, args), keep in zip(self.code, live)
-                if keep
-            ]
-            self.roots = [index[r] for r in roots]
+        # an operand compiled before a later zero is dead
+        self.code, self.roots = _live(code, roots)
+
+    @functools.cached_property
+    def leaves(self) -> list[int]:
+        """The indices of the LEAF instructions, which ``link`` renames."""
+        return [i for i, (op, _) in enumerate(self.code) if op == LEAF]
 
     def run(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
@@ -306,31 +294,88 @@ class Program:
         return mask
 
 
+def _live(code: dict[tuple, int], roots: list[int]) -> tuple[list, list[int]]:
+    """The instructions of ``code`` that ``roots`` reach, renumbered, and the roots.
+
+    A constant root is emitted first: TRUE as the empty ALL, FALSE as the
+    empty ANY.
+    """
+    roots = [r if r >= 0 else code.setdefault((ALL if r == TRUE else ANY, ()), len(code))
+             for r in roots]
+    program = list(code)
+    live = [False] * len(program)
+    for r in roots:
+        live[r] = True
+    for i in range(len(program) - 1, -1, -1):
+        if live[i]:
+            op, args = program[i]
+            if op != LEAF:
+                for a in args:
+                    live[a] = True
+    if all(live):
+        return program, roots
+    index = list(itertools.accumulate(live, initial=-1))[1:]  # new positions
+    program = [
+        (op, args if op == LEAF else tuple(index[a] for a in args))
+        for (op, args), keep in zip(program, live)
+        if keep
+    ]
+    return program, [index[r] for r in roots]
+
+
 def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     """One Program running the code of ``parts``, with their roots in order.
 
-    Each part is a Program and a one-to-one map from its leaf keys to the
-    keys the linked Program reads. Equal instructions are emitted once, in
-    topological order. A single part is a renamed copy: only the leaves
-    change.
+    Each part is a Program and a map from its leaf keys to the keys the
+    linked Program reads, one-to-one but for the leaves it sends to TRUE
+    or FALSE: those are decided, and each instruction that reads one is
+    folded again by ``_combine``, as when compiling; instructions no root
+    reaches any more are dropped. Equal instructions are emitted once, in
+    topological order. A single part that decides no leaf is a renamed
+    copy: only the leaves change.
     """
     linked = object.__new__(Program)
     if len(parts) == 1:
         (program, key), = parts  # indices stay, so operands are shared untouched
-        linked.code = [(op, key(args) if op == LEAF else args) for op, args in program.code]
-        linked.roots = list(program.roots)
-        return linked
+        keys = [key(program.code[i][1]) for i in program.leaves]
+        if TRUE not in keys and FALSE not in keys:
+            linked.code = list(program.code)
+            for i, k in zip(program.leaves, keys):
+                linked.code[i] = (LEAF, k)
+            linked.roots = list(program.roots)
+            return linked
     code: dict[tuple, int] = {}
+    folded = False
+
+    def emit(op: int, args) -> int:
+        return code.setdefault((op, args), len(code))
 
     def place(program: Program, key) -> list[int]:
-        index = []  # the part's instruction -> its linked index
+        nonlocal folded
+        index = []  # the part's instruction -> its linked reference
         for op, args in program.code:
-            args = key(args) if op == LEAF else tuple(map(index.__getitem__, args))
+            if op == LEAF:
+                args = key(args)
+                if args == TRUE or args == FALSE:
+                    folded = True
+                    index.append(args)
+                    continue
+            else:
+                args = tuple(map(index.__getitem__, args))
+                if folded and args and min(args) < 0:
+                    last, done = len(args) - 1, []
+                    for i, a in enumerate(args):
+                        ref = _combine(op, done, a, i < last, emit)
+                        if ref is not None:
+                            break
+                    index.append(ref)
+                    continue
+            # emit, inlined: a call per instruction slows a renaming link by ~15 %
             index.append(code.setdefault((op, args), len(code)))
         return [index[r] for r in program.roots]
 
-    linked.roots = [r for program, key in parts for r in place(program, key)]
-    linked.code = list(code)
+    roots = [r for program, key in parts for r in place(program, key)]
+    linked.code, linked.roots = _live(code, roots) if folded else (list(code), roots)
     return linked
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .af import (
     Framework,
@@ -26,6 +26,8 @@ from .af import (
     enumerate_complete,
 )
 from .prop import (
+    FALSE,
+    TRUE,
     And,
     Atom,
     Formula,
@@ -49,6 +51,7 @@ from .pred import (
     Forall,
     InAtom,
     RAtom,
+    StatusRef,
     Variable,
     distinct_domain,
     grounding,
@@ -154,11 +157,12 @@ def prop_theory(f: Framework) -> Theory:
 def _shape_group(clauses, k: int, p: int) -> Program:
     """``clauses`` of an argument with k attackers, itself at position p (-1: none).
 
-    Compiled over positions: the atoms "-1", "0", "1", .. become the leaves
-    -1, 0, 1, ..; leaf i reads the i-th attacker and leaf -1 the argument,
-    so a self-attack shares the argument's leaf.
+    Compiled over positions: the atoms "0", "1", .. become the leaves 0, 1,
+    ..; leaf i reads the i-th attacker and leaf k the argument, or leaf p
+    when the argument attacks itself, so a self-attack shares its leaf.
     """
-    return link([(Program(g for _, g in clauses(str(p), [*map(str, range(k))])), int)])
+    x = str(k if p < 0 else p)
+    return link([(Program(g for _, g in clauses(x, [*map(str, range(k))])), int)])
 
 
 def _linked(f: Framework, clauses) -> Program:
@@ -459,6 +463,25 @@ def verify_pred_theory(f: Framework) -> CorrespondenceReport:
     return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
 
 
+def _diagram(n: int, literals: Callable[[dict], list[Formula]]) -> Formula:
+    """A diagram naming n elements X1..Xn, with ``literals(r)`` on R.
+
+    ``r`` maps each position pair (i, j), in product order, to the atom
+    R(Xi+1,Xj+1). The named elements are pairwise distinct and exhaust
+    the domain.
+    """
+    xs = [Variable(f"X{i + 1}") for i in range(n)]
+    r = {(i, j): RAtom(xs[i], xs[j]) for i, j in itertools.product(range(n), repeat=2)}
+    parts = [Neg(EqAtom(a, b)) for a, b in itertools.combinations(xs, 2)]
+    parts += literals(r)
+    y = Variable("Y")
+    parts.append(Forall("Y", disj([EqAtom(y, x) for x in xs])))
+    body = conj(parts)
+    for x in reversed(xs):
+        body = Exists(x.name, body)
+    return body
+
+
 def domain_diagram(f: Framework) -> Formula:
     """One closed formula listing the domain and the attack relation.
 
@@ -469,29 +492,44 @@ def domain_diagram(f: Framework) -> Formula:
     conjuncts any superset of a renamed copy would slip through, dragging
     in labellings of other frameworks.
     """
-    names = f.arguments
-    var_of = {name: Variable(f"X{i + 1}") for i, name in enumerate(names)}
-    parts: list[Formula] = [
-        Neg(EqAtom(var_of[a], var_of[b]))
-        for a, b in itertools.combinations(names, 2)
-    ]
-    pairs = [(u, x) for u in names for x in names]
-    parts.extend(
-        RAtom(var_of[u], var_of[x]) for u, x in pairs if (u, x) in f.attacks
-    )
-    parts.extend(
-        Neg(RAtom(var_of[u], var_of[x]))
-        for u, x in pairs
-        if (u, x) not in f.attacks
-    )
-    y = Variable("Y")
-    parts.append(
-        Forall("Y", disj([EqAtom(y, var_of[a]) for a in names]))
-    )
-    body = conj(parts)
-    for name in reversed(names):
-        body = Exists(var_of[name].name, body)
-    return body
+    position = {name: i for i, name in enumerate(f.arguments)}
+    attacked = {(position[u], position[x]) for u, x in f.attacks}
+    return _diagram(len(position), lambda r: [
+        *(atom for p, atom in r.items() if p in attacked),
+        *(Neg(atom) for p, atom in r.items() if p not in attacked),
+    ])
+
+
+@functools.cache
+def _diagram_over_positions(n: int) -> Program:
+    """The domain diagram over 0..n-1 with the attacks left open.
+
+    Each pair's literal is R(Xi,Xj) <-> A(i,j): ``R(i,j)`` is keyed
+    ``(i, j)`` and ``A(i,j)`` by the pair's index in product order,
+    ``i * n + j``. Deciding A(i,j) when a copy is linked folds the literal
+    to R(Xi,Xj) or its negation, which is ``domain_diagram``'s conjunct.
+    """
+    diagram = _diagram(n, lambda r: [
+        iff(atom, StatusRef(str(k))) for k, atom in enumerate(r.values())
+    ])
+    return link([(
+        Program([diagram], grounding(range(n))),
+        lambda key: key if type(key) is tuple else int(key.name),
+    )])
+
+
+def _diagram_program(f: Framework) -> Program:
+    """The Program of ``domain_diagram(f)``, linked from the copy over positions.
+
+    The diagram is compiled once per number of arguments; each framework's
+    copy renames R to its argument pairs and folds its attacks in.
+    """
+    dom = f.arguments
+    decided = [TRUE if p in f.attacks else FALSE for p in itertools.product(dom, dom)]
+    return link([(
+        _diagram_over_positions(len(dom)),
+        lambda key: (dom[key[0]], dom[key[1]]) if type(key) is tuple else decided[key],
+    )])
 
 
 @dataclass(frozen=True)
@@ -516,11 +554,13 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
     decided values: ``delta_program`` is scanned under each relation that
-    the diagram admits. The expected side is the framework's complete
-    labellings pushed through every renaming of the arguments.
+    the diagram admits. The diagram is ``f``'s copy of the one compiled
+    per domain size (see ``_diagram_program``). The expected side is the
+    framework's complete labellings pushed through every renaming of the
+    arguments.
     """
     dom = f.arguments
-    diagram = Program([domain_diagram(f)], grounding(dom))
+    diagram = _diagram_program(f)
     relations = select_assignments(itertools.product(dom, dom), diagram.holds, DECIDED_ORDER)
     delta = delta_program(dom).holds
     # r_val lists its pairs in product order over the sorted arguments: each relation is sorted

@@ -397,12 +397,12 @@ def test_aaf_extensions_matches_the_oracle_scan(psi, batch):
     ],
 )
 def test_aaf_extensions_match_the_oracle_on_three_arguments(kind, args):
-    """2^9 relations times 3^3 profiles: more than one batch at the default width."""
-    assert 2**9 * 3**3 > prop.BATCH_BITS
+    """2^9 relations times 3^3 profiles: more than one batch of 1 << 13."""
     psi = Top() if kind == "true" else build_meta(kind, *args)
     frame = AxiomaticFrame(("a", "b", "c"), psi)
     # one scan and no labelling search
-    with patch.object(aaf, "scan", wraps=prop.scan) as scans, \
+    with patch.object(prop, "BATCH_BITS", 1 << 13), \
+            patch.object(aaf, "scan", wraps=prop.scan) as scans, \
             patch.object(af, "_search", side_effect=AssertionError):
         got = aaf_extensions(frame)
         want = oracle.aaf_extensions(frame)

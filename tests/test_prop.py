@@ -4,7 +4,7 @@ import itertools
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from g3arg import prop
 from g3arg.prop import (
@@ -267,6 +267,42 @@ def test_scan_is_the_filtered_product(case, batch):
         # nothing the scans kept went into the cached plan
         shape = tuple(tuple(choices) for _, choices in dims)
         assert prop._plan(shape, batch) == prop._plan.__wrapped__(shape, batch)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(_formulas, min_size=1, max_size=4),
+    st.integers(0, 4),
+    st.dictionaries(st.sampled_from("xyz"), st.booleans()),
+    st.sampled_from([1, 3, 9, prop.BATCH_BITS]),
+)
+@example([Imp(Atom("x"), Atom("y"))], 1, {"y": False}, 1)  # a -> false is ~a
+@example([Imp(Atom("x"), Atom("y")), Neg(Atom("y"))], 1, {"x": True}, 3)  # true -> b is b
+def test_folding_decided_leaves_matches_compiling_the_constants(formulas, split, decided, batch):
+    """Linking with leaves sent to TRUE or FALSE equals compiling Top or Bot
+    in their place, and running the unlinked parts with those leaves bound.
+
+    The formulas are split over one or two parts; every linked instruction
+    is a root or read by a later one.
+    """
+    parts = [Program(fs) for fs in (formulas[:split], formulas[split:]) if fs]
+    fold = {x: prop.TRUE if v else prop.FALSE for x, v in decided.items()}
+    folded = prop.link([(p, lambda key: fold.get(key, key)) for p in parts])
+    constants = {x: Top() if v else Bot() for x, v in decided.items()}
+    direct = Program([substitute(f, constants) for f in formulas])
+    bound = {x: ThreeVal.TT if v else ThreeVal.FF for x, v in decided.items()}
+
+    def agree(table, full):
+        want = [r for p in parts for r in p.run(table, full)]
+        assert folded.run(table, full) == direct.run(table, full) == want
+        return 0
+
+    with patch.object(prop, "BATCH_BITS", batch):
+        dims = [(x, VALUE_ORDER) for x in "xyz" if x not in decided]
+        assert list(scan(dims, agree, bound)) == []
+    read = {a for op, args in folded.code if op != LEAF for a in args}
+    assert read | set(folded.roots) == set(range(len(folded.code)))
+    assert not any(op == LEAF and key in decided for op, key in folded.code)
 
 
 def test_plans_are_bounded_and_keyed_on_the_shape_alone():

@@ -16,7 +16,7 @@ from g3arg.corpus import all_frameworks, random_framework
 from g3arg.prop import ALL, LEAF, Atom, Program, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, relation_to_r_val
-from g3arg.threeval import VALUE_ORDER, ThreeVal
+from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
 from g3arg.translate import (
     CorrespondenceReport,
     Theory,
@@ -306,7 +306,8 @@ def test_delta_program_refuses_a_repeated_element():
 
 
 def test_delta_is_compiled_once_per_domain_size():
-    """Two frameworks of one size with disjoint names share Delta's program."""
+    """Two frameworks of one size with disjoint names share Delta's program,
+    and the domain diagram's."""
     compiled = []
     init = Program.__init__
 
@@ -322,19 +323,53 @@ def test_delta_is_compiled_once_per_domain_size():
         assert compiled == []
         assert verify_pred_theory(Framework.make("abcd", [("d", "a")])).ok
         assert compiled == [pred_theory().formulas()]
-        # the other two callers compile only their own formula
+        # the diagram compiles once per domain size, its attacks left open
         compiled.clear()
+        translate._diagram_over_positions.cache_clear()
         cycle = Framework.make("uvw", [("u", "v"), ("v", "w"), ("w", "u")])
         assert verify_domain_diagram(cycle).ok
+        (template,), = compiled
+        assert verify_domain_diagram(Framework.make("pqr", [("p", "q"), ("q", "q")])).ok
+        assert len(compiled) == 1
+        # a new size compiles its diagram, then Delta
+        assert verify_domain_diagram(Framework.make("ab", [("b", "a")])).ok
+        assert len(compiled) == 3 and compiled[2] == pred_theory().formulas()
+        # aaf compiles only its own formula
+        compiled.clear()
         frame = AxiomaticFrame(("a", "b", "c"), parse_pred("forall X ~R(X,X)"))
         assert aaf_extensions(frame)
-        assert compiled == [[domain_diagram(cycle)], [frame.psi]]
-    assert translate._delta_over_positions.cache_info().currsize == 2
+        assert compiled == [[frame.psi]]
+    assert translate._delta_over_positions.cache_info().currsize == 3
+    assert translate._diagram_over_positions.cache_info().currsize == 2
+    # the template names no argument; over positions, R(i,j) is keyed (i, j), A(i,j) 3i + j
+    assert is_closed(template) and template != domain_diagram(cycle)
+    positions = translate._diagram_over_positions(3)
+    assert len(Program([template], grounding(range(3))).code) == len(positions.code)
+    leaves = {key for op, key in positions.code if op == LEAF}
+    assert leaves == {*itertools.product(range(3), repeat=2), *range(9)}
     # a caller's copy shares no list with the cached program
     mine = delta_program("abc")
     mine.code.clear()
     mine.roots.clear()
     assert delta_program("abc").code and delta_program("abc").roots
+
+
+def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
+    """Each graph's copy of the diagram over positions, its attacks folded in,
+    has the direct compile's (HERE, THERE) root on all 2^9 decided relations,
+    one batch, and as many instructions."""
+    for f in all_frameworks(3):
+        direct = Program([domain_diagram(f)], grounding(f.arguments))
+        folded = translate._diagram_program(f)
+        assert len(folded.code) == len(direct.code)
+
+        def agree(table, full):
+            assert full == (1 << 2**9) - 1
+            assert folded.run(table, full) == direct.run(table, full)
+            return 0
+
+        pairs = itertools.product(f.arguments, repeat=2)
+        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree)) == []
 
 
 def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
