@@ -26,7 +26,7 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
-from .translate import delta_program
+from .translate import delta_keep
 
 
 # The scan covers 2^(|s0|^2) relations by 3^|s0| profiles: 4 arguments pass, 5 not.
@@ -67,7 +67,7 @@ def aaf_extensions(
     """The models of Delta_A and psi, grouped by relation.
 
     One scan covers the decided relation pairs and every argument's In
-    profile, keeping where both ``delta_program`` and psi hold. Relations
+    profile, keeping where both Delta_A (``delta_keep``) and psi hold. Relations
     come as sorted pair tuples in lexicographic order, their labellings in
     lexicographic in < out < und order. Raises SearchSpaceExceeded when
     there are more than MAX_RELATIONS.
@@ -79,11 +79,9 @@ def aaf_extensions(
         )
     labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
     dims = [(p, DECIDED_ORDER) for p in pairs] + [(x, labels) for x in af.s0]
-    delta, psi = delta_program(af.s0), Program([af.psi], grounding(af.s0))
+    delta, psi = delta_keep(af.s0), Program([af.psi], grounding(af.s0))
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(
-        dims, lambda table, full: delta.holds(table, full) & psi.holds(table, full)
-    ):
+    for index in scan(dims, lambda table, full: delta(table, full) & psi.holds(table, full)):
         lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[len(pairs) :])))
         family.setdefault(index[: len(pairs)], []).append(lab)
     return sorted(

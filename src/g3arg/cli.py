@@ -41,7 +41,7 @@ from .translate import (
     DiagramReport,
     Theory,
     assignment_to_labelling,
-    clause_program,
+    clause_keep,
     clause_texts,
     domain_diagram,
     instantiated_models,
@@ -179,7 +179,7 @@ def _cmd_models(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> in
             _labelling_dict(lab) for lab in distinct_projections(labs, fw.arguments)
         ]
     else:
-        models = list(select_assignments(fw.arguments, clause_program(fw).holds))
+        models = list(select_assignments(fw.arguments, clause_keep(fw)))
     result["count"] = len(models)
     result["models"] = [_assignment_dict(h) for h in models]
     return 0

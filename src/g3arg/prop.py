@@ -235,11 +235,6 @@ class Program:
         # an operand compiled before a later zero is dead
         self.code, self.roots = _live(code, roots)
 
-    @functools.cached_property
-    def leaves(self) -> list[int]:
-        """The indices of the LEAF instructions, which ``link`` renames."""
-        return [i for i, (op, _) in enumerate(self.code) if op == LEAF]
-
     def run(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 
@@ -331,19 +326,9 @@ def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     or FALSE: those are decided, and each instruction that reads one is
     folded again by ``_combine``, as when compiling; instructions no root
     reaches any more are dropped. Equal instructions are emitted once, in
-    topological order. A single part that decides no leaf is a renamed
-    copy: only the leaves change.
+    topological order.
     """
     linked = object.__new__(Program)
-    if len(parts) == 1:
-        (program, key), = parts  # indices stay, so operands are shared untouched
-        keys = [key(program.code[i][1]) for i in program.leaves]
-        if TRUE not in keys and FALSE not in keys:
-            linked.code = list(program.code)
-            for i, k in zip(program.leaves, keys):
-                linked.code[i] = (LEAF, k)
-            linked.roots = list(program.roots)
-            return linked
     code: dict[tuple, int] = {}
     folded = False
 
@@ -422,6 +407,16 @@ def _plan(shape: tuple[tuple[ThreeVal, ...], ...], batch_bits: int) -> tuple:
     return split, full, profiles, tuple(reversed(patterns)), p, high, low
 
 
+def fits_one_batch(choices: int, count: int) -> bool:
+    """Whether ``count`` dimensions of ``choices`` choices each scan as one batch.
+
+    This is exactly when ``_plan`` at BATCH_BITS puts every dimension in the
+    batch (its split is 0). A program that serves a single batch runs once,
+    so building a private copy of it for the scan does not pay.
+    """
+    return choices**count <= BATCH_BITS
+
+
 def scan(
     dims: Sequence[tuple[object, Sequence[ThreeVal]]],
     keep: Callable[[dict, int], int],
@@ -464,12 +459,10 @@ def select_assignments(
     names: Sequence[str],
     keep: Callable[[dict, int], int],
     order: Sequence[ThreeVal] = VALUE_ORDER,
-    bound: Mapping[object, ThreeVal] | None = None,
 ) -> Iterator[dict[str, ThreeVal]]:
-    """Assignments over ``names``, each ranging over ``order``, that ``keep``
-    marks; each key of ``bound`` keeps its one profile, as in ``scan``."""
+    """Assignments over ``names``, each ranging over ``order``, that ``keep`` marks."""
     names = list(dict.fromkeys(names))
-    for index in scan([(x, order) for x in names], keep, bound):
+    for index in scan([(x, order) for x in names], keep):
         yield dict(zip(names, (order[c] for c in index)))
 
 

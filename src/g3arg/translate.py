@@ -39,9 +39,11 @@ from .prop import (
     atoms_of,
     conj,
     disj,
+    fits_one_batch,
     iff,
     link,
     replace_und,
+    scan,
     select_assignments,
     substitute,
 )
@@ -58,7 +60,7 @@ from .pred import (
     relation_to_r_val,
 )
 from .syntax import HASH_N, MarkerText, format_formula
-from .threeval import DECIDED_ORDER, ThreeVal
+from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
 
 
 @dataclass(frozen=True)
@@ -165,13 +167,19 @@ def _shape_group(clauses, k: int, p: int) -> Program:
     return link([(Program(g for _, g in clauses(x, [*map(str, range(k))])), int)])
 
 
+def _groups(f: Framework, clauses) -> list[tuple[Program, tuple[str, ...]]]:
+    """Each argument's shape group of ``clauses`` and the names its leaves read."""
+    return [
+        (_shape_group(clauses, len(ys), ys.index(x) if x in ys else -1), (*ys, x))
+        for x, ys in f.attacker_table().items()
+    ]
+
+
 def _linked(f: Framework, clauses) -> Program:
-    """The shape group of ``clauses`` for each argument, linked in argument order."""
-    parts = []
-    for x, ys in f.attacker_table().items():
-        p = ys.index(x) if x in ys else -1
-        parts.append((_shape_group(clauses, len(ys), p), (*ys, x).__getitem__))
-    return link(parts)
+    """The shape groups of ``clauses``, linked in argument order and kept on ``f``."""
+    return f.kept(clauses.__name__, lambda f: link(
+        [(group, names.__getitem__) for group, names in _groups(f, clauses)]
+    ))
 
 
 @functools.cache
@@ -195,9 +203,39 @@ def clause_program(f: Framework) -> Program:
 
     An argument's clauses depend only on how many attackers it has and on
     where it attacks itself, so each such shape is compiled once. The
-    program is linked once per framework and kept on it.
+    program is linked once per framework and kept on it; ``clause_keep``
+    links it only for a scan that spans more than one batch.
     """
-    return f.kept("_clause_program", lambda f: _linked(f, _argument_clauses))
+    return _linked(f, _argument_clauses)
+
+
+def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
+    """``keep(table, full, und=None)`` of the clause theory, for a scan of ``f.arguments``.
+
+    It returns the candidates of a batch that satisfy every clause of
+    ``prop_theory(f)`` at HERE, each ``#n`` reading ``und`` (see
+    ``Program.run``). With ``stable``, the clauses of ``stable_theory(f)``,
+    scanned over DECIDED_ORDER instead of VALUE_ORDER. When the scan fits
+    one batch, each argument's shape group runs on its own leaves, read
+    from the table, and nothing is built for ``f``. A longer scan runs the
+    groups linked into one program kept on ``f``: the link shares
+    instructions across groups, which repays it only over many batches.
+    """
+    clauses, order = (_fix_clauses, DECIDED_ORDER) if stable else (_argument_clauses, VALUE_ORDER)
+    if fits_one_batch(len(order), len(f.arguments)):
+        groups = _groups(f, clauses)
+    else:
+        groups = [(_linked(f, clauses), None)]
+
+    def keep(table: Mapping, full: int, und: tuple | None = None) -> int:
+        mask = full
+        for program, names in groups:
+            leaves = table if names is None else [table[x] for x in names]
+            for h, _ in program.run(leaves, full, und):
+                mask &= h
+        return mask
+
+    return keep
 
 
 def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
@@ -216,9 +254,9 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 def verify_prop_theory(f: Framework) -> CorrespondenceReport:
     """Check that the clause theory's models are the complete labellings.
 
-    The models are scanned with ``clause_program(f)``; no clause tree is built.
+    The models are scanned with ``clause_keep(f)``; no clause tree is built.
     """
-    models = list(select_assignments(f.arguments, clause_program(f).holds))
+    models = list(select_assignments(f.arguments, clause_keep(f)))
     model_side = {canonical(assignment_to_labelling(h)) for h in models}
     return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
 
@@ -306,33 +344,29 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     Stable labellings must equal the two-valued models of the first theory
     of ``und_free_theories``; non-stable complete labellings must equal the
     models of the second in which the defined marker is undecided; together
-    the two sides must rebuild the complete set. Both theories run as
-    programs linked from per-shape groups; no clause tree is built. The
-    second is ``clause_program(f)`` itself, with ``#n`` bound at run time:
-    each batch first runs ``und_definition``, compiled once per number of
-    arguments, and its root's (HERE, THERE) pair is what every ``#n``
-    reads, which gives the rebuilt clauses' models. The complete
-    labellings and the clause program are those kept on ``f``, so the
-    other verifiers share them.
+    the two sides must rebuild the complete set. Both theories run through
+    ``clause_keep``, from per-shape groups; no clause tree is built. The
+    second is the clause theory itself, with ``#n`` bound at run time: each
+    batch first runs ``und_definition``, compiled once per number of
+    arguments, on the batch's leaves of ``f.arguments``, and its root's
+    (HERE, THERE) pair is what every ``#n`` reads, which gives the rebuilt
+    clauses' models. The complete labellings, and the clause program of a
+    scan longer than one batch, are those kept on ``f``, so the other
+    verifiers share them.
     """
     subject = framework_key(f)
+    args = f.arguments
 
-    stable_models = list(
-        select_assignments(f.arguments, _linked(f, _fix_clauses).holds, DECIDED_ORDER)
-    )
+    stable_models = list(select_assignments(args, clause_keep(f, stable=True), DECIDED_ORDER))
     stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
 
-    clauses = clause_program(f)
-    defn = link([(_und_over_positions(len(f.arguments)), f.arguments.__getitem__)])
+    clauses, defn = clause_keep(f), _und_over_positions(len(args))
 
     def undecided(table: Mapping, full: int) -> int:
-        decided, = defn.run(table, full)
-        mask = full ^ decided[0]
-        for h, _ in clauses.run(table, full, decided):
-            mask &= h
-        return mask
+        decided, = defn.run([table[x] for x in args], full)
+        return (full ^ decided[0]) & clauses(table, full, decided)
 
-    partial_models = list(select_assignments(f.arguments, undecided))
+    partial_models = list(select_assignments(args, undecided))
     partial_side = {canonical(assignment_to_labelling(h)) for h in partial_models}
 
     complete = _complete_labellings(f)
@@ -439,28 +473,47 @@ def _delta_over_positions(n: int) -> Program:
     return Program(pred_theory().formulas(), grounding(range(n)))
 
 
-def delta_program(domain: Sequence[str]) -> Program:
-    """The Program of ``pred_theory().formulas()`` over ``domain``.
+def delta_keep(domain: Sequence[str]) -> Callable[[Mapping, int], int]:
+    """``keep(table, full)`` of Delta_A over ``domain``, for a table keyed by names.
 
-    Delta_A names no element and depends on the framework only through R,
-    so it is compiled once per domain size, over positions, and each call
-    links it alone, renaming its leaves; bind R as data. Raises ValueError
-    for a domain that lists an element twice.
+    ``In(d)`` reads the key ``d`` and ``R(u,x)`` the pair ``(u, x)``. Delta_A
+    names no element, so it is compiled once per domain size, over
+    positions, and each batch reads it through a view of its table keyed by
+    positions. Raises ValueError for a domain that lists an element twice.
     """
     dom = distinct_domain(domain)
-    return link([(
-        _delta_over_positions(len(dom)),
-        lambda key: dom[key] if type(key) is int else (dom[key[0]], dom[key[1]]),
-    )])
+    delta = _delta_over_positions(len(dom)).holds
+    positions = [*range(len(dom)), *itertools.product(range(len(dom)), repeat=2)]
+    names = [*dom, *itertools.product(dom, repeat=2)]
+    return lambda table, full: delta(dict(zip(positions, map(table.__getitem__, names))), full)
+
+
+def _relation_over_positions(f: Framework) -> dict[tuple[int, int], ThreeVal]:
+    """``f``'s attacks as ``relation_to_r_val`` over the positions of its arguments."""
+    position = {x: i for i, x in enumerate(f.arguments)}
+    attacks = [(position[u], position[x]) for u, x in f.attacks]
+    return relation_to_r_val(range(len(position)), attacks)
+
+
+def _delta_labellings(dom: Sequence[str], r_val: Mapping) -> list[tuple[tuple[str, str], ...]]:
+    """The canonical labellings of Delta_A's models over ``dom``, in scan order.
+
+    ``r_val`` binds R over positions; the scan's In dimensions are keyed by
+    position too, as ``_delta_over_positions`` reads them.
+    """
+    delta = _delta_over_positions(len(dom)).holds
+    labels = [VALUE_TO_LABEL[v] for v in VALUE_ORDER]
+    dims = [(i, VALUE_ORDER) for i in range(len(dom))]
+    return [
+        canonical(dict(zip(dom, map(labels.__getitem__, index))))
+        for index in scan(dims, delta, r_val)
+    ]
 
 
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
-    """Predicate route: ``delta_program`` scanned over In, the attacks bound as R."""
-    r_val = relation_to_r_val(f.arguments, f.attacks)
-    delta = delta_program(f.arguments).holds
-    models = list(select_assignments(f.arguments, delta, bound=r_val))
-    model_side = {canonical(assignment_to_labelling(h)) for h in models}
-    return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
+    """Predicate route: Delta_A over positions scanned over In, the attacks bound as R."""
+    models = _delta_labellings(f.arguments, _relation_over_positions(f))
+    return _compare(framework_key(f), set(models), _complete_labellings(f), len(models))
 
 
 def _diagram(n: int, literals: Callable[[dict], list[Formula]]) -> Formula:
@@ -506,8 +559,9 @@ def _diagram_over_positions(n: int) -> Program:
 
     Each pair's literal is R(Xi,Xj) <-> A(i,j): ``R(i,j)`` is keyed
     ``(i, j)`` and ``A(i,j)`` by the pair's index in product order,
-    ``i * n + j``. Deciding A(i,j) when a copy is linked folds the literal
-    to R(Xi,Xj) or its negation, which is ``domain_diagram``'s conjunct.
+    ``i * n + j``. Binding A(i,j) to TT or FF as data, or deciding it when
+    a copy is linked, makes the literal R(Xi,Xj) or its negation, which is
+    ``domain_diagram``'s conjunct.
     """
     diagram = _diagram(n, lambda r: [
         iff(atom, StatusRef(str(k))) for k, atom in enumerate(r.values())
@@ -519,16 +573,18 @@ def _diagram_over_positions(n: int) -> Program:
 
 
 def _diagram_program(f: Framework) -> Program:
-    """The Program of ``domain_diagram(f)``, linked from the copy over positions.
+    """The Program of ``domain_diagram(f)`` over positions, folded from the open copy.
 
-    The diagram is compiled once per number of arguments; each framework's
-    copy renames R to its argument pairs and folds its attacks in.
+    The diagram is compiled once per number of arguments, its attacks left
+    open; ``f``'s copy keeps R over positions and folds its attacks in. The
+    open form is the larger program (at 5 arguments 1,106 instructions
+    against the folded 256), so folding pays once the relation scan spans
+    more than one batch; a one-batch scan binds the attacks as data instead.
     """
-    dom = f.arguments
-    decided = [TRUE if p in f.attacks else FALSE for p in itertools.product(dom, dom)]
+    decided = [TRUE if v.here else FALSE for v in _relation_over_positions(f).values()]
     return link([(
-        _diagram_over_positions(len(dom)),
-        lambda key: (dom[key[0]], dom[key[1]]) if type(key) is tuple else decided[key],
+        _diagram_over_positions(len(f.arguments)),
+        lambda key: key if type(key) is tuple else decided[key],
     )])
 
 
@@ -553,22 +609,27 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
 
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
-    decided values: ``delta_program`` is scanned under each relation that
-    the diagram admits. The diagram is ``f``'s copy of the one compiled
-    per domain size (see ``_diagram_program``). The expected side is the
-    framework's complete labellings pushed through every renaming of the
-    arguments.
+    decided values: Delta_A is scanned under each relation that the
+    diagram admits. Both scans key R by argument positions. The diagram is
+    the one compiled per domain size: when its 2^(n^2) relations fit one
+    batch, the attacks are bound as data to its open A leaves; beyond
+    that, ``f``'s folded copy runs (see ``_diagram_program``). The expected
+    side is the framework's complete labellings pushed through every
+    renaming of the arguments.
     """
     dom = f.arguments
-    diagram = _diagram_program(f)
-    relations = select_assignments(itertools.product(dom, dom), diagram.holds, DECIDED_ORDER)
-    delta = delta_program(dom).holds
-    # r_val lists its pairs in product order over the sorted arguments: each relation is sorted
-    interps = [
-        (tuple(p for p, v in r_val.items() if v.here), canonical(assignment_to_labelling(h)))
-        for r_val in relations
-        for h in select_assignments(dom, delta, bound=r_val)
-    ]
+    pairs = list(itertools.product(range(len(dom)), repeat=2))
+    if fits_one_batch(len(DECIDED_ORDER), len(pairs)):
+        attacks = _relation_over_positions(f).values()
+        diagram, bound = _diagram_over_positions(len(dom)), dict(enumerate(attacks))
+    else:
+        diagram, bound = _diagram_program(f), None
+    interps = []
+    for index in scan([(p, DECIDED_ORDER) for p in pairs], diagram.holds, bound):
+        r_val = dict(zip(pairs, map(DECIDED_ORDER.__getitem__, index)))
+        # pairs come in product order over the sorted arguments: each relation is sorted
+        relation = tuple((dom[i], dom[j]) for (i, j), v in r_val.items() if v.here)
+        interps += ((relation, lab) for lab in _delta_labellings(dom, r_val))
     found = set(interps)
     expected = set()
     complete = enumerate_complete(f)

@@ -173,10 +173,9 @@ def test_assignments_respect_given_order():
 
 def test_assignments_hold_bound_keys_at_their_profile():
     program = Program([Imp(Atom("c"), Atom("a"))])
-    got = list(select_assignments(["a"], program.holds, bound={"c": ThreeVal.TT}))
-    assert got == [{"a": ThreeVal.TT}]
-    got = list(select_assignments(["a"], program.holds, bound={"c": ThreeVal.FF}))
-    assert got == [{"a": v} for v in VALUE_ORDER]
+    dims = [("a", VALUE_ORDER)]
+    assert list(scan(dims, program.holds, {"c": ThreeVal.TT})) == [(2,)]
+    assert list(scan(dims, program.holds, {"c": ThreeVal.FF})) == [(0,), (1,), (2,)]
 
 
 def test_validity_verdicts():
@@ -310,6 +309,15 @@ def test_plans_are_bounded_and_keyed_on_the_shape_alone():
     order = [ThreeVal.TT, ThreeVal.FF]
     assert prop._plan((tuple(order),), 8) is prop._plan((tuple(order),), 8)
     assert prop._plan((VALUE_ORDER,), 8) is not prop._plan((VALUE_ORDER,), 9)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 9, 80, 81, prop.BATCH_BITS])
+def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
+    with patch.object(prop, "BATCH_BITS", batch):
+        for order in (DECIDED_ORDER, VALUE_ORDER):
+            for count in range(11):
+                split = prop._plan.__wrapped__((order,) * count, batch)[0]
+                assert prop.fits_one_batch(len(order), count) == (split == 0)
 
 
 @pytest.mark.parametrize("k", [2, 3, 40])

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
-from g3arg.af import Framework, Label
+from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
 from g3arg.prop import ALL, LEAF, Atom, Program, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
@@ -21,8 +21,9 @@ from g3arg.translate import (
     CorrespondenceReport,
     Theory,
     assignment_to_labelling,
+    clause_keep,
     clause_program,
-    delta_program,
+    delta_keep,
     domain_diagram,
     framework_key,
     instantiate,
@@ -286,23 +287,34 @@ def skewed_domains(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
-def test_delta_program_matches_delta_compiled_over_the_names(case, batch):
-    """Every root, HERE and THERE, on every In candidate, the R profiles bound."""
+def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch):
+    """Every root, HERE and THERE, on every In candidate, the R profiles bound;
+    and ``delta_keep``, which reads names through a view, keeps what the
+    direct compile holds."""
     dom, r_val = case
-    renamed = delta_program(dom)
+    positions = translate._delta_over_positions(len(dom))
     direct = Program(pred_theory().formulas(), grounding(dom))
     dims = [(d, VALUE_ORDER) for d in dom]
+
+    def by_position(t):
+        return {
+            **{i: t[d] for i, d in enumerate(dom)},
+            **{(i, j): t[u, x] for (i, u), (j, x) in itertools.product(enumerate(dom), repeat=2)},
+        }
+
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(direct.roots)):
             for half in (0, 1):
-                got = list(scan(dims, lambda t, full: renamed.run(t, full)[i][half], r_val))
+                got = list(scan(dims, lambda t, full: positions.run(by_position(t), full)[i][half],
+                                r_val))
                 want = list(scan(dims, lambda t, full: direct.run(t, full)[i][half], r_val))
                 assert got == want
+        assert list(scan(dims, delta_keep(dom), r_val)) == list(scan(dims, direct.holds, r_val))
 
 
-def test_delta_program_refuses_a_repeated_element():
+def test_delta_keep_refuses_a_repeated_element():
     with pytest.raises(ValueError, match="domain element 'b' is listed twice"):
-        delta_program(("b", "a", "b"))
+        delta_keep(("b", "a", "b"))
 
 
 def test_delta_is_compiled_once_per_domain_size():
@@ -347,29 +359,34 @@ def test_delta_is_compiled_once_per_domain_size():
     assert len(Program([template], grounding(range(3))).code) == len(positions.code)
     leaves = {key for op, key in positions.code if op == LEAF}
     assert leaves == {*itertools.product(range(3), repeat=2), *range(9)}
-    # a caller's copy shares no list with the cached program
-    mine = delta_program("abc")
+    # a folded copy shares no list with the cached program
+    mine = translate._diagram_program(cycle)
     mine.code.clear()
     mine.roots.clear()
-    assert delta_program("abc").code and delta_program("abc").roots
+    assert positions.code and positions.roots
 
 
 def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
     """Each graph's copy of the diagram over positions, its attacks folded in,
     has the direct compile's (HERE, THERE) root on all 2^9 decided relations,
-    one batch, and as many instructions."""
+    one batch, and as many instructions. So does the open diagram over
+    positions with the attacks bound as data to its A leaves."""
+    positions = translate._diagram_over_positions(3)
     for f in all_frameworks(3):
-        direct = Program([domain_diagram(f)], grounding(f.arguments))
+        direct = Program([domain_diagram(f)], grounding(range(3)))
         folded = translate._diagram_program(f)
         assert len(folded.code) == len(direct.code)
+        attacks = dict(enumerate(translate._relation_over_positions(f).values()))
 
         def agree(table, full):
             assert full == (1 << 2**9) - 1
-            assert folded.run(table, full) == direct.run(table, full)
+            want = direct.run(table, full)
+            assert folded.run(table, full) == want
+            assert positions.run(table, full) == want
             return 0
 
-        pairs = itertools.product(f.arguments, repeat=2)
-        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree)) == []
+        pairs = itertools.product(range(3), repeat=2)
+        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree, attacks)) == []
 
 
 def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
@@ -487,36 +504,46 @@ def test_linked_programs_match_direct_compiles(f, batch):
     """HERE and THERE of every root on every candidate, linked against direct.
 
     The und-free check runs the clause program with ``#n`` bound to the
-    root of the definition's renamed copy, which comes last here.
+    root of the definition over positions, which comes last here. And
+    ``clause_keep``, in the tier that the width picks, keeps on every
+    candidate what the direct compiles hold, ``#n`` bound or not.
     """
     defn = und_definition(f)
-    definition = prop.link([(translate._und_over_positions(len(f.arguments)),
-                             f.arguments.__getitem__)])
+    definition = translate._und_over_positions(len(f.arguments))
+    direct_clauses = Program(prop_theory(f).formulas())
+    direct_stable = Program(stable_theory(f).formulas())
+    direct_und_free = Program(prop_theory(f).formulas(), oracle.defined_marker(defn))
 
     def und_free(table, full):
-        root, = definition.run(table, full)
+        root, = definition.run([table[x] for x in f.arguments], full)
         return clause_program(f).run(table, full, root) + [root]
 
     pairs = [
-        (clause_program(f).run, [Program(prop_theory(f).formulas())]),
-        (translate._linked(f, translate._fix_clauses).run,
-         [Program(stable_theory(f).formulas())]),
-        (und_free,
-         [Program(prop_theory(f).formulas(), oracle.defined_marker(defn)), Program([defn])]),
+        (clause_program(f).run, [direct_clauses]),
+        (translate._linked(f, translate._fix_clauses).run, [direct_stable]),
+        (und_free, [direct_und_free, Program([defn])]),
     ]
 
     def agree(table, full):
         for run, direct in pairs:
             assert run(table, full) == [r for p in direct for r in p.run(table, full)]
+        root, = definition.run([table[x] for x in f.arguments], full)
+        assert keep(table, full) == direct_clauses.holds(table, full)
+        assert keep(table, full, root) == direct_und_free.holds(table, full)
+        assert keep_stable(table, full) == direct_stable.holds(table, full)
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
+        keep, keep_stable = clause_keep(f), clause_keep(f, stable=True)
         assert list(scan([(x, VALUE_ORDER) for x in f.arguments], agree)) == []
 
 
 def test_the_three_verifiers_share_one_search_and_one_clause_program():
-    """prop, und-free and pred on one Framework search its labellings once and
-    link its clause groups once; an equal Framework built afresh does both again."""
+    """prop, und-free and pred on one Framework search its labellings once.
+
+    At the default width its 3^4 candidates are one batch, and its clause
+    groups run unlinked; below 3^4 they are linked once, and the link is
+    kept. An equal Framework built afresh does both again."""
     searches, clause_links = [], []
     search, link = translate.enumerate_complete, translate.link
     groups = {id(translate._shape_group(translate._argument_clauses, k, p))
@@ -541,14 +568,64 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     with patch.object(translate, "enumerate_complete", counting_search), \
             patch.object(translate, "link", counting_link):
         verify(f)
-        assert searches == [f] and len(clause_links) == 1
         verify(f)
-        assert len(searches) == 1 and len(clause_links) == 1
-        fresh = Framework.make("abcd", attacks)
-        verify(fresh)
-        assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 2
+        assert searches == [f] and clause_links == []
+        with patch.object(prop, "BATCH_BITS", 3**4 - 1):
+            verify(f)
+            assert len(searches) == 1 and len(clause_links) == 1
+            verify(f)
+            assert len(searches) == 1 and len(clause_links) == 1
+            fresh = Framework.make("abcd", attacks)
+            verify(fresh)
+            assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 2
     assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
     assert f == fresh == Framework.make("abcd", attacks)
+
+
+def _tier_results(f):
+    """Every verifier's report on ``f``, and the clause theories' model lists."""
+    return (
+        verify_prop_theory(f),
+        verify_und_free(f),
+        verify_pred_theory(f),
+        list(select_assignments(f.arguments, clause_keep(f))),
+        list(select_assignments(f.arguments, clause_keep(f, stable=True), DECIDED_ORDER)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(frameworks(max_args=6), st.sampled_from([1, 3, 9]))
+@example(SELF_SHAPES, 9)
+def test_the_one_batch_and_linked_tiers_agree(f, batch):
+    """Up to 6 arguments the default width takes the one-batch tier, which runs
+    each argument's shape group unlinked; a width of 1, 3 or 9 takes the
+    linked tier. Reports, model lists and their order are the same."""
+    assert prop.fits_one_batch(3, len(f.arguments))
+    one_batch = _tier_results(f)
+    with patch.object(prop, "BATCH_BITS", batch):
+        linked = _tier_results(Framework.make(f.arguments, f.attacks))
+    assert linked == one_batch
+
+
+def test_the_linked_tier_matches_the_oracle_at_the_default_width():
+    """3^9 candidates span several batches at the default width, so the clause
+    theory runs linked; its models and both verifiers match the oracle."""
+    f = random_framework(9, Random(10))
+    assert not prop.fits_one_batch(3, 9)
+    translate._groups(f, translate._argument_clauses)  # each shape group compiled first
+    links = []
+    with patch.object(translate, "link", lambda parts: links.append(parts) or prop.link(parts)):
+        models = list(select_assignments(f.arguments, clause_keep(f)))
+    assert len(links) == 1
+    expected = [canonical(lab) for lab in oracle.enumerate_complete(f)]
+    stable = [lab for lab in expected if all(v != Label.UND.value for _, v in lab)]
+    assert len(expected) == 9 and len(stable) == 2
+    found = [canonical(assignment_to_labelling(h)) for h in models]
+    assert sorted(found) == sorted(expected)
+    report = verify_prop_theory(f)
+    assert report.ok and report.model_count == report.labelling_count == 9
+    und = verify_und_free(f)
+    assert und.ok and und.stable.model_count == 2 and und.non_stable.model_count == 7
 
 
 def test_clause_groups_are_compiled_once_per_shape():
