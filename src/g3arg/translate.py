@@ -198,17 +198,6 @@ def _shape_texts(clauses, k: int, prec: int) -> tuple[tuple[str, str], ...]:
     return tuple((name, format_formula(g, marker)) for name, g in group)
 
 
-def clause_program(f: Framework) -> Program:
-    """The Program of ``prop_theory(f).formulas()``, linked from per-shape groups.
-
-    An argument's clauses depend only on how many attackers it has and on
-    where it attacks itself, so each such shape is compiled once. The
-    program is linked once per framework and kept on it; ``clause_keep``
-    links it only for a scan that spans more than one batch.
-    """
-    return _linked(f, _argument_clauses)
-
-
 def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
     """``keep(table, full, und=None)`` of the clause theory, for a scan of ``f.arguments``.
 
@@ -219,7 +208,9 @@ def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
     one batch, each argument's shape group runs on its own leaves, read
     from the table, and nothing is built for ``f``. A longer scan runs the
     groups linked into one program kept on ``f``: the link shares
-    instructions across groups, which repays it only over many batches.
+    instructions across groups, which repays it only over many batches
+    (a whole call is 1.1-1.4x faster linked at 11-16 arguments, even at
+    10 and 1.1-1.2x slower at 9, about two batches; ``BENCH_22.json``).
     """
     clauses, order = (_fix_clauses, DECIDED_ORDER) if stable else (_argument_clauses, VALUE_ORDER)
     if fits_one_batch(len(order), len(f.arguments)):
@@ -579,7 +570,9 @@ def _diagram_program(f: Framework) -> Program:
     open; ``f``'s copy keeps R over positions and folds its attacks in. The
     open form is the larger program (at 5 arguments 1,106 instructions
     against the folded 256), so folding pays once the relation scan spans
-    more than one batch; a one-batch scan binds the attacks as data instead.
+    more than one batch (the relation scan runs 1.8x faster folded than
+    bound at 4 arguments, 4x at 5); a one-batch scan binds the attacks as
+    data instead.
     """
     decided = [TRUE if v.here else FALSE for v in _relation_over_positions(f).values()]
     return link([(

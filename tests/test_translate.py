@@ -22,7 +22,6 @@ from g3arg.translate import (
     Theory,
     assignment_to_labelling,
     clause_keep,
-    clause_program,
     delta_keep,
     domain_diagram,
     framework_key,
@@ -513,13 +512,14 @@ def test_linked_programs_match_direct_compiles(f, batch):
     direct_clauses = Program(prop_theory(f).formulas())
     direct_stable = Program(stable_theory(f).formulas())
     direct_und_free = Program(prop_theory(f).formulas(), oracle.defined_marker(defn))
+    linked = translate._linked(f, translate._argument_clauses)
 
     def und_free(table, full):
         root, = definition.run([table[x] for x in f.arguments], full)
-        return clause_program(f).run(table, full, root) + [root]
+        return linked.run(table, full, root) + [root]
 
     pairs = [
-        (clause_program(f).run, [direct_clauses]),
+        (linked.run, [direct_clauses]),
         (translate._linked(f, translate._fix_clauses).run, [direct_stable]),
         (und_free, [direct_und_free, Program([defn])]),
     ]
