@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
 from .pred import (
     Constant,
     RAtom,
@@ -26,7 +26,7 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
-from .translate import delta_keep
+from .translate import _delta_over_positions
 
 
 # The scan covers 2^(|s0|^2) relations by 3^|s0| profiles: 4 arguments pass, 5 not.
@@ -47,6 +47,8 @@ class AxiomaticFrame:
     def __post_init__(self) -> None:
         if not self.s0:
             raise ValueError("an axiomatic frame needs at least one argument")
+        if list(self.s0) != sorted(set(self.s0)):
+            raise ValueError("arguments must be unique and sorted")
         if not is_closed(self.psi):
             raise ValueError("the constraint must be a closed formula")
         found = non_classical_node(self.psi)
@@ -66,26 +68,30 @@ def aaf_extensions(
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
     """The models of Delta_A and psi, grouped by relation.
 
-    One scan covers the decided relation pairs and every argument's In
-    profile, keeping where both Delta_A (``delta_keep``) and psi hold. Relations
-    come as sorted pair tuples in lexicographic order, their labellings in
-    lexicographic in < out < und order. Raises SearchSpaceExceeded when
-    there are more than MAX_RELATIONS.
+    One scan, keyed by argument positions, covers the decided relation
+    pairs and every argument's In profile, keeping where both Delta_A
+    (``translate._delta_over_positions``) and psi, renamed to positions,
+    hold. Relations come as sorted pair tuples in lexicographic order, their
+    labellings in lexicographic in < out < und order. Raises
+    SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
-    pairs = [(u, x) for u in af.s0 for x in af.s0]
+    n = len(af.s0)
+    names = list(itertools.product(af.s0, repeat=2))
+    pairs = list(itertools.product(range(n), repeat=2))
     if 2 ** len(pairs) > MAX_RELATIONS:
         raise SearchSpaceExceeded(
             f"2^{len(pairs)} attack relations exceed the bound {MAX_RELATIONS}"
         )
     labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
-    dims = [(p, DECIDED_ORDER) for p in pairs] + [(x, labels) for x in af.s0]
-    delta, psi = delta_keep(af.s0), Program([af.psi], grounding(af.s0))
+    dims = [(p, DECIDED_ORDER) for p in pairs] + [(i, labels) for i in range(n)]
+    delta = _delta_over_positions(n).holds
+    psi = link([(Program([af.psi], grounding(af.s0)), dict(zip(names, pairs)).__getitem__)]).holds
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(dims, lambda table, full: delta(table, full) & psi.holds(table, full)):
+    for index in scan(dims, lambda table, full: delta(table, full) & psi(table, full)):
         lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[len(pairs) :])))
         family.setdefault(index[: len(pairs)], []).append(lab)
     return sorted(
-        (tuple(itertools.compress(pairs, r)), tuple(labs)) for r, labs in family.items()
+        (tuple(itertools.compress(names, r)), tuple(labs)) for r, labs in family.items()
     )
 
 

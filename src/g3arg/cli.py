@@ -40,6 +40,7 @@ from .translate import (
     CorrespondenceReport,
     DiagramReport,
     Theory,
+    UndFreeReport,
     assignment_to_labelling,
     clause_keep,
     clause_texts,
@@ -100,21 +101,25 @@ def _corr_dict(r: CorrespondenceReport) -> dict[str, Any]:
     }
 
 
+def _und_free_dict(r: UndFreeReport) -> dict[str, Any]:
+    return {
+        "stable": _corr_dict(r.stable),
+        "non_stable": _corr_dict(r.non_stable),
+        "union_ok": r.union_ok,
+    }
+
+
 def _diagram_dict(r: DiagramReport) -> dict[str, Any]:
-    def row(entry: tuple) -> dict[str, Any]:
-        relation, pairs = entry
-        return {
-            "relation": [list(p) for p in relation],
-            "labelling": dict(pairs),
-        }
+    def row(relation: tuple, pairs: tuple) -> dict[str, Any]:
+        return {"relation": [list(p) for p in relation], "labelling": dict(pairs)}
 
     return {
         "subject": r.subject,
         "interpretations": r.interp_count,
         "expected": r.expected_count,
         "matched": r.matched,
-        "extra_found": [row(e) for e in r.extra_found],
-        "extra_expected": [row(e) for e in r.extra_expected],
+        "extra_found": [row(*e) for e in r.extra_found],
+        "extra_expected": [row(*e) for e in r.extra_expected],
         "ok": r.ok,
     }
 
@@ -189,23 +194,10 @@ def _cmd_verify(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> in
     fw = doc.to_framework()
     if doc.insts:
         raise _UsageError("verify does not apply to documents with inst facts")
+    verifier, as_dict, _ = _CLAIMS[ns.claim]
+    report = verifier(fw)
     result["claim"] = ns.claim
-    if ns.claim == "prop":
-        report = verify_prop_theory(fw)
-        result["report"] = _corr_dict(report)
-    elif ns.claim == "und-free":
-        report = verify_und_free(fw)
-        result["report"] = {
-            "stable": _corr_dict(report.stable),
-            "non_stable": _corr_dict(report.non_stable),
-            "union_ok": report.union_ok,
-        }
-    elif ns.claim == "pred":
-        report = verify_pred_theory(fw)
-        result["report"] = _corr_dict(report)
-    else:
-        report = verify_domain_diagram(fw)
-        result["report"] = _diagram_dict(report)
+    result["report"] = as_dict(report)
     result["verdict"] = "MATCH" if report.ok else "MISMATCH"
     return 0 if report.ok else 2
 
@@ -298,7 +290,7 @@ def _theory_lines(t: dict[str, Any]) -> list[str]:
     return lines
 
 
-def _corr_lines(label: str, r: dict[str, Any]) -> list[str]:
+def _corr_lines(r: dict[str, Any], label: str = "") -> list[str]:
     lines = [
         f"{label}subject: {r['subject']}",
         f"{label}models: {r['models']}  labellings: {r['labellings']}"
@@ -313,6 +305,35 @@ def _corr_lines(label: str, r: dict[str, Any]) -> list[str]:
 
 def _relation_text(pairs: Sequence[Sequence[str]]) -> str:
     return "{" + ", ".join(f"{u}>{x}" for u, x in pairs) + "}"
+
+
+def _und_free_lines(r: dict[str, Any]) -> list[str]:
+    lines = _corr_lines(r["stable"], "stable ") + _corr_lines(r["non_stable"], "undecided ")
+    return lines + [f"union ok: {r['union_ok']}"]
+
+
+def _diagram_lines(r: dict[str, Any]) -> list[str]:
+    lines = [
+        f"subject: {r['subject']}",
+        f"interpretations: {r['interpretations']}  "
+        f"expected: {r['expected']}  matched: {r['matched']}",
+    ]
+    for key in ("extra_found", "extra_expected"):
+        lines.extend(
+            f"{key.replace('_', ' ')}: {_relation_text(row['relation'])} "
+            f"{_pairs_line(row['labelling'])}"
+            for row in r[key]
+        )
+    return lines
+
+
+# One row per --claim: its verifier, its report as a JSON dict, and that dict's text lines.
+_CLAIMS = {
+    "prop": (verify_prop_theory, _corr_dict, _corr_lines),
+    "und-free": (verify_und_free, _und_free_dict, _und_free_lines),
+    "pred": (verify_pred_theory, _corr_dict, _corr_lines),
+    "diagram": (verify_domain_diagram, _diagram_dict, _diagram_lines),
+}
 
 
 def _render_text(result: dict[str, Any]) -> list[str]:
@@ -340,26 +361,7 @@ def _render_text(result: dict[str, Any]) -> list[str]:
             lines.extend("  " + _pairs_line(d) for d in result["patterns"])
     elif command == "verify":
         lines.append(f"claim: {result['claim']}")
-        report = result["report"]
-        if result["claim"] == "und-free":
-            lines.extend(_corr_lines("stable ", report["stable"]))
-            lines.extend(_corr_lines("undecided ", report["non_stable"]))
-            lines.append(f"union ok: {report['union_ok']}")
-        elif result["claim"] == "diagram":
-            lines.append(f"subject: {report['subject']}")
-            lines.append(
-                f"interpretations: {report['interpretations']}  "
-                f"expected: {report['expected']}  matched: {report['matched']}"
-            )
-            for key in ("extra_found", "extra_expected"):
-                for row in report[key]:
-                    lines.append(
-                        f"{key.replace('_', ' ')}: "
-                        f"{_relation_text(row['relation'])} "
-                        f"{_pairs_line(row['labelling'])}"
-                    )
-        else:
-            lines.extend(_corr_lines("", report))
+        lines.extend(_CLAIMS[result["claim"]][2](result["report"]))
         lines.append(f"verdict: {result['verdict']}")
     elif command == "solve-higher":
         lines.append(f"{result['count']} generalized model(s)")
@@ -437,9 +439,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_models)
 
     p = sub.add_parser("verify", parents=[common, document])
-    p.add_argument(
-        "--claim", choices=("prop", "und-free", "pred", "diagram"), required=True
-    )
+    p.add_argument("--claim", choices=_CLAIMS, required=True)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("solve-higher", parents=[common, document])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import AbstractSet, Callable, Mapping, Sequence
 
 from .af import (
     Framework,
@@ -55,7 +55,6 @@ from .pred import (
     RAtom,
     StatusRef,
     Variable,
-    distinct_domain,
     grounding,
     relation_to_r_val,
 )
@@ -110,19 +109,13 @@ class CorrespondenceReport:
         return not self.extra_models and not self.extra_labellings
 
 
-def _compare(
-    subject: str,
-    model_side: set[tuple[tuple[str, str], ...]],
-    lab_side: set[tuple[tuple[str, str], ...]],
-    model_count: int | None = None,
-) -> CorrespondenceReport:
-    return CorrespondenceReport(
-        subject=subject,
-        model_count=len(model_side) if model_count is None else model_count,
-        labelling_count=len(lab_side),
-        matched=len(model_side & lab_side),
-        extra_models=tuple(sorted(model_side - lab_side)),
-        extra_labellings=tuple(sorted(lab_side - model_side)),
+def _compare(subject: str, found: Sequence, expected: AbstractSet, report=CorrespondenceReport):
+    """``report`` (CorrespondenceReport or DiagramReport, whose fields match
+    position by position) of the models ``found`` against the set ``expected``."""
+    models = set(found)
+    return report(
+        subject, len(found), len(expected), len(models & expected),
+        tuple(sorted(models - expected)), tuple(sorted(expected - models)),
     )
 
 
@@ -242,14 +235,31 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
     return {x: VALUE_TO_LABEL[v] for x, v in h.items()}
 
 
+def _labellings(
+    args: Sequence[str], keep: Callable, order: Sequence[ThreeVal] = VALUE_ORDER,
+    keys: Sequence | None = None, bound: Mapping | None = None,
+) -> list[tuple[tuple[str, str], ...]]:
+    """The canonical labellings of the candidates ``keep`` marks, in scan order.
+
+    Each of ``args`` ranges over ``order``, its dimension keyed by its entry
+    in ``keys`` (by default itself); ``bound`` is ``scan``'s. A model is
+    ``tuple(zip(args, labels))``: canonical with no dict and no sort only
+    because ``args`` is sorted, as ``Framework.arguments`` is.
+    """
+    labels = [VALUE_TO_LABEL[v].value for v in order]
+    dims = [(key, order) for key in (args if keys is None else keys)]
+    return [
+        tuple(zip(args, map(labels.__getitem__, index))) for index in scan(dims, keep, bound)
+    ]
+
+
 def verify_prop_theory(f: Framework) -> CorrespondenceReport:
     """Check that the clause theory's models are the complete labellings.
 
     The models are scanned with ``clause_keep(f)``; no clause tree is built.
     """
-    models = list(select_assignments(f.arguments, clause_keep(f)))
-    model_side = {canonical(assignment_to_labelling(h)) for h in models}
-    return _compare(framework_key(f), model_side, _complete_labellings(f), len(models))
+    models = _labellings(f.arguments, clause_keep(f))
+    return _compare(framework_key(f), models, _complete_labellings(f))
 
 
 def _decided(names: Sequence[str]) -> Formula:
@@ -348,8 +358,7 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     subject = framework_key(f)
     args = f.arguments
 
-    stable_models = list(select_assignments(args, clause_keep(f, stable=True), DECIDED_ORDER))
-    stable_side = {canonical(assignment_to_labelling(h)) for h in stable_models}
+    stable_models = _labellings(args, clause_keep(f, stable=True), DECIDED_ORDER)
 
     clauses, defn = clause_keep(f), _und_over_positions(len(args))
 
@@ -357,8 +366,7 @@ def verify_und_free(f: Framework) -> UndFreeReport:
         decided, = defn.run([table[x] for x in args], full)
         return (full ^ decided[0]) & clauses(table, full, decided)
 
-    partial_models = list(select_assignments(args, undecided))
-    partial_side = {canonical(assignment_to_labelling(h)) for h in partial_models}
+    partial_models = _labellings(args, undecided)
 
     complete = _complete_labellings(f)
     stable_labs = {
@@ -366,11 +374,10 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     }
 
     return UndFreeReport(
-        stable=_compare(subject + " (stable case)", stable_side, stable_labs,
-                        len(stable_models)),
-        non_stable=_compare(subject + " (undecided case)", partial_side,
-                            complete - stable_labs, len(partial_models)),
-        union_ok=(stable_side | partial_side) == complete,
+        stable=_compare(subject + " (stable case)", stable_models, stable_labs),
+        non_stable=_compare(subject + " (undecided case)", partial_models,
+                            complete - stable_labs),
+        union_ok={*stable_models, *partial_models} == complete,
     )
 
 
@@ -464,21 +471,6 @@ def _delta_over_positions(n: int) -> Program:
     return Program(pred_theory().formulas(), grounding(range(n)))
 
 
-def delta_keep(domain: Sequence[str]) -> Callable[[Mapping, int], int]:
-    """``keep(table, full)`` of Delta_A over ``domain``, for a table keyed by names.
-
-    ``In(d)`` reads the key ``d`` and ``R(u,x)`` the pair ``(u, x)``. Delta_A
-    names no element, so it is compiled once per domain size, over
-    positions, and each batch reads it through a view of its table keyed by
-    positions. Raises ValueError for a domain that lists an element twice.
-    """
-    dom = distinct_domain(domain)
-    delta = _delta_over_positions(len(dom)).holds
-    positions = [*range(len(dom)), *itertools.product(range(len(dom)), repeat=2)]
-    names = [*dom, *itertools.product(dom, repeat=2)]
-    return lambda table, full: delta(dict(zip(positions, map(table.__getitem__, names))), full)
-
-
 def _relation_over_positions(f: Framework) -> dict[tuple[int, int], ThreeVal]:
     """``f``'s attacks as ``relation_to_r_val`` over the positions of its arguments."""
     position = {x: i for i, x in enumerate(f.arguments)}
@@ -486,25 +478,13 @@ def _relation_over_positions(f: Framework) -> dict[tuple[int, int], ThreeVal]:
     return relation_to_r_val(range(len(position)), attacks)
 
 
-def _delta_labellings(dom: Sequence[str], r_val: Mapping) -> list[tuple[tuple[str, str], ...]]:
-    """The canonical labellings of Delta_A's models over ``dom``, in scan order.
-
-    ``r_val`` binds R over positions; the scan's In dimensions are keyed by
-    position too, as ``_delta_over_positions`` reads them.
-    """
-    delta = _delta_over_positions(len(dom)).holds
-    labels = [VALUE_TO_LABEL[v] for v in VALUE_ORDER]
-    dims = [(i, VALUE_ORDER) for i in range(len(dom))]
-    return [
-        canonical(dict(zip(dom, map(labels.__getitem__, index))))
-        for index in scan(dims, delta, r_val)
-    ]
-
-
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
-    """Predicate route: Delta_A over positions scanned over In, the attacks bound as R."""
-    models = _delta_labellings(f.arguments, _relation_over_positions(f))
-    return _compare(framework_key(f), set(models), _complete_labellings(f), len(models))
+    """Predicate route: Delta_A, compiled once per domain size, scanned over In
+    keyed by argument positions, the attacks bound as R over positions."""
+    n = len(f.arguments)
+    delta, r_val = _delta_over_positions(n).holds, _relation_over_positions(f)
+    models = _labellings(f.arguments, delta, keys=range(n), bound=r_val)
+    return _compare(framework_key(f), models, _complete_labellings(f))
 
 
 def _diagram(n: int, literals: Callable[[dict], list[Formula]]) -> Formula:
@@ -603,41 +583,31 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
     decided values: Delta_A is scanned under each relation that the
-    diagram admits. Both scans key R by argument positions. The diagram is
-    the one compiled per domain size: when its 2^(n^2) relations fit one
-    batch, the attacks are bound as data to its open A leaves; beyond
-    that, ``f``'s folded copy runs (see ``_diagram_program``). The expected
-    side is the framework's complete labellings pushed through every
-    renaming of the arguments.
+    diagram admits, as ``verify_pred_theory`` scans it. Both scans key R
+    by argument positions. The diagram is the one compiled per domain
+    size: when its 2^(n^2) relations fit one batch, the attacks are bound
+    as data to its open A leaves; beyond that, ``f``'s folded copy runs
+    (see ``_diagram_program``). The expected side is the complete
+    labellings kept on ``f`` pushed through every renaming of the
+    arguments. Both sides are compared as ``verify_pred_theory``'s are.
     """
-    dom = f.arguments
-    pairs = list(itertools.product(range(len(dom)), repeat=2))
+    dom, n = f.arguments, len(f.arguments)
+    pairs = list(itertools.product(range(n), repeat=2))
     if fits_one_batch(len(DECIDED_ORDER), len(pairs)):
         attacks = _relation_over_positions(f).values()
-        diagram, bound = _diagram_over_positions(len(dom)), dict(enumerate(attacks))
+        diagram, bound = _diagram_over_positions(n), dict(enumerate(attacks))
     else:
         diagram, bound = _diagram_program(f), None
-    interps = []
+    delta = _delta_over_positions(n).holds
+    found = []
     for index in scan([(p, DECIDED_ORDER) for p in pairs], diagram.holds, bound):
         r_val = dict(zip(pairs, map(DECIDED_ORDER.__getitem__, index)))
         # pairs come in product order over the sorted arguments: each relation is sorted
         relation = tuple((dom[i], dom[j]) for (i, j), v in r_val.items() if v.here)
-        interps += ((relation, lab) for lab in _delta_labellings(dom, r_val))
-    found = set(interps)
-    expected = set()
-    complete = enumerate_complete(f)
-    for perm in itertools.permutations(f.arguments):
-        sigma = dict(zip(f.arguments, perm))
+        found += ((relation, lab) for lab in _labellings(dom, delta, keys=range(n), bound=r_val))
+    complete, expected = _complete_labellings(f), set()
+    for perm in itertools.permutations(dom):
+        sigma = dict(zip(dom, perm))
         rel = tuple(sorted((sigma[u], sigma[x]) for u, x in f.attacks))
-        for lab in complete:
-            expected.add(
-                (rel, canonical({sigma[x]: lab[x] for x in f.arguments}))
-            )
-    return DiagramReport(
-        subject=framework_key(f),
-        interp_count=len(interps),
-        expected_count=len(expected),
-        matched=len(found & expected),
-        extra_found=tuple(sorted(found - expected)),
-        extra_expected=tuple(sorted(expected - found)),
-    )
+        expected.update((rel, tuple(sorted((sigma[x], v) for x, v in lab))) for lab in complete)
+    return _compare(framework_key(f), found, expected, DiagramReport)

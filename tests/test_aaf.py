@@ -62,6 +62,19 @@ def test_frame_validation():
         AxiomaticFrame.make(["a"], parse_pred("exists X (X = c)"))
 
 
+def test_an_axiomatic_frame_refuses_a_repeated_element():
+    """``aaf_extensions`` keys its scan by positions, so each name must have one."""
+    with pytest.raises(ValueError, match="arguments must be unique and sorted"):
+        aaf_extensions(AxiomaticFrame(("a", "b", "b"), Top()))
+
+
+def test_an_axiomatic_frame_refuses_unsorted_arguments():
+    """Unsorted arguments would give relations as unsorted pair tuples."""
+    with pytest.raises(ValueError, match="arguments must be unique and sorted"):
+        AxiomaticFrame(("b", "a"), Top())
+    assert AxiomaticFrame.make(("b", "a"), Top()).s0 == ("a", "b")
+
+
 def test_two_element_constraint_family():
     af = AxiomaticFrame.make(["a", "b"], two_element_constraint())
     fam = aaf_extensions(af)

@@ -447,11 +447,72 @@ def test_verify_mismatch_exits_two(capsys, cycle_doc, monkeypatch):
         extra_models=((("a", "in"), ("b", "in")),),
         extra_labellings=(),
     )
-    monkeypatch.setattr(cli, "verify_prop_theory", lambda f: broken)
+    monkeypatch.setitem(cli._CLAIMS, "prop", (lambda f: broken, *cli._CLAIMS["prop"][1:]))
     code, out, _ = run(capsys, "verify", cycle_doc, "--claim", "prop")
     assert code == 2
     assert "extra model: a=in b=in" in out
     assert "verdict: MISMATCH" in out
+
+
+def _mismatching_report(claim):
+    """A stubbed report of ``claim`` with an extra row on each side, its text and its JSON report."""
+    if claim == "und-free":
+        stable = CorrespondenceReport("a,b|a>b,b>a (stable case)", 3, 2, 2,
+                                      ((("a", "in"), ("b", "in")),), ())
+        non_stable = CorrespondenceReport("a,b|a>b,b>a (undecided case)", 0, 1, 0,
+                                          (), ((("a", "und"), ("b", "und")),))
+        text = [
+            "stable subject: a,b|a>b,b>a (stable case)",
+            "stable models: 3  labellings: 2  matched: 2",
+            "stable extra model: a=in b=in",
+            "undecided subject: a,b|a>b,b>a (undecided case)",
+            "undecided models: 0  labellings: 1  matched: 0",
+            "undecided extra labelling: a=und b=und",
+            "union ok: False",
+        ]
+        report = {
+            "stable": {"subject": "a,b|a>b,b>a (stable case)", "models": 3, "labellings": 2,
+                       "matched": 2, "extra_models": [{"a": "in", "b": "in"}],
+                       "extra_labellings": [], "ok": False},
+            "non_stable": {"subject": "a,b|a>b,b>a (undecided case)", "models": 0,
+                           "labellings": 1, "matched": 0, "extra_models": [],
+                           "extra_labellings": [{"a": "und", "b": "und"}], "ok": False},
+            "union_ok": False,
+        }
+        return translate.UndFreeReport(stable, non_stable, False), text, report
+    stub = translate.DiagramReport(
+        "a,b|a>b,b>a", 5, 5, 4,
+        extra_found=(((("a", "b"),), (("a", "in"), ("b", "out"))),),
+        extra_expected=(((("a", "b"), ("b", "a")), (("a", "und"), ("b", "und"))),),
+    )
+    text = [
+        "subject: a,b|a>b,b>a",
+        "interpretations: 5  expected: 5  matched: 4",
+        "extra found: {a>b} a=in b=out",
+        "extra expected: {a>b, b>a} a=und b=und",
+    ]
+    report = {
+        "subject": "a,b|a>b,b>a", "interpretations": 5, "expected": 5, "matched": 4,
+        "extra_found": [{"relation": [["a", "b"]], "labelling": {"a": "in", "b": "out"}}],
+        "extra_expected": [{"relation": [["a", "b"], ["b", "a"]],
+                            "labelling": {"a": "und", "b": "und"}}],
+        "ok": False,
+    }
+    return stub, text, report
+
+
+@pytest.mark.parametrize("claim", ["und-free", "diagram"])
+def test_verify_mismatch_renders_every_extra_row(capsys, cycle_doc, monkeypatch, claim):
+    stub, text, report = _mismatching_report(claim)
+    monkeypatch.setitem(cli._CLAIMS, claim, (lambda f: stub, *cli._CLAIMS[claim][1:]))
+    code, out, _ = run(capsys, "verify", cycle_doc, "--claim", claim)
+    assert code == 2
+    assert out == "\n".join([f"claim: {claim}", *text, "verdict: MISMATCH"]) + "\n"
+    code, out, _ = run(capsys, "verify", cycle_doc, "--claim", claim, "--format", "json")
+    assert code == 2
+    want = {"command": "verify", "species": "plain", "claim": claim, "report": report,
+            "verdict": "MISMATCH"}
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
 
 def test_solve_higher_reports_relation_and_wff_statuses(capsys, loop_doc):

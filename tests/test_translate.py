@@ -22,7 +22,6 @@ from g3arg.translate import (
     Theory,
     assignment_to_labelling,
     clause_keep,
-    delta_keep,
     domain_diagram,
     framework_key,
     instantiate,
@@ -132,6 +131,26 @@ def test_report_flags_disagreements():
         extra_labellings=(),
     )
     assert not bad.ok
+
+
+def test_every_verifier_reports_a_labelling_the_search_missed():
+    """The search misses the und labelling of a fresh two-cycle: each verifier
+    finds it as its one extra model, with every count."""
+    search, und = translate.enumerate_complete, (("a", "und"), ("b", "und"))
+    with patch.object(translate, "enumerate_complete", lambda f: search(f)[:-1]):
+        f = Framework.make("ab", [("a", "b"), ("b", "a")])
+        key = framework_key(f)
+        for report in (verify_prop_theory(f), verify_pred_theory(f)):
+            assert report == CorrespondenceReport(key, 3, 2, 2, (und,), ())
+        und_free = verify_und_free(f)
+        assert und_free.stable.ok and not und_free.union_ok
+        assert und_free.non_stable == CorrespondenceReport(
+            key + " (undecided case)", 1, 0, 0, (und,), ()
+        )
+        both = (("a", "b"), ("b", "a"))
+        assert verify_domain_diagram(f) == translate.DiagramReport(
+            key, 3, 2, 2, ((both, und),), ()
+        )
 
 
 def test_und_definition_rendering():
@@ -287,9 +306,7 @@ def skewed_domains(draw):
 @settings(max_examples=100, deadline=None)
 @given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
 def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch):
-    """Every root, HERE and THERE, on every In candidate, the R profiles bound;
-    and ``delta_keep``, which reads names through a view, keeps what the
-    direct compile holds."""
+    """Every root, HERE and THERE, on every In candidate, the R profiles bound."""
     dom, r_val = case
     positions = translate._delta_over_positions(len(dom))
     direct = Program(pred_theory().formulas(), grounding(dom))
@@ -308,12 +325,6 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
                                 r_val))
                 want = list(scan(dims, lambda t, full: direct.run(t, full)[i][half], r_val))
                 assert got == want
-        assert list(scan(dims, delta_keep(dom), r_val)) == list(scan(dims, direct.holds, r_val))
-
-
-def test_delta_keep_refuses_a_repeated_element():
-    with pytest.raises(ValueError, match="domain element 'b' is listed twice"):
-        delta_keep(("b", "a", "b"))
 
 
 def test_delta_is_compiled_once_per_domain_size():
