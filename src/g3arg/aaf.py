@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, reader, scan
 from .pred import (
     Constant,
     RAtom,
@@ -68,28 +68,26 @@ def aaf_extensions(
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
     """The models of Delta_A and psi, grouped by relation.
 
-    One scan, keyed by argument positions, covers the decided relation
-    pairs and every argument's In profile, keeping where both Delta_A
-    (``translate._delta_over_positions``) and psi, renamed to positions,
-    hold. Relations come as sorted pair tuples in lexicographic order, their
+    One scan, keyed by the leaves of ``translate._delta_over_positions``,
+    covers the decided relation pairs and every argument's In profile,
+    keeping where both Delta_A and psi, renamed to those leaves, hold.
+    Relations come as sorted pair tuples in lexicographic order, their
     labellings in lexicographic in < out < und order. Raises
     SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     n = len(af.s0)
-    names = list(itertools.product(af.s0, repeat=2))
-    pairs = list(itertools.product(range(n), repeat=2))
-    if 2 ** len(pairs) > MAX_RELATIONS:
-        raise SearchSpaceExceeded(
-            f"2^{len(pairs)} attack relations exceed the bound {MAX_RELATIONS}"
-        )
+    names, m = list(itertools.product(af.s0, repeat=2)), n * n
+    if 2**m > MAX_RELATIONS:
+        raise SearchSpaceExceeded(f"2^{m} attack relations exceed the bound {MAX_RELATIONS}")
     labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
-    dims = [(p, DECIDED_ORDER) for p in pairs] + [(i, labels) for i in range(n)]
-    delta = _delta_over_positions(n).holds
-    psi = link([(Program([af.psi], grounding(af.s0)), dict(zip(names, pairs)).__getitem__)]).holds
+    # R(i,j) is Delta's leaf n + n*i + j and In(i) its leaf i
+    dims = [(n + k, DECIDED_ORDER) for k in range(m)] + [(i, labels) for i in range(n)]
+    leaf = dict(zip(names, range(n, n + m)))
+    psi = link([(Program([af.psi], grounding(af.s0)), leaf.__getitem__)])
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(dims, lambda table, full: delta(table, full) & psi(table, full)):
-        lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[len(pairs) :])))
-        family.setdefault(index[: len(pairs)], []).append(lab)
+    for index in scan(dims, reader([(_delta_over_positions(n), None), (psi, None)])):
+        lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[m:])))
+        family.setdefault(index[:m], []).append(lab)
     return sorted(
         (tuple(itertools.compress(names, r)), tuple(labs)) for r, labs in family.items()
     )

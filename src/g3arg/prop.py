@@ -364,6 +364,25 @@ def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     return linked
 
 
+def reader(parts: Sequence[tuple[Program, Sequence | None]]) -> Callable[..., int]:
+    """``keep(table, full, und=None)``: the candidates where every root of ``parts`` holds at HERE.
+
+    Each part is a Program and its leaf list, or None to read the table by
+    the leaves' own keys: leaf i reads ``table[leaves[i]]``, where ``scan``
+    binds TRUE and FALSE to constants. Each ``#n`` reads ``und``.
+    """
+
+    def keep(table: Mapping, full: int, und: tuple | None = None) -> int:
+        mask = full
+        for program, leaves in parts:
+            for h, _ in program.run(table if leaves is None else [table[k] for k in leaves],
+                                    full, und):
+                mask &= h
+        return mask
+
+    return keep
+
+
 class SearchSpaceExceeded(Exception):
     """A brute-force search refused an instance as too large."""
 
@@ -418,9 +437,7 @@ def fits_one_batch(choices: int, count: int) -> bool:
 
 
 def scan(
-    dims: Sequence[tuple[object, Sequence[ThreeVal]]],
-    keep: Callable[[dict, int], int],
-    bound: Mapping[object, ThreeVal] | None = None,
+    dims: Sequence[tuple[object, Sequence[ThreeVal]]], keep: Callable[[dict, int], int]
 ) -> Iterator[tuple[int, ...]]:
     """Choice indices of the kept candidates of a product scan, in order.
 
@@ -429,8 +446,9 @@ def scan(
     full)`` receives a batch's leaf table, each key bound to the bitsets of
     its dimension, and returns the bitset of candidates to keep. The
     trailing dimensions that fit in BATCH_BITS form one batch; the leading
-    ones are looped over, their keys bound to constant bitsets, as are the
-    keys of ``bound`` to their one profile.
+    ones are looped over, their keys bound to constant bitsets. Every table
+    binds TRUE to ``(full, full)`` and FALSE to ``(0, 0)``, so a leaf list
+    (see ``reader``) may send a leaf to either.
 
     What depends on the dimensions' shape alone comes from a plan (see
     ``_plan``), cached on each dimension's choice order and BATCH_BITS and
@@ -441,7 +459,7 @@ def scan(
     """
     shape = tuple([tuple(choices) for _, choices in dims])
     split, full, profiles, patterns, p, high, low = _plan(shape, BATCH_BITS)
-    table = {key: profiles[v] for key, v in bound.items()} if bound else {}
+    table = {TRUE: (full, full), FALSE: (0, 0)}
     table.update(zip([key for key, _ in dims[split:]], patterns))
     outer_dims = dims[:split]
     for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):

@@ -42,6 +42,7 @@ from .prop import (
     fits_one_batch,
     iff,
     link,
+    reader,
     replace_und,
     scan,
     select_assignments,
@@ -56,7 +57,6 @@ from .pred import (
     StatusRef,
     Variable,
     grounding,
-    relation_to_r_val,
 )
 from .syntax import HASH_N, MarkerText, format_formula
 from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
@@ -198,28 +198,17 @@ def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
     ``prop_theory(f)`` at HERE, each ``#n`` reading ``und`` (see
     ``Program.run``). With ``stable``, the clauses of ``stable_theory(f)``,
     scanned over DECIDED_ORDER instead of VALUE_ORDER. When the scan fits
-    one batch, each argument's shape group runs on its own leaves, read
-    from the table, and nothing is built for ``f``. A longer scan runs the
-    groups linked into one program kept on ``f``: the link shares
-    instructions across groups, which repays it only over many batches
+    one batch, each argument's shape group reads the table through the
+    list of its leaves' names, and nothing is built for ``f``. A longer
+    scan runs the groups linked into one program kept on ``f``: the link
+    shares instructions across groups, which repays it only over many batches
     (a whole call is 1.1-1.4x faster linked at 11-16 arguments, even at
     10 and 1.1-1.2x slower at 9, about two batches; ``BENCH_22.json``).
     """
     clauses, order = (_fix_clauses, DECIDED_ORDER) if stable else (_argument_clauses, VALUE_ORDER)
     if fits_one_batch(len(order), len(f.arguments)):
-        groups = _groups(f, clauses)
-    else:
-        groups = [(_linked(f, clauses), None)]
-
-    def keep(table: Mapping, full: int, und: tuple | None = None) -> int:
-        mask = full
-        for program, names in groups:
-            leaves = table if names is None else [table[x] for x in names]
-            for h, _ in program.run(leaves, full, und):
-                mask &= h
-        return mask
-
-    return keep
+        return reader(_groups(f, clauses))
+    return reader([(_linked(f, clauses), None)])
 
 
 def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
@@ -236,20 +225,18 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 
 
 def _labellings(
-    args: Sequence[str], keep: Callable, order: Sequence[ThreeVal] = VALUE_ORDER,
-    keys: Sequence | None = None, bound: Mapping | None = None,
+    args: Sequence[str], keep: Callable, order: Sequence[ThreeVal] = VALUE_ORDER
 ) -> list[tuple[tuple[str, str], ...]]:
     """The canonical labellings of the candidates ``keep`` marks, in scan order.
 
-    Each of ``args`` ranges over ``order``, its dimension keyed by its entry
-    in ``keys`` (by default itself); ``bound`` is ``scan``'s. A model is
-    ``tuple(zip(args, labels))``: canonical with no dict and no sort only
-    because ``args`` is sorted, as ``Framework.arguments`` is.
+    Each of ``args`` ranges over ``order``, its dimension keyed by itself. A
+    model is ``tuple(zip(args, labels))``: canonical with no dict and no
+    sort only because ``args`` is sorted, as ``Framework.arguments`` is.
     """
     labels = [VALUE_TO_LABEL[v].value for v in order]
-    dims = [(key, order) for key in (args if keys is None else keys)]
     return [
-        tuple(zip(args, map(labels.__getitem__, index))) for index in scan(dims, keep, bound)
+        tuple(zip(args, map(labels.__getitem__, index)))
+        for index in scan([(x, order) for x in args], keep)
     ]
 
 
@@ -467,37 +454,35 @@ def pred_theory() -> Theory:
 
 @functools.cache
 def _delta_over_positions(n: int) -> Program:
-    """Delta_A over 0..n-1: ``In(i)`` keyed ``i``, ``R(i,j)`` keyed ``(i, j)``."""
-    return Program(pred_theory().formulas(), grounding(range(n)))
+    """Delta_A over 0..n-1: ``In(i)`` is leaf ``i`` and ``R(i,j)`` leaf ``n + n*i + j``."""
+    return link([(
+        Program(pred_theory().formulas(), grounding(range(n))),
+        lambda key: key if type(key) is int else n + n * key[0] + key[1],
+    )])
 
 
-def _relation_over_positions(f: Framework) -> dict[tuple[int, int], ThreeVal]:
-    """``f``'s attacks as ``relation_to_r_val`` over the positions of its arguments."""
-    position = {x: i for i, x in enumerate(f.arguments)}
-    attacks = [(position[u], position[x]) for u, x in f.attacks]
-    return relation_to_r_val(range(len(position)), attacks)
+def _attacks(f: Framework) -> list[int]:
+    """``f``'s attacks as a leaf list: TRUE or FALSE per argument pair, in product order."""
+    return [TRUE if p in f.attacks else FALSE for p in itertools.product(f.arguments, repeat=2)]
 
 
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
-    """Predicate route: Delta_A, compiled once per domain size, scanned over In
-    keyed by argument positions, the attacks bound as R over positions."""
-    n = len(f.arguments)
-    delta, r_val = _delta_over_positions(n).holds, _relation_over_positions(f)
-    models = _labellings(f.arguments, delta, keys=range(n), bound=r_val)
-    return _compare(framework_key(f), models, _complete_labellings(f))
+    """Predicate route: Delta_A, compiled once per domain size, read through
+    the leaf list of ``f``'s arguments and attacks."""
+    keep = reader([(_delta_over_positions(len(f.arguments)), [*f.arguments, *_attacks(f)])])
+    return _compare(framework_key(f), _labellings(f.arguments, keep), _complete_labellings(f))
 
 
-def _diagram(n: int, literals: Callable[[dict], list[Formula]]) -> Formula:
-    """A diagram naming n elements X1..Xn, with ``literals(r)`` on R.
+def _diagram(n: int, literals: Callable[[list], list[Formula]]) -> Formula:
+    """A diagram naming n elements X1..Xn, with ``literals(atoms)`` on R.
 
-    ``r`` maps each position pair (i, j), in product order, to the atom
-    R(Xi+1,Xj+1). The named elements are pairwise distinct and exhaust
-    the domain.
+    ``atoms`` lists R(Xi+1,Xj+1) for each position pair (i, j), in product
+    order. The named elements are pairwise distinct and exhaust the domain.
     """
     xs = [Variable(f"X{i + 1}") for i in range(n)]
-    r = {(i, j): RAtom(xs[i], xs[j]) for i, j in itertools.product(range(n), repeat=2)}
+    atoms = [RAtom(a, b) for a, b in itertools.product(xs, repeat=2)]
     parts = [Neg(EqAtom(a, b)) for a, b in itertools.combinations(xs, 2)]
-    parts += literals(r)
+    parts += literals(atoms)
     y = Variable("Y")
     parts.append(Forall("Y", disj([EqAtom(y, x) for x in xs])))
     body = conj(parts)
@@ -516,48 +501,28 @@ def domain_diagram(f: Framework) -> Formula:
     conjuncts any superset of a renamed copy would slip through, dragging
     in labellings of other frameworks.
     """
-    position = {name: i for i, name in enumerate(f.arguments)}
-    attacked = {(position[u], position[x]) for u, x in f.attacks}
-    return _diagram(len(position), lambda r: [
-        *(atom for p, atom in r.items() if p in attacked),
-        *(Neg(atom) for p, atom in r.items() if p not in attacked),
+    attacks = _attacks(f)
+    return _diagram(len(f.arguments), lambda atoms: [
+        *(atom for atom, a in zip(atoms, attacks) if a == TRUE),
+        *(Neg(atom) for atom, a in zip(atoms, attacks) if a == FALSE),
     ])
 
 
 @functools.cache
 def _diagram_over_positions(n: int) -> Program:
-    """The domain diagram over 0..n-1 with the attacks left open.
+    """The domain diagram over 0..n-1 with the attacks left open, its leaves numbered.
 
-    Each pair's literal is R(Xi,Xj) <-> A(i,j): ``R(i,j)`` is keyed
-    ``(i, j)`` and ``A(i,j)`` by the pair's index in product order,
-    ``i * n + j``. Binding A(i,j) to TT or FF as data, or deciding it when
-    a copy is linked, makes the literal R(Xi,Xj) or its negation, which is
-    ``domain_diagram``'s conjunct.
+    Each pair's literal is R(Xi,Xj) <-> A(i,j): ``R(i,j)`` is leaf
+    ``n*i + j`` and ``A(i,j)`` leaf ``n*n + n*i + j``. A leaf list that
+    sends A(i,j) to TRUE or FALSE makes the literal R(Xi,Xj) or its
+    negation, which is ``domain_diagram``'s conjunct.
     """
-    diagram = _diagram(n, lambda r: [
-        iff(atom, StatusRef(str(k))) for k, atom in enumerate(r.values())
+    diagram = _diagram(n, lambda atoms: [
+        iff(atom, StatusRef(str(k))) for k, atom in enumerate(atoms)
     ])
     return link([(
         Program([diagram], grounding(range(n))),
-        lambda key: key if type(key) is tuple else int(key.name),
-    )])
-
-
-def _diagram_program(f: Framework) -> Program:
-    """The Program of ``domain_diagram(f)`` over positions, folded from the open copy.
-
-    The diagram is compiled once per number of arguments, its attacks left
-    open; ``f``'s copy keeps R over positions and folds its attacks in. The
-    open form is the larger program (at 5 arguments 1,106 instructions
-    against the folded 256), so folding pays once the relation scan spans
-    more than one batch (the relation scan runs 1.8x faster folded than
-    bound at 4 arguments, 4x at 5); a one-batch scan binds the attacks as
-    data instead.
-    """
-    decided = [TRUE if v.here else FALSE for v in _relation_over_positions(f).values()]
-    return link([(
-        _diagram_over_positions(len(f.arguments)),
-        lambda key: key if type(key) is tuple else decided[key],
+        lambda key: n * key[0] + key[1] if type(key) is tuple else n * n + int(key.name),
     )])
 
 
@@ -583,28 +548,31 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
     decided values: Delta_A is scanned under each relation that the
-    diagram admits, as ``verify_pred_theory`` scans it. Both scans key R
-    by argument positions. The diagram is the one compiled per domain
-    size: when its 2^(n^2) relations fit one batch, the attacks are bound
-    as data to its open A leaves; beyond that, ``f``'s folded copy runs
-    (see ``_diagram_program``). The expected side is the complete
-    labellings kept on ``f`` pushed through every renaming of the
-    arguments. Both sides are compared as ``verify_pred_theory``'s are.
+    diagram admits, read through that relation's leaf list as
+    ``verify_pred_theory`` reads ``f``'s. The relation scan is keyed by
+    position pairs. The diagram is the one compiled per domain size, its
+    A leaves sent to ``f``'s attacks: when its 2^(n^2) relations fit one
+    batch it is read through the leaf list; beyond that, through a copy
+    linked from the list, the smaller program (256 instructions against
+    1,106 at 5 arguments; 1.8x faster at 4, 4x at 5, ``BENCH_22.json``).
+    The expected side is the complete labellings kept on ``f`` pushed
+    through every renaming of the arguments. Both sides are compared as
+    ``verify_pred_theory``'s are.
     """
     dom, n = f.arguments, len(f.arguments)
     pairs = list(itertools.product(range(n), repeat=2))
+    diagram, leaves = _diagram_over_positions(n), [*pairs, *_attacks(f)]
     if fits_one_batch(len(DECIDED_ORDER), len(pairs)):
-        attacks = _relation_over_positions(f).values()
-        diagram, bound = _diagram_over_positions(n), dict(enumerate(attacks))
+        part = (diagram, leaves)
     else:
-        diagram, bound = _diagram_program(f), None
-    delta = _delta_over_positions(n).holds
+        part = (link([(diagram, leaves.__getitem__)]), None)
+    delta, truth = _delta_over_positions(n), [TRUE if v.here else FALSE for v in DECIDED_ORDER]
     found = []
-    for index in scan([(p, DECIDED_ORDER) for p in pairs], diagram.holds, bound):
-        r_val = dict(zip(pairs, map(DECIDED_ORDER.__getitem__, index)))
+    for index in scan([(p, DECIDED_ORDER) for p in pairs], reader([part])):
+        relation = [truth[c] for c in index]
         # pairs come in product order over the sorted arguments: each relation is sorted
-        relation = tuple((dom[i], dom[j]) for (i, j), v in r_val.items() if v.here)
-        found += ((relation, lab) for lab in _labellings(dom, delta, keys=range(n), bound=r_val))
+        named = tuple((dom[i], dom[j]) for (i, j), r in zip(pairs, relation) if r == TRUE)
+        found += ((named, lab) for lab in _labellings(dom, reader([(delta, [*dom, *relation])])))
     complete, expected = _complete_labellings(f), set()
     for perm in itertools.permutations(dom):
         sigma = dict(zip(dom, perm))

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -447,11 +448,30 @@ def test_verify_mismatch_exits_two(capsys, cycle_doc, monkeypatch):
         extra_models=((("a", "in"), ("b", "in")),),
         extra_labellings=(),
     )
-    monkeypatch.setitem(cli._CLAIMS, "prop", (lambda f: broken, *cli._CLAIMS["prop"][1:]))
+    monkeypatch.setattr(cli, "verify_prop_theory", lambda f: broken)
     code, out, _ = run(capsys, "verify", cycle_doc, "--claim", "prop")
     assert code == 2
     assert "extra model: a=in b=in" in out
     assert "verdict: MISMATCH" in out
+
+
+@pytest.mark.parametrize("claim, name", [
+    ("prop", "verify_prop_theory"), ("und-free", "verify_und_free"),
+    ("pred", "verify_pred_theory"), ("diagram", "verify_domain_diagram"),
+])
+def test_verify_calls_the_verifier_bound_on_the_module(capsys, cycle_doc, claim, name):
+    """A wrapper set on ``cli``'s attribute, as a tracer installs one, is what
+    ``verify`` calls."""
+    original, calls = getattr(cli, name), []
+
+    def traced(f):
+        calls.append(f)
+        return original(f)
+
+    with patch.object(cli, name, traced):
+        code, out, _ = run(capsys, "verify", cycle_doc, "--claim", claim)
+    assert code == 0 and out.endswith("verdict: MATCH\n")
+    assert [f.arguments for f in calls] == [("a", "b")]
 
 
 def _mismatching_report(claim):
@@ -504,7 +524,7 @@ def _mismatching_report(claim):
 @pytest.mark.parametrize("claim", ["und-free", "diagram"])
 def test_verify_mismatch_renders_every_extra_row(capsys, cycle_doc, monkeypatch, claim):
     stub, text, report = _mismatching_report(claim)
-    monkeypatch.setitem(cli._CLAIMS, claim, (lambda f: stub, *cli._CLAIMS[claim][1:]))
+    monkeypatch.setattr(cli, cli._CLAIMS[claim][0], lambda f: stub)
     code, out, _ = run(capsys, "verify", cycle_doc, "--claim", claim)
     assert code == 2
     assert out == "\n".join([f"claim: {claim}", *text, "verdict: MISMATCH"]) + "\n"

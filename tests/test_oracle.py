@@ -218,10 +218,15 @@ def test_pinned_grounding_matches_the_relation_bound_in_the_table(f, relation, p
     dims += [(p, VALUE_ORDER) for p in r_val if p not in decided]
     compiled = Program([f], grounding(("a", "b"), decided))
     free = Program([f], grounding(("a", "b")))
+
+    def pinned(t):
+        """The scan's table with each decided pair reading the scan's TRUE or FALSE."""
+        return {**t, **{p: t[prop.TRUE if v.here else prop.FALSE] for p, v in decided.items()}}
+
     with patch.object(prop, "BATCH_BITS", batch):
         for half in (0, 1):
             got = list(scan(dims, lambda t, full: compiled.run(t, full)[0][half]))
-            want = list(scan(dims, lambda t, full: free.run(t, full)[0][half], decided))
+            want = list(scan(dims, lambda t, full: free.run(pinned(t), full)[0][half]))
             assert got == want
     assert not any(op == prop.LEAF and key in decided for op, key in compiled.code)
 

@@ -254,9 +254,9 @@ def test_grounding_rejects_propositional_atoms():
 def test_no_scan_has_a_one_choice_dimension():
     """A pinned relation is compiled in, not scanned as one-choice dimensions."""
 
-    def checked(dims, keep, bound=None):
+    def checked(dims, keep):
         assert all(len(choices) > 1 for _, choices in dims), dims
-        return scan(dims, keep, bound)
+        return scan(dims, keep)
 
     theory = [Forall("X", Imp(RAtom(X, A), Or(UndConst(), Neg(InAtom(X)))))]
     with patch.object(pred, "scan", checked), patch.object(meta, "scan", checked):

@@ -28,6 +28,8 @@ from g3arg.prop import (
     eval_world,
     iff,
     is_valid,
+    link,
+    reader,
     replace_und,
     scan,
     select_assignments,
@@ -171,11 +173,21 @@ def test_assignments_respect_given_order():
     assert len(got) == 9
 
 
-def test_assignments_hold_bound_keys_at_their_profile():
-    program = Program([Imp(Atom("c"), Atom("a"))])
-    dims = [("a", VALUE_ORDER)]
-    assert list(scan(dims, program.holds, {"c": ThreeVal.TT})) == [(2,)]
-    assert list(scan(dims, program.holds, {"c": ThreeVal.FF})) == [(0,), (1,), (2,)]
+def test_true_and_false_read_as_constants_in_every_table():
+    """Through a leaf list, TRUE reads as TT and FALSE as FF, in the batch and
+    in every table of the dimensions looped outside it."""
+    program = link([(Program([Imp(Atom("c"), Atom("a"))]), {"c": 0, "a": 1}.__getitem__)])
+    dims = [("b", DECIDED_ORDER), ("a", VALUE_ORDER)]
+
+    def constants(table, full):
+        assert (table[prop.TRUE], table[prop.FALSE]) == ((full, full), (0, 0))
+        return full
+
+    for batch in (1, 3, prop.BATCH_BITS):
+        with patch.object(prop, "BATCH_BITS", batch):
+            assert len(list(scan(dims, constants))) == 6
+            assert list(scan(dims, reader([(program, [prop.TRUE, "a"])]))) == [(0, 2), (1, 2)]
+            assert len(list(scan(dims, reader([(program, [prop.FALSE, "a"])])))) == 6
 
 
 def test_validity_verdicts():
@@ -209,7 +221,7 @@ def test_connective_builders():
 
 
 # A dimension ranges over 2 or 3 distinct profiles in any order, given as a
-# list or a tuple; a bound key holds one profile.
+# list or a tuple; a bound key holds one profile, which keep binds in the table.
 _orders = st.lists(st.sampled_from(VALUE_ORDER), min_size=2, max_size=3, unique=True)
 _shapes = st.lists(st.one_of(_orders, _orders.map(tuple)), max_size=6)
 _bound = st.dictionaries(st.sampled_from(["b0", "b1"]), st.sampled_from(VALUE_ORDER))
@@ -231,8 +243,11 @@ def _scans(draw):
     return dims, bound, draw(terms)
 
 
-def _keep(terms, rename=lambda key: key):
+def _keep(terms, bound, rename=lambda key: key):
     def keep(table, full):
+        table = {**table, **{
+            rename(key): (full if v.here else 0, full if v.there else 0) for key, v in bound.items()
+        }}
         mask = 0
         for term in terms:
             m = full
@@ -255,13 +270,12 @@ def test_scan_is_the_filtered_product(case, batch):
         if any(all(profile[k].value[half] != neg for k, half, neg in t) for t in terms):
             want.append(index)
     renamed = [(("other", key), choices) for key, choices in dims]
-    other_bound = {("other", key): v for key, v in bound.items()}
     with patch.object(prop, "BATCH_BITS", batch):
         misses = prop._plan.cache_info().misses
-        assert list(scan(dims, _keep(terms), bound)) == want
-        assert list(scan(dims, _keep(terms), bound)) == want
-        keep = _keep(terms, lambda key: ("other", key))
-        assert list(scan(renamed, keep, other_bound)) == want
+        assert list(scan(dims, _keep(terms, bound))) == want
+        assert list(scan(dims, _keep(terms, bound))) == want
+        keep = _keep(terms, bound, lambda key: ("other", key))
+        assert list(scan(renamed, keep)) == want
         assert prop._plan.cache_info().misses - misses <= 1  # one plan per shape
         # nothing the scans kept went into the cached plan
         shape = tuple(tuple(choices) for _, choices in dims)
@@ -278,27 +292,34 @@ def test_scan_is_the_filtered_product(case, batch):
 @example([Imp(Atom("x"), Atom("y"))], 1, {"y": False}, 1)  # a -> false is ~a
 @example([Imp(Atom("x"), Atom("y")), Neg(Atom("y"))], 1, {"x": True}, 3)  # true -> b is b
 def test_folding_decided_leaves_matches_compiling_the_constants(formulas, split, decided, batch):
-    """Linking with leaves sent to TRUE or FALSE equals compiling Top or Bot
-    in their place, and running the unlinked parts with those leaves bound.
+    """A leaf list that mixes table keys with TRUE and FALSE gives the same
+    roots read through, linked, and compiled with Top or Bot in place.
 
-    The formulas are split over one or two parts; every linked instruction
-    is a root or read by a later one.
+    The formulas are split over one or two parts, each numbering its leaves
+    x, y, z as 0, 1, 2; every linked instruction is a root or read by a
+    later one.
     """
-    parts = [Program(fs) for fs in (formulas[:split], formulas[split:]) if fs]
-    fold = {x: prop.TRUE if v else prop.FALSE for x, v in decided.items()}
-    folded = prop.link([(p, lambda key: fold.get(key, key)) for p in parts])
+    parts = [link([(Program(fs), "xyz".index)])
+             for fs in (formulas[:split], formulas[split:]) if fs]
+    leaves = [(prop.TRUE if decided[x] else prop.FALSE) if x in decided else x for x in "xyz"]
+    folded = link([(p, leaves.__getitem__) for p in parts])
     constants = {x: Top() if v else Bot() for x, v in decided.items()}
     direct = Program([substitute(f, constants) for f in formulas])
-    bound = {x: ThreeVal.TT if v else ThreeVal.FF for x, v in decided.items()}
 
     def agree(table, full):
-        want = [r for p in parts for r in p.run(table, full)]
-        assert folded.run(table, full) == direct.run(table, full) == want
+        want = direct.run(table, full)
+        read = [r for p in parts for r in p.run([table[k] for k in leaves], full)]
+        assert folded.run(table, full) == read == want
+        mask = full
+        for h, _ in want:
+            mask &= h
+        assert reader([(p, leaves) for p in parts])(table, full) == mask
+        assert reader([(folded, None)])(table, full) == mask
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
         dims = [(x, VALUE_ORDER) for x in "xyz" if x not in decided]
-        assert list(scan(dims, agree, bound)) == []
+        assert list(scan(dims, agree)) == []
     read = {a for op, args in folded.code if op != LEAF for a in args}
     assert read | set(folded.roots) == set(range(len(folded.code)))
     assert not any(op == LEAF and key in decided for op, key in folded.code)

@@ -13,7 +13,7 @@ from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
-from g3arg.prop import ALL, LEAF, Atom, Program, scan, select_assignments
+from g3arg.prop import ALL, LEAF, Atom, Program, link, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, relation_to_r_val
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
@@ -306,24 +306,25 @@ def skewed_domains(draw):
 @settings(max_examples=100, deadline=None)
 @given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
 def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch):
-    """Every root, HERE and THERE, on every In candidate, the R profiles bound."""
+    """Every root, HERE and THERE, on every In candidate, the R profiles bound
+    in the table: the program over positions reads it through the leaf list
+    of the names and of their pairs in product order."""
     dom, r_val = case
     positions = translate._delta_over_positions(len(dom))
     direct = Program(pred_theory().formulas(), grounding(dom))
     dims = [(d, VALUE_ORDER) for d in dom]
+    leaves = [*dom, *itertools.product(dom, repeat=2)]
 
-    def by_position(t):
-        return {
-            **{i: t[d] for i, d in enumerate(dom)},
-            **{(i, j): t[u, x] for (i, u), (j, x) in itertools.product(enumerate(dom), repeat=2)},
-        }
+    def bound(t, full):
+        profiles = {v: (full if v.here else 0, full if v.there else 0) for v in VALUE_ORDER}
+        return {**t, **{p: profiles[v] for p, v in r_val.items()}}
 
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(direct.roots)):
             for half in (0, 1):
-                got = list(scan(dims, lambda t, full: positions.run(by_position(t), full)[i][half],
-                                r_val))
-                want = list(scan(dims, lambda t, full: direct.run(t, full)[i][half], r_val))
+                got = list(scan(dims, lambda t, full: positions.run(
+                    [bound(t, full)[k] for k in leaves], full)[i][half]))
+                want = list(scan(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
                 assert got == want
 
 
@@ -363,40 +364,43 @@ def test_delta_is_compiled_once_per_domain_size():
         assert compiled == [[frame.psi]]
     assert translate._delta_over_positions.cache_info().currsize == 3
     assert translate._diagram_over_positions.cache_info().currsize == 2
-    # the template names no argument; over positions, R(i,j) is keyed (i, j), A(i,j) 3i + j
+    # the template names no argument; over positions, R(i,j) is leaf 3i + j, A(i,j) 9 + 3i + j
     assert is_closed(template) and template != domain_diagram(cycle)
     positions = translate._diagram_over_positions(3)
     assert len(Program([template], grounding(range(3))).code) == len(positions.code)
-    leaves = {key for op, key in positions.code if op == LEAF}
-    assert leaves == {*itertools.product(range(3), repeat=2), *range(9)}
+    assert {key for op, key in positions.code if op == LEAF} == set(range(18))
+    # Delta's In(i) is leaf i, R(i,j) 3 + 3i + j
+    delta = translate._delta_over_positions(3)
+    assert {key for op, key in delta.code if op == LEAF} == set(range(12))
     # a folded copy shares no list with the cached program
-    mine = translate._diagram_program(cycle)
+    leaves = [*itertools.product(range(3), repeat=2), *translate._attacks(cycle)]
+    mine = link([(positions, leaves.__getitem__)])
     mine.code.clear()
     mine.roots.clear()
     assert positions.code and positions.roots
 
 
 def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
-    """Each graph's copy of the diagram over positions, its attacks folded in,
-    has the direct compile's (HERE, THERE) root on all 2^9 decided relations,
-    one batch, and as many instructions. So does the open diagram over
-    positions with the attacks bound as data to its A leaves."""
+    """Each graph's copy of the diagram over positions, linked through the leaf
+    list of the pairs and the graph's attacks, has the direct compile's
+    (HERE, THERE) root on all 2^9 decided relations, one batch, and as many
+    instructions. So does the diagram over positions read through the list."""
     positions = translate._diagram_over_positions(3)
+    pairs = list(itertools.product(range(3), repeat=2))
     for f in all_frameworks(3):
         direct = Program([domain_diagram(f)], grounding(range(3)))
-        folded = translate._diagram_program(f)
+        leaves = [*pairs, *translate._attacks(f)]
+        folded = link([(positions, leaves.__getitem__)])
         assert len(folded.code) == len(direct.code)
-        attacks = dict(enumerate(translate._relation_over_positions(f).values()))
 
         def agree(table, full):
             assert full == (1 << 2**9) - 1
             want = direct.run(table, full)
             assert folded.run(table, full) == want
-            assert positions.run(table, full) == want
+            assert positions.run([table[k] for k in leaves], full) == want
             return 0
 
-        pairs = itertools.product(range(3), repeat=2)
-        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree, attacks)) == []
+        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree)) == []
 
 
 def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
