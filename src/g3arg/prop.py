@@ -92,6 +92,17 @@ PropAssignment = Mapping[str, ThreeVal]
 BATCH_BITS = 1 << 13
 # Scan plans kept, one per dimension shape (see ``scan``).
 PLAN_CACHE = 32
+# Calls after which a Program runs as generated code (see ``Program.run``).
+# Generating costs 8-11 us per instruction (Delta over 4 / 5 / 6 positions,
+# 138 / 196 / 264 instructions: 1.2 / 1.6 / 2.2 ms) and makes a run
+# 1.7-3.7x faster (Delta: 22 -> 8.5, 32 -> 13, 45 -> 19 us), so it breaks
+# even after 68-124 runs whatever the program's size (clause shape groups of
+# 6-21 instructions, the und definition and the 3-argument diagram too).
+# Generating near the break-even loses at most about 2x against the better
+# choice in hindsight, whatever the number of runs (ski rental).
+HOT_RUNS = 100
+# Operands per statement of a generated ALL or ANY (see ``_generate``).
+_CHUNK = 64
 
 # Instruction kinds. Program's ``expand`` hook maps each node the connectives
 # do not cover to (LEAF, table key), to (UND, ()) or to (ALL or ANY,
@@ -167,8 +178,10 @@ class Program:
     afterwards, so an atom in a dead operand, on either side of the zero,
     needs no table entry. The ``#n`` constant stays an instruction unless
     the hook compiles it otherwise. The connective semantics lives in
-    ``run`` and nowhere else. Compiling and running use explicit stacks, so
-    formula depth is not bounded by recursion.
+    ``_interpret``, the reference, and in the templates of ``_generate``,
+    which ``run`` switches to once the program is hot; a differential test
+    holds the two together. Compiling and running use explicit stacks or
+    straight-line code, so formula depth is not bounded by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -235,42 +248,61 @@ class Program:
         # an operand compiled before a later zero is dead
         self.code, self.roots = _live(code, roots)
 
+    # Calls so far, and the generated code once hot (see ``run``); ``link``'s
+    # copies, made without __init__, start from these class defaults too.
+    _runs = 0
+    _generated = None
+
     def run(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 
         ``table`` maps each leaf key to its pair of bitsets; ``full`` has a
-        bit set for every candidate of the batch. Each ``#n`` reads ``und``,
-        by default the constant's own pair (0, full): a defined marker binds
-        it to its definition's bitsets.
+        bit set for every candidate of the batch, and every bitset read is a
+        subset of it. Each ``#n`` reads ``und``, by default the constant's own
+        pair (0, full): a defined marker binds it to its definition's bitsets.
+        The first HOT_RUNS - 1 calls run the interpreter (``_interpret``);
+        the next one generates the program's code (``_generate``), which
+        every later call runs.
         """
-        here: list[int] = []
-        there: list[int] = []
+        fn = self._generated
+        if fn is None:
+            self._runs += 1
+            if self._runs < HOT_RUNS:
+                fn = self._interpret
+            else:
+                fn = self._generated = _generate(self)
         try:
-            for op, args in self.code:
-                if op == ALL:
-                    h = t = full
-                    for a in args:
-                        h &= here[a]
-                        t &= there[a]
-                elif op == ANY:
-                    h = t = 0
-                    for a in args:
-                        h |= here[a]
-                        t |= there[a]
-                elif op == IMP:
-                    a, b = args
-                    t = (full ^ there[a]) | there[b]
-                    h = ((full ^ here[a]) | here[b]) & t
-                elif op == NEG:
-                    h = t = full ^ there[args[0]]
-                elif op == LEAF:
-                    h, t = table[args]
-                else:
-                    h, t = und or (0, full)
-                here.append(h)
-                there.append(t)
+            return fn(table, full, und)
         except KeyError as e:
             raise EvalError(f"no value assigned to {e.args[0]!r}") from None
+
+    def _interpret(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
+        """``run`` by one loop over the instructions: the reference semantics."""
+        here: list[int] = []
+        there: list[int] = []
+        for op, args in self.code:
+            if op == ALL:
+                h = t = full
+                for a in args:
+                    h &= here[a]
+                    t &= there[a]
+            elif op == ANY:
+                h = t = 0
+                for a in args:
+                    h |= here[a]
+                    t |= there[a]
+            elif op == IMP:
+                a, b = args
+                t = (full ^ there[a]) | there[b]
+                h = ((full ^ here[a]) | here[b]) & t
+            elif op == NEG:
+                h = t = full ^ there[args[0]]
+            elif op == LEAF:
+                h, t = table[args]
+            else:
+                h, t = und or (0, full)
+            here.append(h)
+            there.append(t)
         return [(here[r], there[r]) for r in self.roots]
 
     def holds(self, table: Mapping, full: int, ties: Sequence = ()) -> int:
@@ -287,6 +319,44 @@ class Program:
         for (h, _), key in zip(roots[free:], ties):
             mask &= full ^ h ^ table[key][0]
         return mask
+
+
+def _generate(program: Program) -> Callable[[Mapping, int, tuple | None], list[tuple[int, int]]]:
+    """``program._interpret`` as one Python function of straight-line code.
+
+    Instruction i assigns the locals ``hi`` and ``ti``, its HERE and THERE
+    bitsets, by the interpreter's operators. The source holds only indices
+    and operators: leaf keys come from user input, so leaf i reads
+    ``table[ki]``, the name ``ki`` bound to its key in the function's
+    namespace. An ALL or ANY adds at most _CHUNK operands per statement, so
+    a long chain does not nest the compiler's recursion deeply. Operands
+    are subsets of ``full``, so a non-empty ALL need not start from it.
+    """
+    namespace: dict[str, object] = {}
+    lines = ["def run(table, full, und):"]
+    for i, (op, args) in enumerate(program.code):
+        if op == LEAF:
+            namespace[f"k{i}"] = args
+            lines.append(f" h{i}, t{i} = table[k{i}]")
+        elif op == UND:
+            lines.append(f" h{i}, t{i} = und or (0, full)")
+        elif op == NEG:
+            lines.append(f" h{i} = t{i} = full ^ t{args[0]}")
+        elif op == IMP:
+            a, b = args
+            lines.append(f" t{i} = full ^ t{a} | t{b}")
+            lines.append(f" h{i} = (full ^ h{a} | h{b}) & t{i}")
+        elif not args:
+            lines.append(f" h{i} = t{i} = {'full' if op == ALL else 0}")
+        else:
+            sign = "&" if op == ALL else "|"
+            for half in "ht":
+                for start in range(0, len(args), _CHUNK):
+                    terms = f" {sign} ".join(f"{half}{a}" for a in args[start:start + _CHUNK])
+                    lines.append(f" {half}{i} {'=' if start == 0 else sign + '='} {terms}")
+    lines.append(f" return [{', '.join(f'(h{r}, t{r})' for r in program.roots)}]")
+    exec(compile("\n".join(lines), "<generated Program.run>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _live(code: dict[tuple, int], roots: list[int]) -> tuple[list, list[int]]:

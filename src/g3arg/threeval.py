@@ -33,6 +33,11 @@ class ThreeVal(enum.Enum):
     FT = (False, True)
     TT = (True, True)
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and skips Enum's Python-level hash of the member name (a
+    # scan hashes its shape, a tuple of profiles, on every call).
+    __hash__ = object.__hash__
+
     @property
     def here(self) -> bool:
         return self.value[0]

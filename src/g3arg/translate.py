@@ -201,9 +201,11 @@ def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
     one batch, each argument's shape group reads the table through the
     list of its leaves' names, and nothing is built for ``f``. A longer
     scan runs the groups linked into one program kept on ``f``: the link
-    shares instructions across groups, which repays it only over many batches
-    (a whole call is 1.1-1.4x faster linked at 11-16 arguments, even at
-    10 and 1.1-1.2x slower at 9, about two batches; ``BENCH_22.json``).
+    shares instructions across groups, which repays it only over many batches.
+    With the shared groups running generated code, a whole call is 1.2-1.3x
+    faster linked at 14-16 arguments, but 1.05-1.5x slower at 9-13, where
+    the copy runs too few batches (24 to 195) to gain much from its own
+    generated code (``BENCH_25.json``, ``tier_crossover``).
     """
     clauses, order = (_fix_clauses, DECIDED_ORDER) if stable else (_argument_clauses, VALUE_ORDER)
     if fits_one_batch(len(order), len(f.arguments)):
@@ -554,7 +556,7 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     A leaves sent to ``f``'s attacks: when its 2^(n^2) relations fit one
     batch it is read through the leaf list; beyond that, through a copy
     linked from the list, the smaller program (256 instructions against
-    1,106 at 5 arguments; 1.8x faster at 4, 4x at 5, ``BENCH_22.json``).
+    1,106 at 5 arguments; 2.1x faster at 4, 5x at 5, ``BENCH_25.json``).
     The expected side is the complete labellings kept on ``f`` pushed
     through every renaming of the arguments. Both sides are compared as
     ``verify_pred_theory``'s are.

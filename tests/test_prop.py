@@ -1,6 +1,7 @@
 """Two-world propositional semantics: profiles, evaluation, models, validity."""
 
 import itertools
+import re
 from unittest.mock import patch
 
 import pytest
@@ -389,3 +390,101 @@ def test_a_shared_chain_suffix_compiles_in_linear_steps():
         return count
 
     assert steps(400) <= 2 * steps(200) + 8
+
+
+@st.composite
+def _raw_programs(draw):
+    """Instructions drawn directly, not compiled: any operand counts and repeats."""
+    program = object.__new__(Program)
+    program.code = []
+    for i in range(draw(st.integers(1, 10))):
+        op = draw(st.sampled_from([ALL, ANY, prop.NEG, prop.IMP, LEAF, prop.UND]))
+        if op in (ALL, ANY):
+            args = tuple(draw(st.lists(st.integers(0, i - 1), max_size=4))) if i else ()
+        elif op in (prop.NEG, prop.IMP) and i:
+            arity = 1 if op == prop.NEG else 2
+            args = tuple(draw(st.lists(st.integers(0, i - 1), min_size=arity, max_size=arity)))
+        else:
+            op, args = (op, ()) if op == prop.UND else (LEAF, draw(st.sampled_from("xyz")))
+        program.code.append((op, args))
+    program.roots = draw(st.lists(st.integers(0, len(program.code) - 1), min_size=1))
+    return program
+
+
+@st.composite
+def _programs(draw):
+    """A compiled Program, a linked copy that folds some leaves, or raw instructions."""
+    kind = draw(st.sampled_from(["compiled", "linked", "raw"]))
+    if kind == "raw":
+        return draw(_raw_programs())
+    program = Program(draw(st.lists(_formulas, min_size=1, max_size=4)))
+    if kind == "linked":
+        decided = draw(st.dictionaries(st.sampled_from("xyz"), st.sampled_from([prop.TRUE, prop.FALSE])))
+        program = link([(program, lambda key: decided.get(key, key))])
+    return program
+
+
+@settings(deadline=None)
+@given(_programs(), st.booleans(), st.sampled_from([1, 3, 9, 8192]))
+@example(Program([Imp(Atom("x"), Atom("y")), Neg(Atom("z")), Or(Atom("x"), And(Atom("y"), Atom("z")))]),
+         False, 9)  # each connective, on every profile of its operands
+@example(Program([Top()]), False, 1)  # the empty ALL
+@example(Program([Bot(), UndConst()]), True, 3)  # the empty ANY, #n bound
+def test_generated_code_matches_the_interpreter(program, bind_und, batch):
+    """Both worlds' roots of every batch, from the generated function and the interpreter.
+
+    ``#n`` reads the constant's own pair, or x's bitsets when bound.
+    """
+    generated = prop._generate(program)
+
+    def agree(table, full):
+        und = table["x"] if bind_und else None
+        assert generated(table, full, und) == program._interpret(table, full, und)
+        return 0
+
+    with patch.object(prop, "BATCH_BITS", batch):
+        assert list(scan([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
+
+
+def test_a_program_and_its_linked_copy_run_generated_code_from_the_hot_run():
+    program = Program([Imp(Atom("x"), Atom("y"))])
+    copy = link([(program, str.upper)])
+    with patch.object(prop, "HOT_RUNS", 3):
+        for p, x, y in ((program, "x", "y"), (copy, "X", "Y")):
+            for runs in range(1, 6):
+                assert p.run({x: (0, 1), y: (0, 0)}, 1) == [(0, 0)]
+                assert (p._generated is not None) == (runs >= 3)
+
+
+@pytest.mark.parametrize("chain", [conj, disj])
+def test_a_long_chain_runs_generated_past_the_hot_run(chain):
+    """20,000 operands in one ALL or ANY: the generated source nests no deeper
+    than a statement's share of them, so compiling it does not recurse too far."""
+    names = [f"x{i}" for i in range(20000)]
+    program = Program([chain(map(Atom, names))])
+    table = {x: (i % 7 and 0b111, 0b111) for i, x in enumerate(names)}
+    want = program._interpret(table, 0b111)
+    for _ in range(prop.HOT_RUNS):
+        assert program.run(table, 0b111) == want
+    assert program._generated is not None
+    assert program.run(table, 0b111) == want == [(0, 0b111) if chain is conj else (0b111, 0b111)]
+
+
+@pytest.mark.parametrize("name", ["q", "it's", 'say "no"', "a\\'b", "k0", "x\n)"])
+def test_generated_code_reads_leaf_keys_from_its_namespace(name):
+    """No leaf key enters the generated source, and a missing one is an EvalError."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    program = Program([Imp(Atom(name), Atom("p"))])
+    with patch.object(prop, "compile", spy, create=True), patch.object(prop, "HOT_RUNS", 1):
+        assert program.run({name: (0, 1), "p": (0, 0)}, 1) == [(0, 0)]
+        with pytest.raises(EvalError, match=re.escape(f"no value assigned to {'p'!r}")):
+            program.run({name: (1, 1)}, 1)
+        with pytest.raises(EvalError, match=re.escape(f"no value assigned to {name!r}")):
+            program.run({"p": (1, 1)}, 1)
+    source, = sources
+    assert set(source) <= set("abcdefghijklmnopqrstuvwxyz0123456789_ ,:=()[]&|^\n")
