@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .prop import (
-    And, Formula, Imp, Neg, Or, Program, SearchSpaceExceeded, UndConst, conj, disj, scan
+    FALSE, TRUE, And, Atom, Formula, Imp, Neg, Or, Program, SearchSpaceExceeded, UndConst,
+    conj, disj, link, reader, scan,
 )
 from .pred import (
     Constant,
@@ -159,17 +160,16 @@ def _inline(unit: WffUnit) -> Formula:
     return unit.formula
 
 
-def _as_status(unit: WffUnit) -> Formula:
-    return unit.formula if unit.is_r_atom else StatusRef(unit.name)
-
-
 def _forms(body: Formula) -> tuple[Formula, Formula]:
     return body, Neg(body)
 
 
 def _edge_forms(source: str, target: str) -> tuple[Formula, Formula]:
     """(holds, fails) of a node attacking a node, jointly with the attack atom."""
-    member, edge = InAtom(Constant(source)), RAtom(Constant(source), Constant(target))
+    return _joint_forms(InAtom(Constant(source)), RAtom(Constant(source), Constant(target)))
+
+
+def _joint_forms(member: Formula, edge: Formula) -> tuple[Formula, Formula]:
     return And(member, edge), Or(Neg(member), Neg(edge))
 
 
@@ -341,6 +341,22 @@ class GeneralizedModel:
         return self.interp.in_val[node]
 
 
+@functools.cache
+def _unit_group(node: bool, n: int, extras: int) -> Program:
+    """A unit's clauses of ``star_theory``, compiled once over positions.
+
+    Leaf 0 is the unit's own form. A node (of n) reads ``In(y)`` at leaves
+    1..n and ``R(y, x)`` at leaves n+1..2n, for each node y in order; then
+    each of the ``extras`` extra attackers' forms takes one leaf. A formula
+    unit passes n = 0, as its clauses do not read the nodes.
+    """
+    leaves = [Atom(str(i)) for i in range(1 + 2 * n + extras)]
+    attackers = [_joint_forms(leaves[1 + i], leaves[1 + n + i]) for i in range(n)]
+    attackers += [_forms(leaf) for leaf in leaves[1 + 2 * n :]]
+    clauses = _unit_clauses("", *_forms(leaves[0]), attackers)
+    return link([(Program(g for _, g in clauses), int)])
+
+
 def solve_higher(
     hn: HigherNetwork,
     fixed_r: Iterable[tuple[str, str]] | None = None,
@@ -350,21 +366,29 @@ def solve_higher(
 
     Membership profiles range over all three values per node, the relation
     over all three values per pair unless ``fixed_r`` pins it; a pinned
-    relation is decided while compiling (see ``grounding``) and is no scan
-    dimension, and a pair outside the nodes raises ValueError. Formula-unit
-    standings are unknowns too, restricted as follows: a relation-atom unit
-    stands exactly as its relation pair, and any other unit must agree with
-    its formula at the actual world, the upper world being constrained only
-    by the clauses. Anchoring the upper world semantically as well would
-    leave negated formulas no middle value and the worked fixtures without
-    models; leaving the actual world free would admit models the clause
-    analysis rules out.
+    pair is no scan dimension, and a pair outside the nodes raises
+    ValueError. Formula-unit standings are unknowns too, restricted as
+    follows: a relation-atom unit stands exactly as its relation pair, and
+    any other unit must agree with its formula at the actual world, the
+    upper world being constrained only by the clauses. Anchoring the upper
+    world semantically as well would leave negated formulas no middle value
+    and the worked fixtures without models; leaving the actual world free
+    would admit models the clause analysis rules out.
+
+    Each unit's clauses come from its shape group (``_unit_group``), shared
+    by every unit of the same kind, node count and number of extra
+    attackers, and read through the unit's leaf list (see ``prop.reader``):
+    a node's form is keyed by its name, a relation-atom unit's by its pair
+    and any other unit's by its status reference. A pinned pair is read as
+    TRUE or FALSE. The formulas of the other formula units, which their
+    standings must agree with, are compiled per call, their pinned pairs
+    decided while compiling (see ``grounding``).
 
     Raises SearchSpaceExceeded when the scan dimensions (nodes, open
     relation pairs, formula units other than relation atoms) outnumber
     ``max_unknowns``.
     """
-    nodes = hn.nodes
+    nodes, n = hn.nodes, len(hn.nodes)
     decided = {} if fixed_r is None else relation_to_r_val(nodes, fixed_r)
     pairs = [p for p in itertools.product(nodes, nodes) if p not in decided]
     # An R-atom unit is its own R atom; a general unit's standing is a scan
@@ -376,23 +400,34 @@ def solve_higher(
         raise SearchSpaceExceeded(
             f"{len(dims)} three-valued unknowns exceed the bound {max_unknowns}"
         )
-    clauses = [g for _, g in _star_clauses(hn, True, _as_status)]
-    r_units = [
-        (u.name, (u.formula.left.name, u.formula.right.name))
-        for u in hn.wffs
-        if u.is_r_atom
-    ]
-    program = Program(
-        clauses + [u.formula for u in general_units], grounding(nodes, decided)
-    )
+    # the key each R pair's leaf reads: the pair while open, TRUE or FALSE when pinned
+    edge = {p: TRUE if v is ThreeVal.TT else FALSE for p, v in decided.items()}
+    edge.update((p, p) for p in pairs)
+    key: dict[str, object] = {x: x for x in nodes}
+    position = {u.name: i for i, u in enumerate(general_units, n + len(pairs))}
+    sources = []  # each formula unit's standing, in name order: its R pair's or its scan position's
+    for u in sorted(hn.wffs, key=lambda u: u.name):
+        pair = (u.formula.left.name, u.formula.right.name) if u.is_r_atom else None
+        key[u.name] = edge[pair] if pair else StatusRef(u.name)
+        sources.append((u.name, pair or position[u.name]))
+    parts = []
+    for name, attackers in _extra_attackers(hn).items():
+        node = hn.is_node(name)
+        own = [*nodes, *(edge[y, name] for y in nodes)] if node else []
+        group = _unit_group(node, n if node else 0, len(attackers))
+        parts.append((group, [key[name], *own, *map(key.__getitem__, attackers)]))
+    clauses = reader(parts)
+    tied = Program([u.formula for u in general_units], grounding(nodes, decided))
+
+    def keep(table: dict, full: int) -> int:
+        return clauses(table, full) & tied.holds(table, full, ties)
+
     models: list[GeneralizedModel] = []
-    for index in scan(dims, lambda table, full: program.holds(table, full, ties)):
-        values = [choices[c] for (_, choices), c in zip(dims, index)]
-        r_val = {**decided, **dict(zip(pairs, values[len(nodes) :]))}
-        statuses = {name: r_val[pair] for name, pair in r_units}
-        statuses.update(
-            zip((u.name for u in general_units), values[len(nodes) + len(pairs) :])
-        )
-        interp = PredInterp(nodes, dict(zip(nodes, values)), r_val)
-        models.append(GeneralizedModel(interp, tuple(sorted(statuses.items()))))
+    for index in scan(dims, keep):
+        values = [VALUE_ORDER[c] for c in index]
+        r_val = {**decided, **dict(zip(pairs, values[n:]))}
+        statuses = tuple([
+            (name, r_val[src] if type(src) is tuple else values[src]) for name, src in sources
+        ])
+        models.append(GeneralizedModel(PredInterp(nodes, dict(zip(nodes, values)), r_val), statuses))
     return models

@@ -7,8 +7,9 @@ and high bytes through its own byte tables, and a class is named by the
 least code of its orbit. The prop, und-free and pred verifiers run on every
 class; a seeded sample checks that they do not depend on the names, by
 running each labelled member of a class and renaming its report back.
-``tests/sweep_diagram.py`` runs the domain-diagram verifier over the same
-classes, outside the suite.
+``solve_higher`` with the relation pinned to each class's attacks gives its
+complete labellings. ``tests/sweep_diagram.py`` runs the domain-diagram
+verifier over the same classes, outside the suite.
 """
 
 import dataclasses
@@ -18,8 +19,9 @@ import random
 
 import pytest
 
-from g3arg.af import Framework
+from g3arg.af import VALUE_TO_LABEL, Framework, canonical, enumerate_complete
 from g3arg.corpus import argument_names
+from g3arg.meta import HigherNetwork, solve_higher
 from g3arg.translate import (
     UndFreeReport,
     framework_key,
@@ -84,6 +86,20 @@ def test_the_classes_are_the_orbit_minima():
 def test_every_class_verifies(verify):
     failed = [framework_key(f) for f in map(framework, four_argument_classes())
               if not verify(f).ok]
+    assert failed == []
+
+
+def test_pinned_higher_networks_give_the_complete_labellings_of_every_class():
+    """Conservativity at four nodes: with R pinned to a class's attacks and
+    no formula units, each complete labelling is one model's node labelling,
+    and no model has another."""
+    failed = []
+    for f in map(framework, four_argument_classes()):
+        models = solve_higher(HigherNetwork.make(f.arguments, [], f.attacks), fixed_r=f.attacks)
+        found = sorted(canonical({x: VALUE_TO_LABEL[m.in_value(x)] for x in f.arguments})
+                       for m in models)
+        if found != sorted(canonical(lab) for lab in enumerate_complete(f)):
+            failed.append(framework_key(f))
     assert failed == []
 
 

@@ -5,6 +5,8 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracle
+from g3arg import meta
 from g3arg.af import VALUE_TO_LABEL, canonical, enumerate_complete
 from g3arg.corpus import all_frameworks
 from g3arg.meta import (
@@ -252,6 +254,38 @@ def test_search_guard():
     solve_higher(worked_network(), fixed_r=[])
     with pytest.raises(SearchSpaceExceeded):
         solve_higher(HigherNetwork.make(["a", "b"]), max_unknowns=5)
+
+
+def test_solve_higher_reads_shape_groups_and_builds_no_star_theory(monkeypatch):
+    """Each unit's clauses come from the group of its shape, read through its
+    leaf list: no clause of the network is built, and a renamed copy of a
+    network is served by the groups its original compiled."""
+    pinned = [("a", "b"), ("a", "c"), ("c", "d")]
+    cases = [
+        (loop_network(), None),
+        (formula_target_network(), None),
+        (HigherNetwork.make(["a", "b"], [], [("r(a,b)", "r(b,a)"), ("r(b,a)", "a")]), None),
+        (worked_network(), []),
+        (worked_network(), pinned),
+    ]
+    want = [oracle.solve_higher(hn, fixed_r=fixed) for hn, fixed in cases]
+
+    def fail(*args):
+        raise AssertionError("solve_higher built a star theory")
+
+    monkeypatch.setattr(meta, "star_theory", fail)
+    monkeypatch.setattr(meta, "_star_clauses", fail)
+    assert [solve_higher(hn, fixed_r=fixed) for hn, fixed in cases] == want
+    groups = meta._unit_group.cache_info().currsize
+    names = dict(a="p", b="q", c="z", d="e")
+    renamed = HigherNetwork.make(
+        names.values(),
+        [],
+        [("p", "q"), ("p", "z"), ("z", "e"), ("p", "r(z,e)"), ("r(p,q)", "e")],
+    )
+    models = solve_higher(renamed, fixed_r=[(names[u], names[v]) for u, v in pinned])
+    assert meta._unit_group.cache_info().currsize == groups
+    assert len(models) == len(want[-1])
 
 
 def test_generalized_model_accessors():

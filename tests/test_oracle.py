@@ -12,7 +12,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from g3arg import aaf, af, prop
@@ -370,8 +370,33 @@ def higher_networks(draw):
     return hn, fixed
 
 
+@st.composite
+def free_two_node_networks(draw):
+    """The quantified workload's shape: two nodes, all four R pairs free and
+    up to two units, each a formula or an r(u,v) unit, attacked at random,
+    self-attacks included."""
+    nodes = ("a", "b")
+    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    wffs = {}
+    for i, unit in enumerate(draw(st.lists(st.one_of(pair, pred_formulas(ab_terms)), max_size=2))):
+        if type(unit) is tuple:
+            wffs[f"r({unit[0]},{unit[1]})"] = RAtom(Constant(unit[0]), Constant(unit[1]))
+        else:
+            wffs[f"w{i}"] = unit
+    ends = st.sampled_from([*nodes, *wffs])
+    attacks = draw(st.lists(st.tuples(ends, ends), max_size=4))
+    return HigherNetwork.make(nodes, wffs.items(), attacks), None
+
+
+W0 = ("w0", Exists("X", And(InAtom(X), Neg(RAtom(X, B)))))
+
+
 @settings(max_examples=40, deadline=None)
-@given(higher_networks(), BATCHES)
+@given(st.one_of(higher_networks(), free_two_node_networks()), BATCHES)
+# a self-attacking unit; an r(u,v) unit attacking a formula unit; a formula unit
+# that nothing attacks, so it has no a2 clause
+@example((HigherNetwork.make("ab", [W0], [("r(a,b)", "r(a,b)"), ("r(a,b)", "w0")]), None), 9)
+@example((HigherNetwork.make("ab", [W0], [("w0", "b"), ("r(b,a)", "r(b,a)")]), None), 3)
 def test_solve_higher_matches_the_oracle_scan(network, batch):
     hn, fixed = network
     with patch.object(prop, "BATCH_BITS", batch):
