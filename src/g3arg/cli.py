@@ -395,6 +395,68 @@ def _render_text(result: dict[str, Any]) -> list[str]:
     return lines
 
 
+_quote = json.encoder.encode_basestring_ascii  # type: ignore[attr-defined]
+_is_str = str.__instancecheck__  # isinstance(x, str), mapped without a Python frame
+
+
+def _json(value: Any) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder. This builds the
+    same text from the C string quoter and one final join, quoting a list
+    of strings, or a dict of them, in a single join. It takes str, int,
+    bool, None, lists, tuples and str-keyed dicts, and raises ``TypeError``
+    for anything else. Nesting runs on an explicit stack.
+    """
+    out: list[str] = []
+    # the open containers, innermost last: the lead text and value of each
+    # child still to render, the line break and indent of the children,
+    # and the container's closing text
+    stack = [(iter((("", value),)), "\n", "")]
+    while stack:
+        children, nl, end = stack[-1]
+        inner = nl + "  "
+        sep = "," + inner
+        for lead, v in children:
+            out.append(lead)
+            if isinstance(v, str):
+                out.append(_quote(v))
+            elif v is None or v is True or v is False:
+                out.append("null" if v is None else "true" if v else "false")
+            elif isinstance(v, int):
+                out.append(int.__repr__(v))
+            elif isinstance(v, dict):
+                keys = sorted(v)
+                if not all(map(_is_str, keys)):
+                    raise TypeError("JSON object keys must be str")
+                if not keys:
+                    out.append("{}")
+                elif all(map(_is_str, v.values())):
+                    pairs = [f"{_quote(k)}: {_quote(v[k])}" for k in keys]
+                    out.append("{" + inner + sep.join(pairs) + nl + "}")
+                else:
+                    leads = [f"{sep}{_quote(k)}: " for k in keys]
+                    leads[0] = "{" + leads[0][1:]
+                    stack.append((zip(leads, map(v.__getitem__, keys)), inner, nl + "}"))
+                    break
+            elif isinstance(v, (list, tuple)):
+                if not v:
+                    out.append("[]")
+                elif all(map(_is_str, v)):
+                    out.append("[" + inner + sep.join(map(_quote, v)) + nl + "]")
+                else:
+                    leads = [sep] * len(v)
+                    leads[0] = "[" + inner
+                    stack.append((zip(leads, v), inner, nl + "]"))
+                    break
+            else:
+                raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+        else:
+            out.append(end)
+            stack.pop()
+    return "".join(out)
+
+
 def _non_negative(text: str) -> int:
     """An argparse type: an int, refused below 0 as a usage error."""
     try:
@@ -475,11 +537,11 @@ def main(argv: list[str] | None = None) -> int:
         result: dict[str, Any] = {"command": ns.command}
         doc = None
         if "file" in ns:
-            doc = parse_document(Path(ns.file).read_text(encoding="utf-8"))
+            doc = parse_document(Path(ns.file).read_text(encoding="utf-8-sig"))
             result["species"] = doc.species
         code = ns.handler(ns, doc, result)
         if ns.format == "json":
-            print(json.dumps(result, sort_keys=True, indent=2), flush=True)
+            print(_json(result), flush=True)
         else:
             print("\n".join(_render_text(result)), flush=True)
     except (_UsageError, ParseError, EncodingError, ValueError, OSError) as e:

@@ -63,6 +63,17 @@ _LIST_FACT_RE = re.compile(
 # a name list that ``_plain_items`` splits as the piece loop would
 _PLAIN_LIST_RE = re.compile(r'[^"()\[\]]*\Z')
 _ITEM_PIECE_RE = re.compile(r'"[^"]*"|"|[(\[]|[)\]]|,|[^"(\[)\],]+')
+# A document of plain `arg(x).` and `att(x,y).` facts alone, names in
+# NAME_RE's class, with any whitespace between tokens and around facts. Each
+# fact has one reading, so the match fails or succeeds in one linear pass.
+_PLAIN_DOC_RE = re.compile(
+    r"(?:\s*(?:arg\s*\(\s*[A-Za-z0-9_]+|att\s*\(\s*[A-Za-z0-9_]+\s*,\s*[A-Za-z0-9_]+)"
+    r"\s*\)\s*\.)+\s*"
+)
+# one fact of such a document: its text, name and one or two items
+_PLAIN_ARG_ATT_RE = re.compile(
+    r"((arg|att)\s*\(\s*([A-Za-z0-9_]+)\s*(?:,\s*([A-Za-z0-9_]+)\s*)?\))\s*\."
+)
 
 # A fact is read into (name, items, start, text, document): its text runs
 # from its first character, at offset start in the document, comments
@@ -160,8 +171,25 @@ def _read_facts(text: str) -> tuple[list[_Fact], list[_Fact], list[_Fact], set[s
     """Read every fact in one pass.
 
     Returns the arg facts, the wff facts, the other facts in document order
-    and the species the facts mark.
+    and the species the facts mark. A document of plain arg and att facts
+    alone is read by one regular-expression pass; any other goes through
+    ``_read_fact_loop``, which reports every error.
     """
+    if not _PLAIN_DOC_RE.fullmatch(text):
+        return _read_fact_loop(text)
+    arg_facts: list[_Fact] = []
+    att_facts: list[_Fact] = []
+    for m in _PLAIN_ARG_ATT_RE.finditer(text):
+        body, name, x, y = m.groups()
+        if y is None:
+            arg_facts.append((name, [x], m.start(), body, text))
+        else:
+            att_facts.append((name, [x, y], m.start(), body, text))
+    return arg_facts, [], att_facts, set()
+
+
+def _read_fact_loop(text: str) -> tuple[list[_Fact], list[_Fact], list[_Fact], set[str]]:
+    """``_read_facts`` for any text, fact by fact."""
     arg_facts: list[_Fact] = []
     wff_facts: list[_Fact] = []
     others: list[_Fact] = []

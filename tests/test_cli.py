@@ -822,6 +822,126 @@ def test_json_output_is_byte_stable(capsys, cycle_doc):
     assert first == second
 
 
+_PLAIN_TEXT = "arg(a). arg(b). att(a,b). att(b,a).\n"
+_INST_TEXT = 'arg(x). arg(y). att(x,y). att(y,x). inst(x, "p | ~p").\n'
+_HIGHER_TEXT = 'arg(a). arg(b). wff(w, "R(a,b) | In(b)"). att(w, a). att(a, r(b,a)).\n'
+_ADF_TEXT = 'arg(a). arg(b). acc(a, "~b"). acc(b, "a | ~a").\n'
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        *((["extensions", "--semantics", s], _PLAIN_TEXT)
+          for s in ("complete", "stable", "grounded", "preferred")),
+        (["extensions"], _INST_TEXT),
+        *((["translate", "--mode", m], _PLAIN_TEXT)
+          for m in ("prop", "und-free", "pred", "diagram")),
+        (["translate", "--mode", "higher"], _HIGHER_TEXT),
+        (["models"], _PLAIN_TEXT),
+        (["models"], _INST_TEXT),
+        *((["verify", "--claim", c], _PLAIN_TEXT) for c in cli._CLAIMS),
+        (["solve-higher"], _HIGHER_TEXT),
+        (["aaf"], "arg(a). arg(b). psi \"forall X ~R(X,X)\".\n"),
+        (["encode"], "arg(y1). arg(y2). arg(z). catt([y1,y2], z).\n"),
+        (["encode", "--project"], "arg(y1). arg(y2). arg(z). catt([y1,y2], z).\n"),
+        (["encode"], "arg(y1). arg(y2). arg(z). datt(z, [y1,y2]).\n"),
+        (["encode", "--project"], _ADF_TEXT),
+        (["valid", "x | ~x"], None),
+        (["valid", "(x -> y) | (y -> x)"], None),
+    ],
+)
+def test_every_json_result_prints_as_json_dumps_prints_it(
+    capsys, tmp_path, monkeypatch, argv, text
+):
+    rendered = []
+    render = cli._json
+    monkeypatch.setattr(cli, "_json", lambda result: rendered.append(result) or render(result))
+    doc = [] if text is None else [write_doc(tmp_path, text)]
+    code, out, err = run(capsys, argv[0], *doc, *argv[1:], "--format", "json")
+    assert (code, err) == (0, "")
+    [result] = rendered
+    assert out == json.dumps(result, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet='"\\/\x00\x08\t\n\x1f\x7f\x80\u00e9\u2028\uffff\U0001f600 ab', max_size=6),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_TEXT,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _deep_json_values(draw):
+    """A value wrapped in 5 to 8 containers, each with siblings around it."""
+    value = draw(_JSON_VALUES)
+    for _ in range(draw(st.integers(5, 8))):
+        items = draw(st.lists(_JSON_VALUES, max_size=2))
+        items.insert(draw(st.integers(0, len(items))), value)
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        if kind is dict:
+            keys = draw(st.lists(_JSON_TEXT, min_size=len(items), max_size=len(items),
+                                 unique=True))
+            value = dict(zip(keys, items))
+        else:
+            value = kind(items)
+    return value
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(_JSON_VALUES, _deep_json_values()))
+def test_json_renders_what_json_dumps_renders(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, [["a", 0.0]], {"a": {"b": {3}}}, {1: "a"}, {"a": "b", 2: "c"}, b"x",
+     object()],
+)
+def test_json_refuses_what_it_does_not_render(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_json_nests_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() + 100
+    value = "x"
+    for _ in range(depth):
+        value = [value, 0]
+    lines = ["  " * i + "[" for i in range(depth)]
+    lines.append("  " * depth + '"x",')
+    for i in reversed(range(depth)):
+        lines += ["  " * (i + 1) + "0", "  " * i + ("]," if i else "]")]
+    assert cli._json(value) == "\n".join(lines)
+
+
+def test_a_byte_order_mark_is_skipped(capsys, tmp_path):
+    plain = tmp_path / "plain.facts"
+    plain.write_bytes(b"arg(a). arg(b). att(a,b).\n")
+    marked = tmp_path / "marked.facts"
+    marked.write_bytes(b"\xef\xbb\xbfarg(a). arg(b). att(a,b).\n")
+    for fmt in ([], ["--format", "json"]):
+        want = run(capsys, "extensions", str(plain), *fmt)
+        assert run(capsys, "extensions", str(marked), *fmt) == want
+        assert want[0] == 0 and want[2] == ""
+
+
 @pytest.mark.parametrize(
     "doc_text, argv_tail, fragment",
     [

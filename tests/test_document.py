@@ -1,11 +1,13 @@
 """Fact-file parsing: species detection, validation, conversion, round trips."""
 
+import time
 from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracle
+import sweep_reader
 from g3arg import document
 from g3arg.document import InputDocument, parse_document, serialize_document
 from g3arg.syntax import ParseError
@@ -376,3 +378,79 @@ def test_a_document_built_by_hand_checks_its_conditions():
     doc = InputDocument("adf", ("a",), (), (), (), (), (), (("a", "~(a & a)"),), None)
     with pytest.raises(ParseError, match="^acceptance conditions may negate atoms only$"):
         doc.to_adf()
+
+
+# The one-pass reader of plain documents against the fact loop, on the
+# generator of tests/sweep_reader.py (which runs 50,000 seeded documents).
+@settings(max_examples=1000, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_pass_reader_matches_the_fact_loop(rng):
+    text, plain = sweep_reader.random_document(rng)
+    assert sweep_reader.check(text, plain) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "arg(a).\r\narg(b).\r\natt(a,b).\r\n",
+        "arg(a).\targ(b).\tatt( a ,\tb )\t.",
+        "\u00a0arg\u00a0(\u00a0a\u00a0)\u00a0.\u3000att(a,a).\n",
+        "\n\n\narg(a).\n\n\n\narg(b).\n\n",
+        "arg(a). arg(a). att(a,b). att(a,b). arg(b).",
+        "arg(a). att(a,a).",
+        "arg(a). att(a,ghost).",
+        "att(b,a).\narg(a).",
+        "arg(a).att(a,a).",
+        "arg(x_1). arg(9). att(9 , x_1).",
+    ],
+)
+def test_plain_documents_are_read_in_one_pass(text):
+    assert document._PLAIN_DOC_RE.fullmatch(text)
+    assert sweep_reader.check(text, True) is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "arg(a). # a comment\natt(a,a).",
+        "arg(a,b).",
+        'arg(a). arg("b").',
+        "arg(a). att(a,a)",
+        "arg(a). . att(a,a).",
+        "arg(a).. att(a,a).",
+        "ARG(a).",
+        "arg(a). arg(b). att(a, r(a,b)).",
+        "",
+        " \r\n\t",
+        "arg(a). wff(w, \"R(a,a)\").",
+        "arg(a-b).",
+    ],
+)
+def test_near_misses_fall_back_to_the_fact_loop(text):
+    assert document._PLAIN_DOC_RE.fullmatch(text) is None
+    assert sweep_reader.check(text, False) is None
+
+
+def test_one_pass_facts_keep_their_offsets_and_text():
+    text = "arg(a).\r\n\t att ( a ,\tb )\t.arg(b)."
+    args, wffs, others, markers = document._read_facts(text)
+    assert args == [("arg", ["a"], 0, "arg(a)", text), ("arg", ["b"], 26, "arg(b)", text)]
+    assert others == [("att", ["a", "b"], 11, "att ( a ,\tb )", text)]
+    assert (wffs, markers) == ([], set())
+    with pytest.raises(ParseError) as e:
+        parse_document("arg(a).\n  att(a, ghost).")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "undeclared name 'ghost' in att fact", 2, 3)
+
+
+def test_the_one_pass_gate_stays_linear_on_a_late_bad_character():
+    facts = "".join(f"arg(a{i}). att(a{i}, a{i // 2}).\n" for i in range(10_000))
+    # a quadratic gate would take seconds here; a linear one takes milliseconds
+    for text in (facts, facts + "!"):
+        start = time.perf_counter()
+        document._PLAIN_DOC_RE.fullmatch(text)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ParseError) as e:
+        parse_document(facts + "!")
+    assert (e.value.message, e.value.line, e.value.col) == (
+        "fact missing final '.'", 10_001, 1)
