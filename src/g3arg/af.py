@@ -4,9 +4,12 @@ A labelling is legal (complete) when every argument satisfies the three
 local conditions: an argument is in exactly when all of its attackers are
 out (vacuously for unattacked arguments), out exactly when some attacker is
 in, undecided exactly when no attacker is in but some attacker is
-undecided. The complete labellings are found by a depth-first search that
-labels the first unlabelled argument (in sorted order) in, out, then und,
-and after each choice propagates the three conditions to a fixpoint; a
+undecided. The complete labellings are found by a depth-first search over
+bit masks that labels the first unlabelled argument (in sorted order) in,
+out, then und, and after each choice propagates to a fixpoint. The forward
+rules label an argument from its attackers; the backward rules label
+attackers from an argument: an in argument's attackers are out, and an out
+(und) argument's last attacker that could still be in (und) must be. A
 labelled argument whose attackers can no longer support its label cuts the
 branch. Propagation from the empty labelling alone yields the grounded
 in/out core, so acyclic graphs need no choice at all.
@@ -96,16 +99,37 @@ def _attackers(f: Framework) -> dict[str, tuple[str, ...]]:
     return {x: tuple(ys) for x, ys in table.items()}
 
 
+def _masks(f: Framework) -> tuple[dict[str, int], list[int], list[int]]:
+    """Each argument's index, and for each index the bit masks of its
+    attackers and of its targets (bit i for argument i)."""
+    index = {x: i for i, x in enumerate(f.arguments)}
+    attackers = [0] * len(index)
+    targets = [0] * len(index)
+    for u, x in f.attacks:
+        i, j = index[u], index[x]
+        attackers[j] |= 1 << i
+        targets[i] |= 1 << j
+    return index, attackers, targets
+
+
+def _require_labels(lab: Mapping[str, Label]) -> None:
+    """Raise ValueError naming the first argument whose label is no Label member."""
+    if not {*map(type, lab.values())} <= {Label}:
+        x, v = next((x, v) for x, v in lab.items() if type(v) is not Label)
+        raise ValueError(f"argument {x} has label {v!r}, which is not a Label member")
+
+
 def check_complete(
     f: Framework, lab: Mapping[str, Label]
 ) -> tuple[bool, list[tuple[str, str]]]:
     """Test labelling legality; returns (ok, violations).
 
     Each violation is an (argument, broken condition) pair. The labelling
-    must cover exactly the framework's arguments.
+    must cover exactly the framework's arguments, each with a Label member.
     """
     if set(lab) != set(f.arguments):
         raise ValueError("labelling must be total over the framework's arguments")
+    _require_labels(lab)
     table = f.attacker_table()
     violations: list[tuple[str, str]] = []
     for x in f.arguments:
@@ -137,91 +161,103 @@ def _search(f: Framework) -> list[Labelling]:
     enumerate_complete_determined.
 
     It sits apart from both so that a wrapper around either public name (a
-    tracing span, say) sees one search per call. The rules read the
-    labelling as three bit sets, ``ins``, ``outs`` and ``unds`` (bit i for
-    argument i), against each argument's attacker mask; ``lab`` holds the
-    same labels as LABEL_ORDER members, for the leaves. Branching on the
-    first unlabelled argument, with every earlier one labelled, yields the
-    labellings in lexicographic order without a sort. The stack holds one
-    frame per open choice: [argument, next label index, trail length before
-    the choice]; unlabelling the arguments trailed since, and clearing their
-    bits, restores the labelling the choice was made in.
+    tracing span, say) sees one search per call. The labelling is three bit
+    sets, ``ins``, ``outs`` and ``unds`` (bit i for argument i), read against
+    the framework's attacker masks; ``lab`` holds the same labels as
+    LABEL_ORDER members, for the leaves. ``dirty`` holds the arguments to
+    re-check: the targets of each argument that gets a label, and the
+    argument itself when a choice or a backward rule labelled it (a forward
+    rule's label agrees with the attackers it was read from). Re-checking
+    an unlabelled argument applies the forward rules; a labelled one is
+    held to its label, and the backward rules label its attackers: an in
+    argument's attackers are out, and an out (und) argument without an
+    attacker in (und) whose last possible supporter is unlabelled forces it
+    in (und). Branching on the first unlabelled argument, with every
+    earlier one labelled, yields the labellings in lexicographic order
+    without a sort. The stack holds one frame per open choice: [argument,
+    next label index, ins, outs, unds, lab], the labelling the choice was
+    made in, so backtracking is one assignment.
     """
     names = f.arguments
-    n = len(names)
-    index = {x: i for i, x in enumerate(names)}
-    attackers = [0] * n
-    targets: list[list[int]] = [[] for _ in names]
-    for u, x in f.attacks:
-        attackers[index[x]] |= 1 << index[u]
-        targets[index[u]].append(index[x])
-    everyone = (1 << n) - 1
+    _, attackers, targets = f.kept("_masks", _masks)
     IN, OUT, UND = LABEL_ORDER
-    lab: list[Label | None] = [None] * n
+    lab: list[Label | None] = [None] * len(names)
     ins = outs = unds = 0
-    trail: list[int] = []
+    dirty = everyone = (1 << len(names)) - 1
     found: list[Labelling] = []
-    stack: list[list[int]] = []
-    queue = list(range(n))
+    stack: list[list] = []
     while True:
         # Label what the rules force; a break is a conflict.
-        while queue:
-            x = queue.pop()
+        while dirty:
+            x = dirty.bit_length() - 1
+            dirty ^= 1 << x
             att = attackers[x]
-            if not att & ~outs:
-                forced = IN
-            elif att & ins:
-                forced = OUT
-            elif not att & ~(ins | outs | unds):
-                forced = UND
-            elif att & unds and ins >> x & 1:
-                break
-            else:
-                continue
-            if lab[x] is None:
-                lab[x] = forced
-                if forced is IN:
+            free = att & ~(ins | outs | unds)
+            mine = lab[x]
+            if mine is None:
+                if not att & ~outs:
+                    lab[x] = IN
                     ins |= 1 << x
-                elif forced is OUT:
+                elif att & ins:
+                    lab[x] = OUT
                     outs |= 1 << x
-                else:
+                elif not free:
+                    lab[x] = UND
                     unds |= 1 << x
-                trail.append(x)
-                queue.extend(targets[x])
-            elif lab[x] is not forced:
-                break
+                else:
+                    continue
+                dirty |= targets[x]
+            elif mine is IN:
+                # every attacker is out
+                if att & (ins | unds):
+                    break
+                outs |= free
+                dirty |= free
+                while free:
+                    y = free.bit_length() - 1
+                    free ^= 1 << y
+                    lab[y] = OUT
+                    dirty |= targets[y]
+            elif att & ins:
+                # an out argument is settled, an und one refuted
+                if mine is UND:
+                    break
+            elif not (mine is UND and att & unds):
+                # needs a supporter, and only the free attackers are left
+                if not free:
+                    break
+                if not free & (free - 1):
+                    y = free.bit_length() - 1
+                    if mine is OUT:
+                        lab[y] = IN
+                        ins |= free
+                    else:
+                        lab[y] = UND
+                        unds |= free
+                    dirty |= free | targets[y]
         else:
             free = everyone & ~(ins | outs | unds)
             if free:
-                stack.append([(free & -free).bit_length() - 1, 0, len(trail)])
+                stack.append([(free & -free).bit_length() - 1, 0, ins, outs, unds, lab])
             else:
                 found.append(dict(zip(names, lab)))
-        while stack:
-            frame = stack[-1]
-            x, choice, mark = frame
-            gone = 0
-            while len(trail) > mark:
-                y = trail.pop()
-                lab[y] = None
-                gone |= 1 << y
-            ins &= ~gone
-            outs &= ~gone
-            unds &= ~gone
-            if choice < len(LABEL_ORDER):
-                break
-            stack.pop()
-        else:
+        if not stack:
             return found
-        frame[1] = choice + 1
-        lab[x] = LABEL_ORDER[choice]
-        if choice == 0:
-            ins |= 1 << x
-        elif choice == 1:
-            outs |= 1 << x
-        else:
+        frame = stack[-1]
+        x, choice, ins, outs, unds, lab = frame
+        if choice == 2:
+            # the last branch takes the frame's own list
+            stack.pop()
             unds |= 1 << x
-        trail.append(x)
-        queue = [x, *targets[x]]
+        else:
+            frame[1] = choice + 1
+            lab = lab[:]
+            if choice:
+                outs |= 1 << x
+            else:
+                ins |= 1 << x
+        lab[x] = LABEL_ORDER[choice]
+        dirty = 1 << x | targets[x]
 
 
 @dataclass(frozen=True)
@@ -239,14 +275,15 @@ def classify(labs: Sequence[Labelling]) -> Classified:
     Stable labellings have no undecided argument; the grounded labelling is
     the unique one whose in-set lies below every other; preferred labellings
     have maximal in-sets, found by a sweep from the largest in-set to the
-    smallest that keeps each set no kept set strictly contains.
+    smallest that keeps each set no kept set strictly contains. Every label
+    must be a Label member.
     """
     if not labs:
         raise ValueError("complete semantics never yields zero labellings")
-    in_sets = [frozenset(x for x, v in lab.items() if v is Label.IN) for lab in labs]
-    stable = tuple(
-        lab for lab in labs if all(v is not Label.UND for v in lab.values())
-    )
+    for lab in labs:
+        _require_labels(lab)
+    in_sets = [frozenset([x for x, v in lab.items() if v is Label.IN]) for lab in labs]
+    stable = tuple(lab for lab in labs if Label.UND not in lab.values())
     least = min(in_sets, key=len)
     if in_sets.count(least) != 1 or not all(least <= other for other in in_sets):
         raise ValueError("input is not the complete set of one framework")
@@ -275,22 +312,30 @@ def restrict(f: Framework, subset: Iterable[str]) -> Framework:
 def determined_layers(f: Framework, base: Sequence[str]) -> list[str]:
     """Order the non-base arguments so attackers always come earlier.
 
-    Raises if no such order exists (some non-base argument cycle).
+    Raises if ``base`` names an unknown argument, or if no such order exists
+    (some non-base argument cycle).
     """
-    placed = set(base)
-    pending = [x for x in f.arguments if x not in placed]
-    table = f.attacker_table()
+    names = f.arguments
+    index, attackers, _ = f.kept("_masks", _masks)
+    unknown = set(base).difference(index)
+    if unknown:
+        raise ValueError(f"base mentions unknown arguments {sorted(unknown)}")
+    placed = 0
+    for x in base:
+        placed |= 1 << index[x]
+    pending = [i for i in range(len(names)) if not placed >> i & 1]
     order: list[str] = []
     while pending:
-        ready = [x for x in pending if all(y in placed for y in table[x])]
+        ready = [i for i in pending if not attackers[i] & ~placed]
         if not ready:
             raise ValueError(
-                "arguments not determined by the base: " + ", ".join(sorted(pending))
+                "arguments not determined by the base: "
+                + ", ".join(names[i] for i in pending)
             )
-        for x in ready:
-            placed.add(x)
-            order.append(x)
-        pending = [x for x in pending if x not in placed]
+        for i in ready:
+            placed |= 1 << i
+            order.append(names[i])
+        pending = [i for i in pending if not placed >> i & 1]
     return order
 
 
@@ -301,12 +346,10 @@ def enumerate_complete_determined(
 
     Every non-base argument must depend on earlier layers only (see
     determined_layers), as the conjunctive and acceptance-table encodings
-    guarantee; a base that does not determine the rest raises ValueError.
-    The labellings are those of enumerate_complete, in the same order.
+    guarantee; a base that names an unknown argument or does not determine
+    the rest raises ValueError. The labellings are those of
+    enumerate_complete, in the same order.
     """
-    unknown = set(base) - set(f.arguments)
-    if unknown:
-        raise ValueError(f"base mentions unknown arguments {sorted(unknown)}")
     determined_layers(f, base)
     return _search(f)
 

@@ -42,6 +42,28 @@ def random_framework(
     return Framework.make(names, attacks)
 
 
+def shaped_framework(
+    n: int, shape: str, density: float, rng: random.Random
+) -> Framework:
+    """n arguments and round(density * n * n / 2) attacks: an ``"acyclic"``
+    graph, a ring of ``"even cycle"`` or ``"odd cycle"`` length with chords,
+    or ``"random"`` pairs with self-attacks allowed."""
+    names = argument_names(n)
+    m = round(density * n * n / 2)
+    if shape == "acyclic":
+        order = rng.sample(names, n)
+        pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+        return Framework.make(names, rng.sample(pairs, m))
+    if shape == "random":
+        pairs = [(u, x) for u in names for x in names]
+        return Framework.make(names, rng.sample(pairs, m))
+    k = rng.choice(range(2 if shape == "even cycle" else 3, n + 1, 2))
+    ring = rng.sample(names, k)
+    edges = {(ring[i], ring[(i + 1) % k]) for i in range(k)}
+    chords = [(u, x) for u in names for x in names if u != x and (u, x) not in edges]
+    return Framework.make(names, edges.union(rng.sample(chords, max(m - k, 0))))
+
+
 def all_conjunctive_nets(
     max_size: int = 3, max_attacks: int = 2
 ) -> Iterator[ConjunctiveNet]:

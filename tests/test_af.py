@@ -74,6 +74,24 @@ def test_check_complete_requires_total_labelling():
         check_complete(f, {"a": Label.IN})
 
 
+def test_check_complete_refuses_labels_that_are_no_label_member():
+    f = Framework.make("ab", [("a", "b")])
+    with pytest.raises(ValueError, match=r"^argument a has label 'in', which is not a Label member$"):
+        check_complete(f, {"a": "in", "b": "out"})
+    with pytest.raises(ValueError, match="argument b has label None"):
+        check_complete(f, {"a": Label.IN, "b": None})
+
+
+def test_classify_refuses_labels_that_are_no_label_member():
+    with pytest.raises(ValueError, match="argument a has label 'in'"):
+        classify([{"a": "in"}])
+    # one stray label anywhere in the set is enough
+    f = Framework.make("ab", [("a", "b"), ("b", "a")])
+    labs = enumerate_complete(f)
+    with pytest.raises(ValueError, match="argument b has label 'und'"):
+        classify([*labs[:2], {"a": Label.UND, "b": "und"}])
+
+
 def test_unattacked_arguments_are_in():
     f = Framework.make("ab", [])
     assert complete_sets(f) == [{"a": "in", "b": "in"}]
@@ -152,6 +170,15 @@ def test_determined_layers():
         determined_layers(
             Framework.make("ab", [("a", "b"), ("b", "a")]), []
         )
+
+
+def test_determined_layers_refuses_unknown_base_names():
+    f = Framework.make("ab", [("a", "b")])
+    message = r"^base mentions unknown arguments \['y', 'zz'\]$"
+    with pytest.raises(ValueError, match=message):
+        determined_layers(f, ["zz", "a", "y"])
+    with pytest.raises(ValueError, match=message):
+        enumerate_complete_determined(f, ["zz", "a", "y"])
 
 
 def test_determined_enumeration_matches_brute_force():

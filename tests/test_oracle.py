@@ -29,6 +29,7 @@ from g3arg.corpus import (
     all_frameworks,
     argument_names,
     random_framework,
+    shaped_framework,
 )
 from g3arg.meta import HigherNetwork, solve_higher
 from g3arg.pred import (
@@ -448,26 +449,6 @@ def test_complete_labellings_match_the_oracle_on_the_corpus():
         assert enumerate_complete(f) == oracle.enumerate_complete(f), f
 
 
-def shaped_framework(n, shape, density, rng):
-    """n arguments and round(density * n * n / 2) attacks: an acyclic graph,
-    a ring of even or odd length with chords, or random pairs with
-    self-attacks allowed."""
-    names = argument_names(n)
-    m = round(density * n * n / 2)
-    if shape == "acyclic":
-        order = rng.sample(names, n)
-        pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
-        return Framework.make(names, rng.sample(pairs, m))
-    if shape == "random":
-        pairs = [(u, x) for u in names for x in names]
-        return Framework.make(names, rng.sample(pairs, m))
-    k = rng.choice(range(2 if shape == "even cycle" else 3, n + 1, 2))
-    ring = rng.sample(names, k)
-    edges = {(ring[i], ring[(i + 1) % k]) for i in range(k)}
-    chords = [(u, x) for u in names for x in names if u != x and (u, x) not in edges]
-    return Framework.make(names, edges.union(rng.sample(chords, max(m - k, 0))))
-
-
 def test_complete_labellings_match_the_oracle_at_seven_to_nine_arguments():
     """24 seeded frameworks of the labelling benchmark's sizes and shapes.
     The oracle scans 3^n labellings, so nine arguments are the fewest."""
@@ -476,6 +457,35 @@ def test_complete_labellings_match_the_oracle_at_seven_to_nine_arguments():
         for n in (7, 7, 7, 8, 8, 9):
             f = shaped_framework(n, shape, rng.choice((0.15, 0.35, 0.6)), rng)
             assert enumerate_complete(f) == oracle.enumerate_complete(f), f
+
+
+def test_complete_labellings_match_the_oracle_on_dense_graphs_with_self_attacks():
+    """30 seeded frameworks of 6-8 arguments, each with 0.6 of all ordered
+    pairs as attacks, self-attacks included: the graphs on which the
+    search's backward rules fire most."""
+    rng = random.Random(28)
+    for n in (6, 7, 8) * 10:
+        names = argument_names(n)
+        pairs = [(u, x) for u in names for x in names]
+        f = Framework.make(names, rng.sample(pairs, round(0.6 * len(pairs))))
+        assert enumerate_complete(f) == oracle.enumerate_complete(f), f
+
+
+def test_six_disjoint_two_cycles_come_in_the_oracle_order():
+    """3^6 = 729 labellings, six choices deep. Each cycle's two names sort
+    next to each other, so the lexicographic order over all twelve is the
+    product of the cycles' own oracle orders (the oracle's 3^12 scan is too
+    slow for the suite)."""
+    cycles = [(f"c{i}a", f"c{i}b") for i in range(6)]
+    f = Framework.make(
+        [x for pair in cycles for x in pair],
+        [edge for u, x in cycles for edge in ((u, x), (x, u))],
+    )
+    each = [oracle.enumerate_complete(Framework.make(p, [p, p[::-1]])) for p in cycles]
+    want = [{x: v for lab in combo for x, v in lab.items()} for combo in itertools.product(*each)]
+    got = enumerate_complete(f)
+    assert len(got) == 729
+    assert got == want
 
 
 def test_backtracking_unlabels_what_a_dead_branch_labelled():
@@ -497,8 +507,8 @@ def test_backtracking_unlabels_what_a_dead_branch_labelled():
 
 
 @st.composite
-def frameworks(draw, max_size=6):
-    names = "abcdef"[: draw(st.integers(1, max_size))]
+def frameworks(draw, max_size=7):
+    names = "abcdefg"[: draw(st.integers(1, max_size))]
     pairs = [(u, x) for u in names for x in names]  # self-attacks included
     return Framework.make(names, draw(st.sets(st.sampled_from(pairs))))
 
