@@ -14,7 +14,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .prop import (
     FALSE, TRUE, And, Atom, Formula, Imp, Neg, Or, Program, SearchSpaceExceeded, UndConst,
@@ -152,12 +152,8 @@ def attack_formula(hn: HigherNetwork, source: str, target: str) -> Formula:
     formula -> node:   body -> ~In(t)
     formula -> formula: body -> ~body
     """
-    s_in, _ = _source_forms(hn, source, target, _inline)
-    return Imp(s_in, _unit_forms(hn, target, _inline)[1])
-
-
-def _inline(unit: WffUnit) -> Formula:
-    return unit.formula
+    s_in, _ = _source_forms(hn, source, target)
+    return Imp(s_in, _unit_forms(hn, target)[1])
 
 
 def _forms(body: Formula) -> tuple[Formula, Formula]:
@@ -173,19 +169,12 @@ def _joint_forms(member: Formula, edge: Formula) -> tuple[Formula, Formula]:
     return And(member, edge), Or(Neg(member), Neg(edge))
 
 
-def _unit_forms(
-    hn: HigherNetwork, name: str, wff_form: Callable[[WffUnit], Formula]
-) -> tuple[Formula, Formula]:
+def _unit_forms(hn: HigherNetwork, name: str) -> tuple[Formula, Formula]:
     """(holds, fails) of a unit: its membership if a node, else its formula."""
-    return _forms(InAtom(Constant(name)) if hn.is_node(name) else wff_form(hn.wff(name)))
+    return _forms(InAtom(Constant(name)) if hn.is_node(name) else hn.wff(name).formula)
 
 
-def _source_forms(
-    hn: HigherNetwork,
-    source: str,
-    target: str,
-    wff_form: Callable[[WffUnit], Formula],
-) -> tuple[Formula, Formula]:
+def _source_forms(hn: HigherNetwork, source: str, target: str) -> tuple[Formula, Formula]:
     """(holds, fails) forms of an attacker, relative to its target's kind.
 
     A node attacking a node acts jointly with the attack atom between them;
@@ -194,7 +183,7 @@ def _source_forms(
     """
     if hn.is_node(source) and hn.is_node(target):
         return _edge_forms(source, target)
-    return _unit_forms(hn, source, wff_form)
+    return _unit_forms(hn, source)
 
 
 _UND = UndConst()
@@ -224,23 +213,17 @@ def _extra_attackers(hn: HigherNetwork) -> dict[str, list[str]]:
     return extra
 
 
-def _star_clauses(
-    hn: HigherNetwork,
-    implicit: bool,
-    wff_form: Callable[[WffUnit], Formula],
-) -> tuple[tuple[str, Formula], ...]:
+def _star_clauses(hn: HigherNetwork, implicit: bool) -> tuple[tuple[str, Formula], ...]:
     clauses: list[tuple[str, Formula]] = []
     if implicit:
         for name, sources in _extra_attackers(hn).items():
             implied = hn.nodes if hn.is_node(name) else ()
             attackers = [_edge_forms(y, name) for y in implied]
-            attackers += [_unit_forms(hn, s, wff_form) for s in sources]  # never node -> node
-            clauses += _unit_clauses(name, *_unit_forms(hn, name, wff_form), attackers)
+            attackers += [_unit_forms(hn, s) for s in sources]  # never node -> node
+            clauses += _unit_clauses(name, *_unit_forms(hn, name), attackers)
         return tuple(clauses)
     for s, t in hn.hattacks:
-        clauses += _unit_clauses(
-            f"{t}<-{s}", *_unit_forms(hn, t, wff_form), [_source_forms(hn, s, t, wff_form)]
-        )
+        clauses += _unit_clauses(f"{t}<-{s}", *_unit_forms(hn, t), [_source_forms(hn, s, t)])
     # stable on the family: a1, a2, b1, b2, each in attack order
     return tuple(sorted(clauses, key=lambda clause: clause[0][:2]))
 
@@ -259,7 +242,7 @@ def star_theory(hn: HigherNetwork, implicit: bool = True) -> Theory:
     With ``implicit`` off, clauses are generated one per declared attack,
     the display form used for worked examples.
     """
-    return Theory("higher", _star_clauses(hn, implicit, _inline))
+    return Theory("higher", _star_clauses(hn, implicit))
 
 
 @functools.cache
@@ -380,9 +363,9 @@ def solve_higher(
     attackers, and read through the unit's leaf list (see ``prop.reader``):
     a node's form is keyed by its name, a relation-atom unit's by its pair
     and any other unit's by its status reference. A pinned pair is read as
-    TRUE or FALSE. The formulas of the other formula units, which their
-    standings must agree with, are compiled per call, their pinned pairs
-    decided while compiling (see ``grounding``).
+    TRUE or FALSE. The formulas of the other formula units are compiled per
+    call into one part tied to their standings, their pinned pairs decided
+    while compiling (see ``grounding``).
 
     Raises SearchSpaceExceeded when the scan dimensions (nodes, open
     relation pairs, formula units other than relation atoms) outnumber
@@ -416,14 +399,10 @@ def solve_higher(
         own = [*nodes, *(edge[y, name] for y in nodes)] if node else []
         group = _unit_group(node, n if node else 0, len(attackers))
         parts.append((group, [key[name], *own, *map(key.__getitem__, attackers)]))
-    clauses = reader(parts)
     tied = Program([u.formula for u in general_units], grounding(nodes, decided))
-
-    def keep(table: dict, full: int) -> int:
-        return clauses(table, full) & tied.holds(table, full, ties)
-
+    parts.append((tied, None, ties))
     models: list[GeneralizedModel] = []
-    for index in scan(dims, keep):
+    for index in scan(dims, reader(parts)):
         values = [VALUE_ORDER[c] for c in index]
         r_val = {**decided, **dict(zip(pairs, values[n:]))}
         statuses = tuple([

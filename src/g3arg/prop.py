@@ -115,6 +115,22 @@ CONSTANTS = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
 # Operand references of the compiler: an instruction index, or a constant
 # folded away while compiling.
 TRUE, FALSE = -1, -2
+# Each instruction kind's meaning in generated code (see ``_generate``), the
+# one place outside the reference ``_interpret`` that states it. LEAF, UND,
+# NEG and IMP give the statements that set instruction i's HERE and THERE
+# bitsets h{i} and t{i}, formatted with ``i`` and its operand tuple ``args``
+# (a leaf reads its key through the name k{i}); ALL and ANY give their
+# operator and the value of the empty ALL or ANY. NEG reads its operand at
+# THERE alone: ~a holds at HERE only when a fails at THERE.
+CONNECTIVES = {
+    LEAF: (" h{i}, t{i} = table[k{i}]",),
+    UND: (" h{i}, t{i} = und or (0, full)",),
+    NEG: (" h{i} = t{i} = full ^ t{args[0]}",),
+    IMP: (" t{i} = full ^ t{args[0]} | t{args[1]}",
+          " h{i} = (full ^ h{args[0]} | h{args[1]}) & t{i}"),
+    ALL: ("&", "full"),
+    ANY: ("|", "0"),
+}
 
 
 def propositional(f: Formula, env) -> tuple[int, object]:
@@ -178,10 +194,12 @@ class Program:
     afterwards, so an atom in a dead operand, on either side of the zero,
     needs no table entry. The ``#n`` constant stays an instruction unless
     the hook compiles it otherwise. The connective semantics lives in
-    ``_interpret``, the reference, and in the templates of ``_generate``,
-    which ``run`` switches to once the program is hot; a differential test
-    holds the two together. Compiling and running use explicit stacks or
-    straight-line code, so formula depth is not bounded by recursion.
+    ``_interpret``, the reference, and in the CONNECTIVES table, from which
+    ``_generate`` emits the code that ``run`` switches to once the program
+    is hot; tests hold the table and the generated code to the reference.
+    A Program filters a scan through ``reader``. Compiling and running use
+    explicit stacks or straight-line code, so formula depth is not bounded
+    by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -305,55 +323,33 @@ class Program:
             there.append(t)
         return [(here[r], there[r]) for r in self.roots]
 
-    def holds(self, table: Mapping, full: int, ties: Sequence = ()) -> int:
-        """Candidates satisfying every formula at HERE.
-
-        The last ``len(ties)`` formulas are tied instead: each must agree at
-        HERE with the leaf that its entry in ``ties`` keys.
-        """
-        roots = self.run(table, full)
-        free = len(roots) - len(ties)
-        mask = full
-        for h, _ in roots[:free]:
-            mask &= h
-        for (h, _), key in zip(roots[free:], ties):
-            mask &= full ^ h ^ table[key][0]
-        return mask
-
 
 def _generate(program: Program) -> Callable[[Mapping, int, tuple | None], list[tuple[int, int]]]:
     """``program._interpret`` as one Python function of straight-line code.
 
-    Instruction i assigns the locals ``hi`` and ``ti``, its HERE and THERE
-    bitsets, by the interpreter's operators. The source holds only indices
-    and operators: leaf keys come from user input, so leaf i reads
-    ``table[ki]``, the name ``ki`` bound to its key in the function's
-    namespace. An ALL or ANY adds at most _CHUNK operands per statement, so
-    a long chain does not nest the compiler's recursion deeply. Operands
-    are subsets of ``full``, so a non-empty ALL need not start from it.
+    Every instruction is emitted from its kind's entry in CONNECTIVES, so
+    instruction i assigns the locals ``hi`` and ``ti``, its HERE and THERE
+    bitsets. The source holds only indices and operators: leaf keys come
+    from user input, so instruction i's ``args`` are bound to the name
+    ``ki`` in the function's namespace, which a leaf's statement reads. An
+    ALL or ANY adds at most _CHUNK operands per statement, so a long chain
+    does not nest the compiler's recursion deeply. Operands are subsets of
+    ``full``, so a non-empty ALL need not start from it.
     """
     namespace: dict[str, object] = {}
     lines = ["def run(table, full, und):"]
     for i, (op, args) in enumerate(program.code):
-        if op == LEAF:
-            namespace[f"k{i}"] = args
-            lines.append(f" h{i}, t{i} = table[k{i}]")
-        elif op == UND:
-            lines.append(f" h{i}, t{i} = und or (0, full)")
-        elif op == NEG:
-            lines.append(f" h{i} = t{i} = full ^ t{args[0]}")
-        elif op == IMP:
-            a, b = args
-            lines.append(f" t{i} = full ^ t{a} | t{b}")
-            lines.append(f" h{i} = (full ^ h{a} | h{b}) & t{i}")
-        elif not args:
-            lines.append(f" h{i} = t{i} = {'full' if op == ALL else 0}")
-        else:
-            sign = "&" if op == ALL else "|"
+        namespace[f"k{i}"] = args
+        if op == ALL or op == ANY:
+            sign, unit = CONNECTIVES[op]
+            if not args:
+                lines.append(f" h{i} = t{i} = {unit}")
             for half in "ht":
                 for start in range(0, len(args), _CHUNK):
                     terms = f" {sign} ".join(f"{half}{a}" for a in args[start:start + _CHUNK])
                     lines.append(f" {half}{i} {'=' if start == 0 else sign + '='} {terms}")
+        else:
+            lines += [statement.format(i=i, args=args) for statement in CONNECTIVES[op]]
     lines.append(f" return [{', '.join(f'(h{r}, t{r})' for r in program.roots)}]")
     exec(compile("\n".join(lines), "<generated Program.run>", "exec"), namespace)
     return namespace["run"]
@@ -434,19 +430,30 @@ def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     return linked
 
 
-def reader(parts: Sequence[tuple[Program, Sequence | None]]) -> Callable[..., int]:
-    """``keep(table, full, und=None)``: the candidates where every root of ``parts`` holds at HERE.
+def reader(parts: Sequence[tuple]) -> Callable[..., int]:
+    """``keep(table, full, und=None)``: the candidates where every part's roots hold.
 
     Each part is a Program and its leaf list, or None to read the table by
     the leaves' own keys: leaf i reads ``table[leaves[i]]``, where ``scan``
-    binds TRUE and FALSE to constants. Each ``#n`` reads ``und``.
+    binds TRUE and FALSE to constants. Each ``#n`` reads ``und``. A root
+    holds when it is true at HERE, but a part may add ties, ``(program,
+    leaves, ties)``: its last ``len(ties)`` roots are tied instead, each
+    agreeing at HERE with the leaf that its entry in ``ties`` keys in the
+    scan's table.
     """
 
     def keep(table: Mapping, full: int, und: tuple | None = None) -> int:
         mask = full
-        for program, leaves in parts:
-            for h, _ in program.run(table if leaves is None else [table[k] for k in leaves],
-                                    full, und):
+        for part in parts:
+            program, leaves = part[0], part[1]
+            roots = program.run(table if leaves is None else [table[k] for k in leaves], full, und)
+            if len(part) > 2:
+                ties = part[2]
+                free = len(roots) - len(ties)
+                for (h, _), key in zip(roots[free:], ties):
+                    mask &= full ^ h ^ table[key][0]
+                del roots[free:]
+            for h, _ in roots:
                 mask &= h
         return mask
 
@@ -663,7 +670,7 @@ def enumerate_models(
     ``atoms`` must cover every atom of the theory; extra names are allowed
     and simply enlarge the search space.
     """
-    return list(select_assignments(atoms, Program(theory).holds))
+    return list(select_assignments(atoms, reader([(Program(theory), None)])))
 
 
 def is_valid(f: Formula) -> tuple[bool, dict[str, ThreeVal] | None]:
@@ -673,11 +680,9 @@ def is_valid(f: Formula) -> tuple[bool, dict[str, ThreeVal] | None]:
     assignment in scan order. The ``#n`` constant keeps its fixed profile, so
     formulas containing it are checked with that value pinned.
     """
-    program = Program([f])
+    holds = reader([(Program([f]), None)])
     counter = next(
-        select_assignments(
-            sorted(atoms_of(f)), lambda table, full: full ^ program.holds(table, full)
-        ),
+        select_assignments(sorted(atoms_of(f)), lambda table, full: full ^ holds(table, full)),
         None,
     )
     return counter is None, counter

@@ -420,10 +420,7 @@ def instantiated_models(
     )
     names = list(f.arguments) + extra
     program = Program(prop_theory(f).formulas() + list(subst.values()))
-    ties = list(subst)
-    return list(
-        select_assignments(names, lambda table, full: program.holds(table, full, ties))
-    )
+    return list(select_assignments(names, reader([(program, None, list(subst))])))
 
 
 def instantiation_patterns(

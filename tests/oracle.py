@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from g3arg.af import LABEL_ORDER, NAME_RE, Classified, Framework, Label, check_complete
 from g3arg.document import InputDocument
-from g3arg.meta import R_UNIT_RE, GeneralizedModel, _star_clauses
+from g3arg.meta import R_UNIT_RE, GeneralizedModel, WffUnit, _star_clauses
 from g3arg.pred import (
     EqAtom,
     Exists,
@@ -257,16 +257,16 @@ def enumerate_interps(domain, theory, *, r_decided=False, fixed_r=None):
     return found
 
 
-def _as_status(unit):
-    """Every unit, a relation-atom unit too, evaluates through its status."""
-    return StatusRef(unit.name)
+def _as_statuses(hn):
+    """``hn`` with every formula unit, a relation-atom unit too, standing for its status."""
+    return replace(hn, wffs=tuple(WffUnit(u.name, StatusRef(u.name)) for u in hn.wffs))
 
 
 def solve_higher(hn, fixed_r=None):
     """Every (In, R, standing) candidate in product order, filtered."""
     nodes = hn.nodes
     pairs = [(u, v) for u in nodes for v in nodes]
-    clauses = [g for _, g in _star_clauses(hn, True, _as_status)]
+    clauses = [g for _, g in _star_clauses(_as_statuses(hn), True)]
     general = [u for u in hn.wffs if not u.is_r_atom]
     if fixed_r is not None:
         r_choices = [relation_to_r_val(nodes, fixed_r)]

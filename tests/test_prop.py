@@ -446,6 +446,99 @@ def test_generated_code_matches_the_interpreter(program, bind_und, batch):
         assert list(scan([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
 
 
+def _operand_batch(arity):
+    """Bitsets of ``arity`` operands over a batch holding every tuple of their
+    profiles once: candidate c takes the c-th tuple in product order."""
+    combos = list(itertools.product(VALUE_ORDER, repeat=arity))
+    operands = [(sum(1 << c for c, combo in enumerate(combos) if combo[j].here),
+                 sum(1 << c for c, combo in enumerate(combos) if combo[j].there))
+                for j in range(arity)]
+    return operands, (1 << len(combos)) - 1
+
+
+def _run_table_entry(op, operands, full):
+    """The (HERE, THERE) bitsets of an ``op`` instruction over ``operands``,
+    from its CONNECTIVES entry alone, as ``_generate`` reads it."""
+    i = len(operands)
+    scope = {"full": full}
+    for j, (h, t) in enumerate(operands):
+        scope[f"h{j}"], scope[f"t{j}"] = h, t
+    entry = prop.CONNECTIVES[op]
+    if op in (ALL, ANY):
+        sign, unit = entry
+        statements = [f"{half}{i} = " + (f" {sign} ".join(f"{half}{j}" for j in range(i)) or unit)
+                      for half in "ht"]
+    else:
+        statements = [statement.format(i=i, args=tuple(range(i))).strip() for statement in entry]
+    exec("\n".join(statements), scope)
+    return scope[f"h{i}"], scope[f"t{i}"]
+
+
+@pytest.mark.parametrize("op, arity", [
+    (prop.NEG, 1), (prop.IMP, 2), (ALL, 2), (ANY, 2), (ALL, 0), (ANY, 0),
+], ids=["neg", "imp", "all", "any", "empty-all", "empty-any"])
+def test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile(op, arity):
+    """One instruction over leaves that take every profile tuple of its
+    operands (3 for NEG, 9 for IMP and a binary ALL or ANY, 1 for the empty
+    ones), run by ``_interpret`` and by the table's statements."""
+    operands, full = _operand_batch(arity)
+    program = object.__new__(Program)
+    program.code = [(LEAF, j) for j in range(arity)] + [(op, tuple(range(arity)))]
+    program.roots = [arity]
+    assert program._interpret(dict(enumerate(operands)), full) == [
+        _run_table_entry(op, operands, full)
+    ]
+
+
+def test_generated_source_of_a_program_with_every_instruction_kind():
+    """Pinned, so that an edit of the connective table that changes the
+    emitted code shows here."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    x, y, z = Atom("x"), Atom("y"), Atom("z")
+    program = Program([Imp(x, y), Neg(z), Or(x, And(y, UndConst())), Top(), Bot()])
+    with patch.object(prop, "compile", spy, create=True):
+        prop._generate(program)
+    assert sources == ["""def run(table, full, und):
+ h0, t0 = table[k0]
+ h1, t1 = table[k1]
+ t2 = full ^ t0 | t1
+ h2 = (full ^ h0 | h1) & t2
+ h3, t3 = table[k3]
+ h4 = t4 = full ^ t3
+ h5, t5 = und or (0, full)
+ h6 = h1 & h5
+ t6 = t1 & t5
+ h7 = h0 | h6
+ t7 = t0 | t6
+ h8 = t8 = full
+ h9 = t9 = 0
+ return [(h2, t2), (h4, t4), (h7, t7), (h8, t8), (h9, t9)]"""]
+
+
+@pytest.mark.parametrize("batch", [1, 3, prop.BATCH_BITS])
+def test_a_tied_root_agrees_with_its_leaf_at_here(batch):
+    """The last roots of a part with ties are tied, each to the scan's leaf
+    that its tie keys, and agree with it at HERE whatever either is at
+    THERE; every other root holds at HERE. A leaf list maps the program's
+    leaves but not the ties."""
+    FF, FT, TT = VALUE_ORDER
+    listed = link([(Program([Atom("p"), Atom("r")]), "pr".index)])
+    for parts in ([(Program([Atom("p"), Atom("r")]), None, ["s"])],
+                  [(listed, ["p", "r"], ["s"])]):
+        with patch.object(prop, "BATCH_BITS", batch):
+            kept = [tuple(VALUE_ORDER[c] for c in index)
+                    for index in scan([(x, VALUE_ORDER) for x in "prs"], reader(parts))]
+        assert (TT, FT, FF) in kept  # both false at HERE
+        assert (TT, TT, FF) not in kept
+        assert kept == [v for v in itertools.product(VALUE_ORDER, repeat=3)
+                        if v[0] is TT and v[1].here == v[2].here]
+
+
 def test_a_program_and_its_linked_copy_run_generated_code_from_the_hot_run():
     program = Program([Imp(Atom("x"), Atom("y"))])
     copy = link([(program, str.upper)])

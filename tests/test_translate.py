@@ -13,7 +13,7 @@ from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
-from g3arg.prop import ALL, LEAF, Atom, Program, link, scan, select_assignments
+from g3arg.prop import ALL, LEAF, Atom, Program, link, reader, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, relation_to_r_val
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
@@ -498,8 +498,8 @@ def test_defined_marker_program_has_the_displayed_theory_s_models(n, seed):
     f = random_framework(n, Random(seed))
     hooked = Program(prop_theory(f).formulas(), oracle.defined_marker(und_definition(f)))
     rebuilt = Program(und_free_theories(f)[1].formulas())
-    assert list(select_assignments(f.arguments, hooked.holds)) == list(
-        select_assignments(f.arguments, rebuilt.holds)
+    assert list(select_assignments(f.arguments, reader([(hooked, None)]))) == list(
+        select_assignments(f.arguments, reader([(rebuilt, None)]))
     )
 
 
@@ -543,9 +543,9 @@ def test_linked_programs_match_direct_compiles(f, batch):
         for run, direct in pairs:
             assert run(table, full) == [r for p in direct for r in p.run(table, full)]
         root, = definition.run([table[x] for x in f.arguments], full)
-        assert keep(table, full) == direct_clauses.holds(table, full)
-        assert keep(table, full, root) == direct_und_free.holds(table, full)
-        assert keep_stable(table, full) == direct_stable.holds(table, full)
+        assert keep(table, full) == reader([(direct_clauses, None)])(table, full)
+        assert keep(table, full, root) == reader([(direct_und_free, None)])(table, full)
+        assert keep_stable(table, full) == reader([(direct_stable, None)])(table, full)
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
