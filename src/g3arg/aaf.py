@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, reader, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
 from .pred import (
     Constant,
     RAtom,
@@ -85,7 +85,7 @@ def aaf_extensions(
     leaf = dict(zip(names, range(n, n + m)))
     psi = link([(Program([af.psi], grounding(af.s0)), leaf.__getitem__)])
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(dims, reader([(_delta_over_positions(n), None), (psi, None)])):
+    for index in scan(dims, [(_delta_over_positions(n), None), (psi, None)]):
         lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[m:])))
         family.setdefault(index[:m], []).append(lab)
     return sorted(

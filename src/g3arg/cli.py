@@ -42,7 +42,7 @@ from .translate import (
     Theory,
     UndFreeReport,
     assignment_to_labelling,
-    clause_keep,
+    clause_parts,
     clause_texts,
     domain_diagram,
     instantiated_models,
@@ -184,7 +184,7 @@ def _cmd_models(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> in
             _labelling_dict(lab) for lab in distinct_projections(labs, fw.arguments)
         ]
     else:
-        models = list(select_assignments(fw.arguments, clause_keep(fw)))
+        models = list(select_assignments(fw.arguments, clause_parts(fw)))
     result["count"] = len(models)
     result["models"] = [_assignment_dict(h) for h in models]
     return 0

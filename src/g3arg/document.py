@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .aaf import ADFNet, AxiomaticFrame, ConjunctiveNet, DisjunctiveNet
 from .af import NAME_RE, Framework
 from .meta import R_UNIT_RE, HigherNetwork
-from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, reader, scan, walk
+from .prop import And, Atom, Bot, Formula, Neg, Or, Program, Top, atoms_of, scan, walk
 from .syntax import ParseError, parse_pred, parse_prop
 from .threeval import DECIDED_ORDER
 
@@ -336,9 +336,7 @@ class InputDocument:
             parents = tuple(sorted(atoms_of(condition)))
             # a row is a 0/1 vector over the parents, the indices of a
             # decided-order scan
-            rows = list(
-                scan([(p, DECIDED_ORDER) for p in parents], reader([(Program([condition]), None)]))
-            )
+            rows = list(scan([(p, DECIDED_ORDER) for p in parents], [(Program([condition]), None)]))
             table[x] = (parents, rows)
         return ADFNet.make(self.args, table)
 

@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .prop import (
     FALSE, TRUE, And, Atom, Formula, Imp, Neg, Or, Program, SearchSpaceExceeded, UndConst,
-    conj, disj, link, reader, scan,
+    conj, disj, link, scan,
 )
 from .pred import (
     Constant,
@@ -360,7 +360,7 @@ def solve_higher(
 
     Each unit's clauses come from its shape group (``_unit_group``), shared
     by every unit of the same kind, node count and number of extra
-    attackers, and read through the unit's leaf list (see ``prop.reader``):
+    attackers, and read through the unit's leaf list (see ``prop.scan``):
     a node's form is keyed by its name, a relation-atom unit's by its pair
     and any other unit's by its status reference. A pinned pair is read as
     TRUE or FALSE. The formulas of the other formula units are compiled per
@@ -402,7 +402,7 @@ def solve_higher(
     tied = Program([u.formula for u in general_units], grounding(nodes, decided))
     parts.append((tied, None, ties))
     models: list[GeneralizedModel] = []
-    for index in scan(dims, reader(parts)):
+    for index in scan(dims, parts):
         values = [VALUE_ORDER[c] for c in index]
         r_val = {**decided, **dict(zip(pairs, values[n:]))}
         statuses = tuple([

@@ -30,7 +30,6 @@ from .prop import (
     disj,
     fold,
     iff,
-    reader,
     scan,
     walk,
     with_subformulas,
@@ -283,7 +282,7 @@ def enumerate_interps(
     k = len(pairs)
     interps = []
     # the scan runs through each relation's In profiles in a row: one R dict each
-    for r_index, kept in itertools.groupby(scan(dims, reader([(program, None)])), lambda i: i[:k]):
+    for r_index, kept in itertools.groupby(scan(dims, [(program, None)]), lambda i: i[:k]):
         r_val = {**decided, **{p: order[c] for p, c in zip(pairs, r_index)}}
         interps += [
             PredInterp(dom, {d: VALUE_ORDER[c] for d, c in zip(dom, i[k:])}, r_val)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -197,7 +198,7 @@ class Program:
     ``_interpret``, the reference, and in the CONNECTIVES table, from which
     ``_generate`` emits the code that ``run`` switches to once the program
     is hot; tests hold the table and the generated code to the reference.
-    A Program filters a scan through ``reader``. Compiling and running use
+    A Program filters a scan as one of its parts (see ``scan``). Compiling and running use
     explicit stacks or straight-line code, so formula depth is not bounded
     by recursion.
     """
@@ -430,36 +431,6 @@ def link(parts: Sequence[tuple[Program, Callable]]) -> Program:
     return linked
 
 
-def reader(parts: Sequence[tuple]) -> Callable[..., int]:
-    """``keep(table, full, und=None)``: the candidates where every part's roots hold.
-
-    Each part is a Program and its leaf list, or None to read the table by
-    the leaves' own keys: leaf i reads ``table[leaves[i]]``, where ``scan``
-    binds TRUE and FALSE to constants. Each ``#n`` reads ``und``. A root
-    holds when it is true at HERE, but a part may add ties, ``(program,
-    leaves, ties)``: its last ``len(ties)`` roots are tied instead, each
-    agreeing at HERE with the leaf that its entry in ``ties`` keys in the
-    scan's table.
-    """
-
-    def keep(table: Mapping, full: int, und: tuple | None = None) -> int:
-        mask = full
-        for part in parts:
-            program, leaves = part[0], part[1]
-            roots = program.run(table if leaves is None else [table[k] for k in leaves], full, und)
-            if len(part) > 2:
-                ties = part[2]
-                free = len(roots) - len(ties)
-                for (h, _), key in zip(roots[free:], ties):
-                    mask &= full ^ h ^ table[key][0]
-                del roots[free:]
-            for h, _ in roots:
-                mask &= h
-        return mask
-
-    return keep
-
-
 class SearchSpaceExceeded(Exception):
     """A brute-force search refused an instance as too large."""
 
@@ -503,29 +474,75 @@ def _plan(shape: tuple[tuple[ThreeVal, ...], ...], batch_bits: int) -> tuple:
     return split, full, profiles, tuple(reversed(patterns)), p, high, low
 
 
-def fits_one_batch(choices: int, count: int) -> bool:
-    """Whether ``count`` dimensions of ``choices`` choices each scan as one batch.
-
-    This is exactly when ``_plan`` at BATCH_BITS puts every dimension in the
-    batch (its split is 0). A program that serves a single batch runs once,
-    so building a private copy of it for the scan does not pay.
-    """
-    return choices**count <= BATCH_BITS
-
-
 def scan(
-    dims: Sequence[tuple[object, Sequence[ThreeVal]]], keep: Callable[[dict, int], int]
+    dims: Sequence[tuple[object, Sequence[ThreeVal]]],
+    parts: Sequence[tuple],
+    und: tuple | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Choice indices of the kept candidates of a product scan, in order.
+    """Choice indices of the candidates where every part's roots hold, in order.
 
     ``dims`` lists (leaf key, choices) pairs, most significant first, so
-    the candidates come in ``itertools.product`` order. ``keep(table,
-    full)`` receives a batch's leaf table, each key bound to the bitsets of
-    its dimension, and returns the bitset of candidates to keep. The
-    trailing dimensions that fit in BATCH_BITS form one batch; the leading
-    ones are looped over, their keys bound to constant bitsets. Every table
-    binds TRUE to ``(full, full)`` and FALSE to ``(0, 0)``, so a leaf list
-    (see ``reader``) may send a leaf to either.
+    the candidates come in ``itertools.product`` order. Each part is a
+    Program and its leaf list, or None to read the table by the leaves'
+    own keys: leaf i reads ``table[leaves[i]]``, where the table binds each
+    dimension's key to its bitsets, TRUE to ``(full, full)`` and FALSE to
+    ``(0, 0)``. A root holds when it is true at HERE, but a part may add
+    ties, ``(program, leaves, ties)``: its last ``len(ties)`` roots are tied
+    instead, each agreeing at HERE with the leaf that its entry in ``ties``
+    keys in the table. Every ``#n`` reads the first root of ``und``, a
+    Program and its leaf list, when one is given (see ``Program.run``).
+
+    A scan of one batch runs the parts as given: a program that serves a
+    single batch runs once, so a private copy of it does not pay. A scan
+    of more batches (see ``_batches``) first links every part that has a
+    leaf list and no ties into one program, which shares instructions
+    across the parts and folds their TRUE and FALSE leaves; a copy that
+    will run at least HOT_RUNS batches is generated at once.
+    """
+    shape = tuple([tuple(choices) for _, choices in dims])
+    plan = _plan(shape, BATCH_BITS)
+    split = plan[0]
+    if split:
+        listed = [(part[0], part[1].__getitem__) for part in parts
+                  if len(part) == 2 and part[1] is not None]
+        if listed:
+            linked = link(listed)
+            if math.prod(map(len, shape[:split])) >= HOT_RUNS:
+                linked._generated = _generate(linked)
+            parts = [(linked, None), *(part for part in parts if len(part) > 2 or part[1] is None)]
+
+    def keep(table: Mapping, full: int) -> int:
+        root = None
+        if und is not None:
+            program, leaves = und
+            root = program.run(table if leaves is None else [table[k] for k in leaves], full)[0]
+        mask = full
+        for part in parts:
+            program, leaves = part[0], part[1]
+            roots = program.run(table if leaves is None else [table[k] for k in leaves], full, root)
+            if len(part) > 2:
+                ties = part[2]
+                free = len(roots) - len(ties)
+                for (h, _), key in zip(roots[free:], ties):
+                    mask &= full ^ h ^ table[key][0]
+                del roots[free:]
+            for h, _ in roots:
+                mask &= h
+        return mask
+
+    return _batches(dims, keep, plan)
+
+
+def _batches(
+    dims: Sequence[tuple[object, Sequence[ThreeVal]]], keep: Callable[[dict, int], int], plan=None
+) -> Iterator[tuple[int, ...]]:
+    """``scan``'s loop: the choice indices of the candidates ``keep`` marks, in order.
+
+    ``keep(table, full)`` receives a batch's leaf table, each key bound to
+    the bitsets of its dimension, and returns the bitset of candidates to
+    keep. The trailing dimensions that fit in BATCH_BITS form one batch;
+    the leading ones are looped over, their keys bound to constant bitsets.
+    Every table binds TRUE to ``(full, full)`` and FALSE to ``(0, 0)``.
 
     What depends on the dimensions' shape alone comes from a plan (see
     ``_plan``), cached on each dimension's choice order and BATCH_BITS and
@@ -534,8 +551,9 @@ def scan(
     decode tables. A kept bit decodes to the choice indices of the leading
     inner dimensions from one table and of the trailing ones from the other.
     """
-    shape = tuple([tuple(choices) for _, choices in dims])
-    split, full, profiles, patterns, p, high, low = _plan(shape, BATCH_BITS)
+    if plan is None:
+        plan = _plan(tuple([tuple(choices) for _, choices in dims]), BATCH_BITS)
+    split, full, profiles, patterns, p, high, low = plan
     table = {TRUE: (full, full), FALSE: (0, 0)}
     table.update(zip([key for key, _ in dims[split:]], patterns))
     outer_dims = dims[:split]
@@ -551,13 +569,14 @@ def scan(
 
 
 def select_assignments(
-    names: Sequence[str],
-    keep: Callable[[dict, int], int],
-    order: Sequence[ThreeVal] = VALUE_ORDER,
+    names: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER
 ) -> Iterator[dict[str, ThreeVal]]:
-    """Assignments over ``names``, each ranging over ``order``, that ``keep`` marks."""
+    """Assignments over ``names``, each ranging over ``order``, where ``parts`` hold.
+
+    The parts are ``scan``'s.
+    """
     names = list(dict.fromkeys(names))
-    for index in scan([(x, order) for x in names], keep):
+    for index in scan([(x, order) for x in names], parts):
         yield dict(zip(names, (order[c] for c in index)))
 
 
@@ -670,7 +689,7 @@ def enumerate_models(
     ``atoms`` must cover every atom of the theory; extra names are allowed
     and simply enlarge the search space.
     """
-    return list(select_assignments(atoms, reader([(Program(theory), None)])))
+    return list(select_assignments(atoms, [(Program(theory), None)]))
 
 
 def is_valid(f: Formula) -> tuple[bool, dict[str, ThreeVal] | None]:
@@ -680,9 +699,6 @@ def is_valid(f: Formula) -> tuple[bool, dict[str, ThreeVal] | None]:
     assignment in scan order. The ``#n`` constant keeps its fixed profile, so
     formulas containing it are checked with that value pinned.
     """
-    holds = reader([(Program([f]), None)])
-    counter = next(
-        select_assignments(sorted(atoms_of(f)), lambda table, full: full ^ holds(table, full)),
-        None,
-    )
+    # f tied to FALSE: the candidates where f fails at HERE
+    counter = next(select_assignments(sorted(atoms_of(f)), [(Program([f]), None, [FALSE])]), None)
     return counter is None, counter

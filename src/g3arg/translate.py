@@ -39,10 +39,8 @@ from .prop import (
     atoms_of,
     conj,
     disj,
-    fits_one_batch,
     iff,
     link,
-    reader,
     replace_und,
     scan,
     select_assignments,
@@ -149,30 +147,15 @@ def prop_theory(f: Framework) -> Theory:
 
 
 @functools.cache
-def _shape_group(clauses, k: int, p: int) -> Program:
-    """``clauses`` of an argument with k attackers, itself at position p (-1: none).
+def _shape_group(clauses, k: int) -> Program:
+    """``clauses`` of an argument with k attackers, compiled over positions.
 
-    Compiled over positions: the atoms "0", "1", .. become the leaves 0, 1,
-    ..; leaf i reads the i-th attacker and leaf k the argument, or leaf p
-    when the argument attacks itself, so a self-attack shares its leaf.
+    The atoms "0", "1", .. become the leaves 0, 1, ..: leaf i reads the
+    i-th attacker and leaf k the argument. A leaf list may read one name
+    at two leaves, so an argument that attacks itself needs no shape of
+    its own.
     """
-    x = str(k if p < 0 else p)
-    return link([(Program(g for _, g in clauses(x, [*map(str, range(k))])), int)])
-
-
-def _groups(f: Framework, clauses) -> list[tuple[Program, tuple[str, ...]]]:
-    """Each argument's shape group of ``clauses`` and the names its leaves read."""
-    return [
-        (_shape_group(clauses, len(ys), ys.index(x) if x in ys else -1), (*ys, x))
-        for x, ys in f.attacker_table().items()
-    ]
-
-
-def _linked(f: Framework, clauses) -> Program:
-    """The shape groups of ``clauses``, linked in argument order and kept on ``f``."""
-    return f.kept(clauses.__name__, lambda f: link(
-        [(group, names.__getitem__) for group, names in _groups(f, clauses)]
-    ))
+    return link([(Program(g for _, g in clauses(str(k), [*map(str, range(k))])), int)])
 
 
 @functools.cache
@@ -182,35 +165,27 @@ def _shape_texts(clauses, k: int, prec: int) -> tuple[tuple[str, str], ...]:
     ``{i}`` stands for the i-th attacker, ``{k}`` for the argument and
     ``{k+1}`` for each ``#n``, which binds as tightly as ``prec``. Names and
     texts alike are filled in with ``str.format``; no name holds a brace, by
-    ``af.NAME_RE``. Unlike ``_shape_group``, the key needs no self-attack
-    position: a text is filled in by name, so an argument that attacks
-    itself reads the same name at ``{k}`` as at its attacker slot.
+    ``af.NAME_RE``. As with ``_shape_group``, the attacker count is the
+    whole key: an argument that attacks itself fills in the same name at
+    ``{k}`` as at its attacker slot.
     """
     marker = MarkerText(f"{{{k + 1}}}", prec)
     group = clauses(f"{{{k}}}", [f"{{{i}}}" for i in range(k)])
     return tuple((name, format_formula(g, marker)) for name, g in group)
 
 
-def clause_keep(f: Framework, stable: bool = False) -> Callable[..., int]:
-    """``keep(table, full, und=None)`` of the clause theory, for a scan of ``f.arguments``.
+def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tuple[str, ...]]]:
+    """The clause theory as ``scan`` parts, for a scan keyed by ``f.arguments``.
 
-    It returns the candidates of a batch that satisfy every clause of
-    ``prop_theory(f)`` at HERE, each ``#n`` reading ``und`` (see
-    ``Program.run``). With ``stable``, the clauses of ``stable_theory(f)``,
-    scanned over DECIDED_ORDER instead of VALUE_ORDER. When the scan fits
-    one batch, each argument's shape group reads the table through the
-    list of its leaves' names, and nothing is built for ``f``. A longer
-    scan runs the groups linked into one program kept on ``f``: the link
-    shares instructions across groups, which repays it only over many batches.
-    With the shared groups running generated code, a whole call is 1.2-1.3x
-    faster linked at 14-16 arguments, but 1.05-1.5x slower at 9-13, where
-    the copy runs too few batches (24 to 195) to gain much from its own
-    generated code (``BENCH_25.json``, ``tier_crossover``).
+    Each argument's shape group of ``prop_theory(f)``'s clauses, and the
+    names its leaves read: every clause holds at HERE on the candidates
+    ``scan`` keeps, each ``#n`` reading the scan's ``und``. With
+    ``stable``, the clauses of ``stable_theory(f)``, to be scanned over
+    DECIDED_ORDER. Nothing is built for ``f``; a scan longer than one
+    batch links the groups.
     """
-    clauses, order = (_fix_clauses, DECIDED_ORDER) if stable else (_argument_clauses, VALUE_ORDER)
-    if fits_one_batch(len(order), len(f.arguments)):
-        return reader(_groups(f, clauses))
-    return reader([(_linked(f, clauses), None)])
+    clauses = _fix_clauses if stable else _argument_clauses
+    return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
 
 
 def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
@@ -227,9 +202,10 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 
 
 def _labellings(
-    args: Sequence[str], keep: Callable, order: Sequence[ThreeVal] = VALUE_ORDER
+    args: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER,
+    und: tuple | None = None,
 ) -> list[tuple[tuple[str, str], ...]]:
-    """The canonical labellings of the candidates ``keep`` marks, in scan order.
+    """The canonical labellings of the candidates ``scan`` keeps, in scan order.
 
     Each of ``args`` ranges over ``order``, its dimension keyed by itself. A
     model is ``tuple(zip(args, labels))``: canonical with no dict and no
@@ -238,16 +214,16 @@ def _labellings(
     labels = [VALUE_TO_LABEL[v].value for v in order]
     return [
         tuple(zip(args, map(labels.__getitem__, index)))
-        for index in scan([(x, order) for x in args], keep)
+        for index in scan([(x, order) for x in args], parts, und)
     ]
 
 
 def verify_prop_theory(f: Framework) -> CorrespondenceReport:
     """Check that the clause theory's models are the complete labellings.
 
-    The models are scanned with ``clause_keep(f)``; no clause tree is built.
+    The models are scanned with ``clause_parts(f)``; no clause tree is built.
     """
-    models = _labellings(f.arguments, clause_keep(f))
+    models = _labellings(f.arguments, clause_parts(f))
     return _compare(framework_key(f), models, _complete_labellings(f))
 
 
@@ -334,28 +310,21 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     Stable labellings must equal the two-valued models of the first theory
     of ``und_free_theories``; non-stable complete labellings must equal the
     models of the second in which the defined marker is undecided; together
-    the two sides must rebuild the complete set. Both theories run through
-    ``clause_keep``, from per-shape groups; no clause tree is built. The
-    second is the clause theory itself, with ``#n`` bound at run time: each
-    batch first runs ``und_definition``, compiled once per number of
-    arguments, on the batch's leaves of ``f.arguments``, and its root's
-    (HERE, THERE) pair is what every ``#n`` reads, which gives the rebuilt
-    clauses' models. The complete labellings, and the clause program of a
-    scan longer than one batch, are those kept on ``f``, so the other
-    verifiers share them.
+    the two sides must rebuild the complete set. Both theories are scanned
+    as ``clause_parts``, from per-shape groups; no clause tree is built.
+    The second is the clause theory itself, with ``#n`` bound at run time
+    to ``und_definition``, compiled once per number of arguments and read
+    through the list of ``f.arguments``: the scan's ``und``, which gives
+    the rebuilt clauses' models. The definition is also a part tied to
+    FALSE, so the marker is undecided at HERE. The complete labellings are
+    those kept on ``f``, so the other verifiers share them.
     """
     subject = framework_key(f)
     args = f.arguments
 
-    stable_models = _labellings(args, clause_keep(f, stable=True), DECIDED_ORDER)
-
-    clauses, defn = clause_keep(f), _und_over_positions(len(args))
-
-    def undecided(table: Mapping, full: int) -> int:
-        decided, = defn.run([table[x] for x in args], full)
-        return (full ^ decided[0]) & clauses(table, full, decided)
-
-    partial_models = _labellings(args, undecided)
+    stable_models = _labellings(args, clause_parts(f, stable=True), DECIDED_ORDER)
+    defn = (_und_over_positions(len(args)), args)
+    partial_models = _labellings(args, [(*defn, [FALSE]), *clause_parts(f)], und=defn)
 
     complete = _complete_labellings(f)
     stable_labs = {
@@ -420,7 +389,7 @@ def instantiated_models(
     )
     names = list(f.arguments) + extra
     program = Program(prop_theory(f).formulas() + list(subst.values()))
-    return list(select_assignments(names, reader([(program, None, list(subst))])))
+    return list(select_assignments(names, [(program, None, list(subst))]))
 
 
 def instantiation_patterns(
@@ -468,8 +437,8 @@ def _attacks(f: Framework) -> list[int]:
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
     """Predicate route: Delta_A, compiled once per domain size, read through
     the leaf list of ``f``'s arguments and attacks."""
-    keep = reader([(_delta_over_positions(len(f.arguments)), [*f.arguments, *_attacks(f)])])
-    return _compare(framework_key(f), _labellings(f.arguments, keep), _complete_labellings(f))
+    delta = (_delta_over_positions(len(f.arguments)), [*f.arguments, *_attacks(f)])
+    return _compare(framework_key(f), _labellings(f.arguments, [delta]), _complete_labellings(f))
 
 
 def _diagram(n: int, literals: Callable[[list], list[Formula]]) -> Formula:
@@ -549,29 +518,25 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     decided values: Delta_A is scanned under each relation that the
     diagram admits, read through that relation's leaf list as
     ``verify_pred_theory`` reads ``f``'s. The relation scan is keyed by
-    position pairs. The diagram is the one compiled per domain size, its
-    A leaves sent to ``f``'s attacks: when its 2^(n^2) relations fit one
-    batch it is read through the leaf list; beyond that, through a copy
-    linked from the list, the smaller program (256 instructions against
-    1,106 at 5 arguments; 2.1x faster at 4, 5x at 5, ``BENCH_25.json``).
+    position pairs. The diagram is the one compiled per domain size, read
+    through the leaf list that sends its A leaves to ``f``'s attacks; from
+    4 arguments its 2^(n^2) relations span more than one batch, so ``scan``
+    links the list into a copy, the smaller program (256 instructions
+    against 1,106 at 5 arguments; 2.1x faster at 4, 5x at 5, ``BENCH_25.json``).
     The expected side is the complete labellings kept on ``f`` pushed
     through every renaming of the arguments. Both sides are compared as
     ``verify_pred_theory``'s are.
     """
     dom, n = f.arguments, len(f.arguments)
     pairs = list(itertools.product(range(n), repeat=2))
-    diagram, leaves = _diagram_over_positions(n), [*pairs, *_attacks(f)]
-    if fits_one_batch(len(DECIDED_ORDER), len(pairs)):
-        part = (diagram, leaves)
-    else:
-        part = (link([(diagram, leaves.__getitem__)]), None)
+    diagram = (_diagram_over_positions(n), [*pairs, *_attacks(f)])
     delta, truth = _delta_over_positions(n), [TRUE if v.here else FALSE for v in DECIDED_ORDER]
     found = []
-    for index in scan([(p, DECIDED_ORDER) for p in pairs], reader([part])):
+    for index in scan([(p, DECIDED_ORDER) for p in pairs], [diagram]):
         relation = [truth[c] for c in index]
         # pairs come in product order over the sorted arguments: each relation is sorted
         named = tuple((dom[i], dom[j]) for (i, j), r in zip(pairs, relation) if r == TRUE)
-        found += ((named, lab) for lab in _labellings(dom, reader([(delta, [*dom, *relation])])))
+        found += ((named, lab) for lab in _labellings(dom, [(delta, [*dom, *relation])]))
     complete, expected = _complete_labellings(f), set()
     for perm in itertools.permutations(dom):
         sigma = dict(zip(dom, perm))

@@ -22,6 +22,7 @@ from g3arg.prop import (
     Program,
     Top,
     UndConst,
+    _batches,
     atoms_of,
     conj,
     disj,
@@ -30,7 +31,6 @@ from g3arg.prop import (
     iff,
     is_valid,
     link,
-    reader,
     replace_und,
     scan,
     select_assignments,
@@ -168,7 +168,7 @@ def test_enumerate_models_order_and_extra_atoms():
 
 
 def test_assignments_respect_given_order():
-    got = list(select_assignments(["b", "a"], lambda table, full: full))
+    got = list(select_assignments(["b", "a"], []))
     assert got[0] == {"b": ThreeVal.FF, "a": ThreeVal.FF}
     assert got[1] == {"b": ThreeVal.FF, "a": ThreeVal.FT}
     assert len(got) == 9
@@ -186,9 +186,9 @@ def test_true_and_false_read_as_constants_in_every_table():
 
     for batch in (1, 3, prop.BATCH_BITS):
         with patch.object(prop, "BATCH_BITS", batch):
-            assert len(list(scan(dims, constants))) == 6
-            assert list(scan(dims, reader([(program, [prop.TRUE, "a"])]))) == [(0, 2), (1, 2)]
-            assert len(list(scan(dims, reader([(program, [prop.FALSE, "a"])])))) == 6
+            assert len(list(_batches(dims, constants))) == 6
+            assert list(scan(dims, [(program, [prop.TRUE, "a"])])) == [(0, 2), (1, 2)]
+            assert len(list(scan(dims, [(program, [prop.FALSE, "a"])]))) == 6
 
 
 def test_validity_verdicts():
@@ -273,10 +273,10 @@ def test_scan_is_the_filtered_product(case, batch):
     renamed = [(("other", key), choices) for key, choices in dims]
     with patch.object(prop, "BATCH_BITS", batch):
         misses = prop._plan.cache_info().misses
-        assert list(scan(dims, _keep(terms, bound))) == want
-        assert list(scan(dims, _keep(terms, bound))) == want
+        assert list(_batches(dims, _keep(terms, bound))) == want
+        assert list(_batches(dims, _keep(terms, bound))) == want
         keep = _keep(terms, bound, lambda key: ("other", key))
-        assert list(scan(renamed, keep)) == want
+        assert list(_batches(renamed, keep)) == want
         assert prop._plan.cache_info().misses - misses <= 1  # one plan per shape
         # nothing the scans kept went into the cached plan
         shape = tuple(tuple(choices) for _, choices in dims)
@@ -294,7 +294,8 @@ def test_scan_is_the_filtered_product(case, batch):
 @example([Imp(Atom("x"), Atom("y")), Neg(Atom("y"))], 1, {"x": True}, 3)  # true -> b is b
 def test_folding_decided_leaves_matches_compiling_the_constants(formulas, split, decided, batch):
     """A leaf list that mixes table keys with TRUE and FALSE gives the same
-    roots read through, linked, and compiled with Top or Bot in place.
+    roots read through, linked, and compiled with Top or Bot in place, and
+    ``scan`` keeps the same candidates from the parts and from the link.
 
     The formulas are split over one or two parts, each numbering its leaves
     x, y, z as 0, 1, 2; every linked instruction is a root or read by a
@@ -311,16 +312,20 @@ def test_folding_decided_leaves_matches_compiling_the_constants(formulas, split,
         want = direct.run(table, full)
         read = [r for p in parts for r in p.run([table[k] for k in leaves], full)]
         assert folded.run(table, full) == read == want
-        mask = full
-        for h, _ in want:
-            mask &= h
-        assert reader([(p, leaves) for p in parts])(table, full) == mask
-        assert reader([(folded, None)])(table, full) == mask
         return 0
+
+    def holds(table, full):
+        mask = full
+        for h, _ in direct.run(table, full):
+            mask &= h
+        return mask
 
     with patch.object(prop, "BATCH_BITS", batch):
         dims = [(x, VALUE_ORDER) for x in "xyz" if x not in decided]
-        assert list(scan(dims, agree)) == []
+        assert list(_batches(dims, agree)) == []
+        kept = list(_batches(dims, holds))
+        assert list(scan(dims, [(p, leaves) for p in parts])) == kept
+        assert list(scan(dims, [(folded, None)])) == kept
     read = {a for op, args in folded.code if op != LEAF for a in args}
     assert read | set(folded.roots) == set(range(len(folded.code)))
     assert not any(op == LEAF and key in decided for op, key in folded.code)
@@ -335,11 +340,28 @@ def test_plans_are_bounded_and_keyed_on_the_shape_alone():
 
 @pytest.mark.parametrize("batch", [1, 3, 9, 80, 81, prop.BATCH_BITS])
 def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
-    with patch.object(prop, "BATCH_BITS", batch):
+    """A plan keeps every dimension in the batch exactly when the candidates
+    fit in it, and exactly then ``scan`` runs a part with a leaf list as
+    given; otherwise it links the part before the first batch, as generated
+    code at once when the plan loops over at least HOT_RUNS batches."""
+    program = link([(Program([Atom("x")]), {"x": 0}.__getitem__)])
+    linked = []
+
+    def spy(parts):
+        linked.append(link(parts))
+        return linked[-1]
+
+    with patch.object(prop, "BATCH_BITS", batch), patch.object(prop, "link", spy):
         for order in (DECIDED_ORDER, VALUE_ORDER):
             for count in range(11):
                 split = prop._plan.__wrapped__((order,) * count, batch)[0]
-                assert prop.fits_one_batch(len(order), count) == (split == 0)
+                assert (len(order) ** count <= batch) == (split == 0)
+                linked.clear()
+                scan([(i, order) for i in range(count)], [(program, [prop.TRUE])])
+                assert len(linked) == (split > 0)
+                if split:
+                    hot = len(order) ** split >= prop.HOT_RUNS
+                    assert (linked[0]._generated is not None) == hot
 
 
 @pytest.mark.parametrize("k", [2, 3, 40])
@@ -443,7 +465,7 @@ def test_generated_code_matches_the_interpreter(program, bind_und, batch):
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
-        assert list(scan([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
+        assert list(_batches([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
 
 
 def _operand_batch(arity):
@@ -532,7 +554,7 @@ def test_a_tied_root_agrees_with_its_leaf_at_here(batch):
                   [(listed, ["p", "r"], ["s"])]):
         with patch.object(prop, "BATCH_BITS", batch):
             kept = [tuple(VALUE_ORDER[c] for c in index)
-                    for index in scan([(x, VALUE_ORDER) for x in "prs"], reader(parts))]
+                    for index in scan([(x, VALUE_ORDER) for x in "prs"], parts)]
         assert (TT, FT, FF) in kept  # both false at HERE
         assert (TT, TT, FF) not in kept
         assert kept == [v for v in itertools.product(VALUE_ORDER, repeat=3)

@@ -13,7 +13,7 @@ from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
-from g3arg.prop import ALL, LEAF, Atom, Program, link, reader, scan, select_assignments
+from g3arg.prop import ALL, LEAF, Atom, Program, _batches, link, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, relation_to_r_val
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
@@ -21,7 +21,7 @@ from g3arg.translate import (
     CorrespondenceReport,
     Theory,
     assignment_to_labelling,
-    clause_keep,
+    clause_parts,
     domain_diagram,
     framework_key,
     instantiate,
@@ -322,9 +322,9 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(direct.roots)):
             for half in (0, 1):
-                got = list(scan(dims, lambda t, full: positions.run(
+                got = list(_batches(dims, lambda t, full: positions.run(
                     [bound(t, full)[k] for k in leaves], full)[i][half]))
-                want = list(scan(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
+                want = list(_batches(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
                 assert got == want
 
 
@@ -400,7 +400,7 @@ def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
             assert positions.run([table[k] for k in leaves], full) == want
             return 0
 
-        assert list(scan([(p, DECIDED_ORDER) for p in pairs], agree)) == []
+        assert list(_batches([(p, DECIDED_ORDER) for p in pairs], agree)) == []
 
 
 def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
@@ -498,12 +498,12 @@ def test_defined_marker_program_has_the_displayed_theory_s_models(n, seed):
     f = random_framework(n, Random(seed))
     hooked = Program(prop_theory(f).formulas(), oracle.defined_marker(und_definition(f)))
     rebuilt = Program(und_free_theories(f)[1].formulas())
-    assert list(select_assignments(f.arguments, reader([(hooked, None)]))) == list(
-        select_assignments(f.arguments, reader([(rebuilt, None)]))
+    assert list(select_assignments(f.arguments, [(hooked, None)])) == list(
+        select_assignments(f.arguments, [(rebuilt, None)])
     )
 
 
-# a, b and c share their attackers a, b, at positions 0, 1 and none
+# a, b and c share their attackers a, b, at positions 0, 1 and none, and one shape group
 SELF_SHAPES = Framework.make(
     "abc", [("a", "a"), ("b", "a"), ("a", "b"), ("b", "b"), ("a", "c"), ("b", "c")]
 )
@@ -517,17 +517,21 @@ SELF_SHAPES = Framework.make(
 def test_linked_programs_match_direct_compiles(f, batch):
     """HERE and THERE of every root on every candidate, linked against direct.
 
-    The und-free check runs the clause program with ``#n`` bound to the
-    root of the definition over positions, which comes last here. And
-    ``clause_keep``, in the tier that the width picks, keeps on every
-    candidate what the direct compiles hold, ``#n`` bound or not.
+    The clause groups are linked through their leaf lists, as ``scan``
+    links them. The und-free check runs the clause program with ``#n``
+    bound to the root of the definition over positions, which comes last
+    here. And ``scan`` keeps from ``clause_parts``, in the tier that the
+    width picks, what it keeps from the direct compiles, ``#n`` bound or not.
     """
     defn = und_definition(f)
     definition = translate._und_over_positions(len(f.arguments))
     direct_clauses = Program(prop_theory(f).formulas())
     direct_stable = Program(stable_theory(f).formulas())
     direct_und_free = Program(prop_theory(f).formulas(), oracle.defined_marker(defn))
-    linked = translate._linked(f, translate._argument_clauses)
+    linked, linked_stable = (
+        link([(group, names.__getitem__) for group, names in clause_parts(f, stable)])
+        for stable in (False, True)
+    )
 
     def und_free(table, full):
         root, = definition.run([table[x] for x in f.arguments], full)
@@ -535,34 +539,37 @@ def test_linked_programs_match_direct_compiles(f, batch):
 
     pairs = [
         (linked.run, [direct_clauses]),
-        (translate._linked(f, translate._fix_clauses).run, [direct_stable]),
+        (linked_stable.run, [direct_stable]),
         (und_free, [direct_und_free, Program([defn])]),
     ]
 
     def agree(table, full):
         for run, direct in pairs:
             assert run(table, full) == [r for p in direct for r in p.run(table, full)]
-        root, = definition.run([table[x] for x in f.arguments], full)
-        assert keep(table, full) == reader([(direct_clauses, None)])(table, full)
-        assert keep(table, full, root) == reader([(direct_und_free, None)])(table, full)
-        assert keep_stable(table, full) == reader([(direct_stable, None)])(table, full)
         return 0
 
+    dims = [(x, VALUE_ORDER) for x in f.arguments]
+    und = (definition, f.arguments)
     with patch.object(prop, "BATCH_BITS", batch):
-        keep, keep_stable = clause_keep(f), clause_keep(f, stable=True)
-        assert list(scan([(x, VALUE_ORDER) for x in f.arguments], agree)) == []
+        assert list(_batches(dims, agree)) == []
+        assert list(scan(dims, clause_parts(f))) == list(scan(dims, [(direct_clauses, None)]))
+        assert list(scan(dims, clause_parts(f), und)) == list(
+            scan(dims, [(direct_und_free, None)]))
+        assert list(scan(dims, clause_parts(f, stable=True))) == list(
+            scan(dims, [(direct_stable, None)]))
 
 
 def test_the_three_verifiers_share_one_search_and_one_clause_program():
     """prop, und-free and pred on one Framework search its labellings once.
 
     At the default width its 3^4 candidates are one batch, and its clause
-    groups run unlinked; below 3^4 they are linked once, and the link is
-    kept. An equal Framework built afresh does both again."""
+    groups run unlinked; below 3^4 every scan of the clause theory links
+    them anew (prop's and und-free's undecided case; the stable case's 2^4
+    candidates still fit), and no link is kept on the Framework. An equal
+    Framework built afresh searches again."""
     searches, clause_links = [], []
-    search, link = translate.enumerate_complete, translate.link
-    groups = {id(translate._shape_group(translate._argument_clauses, k, p))
-              for k in range(4) for p in range(-1, k)}
+    search, link = translate.enumerate_complete, prop.link
+    groups = {id(translate._shape_group(translate._argument_clauses, k)) for k in range(4)}
 
     def counting_search(f):
         searches.append(f)
@@ -581,18 +588,20 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     f = Framework.make("abcd", attacks)
     fields = repr(f), hash(f)
     with patch.object(translate, "enumerate_complete", counting_search), \
-            patch.object(translate, "link", counting_link):
+            patch.object(prop, "link", counting_link):
         verify(f)
         verify(f)
         assert searches == [f] and clause_links == []
         with patch.object(prop, "BATCH_BITS", 3**4 - 1):
             verify(f)
-            assert len(searches) == 1 and len(clause_links) == 1
+            assert len(searches) == 1 and len(clause_links) == 2
             verify(f)
-            assert len(searches) == 1 and len(clause_links) == 1
+            assert len(searches) == 1 and len(clause_links) == 4
             fresh = Framework.make("abcd", attacks)
             verify(fresh)
-            assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 2
+            assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 6
+    assert set(vars(f)) == set(vars(fresh)) == {
+        "arguments", "attacks", "_attackers", "_complete", "_masks"}
     assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
     assert f == fresh == Framework.make("abcd", attacks)
 
@@ -603,8 +612,8 @@ def _tier_results(f):
         verify_prop_theory(f),
         verify_und_free(f),
         verify_pred_theory(f),
-        list(select_assignments(f.arguments, clause_keep(f))),
-        list(select_assignments(f.arguments, clause_keep(f, stable=True), DECIDED_ORDER)),
+        list(select_assignments(f.arguments, clause_parts(f))),
+        list(select_assignments(f.arguments, clause_parts(f, stable=True), DECIDED_ORDER)),
     )
 
 
@@ -615,7 +624,7 @@ def test_the_one_batch_and_linked_tiers_agree(f, batch):
     """Up to 6 arguments the default width takes the one-batch tier, which runs
     each argument's shape group unlinked; a width of 1, 3 or 9 takes the
     linked tier. Reports, model lists and their order are the same."""
-    assert prop.fits_one_batch(3, len(f.arguments))
+    assert prop._plan((VALUE_ORDER,) * len(f.arguments), prop.BATCH_BITS)[0] == 0
     one_batch = _tier_results(f)
     with patch.object(prop, "BATCH_BITS", batch):
         linked = _tier_results(Framework.make(f.arguments, f.attacks))
@@ -626,11 +635,11 @@ def test_the_linked_tier_matches_the_oracle_at_the_default_width():
     """3^9 candidates span several batches at the default width, so the clause
     theory runs linked; its models and both verifiers match the oracle."""
     f = random_framework(9, Random(10))
-    assert not prop.fits_one_batch(3, 9)
-    translate._groups(f, translate._argument_clauses)  # each shape group compiled first
+    assert prop._plan((VALUE_ORDER,) * 9, prop.BATCH_BITS)[0] > 0
+    groups = clause_parts(f)  # each shape group compiled first
     links = []
-    with patch.object(translate, "link", lambda parts: links.append(parts) or prop.link(parts)):
-        models = list(select_assignments(f.arguments, clause_keep(f)))
+    with patch.object(prop, "link", lambda parts: links.append(parts) or link(parts)):
+        models = list(select_assignments(f.arguments, groups))
     assert len(links) == 1
     expected = [canonical(lab) for lab in oracle.enumerate_complete(f)]
     stable = [lab for lab in expected if all(v != Label.UND.value for _, v in lab)]
@@ -661,11 +670,15 @@ def test_clause_groups_are_compiled_once_per_shape():
     with patch.object(Program, "__init__", counting):
         verify(Framework.make("pqr", [("p", "q"), ("q", "p"), ("p", "r"), ("r", "r")]))
         assert compiled == []
-        # x is attacked by itself and y, at position 0: the one new shape
-        new_shape = Framework.make("xyz", [("x", "x"), ("y", "x"), ("x", "y"), ("y", "z")])
+        # x is attacked by itself and y, at position 0, r by p and itself: one shape
+        assert verify_prop_theory(Framework.make(
+            "xyz", [("x", "x"), ("y", "x"), ("x", "y"), ("y", "z")])).ok
+        assert compiled == []
+        # an unattacked x: the one new shape
+        new_shape = Framework.make("xyz", [("x", "y"), ("y", "z")])
         assert verify_und_free(new_shape).ok
         assert [len(formulas) for formulas in compiled] == [1, 4]  # fix[x], then a1..b2[x]
         assert verify_prop_theory(new_shape).ok
         assert len(compiled) == 2
-    assert translate._shape_group.cache_info().currsize == 6  # 3 shapes, 2 theories
+    assert translate._shape_group.cache_info().currsize == 6  # 0, 1, 2 attackers, 2 theories
     assert translate._und_over_positions.cache_info().currsize == 1
