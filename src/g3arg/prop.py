@@ -198,9 +198,9 @@ class Program:
     ``_interpret``, the reference, and in the CONNECTIVES table, from which
     ``_generate`` emits the code that ``run`` switches to once the program
     is hot; tests hold the table and the generated code to the reference.
-    A Program filters a scan as one of its parts (see ``scan``). Compiling and running use
-    explicit stacks or straight-line code, so formula depth is not bounded
-    by recursion.
+    A Program filters a scan as one of its parts (see ``scan``). Compiling
+    and running use explicit stacks or straight-line code, so formula depth
+    is not bounded by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -571,10 +571,8 @@ def _batches(
 def select_assignments(
     names: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER
 ) -> Iterator[dict[str, ThreeVal]]:
-    """Assignments over ``names``, each ranging over ``order``, where ``parts`` hold.
-
-    The parts are ``scan``'s.
-    """
+    """Assignments over ``names``, each ranging over ``order``, where every
+    one of ``parts`` holds (see ``scan``)."""
     names = list(dict.fromkeys(names))
     for index in scan([(x, order) for x in names], parts):
         yield dict(zip(names, (order[c] for c in index)))

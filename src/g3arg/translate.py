@@ -241,6 +241,10 @@ def _und_over_positions(n: int) -> Program:
     return link([(Program([_decided([*map(str, range(n))])]), int)])
 
 
+# the marker alone: tied to FALSE, it keeps where the bound #n fails at HERE
+_UNDECIDED = (Program([UndConst()]), None, [FALSE])
+
+
 def _fix_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
     """``stable_theory``'s clause of an argument x with the attackers ys."""
     return [(f"fix[{x}]", iff(Atom(x), conj([Neg(Atom(y)) for y in ys])))]
@@ -315,16 +319,17 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     The second is the clause theory itself, with ``#n`` bound at run time
     to ``und_definition``, compiled once per number of arguments and read
     through the list of ``f.arguments``: the scan's ``und``, which gives
-    the rebuilt clauses' models. The definition is also a part tied to
-    FALSE, so the marker is undecided at HERE. The complete labellings are
-    those kept on ``f``, so the other verifiers share them.
+    the rebuilt clauses' models. One more part, the marker alone tied to
+    FALSE, keeps them where the defined marker fails at HERE, without
+    running the definition again. The complete labellings are those kept
+    on ``f``, so the other verifiers share them.
     """
     subject = framework_key(f)
     args = f.arguments
 
     stable_models = _labellings(args, clause_parts(f, stable=True), DECIDED_ORDER)
     defn = (_und_over_positions(len(args)), args)
-    partial_models = _labellings(args, [(*defn, [FALSE]), *clause_parts(f)], und=defn)
+    partial_models = _labellings(args, [_UNDECIDED, *clause_parts(f)], und=defn)
 
     complete = _complete_labellings(f)
     stable_labs = {

@@ -15,6 +15,8 @@ The structural walks (formatting, free variables, leaf replacement, AC
 normal form) are the recursive definitions that the package's explicit-stack
 traversals must agree with. defined_marker compiles each #n as a reference
 to its definition, the direct compile that linked programs are checked against.
+star_clauses writes a higher network's clauses out from their definition,
+sharing no clause builder with the package.
 The fact reader at the end is a character-loop reader with the fact
 parsing, species detection and validation passes the package's one-pass
 reader replaced; it patches nothing in the package. It forgets an open quote
@@ -26,12 +28,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from g3arg.af import LABEL_ORDER, NAME_RE, Classified, Framework, Label, check_complete
 from g3arg.document import InputDocument
-from g3arg.meta import R_UNIT_RE, GeneralizedModel, WffUnit, _star_clauses
+from g3arg.meta import R_UNIT_RE, GeneralizedModel
 from g3arg.pred import (
+    Constant,
     EqAtom,
     Exists,
     Forall,
@@ -257,16 +260,47 @@ def enumerate_interps(domain, theory, *, r_decided=False, fixed_r=None):
     return found
 
 
-def _as_statuses(hn):
-    """``hn`` with every formula unit, a relation-atom unit too, standing for its status."""
-    return replace(hn, wffs=tuple(WffUnit(u.name, StatusRef(u.name)) for u in hn.wffs))
+def star_clauses(hn):
+    """Each unit's starred clauses, written out from the definition.
+
+    A unit holds as its membership if a node, else as its status, which a
+    relation-atom unit takes from its pair. A node is attacked by every
+    node jointly with the relation atom from it, and by the non-node units
+    that attack it; a formula unit by the units that attack it. With H the
+    unit's holding form, and O and I the conjunction of its attackers'
+    negated forms and the disjunction of their forms:
+        a1: H -> (#n | O)        a2, only when attacked: O -> (#n | H)
+        b1: ~H -> (#n | I)       b2: I -> (#n | ~H)
+    """
+
+    def holds(name):
+        return InAtom(Constant(name)) if name in hn.nodes else StatusRef(name)
+
+    clauses = []
+    for name in hn.unit_names():
+        attackers = []
+        if name in hn.nodes:
+            for y in hn.nodes:
+                member, edge = InAtom(Constant(y)), RAtom(Constant(y), Constant(name))
+                attackers.append((And(member, edge), Or(Neg(member), Neg(edge))))
+        for s, t in hn.hattacks:
+            if t == name and not (s in hn.nodes and t in hn.nodes):
+                attackers.append((holds(s), Neg(holds(s))))
+        h, outs = holds(name), conj([fails for _, fails in attackers])
+        ins = disj([form for form, _ in attackers])
+        clauses.append(Imp(h, Or(UndConst(), outs)))
+        if attackers:
+            clauses.append(Imp(outs, Or(UndConst(), h)))
+        clauses.append(Imp(Neg(h), Or(UndConst(), ins)))
+        clauses.append(Imp(ins, Or(UndConst(), Neg(h))))
+    return clauses
 
 
 def solve_higher(hn, fixed_r=None):
     """Every (In, R, standing) candidate in product order, filtered."""
     nodes = hn.nodes
     pairs = [(u, v) for u in nodes for v in nodes]
-    clauses = [g for _, g in _star_clauses(_as_statuses(hn), True)]
+    clauses = star_clauses(hn)
     general = [u for u in hn.wffs if not u.is_r_atom]
     if fixed_r is not None:
         r_choices = [relation_to_r_val(nodes, fixed_r)]

@@ -113,11 +113,13 @@ def test_relation_scan_stops_at_four_arguments():
 
 
 def test_four_arguments_under_true_admit_every_relation():
+    """2^16 relations times 3^4 profiles: 1,024 batches of 5,184 candidates at
+    the default width, each relation's labellings those of the labelling search."""
     fam = aaf_extensions(AxiomaticFrame.make("abcd", Top()))
     assert len(fam) == 2**16
     assert sum(len(labs) for _, labs in fam) == 103064
     assert [rel for rel, _ in fam] == sorted(rel for rel, _ in fam)
-    for rel, labs in random.Random(6).sample(fam, 200):
+    for rel, labs in fam:
         assert list(labs) == enumerate_complete(Framework.make("abcd", rel))
 
 
