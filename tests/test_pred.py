@@ -254,9 +254,9 @@ def test_grounding_rejects_propositional_atoms():
 def test_no_scan_has_a_one_choice_dimension():
     """A pinned relation is compiled in, not scanned as one-choice dimensions."""
 
-    def checked(dims, keep):
+    def checked(dims, parts):
         assert all(len(choices) > 1 for _, choices in dims), dims
-        return scan(dims, keep)
+        return scan(dims, parts)
 
     theory = [Forall("X", Imp(RAtom(X, A), Or(UndConst(), Neg(InAtom(X)))))]
     with patch.object(pred, "scan", checked), patch.object(meta, "scan", checked):
