@@ -482,26 +482,35 @@ def scan(
     """Choice indices of the candidates where every part's roots hold, in order.
 
     ``dims`` lists (leaf key, choices) pairs, most significant first, so
-    the candidates come in ``itertools.product`` order. Each part is a
-    Program and its leaf list, or None to read the table by the leaves'
-    own keys: leaf i reads ``table[leaves[i]]``, where the table binds each
-    dimension's key to its bitsets, TRUE to ``(full, full)`` and FALSE to
-    ``(0, 0)``. A root holds when it is true at HERE, but a part may add
-    ties, ``(program, leaves, ties)``: its last ``len(ties)`` roots are tied
-    instead, each agreeing at HERE with the leaf that its entry in ``ties``
-    keys in the table. Every ``#n`` reads the first root of ``und``, a
-    Program and its leaf list, when one is given (see ``Program.run``).
+    the candidates come in ``itertools.product`` order. The trailing
+    dimensions that fit in BATCH_BITS form one batch; the leading ones are
+    looped over, their keys bound to constant bitsets. Each batch's table
+    binds every key to its dimension's bitsets, TRUE to ``(full, full)``
+    and FALSE to ``(0, 0)``. Each part is a Program and its leaf list, or
+    None to read the table by the leaves' own keys: leaf i reads
+    ``table[leaves[i]]``. A root holds when it is true at HERE, but a part
+    may add ties, ``(program, leaves, ties)``: its last ``len(ties)`` roots
+    are tied instead, each agreeing at HERE with the leaf that its entry in
+    ``ties`` keys in the table. Every ``#n`` reads the first root of
+    ``und``, a Program and its leaf list, when one is given (see
+    ``Program.run``).
 
     A scan of one batch runs the parts as given: a program that serves a
     single batch runs once, so a private copy of it does not pay. A scan
-    of more batches (see ``_batches``) first links every part that has a
-    leaf list and no ties into one program, which shares instructions
-    across the parts and folds their TRUE and FALSE leaves; a copy that
-    will run at least HOT_RUNS batches is generated at once.
+    of more batches first links every part that has a leaf list and no
+    ties into one program, which shares instructions across the parts and
+    folds their TRUE and FALSE leaves; a copy that will run at least
+    HOT_RUNS batches is generated at once.
+
+    What depends on the dimensions' shape alone comes from a plan (see
+    ``_plan``), cached on each dimension's choice order and BATCH_BITS and
+    on nothing else, PLAN_CACHE plans at most, least recently used out
+    first: the split, the inner dimensions' bitsets, and two mixed-radix
+    decode tables. A kept bit decodes to the choice indices of the leading
+    inner dimensions from one table and of the trailing ones from the other.
     """
     shape = tuple([tuple(choices) for _, choices in dims])
-    plan = _plan(shape, BATCH_BITS)
-    split = plan[0]
+    split, full, profiles, patterns, p, high, low = _plan(shape, BATCH_BITS)
     if split:
         listed = [(part[0], part[1].__getitem__) for part in parts
                   if len(part) == 2 and part[1] is not None]
@@ -510,8 +519,12 @@ def scan(
             if math.prod(map(len, shape[:split])) >= HOT_RUNS:
                 linked._generated = _generate(linked)
             parts = [(linked, None), *(part for part in parts if len(part) > 2 or part[1] is None)]
-
-    def keep(table: Mapping, full: int) -> int:
+    table = {TRUE: (full, full), FALSE: (0, 0)}
+    table.update(zip([key for key, _ in dims[split:]], patterns))
+    outer_dims = dims[:split]
+    for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
+        for (key, choices), c in zip(outer_dims, outer):
+            table[key] = profiles[choices[c]]
         root = None
         if und is not None:
             program, leaves = und
@@ -528,39 +541,6 @@ def scan(
                 del roots[free:]
             for h, _ in roots:
                 mask &= h
-        return mask
-
-    return _batches(dims, keep, plan)
-
-
-def _batches(
-    dims: Sequence[tuple[object, Sequence[ThreeVal]]], keep: Callable[[dict, int], int], plan=None
-) -> Iterator[tuple[int, ...]]:
-    """``scan``'s loop: the choice indices of the candidates ``keep`` marks, in order.
-
-    ``keep(table, full)`` receives a batch's leaf table, each key bound to
-    the bitsets of its dimension, and returns the bitset of candidates to
-    keep. The trailing dimensions that fit in BATCH_BITS form one batch;
-    the leading ones are looped over, their keys bound to constant bitsets.
-    Every table binds TRUE to ``(full, full)`` and FALSE to ``(0, 0)``.
-
-    What depends on the dimensions' shape alone comes from a plan (see
-    ``_plan``), cached on each dimension's choice order and BATCH_BITS and
-    on nothing else, PLAN_CACHE plans at most, least recently used out
-    first: the split, the inner dimensions' bitsets, and two mixed-radix
-    decode tables. A kept bit decodes to the choice indices of the leading
-    inner dimensions from one table and of the trailing ones from the other.
-    """
-    if plan is None:
-        plan = _plan(tuple([tuple(choices) for _, choices in dims]), BATCH_BITS)
-    split, full, profiles, patterns, p, high, low = plan
-    table = {TRUE: (full, full), FALSE: (0, 0)}
-    table.update(zip([key for key, _ in dims[split:]], patterns))
-    outer_dims = dims[:split]
-    for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
-        for (key, choices), c in zip(outer_dims, outer):
-            table[key] = profiles[choices[c]]
-        mask = keep(table, full)
         while mask:
             last = mask & -mask
             mask ^= last

@@ -16,7 +16,8 @@ normal form) are the recursive definitions that the package's explicit-stack
 traversals must agree with. defined_marker compiles each #n as a reference
 to its definition, the direct compile that linked programs are checked against.
 star_clauses writes a higher network's clauses out from their definition,
-sharing no clause builder with the package.
+sharing no clause builder with the package. scan_keep drives prop.scan
+with a callback, for the tests that read a THERE half or assert per batch.
 The fact reader at the end is a character-loop reader with the fact
 parsing, species detection and validation passes the package's one-pass
 reader replaced; it patches nothing in the package. It forgets an open quote
@@ -60,6 +61,7 @@ from g3arg.prop import (
     conj,
     disj,
     propositional,
+    scan,
 )
 from g3arg.syntax import ParseError, parse_pred, parse_prop
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
@@ -258,6 +260,22 @@ def enumerate_interps(domain, theory, *, r_decided=False, fixed_r=None):
             if all(eval_pred(World.HERE, f, m) for f in theory):
                 found.append(m)
     return found
+
+
+class _Kept:
+    """A callback ``keep(table, full)`` in a Program's place: one root that
+    holds at HERE on the candidates ``keep`` marks."""
+
+    def __init__(self, keep):
+        self.keep = keep
+
+    def run(self, table, full, und=None):
+        return [(self.keep(table, full), 0)]
+
+
+def scan_keep(dims, keep):
+    """``prop.scan`` of ``dims`` keeping what ``keep(table, full)`` marks in each batch."""
+    return scan(dims, [(_Kept(keep), None)])
 
 
 def star_clauses(hn):

@@ -62,7 +62,6 @@ from g3arg.prop import (
     Program,
     Top,
     UndConst,
-    _batches,
     conj,
     enumerate_models,
     eval_world,
@@ -119,7 +118,7 @@ relations = st.sets(st.sampled_from([(u, x) for u in "ab" for x in "ab"]))
 
 def kept(dims, program, half):
     """Candidates whose HERE (half 0) or THERE (half 1) bit is set."""
-    return list(_batches(dims, lambda table, full: program.run(table, full)[0][half]))
+    return list(oracle.scan_keep(dims, lambda table, full: program.run(table, full)[0][half]))
 
 
 @given(prop_formulas, BATCHES)
@@ -226,8 +225,8 @@ def test_pinned_grounding_matches_the_relation_bound_in_the_table(f, relation, p
 
     with patch.object(prop, "BATCH_BITS", batch):
         for half in (0, 1):
-            got = list(_batches(dims, lambda t, full: compiled.run(t, full)[0][half]))
-            want = list(_batches(dims, lambda t, full: free.run(pinned(t), full)[0][half]))
+            got = list(oracle.scan_keep(dims, lambda t, full: compiled.run(t, full)[0][half]))
+            want = list(oracle.scan_keep(dims, lambda t, full: free.run(pinned(t), full)[0][half]))
             assert got == want
     assert not any(op == prop.LEAF and key in decided for op, key in compiled.code)
 
@@ -251,7 +250,7 @@ def assert_roots_match_the_oracle(formulas, batch, pinned=None):
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(formulas)):
             for half in (0, 1):
-                got = list(_batches(dims, lambda t, full: program.run(t, full)[i][half]))
+                got = list(oracle.scan_keep(dims, lambda t, full: program.run(t, full)[i][half]))
                 assert got == [c for c, w in zip(candidates, want) if w[i].value[half]]
 
 

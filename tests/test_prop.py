@@ -7,6 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracle
 from g3arg import prop
 from g3arg.prop import (
     ALL,
@@ -22,7 +23,6 @@ from g3arg.prop import (
     Program,
     Top,
     UndConst,
-    _batches,
     atoms_of,
     conj,
     disj,
@@ -186,7 +186,7 @@ def test_true_and_false_read_as_constants_in_every_table():
 
     for batch in (1, 3, prop.BATCH_BITS):
         with patch.object(prop, "BATCH_BITS", batch):
-            assert len(list(_batches(dims, constants))) == 6
+            assert len(list(oracle.scan_keep(dims, constants))) == 6
             assert list(scan(dims, [(program, [prop.TRUE, "a"])])) == [(0, 2), (1, 2)]
             assert len(list(scan(dims, [(program, [prop.FALSE, "a"])]))) == 6
 
@@ -273,10 +273,10 @@ def test_scan_is_the_filtered_product(case, batch):
     renamed = [(("other", key), choices) for key, choices in dims]
     with patch.object(prop, "BATCH_BITS", batch):
         misses = prop._plan.cache_info().misses
-        assert list(_batches(dims, _keep(terms, bound))) == want
-        assert list(_batches(dims, _keep(terms, bound))) == want
+        assert list(oracle.scan_keep(dims, _keep(terms, bound))) == want
+        assert list(oracle.scan_keep(dims, _keep(terms, bound))) == want
         keep = _keep(terms, bound, lambda key: ("other", key))
-        assert list(_batches(renamed, keep)) == want
+        assert list(oracle.scan_keep(renamed, keep)) == want
         assert prop._plan.cache_info().misses - misses <= 1  # one plan per shape
         # nothing the scans kept went into the cached plan
         shape = tuple(tuple(choices) for _, choices in dims)
@@ -322,8 +322,8 @@ def test_folding_decided_leaves_matches_compiling_the_constants(formulas, split,
 
     with patch.object(prop, "BATCH_BITS", batch):
         dims = [(x, VALUE_ORDER) for x in "xyz" if x not in decided]
-        assert list(_batches(dims, agree)) == []
-        kept = list(_batches(dims, holds))
+        assert list(oracle.scan_keep(dims, agree)) == []
+        kept = list(oracle.scan_keep(dims, holds))
         assert list(scan(dims, [(p, leaves) for p in parts])) == kept
         assert list(scan(dims, [(folded, None)])) == kept
     read = {a for op, args in folded.code if op != LEAF for a in args}
@@ -357,7 +357,7 @@ def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
                 split = prop._plan.__wrapped__((order,) * count, batch)[0]
                 assert (len(order) ** count <= batch) == (split == 0)
                 linked.clear()
-                scan([(i, order) for i in range(count)], [(program, [prop.TRUE])])
+                next(scan([(i, order) for i in range(count)], [(program, [prop.TRUE])]))
                 assert len(linked) == (split > 0)
                 if split:
                     hot = len(order) ** split >= prop.HOT_RUNS
@@ -465,7 +465,7 @@ def test_generated_code_matches_the_interpreter(program, bind_und, batch):
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
-        assert list(_batches([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
+        assert list(oracle.scan_keep([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
 
 
 def _operand_batch(arity):

@@ -13,7 +13,7 @@ from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
-from g3arg.prop import ALL, LEAF, Atom, Program, _batches, link, scan, select_assignments
+from g3arg.prop import ALL, LEAF, Atom, Program, link, scan, select_assignments
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.pred import grounding, is_closed, relation_to_r_val
 from g3arg.threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
@@ -322,9 +322,9 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(direct.roots)):
             for half in (0, 1):
-                got = list(_batches(dims, lambda t, full: positions.run(
+                got = list(oracle.scan_keep(dims, lambda t, full: positions.run(
                     [bound(t, full)[k] for k in leaves], full)[i][half]))
-                want = list(_batches(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
+                want = list(oracle.scan_keep(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
                 assert got == want
 
 
@@ -400,7 +400,7 @@ def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
             assert positions.run([table[k] for k in leaves], full) == want
             return 0
 
-        assert list(_batches([(p, DECIDED_ORDER) for p in pairs], agree)) == []
+        assert list(oracle.scan_keep([(p, DECIDED_ORDER) for p in pairs], agree)) == []
 
 
 def test_aaf_under_a_domain_diagram_matches_the_oracle_on_every_three_graph():
@@ -551,7 +551,7 @@ def test_linked_programs_match_direct_compiles(f, batch):
     dims = [(x, VALUE_ORDER) for x in f.arguments]
     und = (definition, f.arguments)
     with patch.object(prop, "BATCH_BITS", batch):
-        assert list(_batches(dims, agree)) == []
+        assert list(oracle.scan_keep(dims, agree)) == []
         assert list(scan(dims, clause_parts(f))) == list(scan(dims, [(direct_clauses, None)]))
         assert list(scan(dims, clause_parts(f), und)) == list(
             scan(dims, [(direct_und_free, None)]))
