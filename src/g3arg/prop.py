@@ -525,27 +525,39 @@ def scan(
     for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
         for (key, choices), c in zip(outer_dims, outer):
             table[key] = profiles[choices[c]]
-        root = None
-        if und is not None:
-            program, leaves = und
-            root = program.run(table if leaves is None else [table[k] for k in leaves], full)[0]
-        mask = full
-        for part in parts:
-            program, leaves = part[0], part[1]
-            roots = program.run(table if leaves is None else [table[k] for k in leaves], full, root)
-            if len(part) > 2:
-                ties = part[2]
-                free = len(roots) - len(ties)
-                for (h, _), key in zip(roots[free:], ties):
-                    mask &= full ^ h ^ table[key][0]
-                del roots[free:]
-            for h, _ in roots:
-                mask &= h
+        mask = _holds(parts, und, table, full)
         while mask:
             last = mask & -mask
             mask ^= last
             bit = last.bit_length() - 1
             yield outer + high[bit // p] + low[bit % p]
+
+
+def _holds(parts: Sequence[tuple], und: tuple | None, table: Mapping, full: int) -> int:
+    """The candidates of one batch where every part's roots hold (see ``scan``).
+
+    A function of its own, so that the batch's roots are freed before
+    ``scan`` yields. Held in ``scan``'s frame across the yields, they made
+    prop's clause scan at 14 arguments 6 % slower, and the same program's
+    later runs in that process 12 % slower (Python 3.11, one process each).
+    """
+    root = None
+    if und is not None:
+        program, leaves = und
+        root = program.run(table if leaves is None else [table[k] for k in leaves], full)[0]
+    mask = full
+    for part in parts:
+        program, leaves = part[0], part[1]
+        roots = program.run(table if leaves is None else [table[k] for k in leaves], full, root)
+        if len(part) > 2:
+            ties = part[2]
+            free = len(roots) - len(ties)
+            for (h, _), key in zip(roots[free:], ties):
+                mask &= full ^ h ^ table[key][0]
+            del roots[free:]
+        for h, _ in roots:
+            mask &= h
+    return mask
 
 
 def select_assignments(
