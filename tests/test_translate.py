@@ -324,7 +324,8 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
             for half in (0, 1):
                 got = list(oracle.scan_keep(dims, lambda t, full: positions.run(
                     [bound(t, full)[k] for k in leaves], full)[i][half]))
-                want = list(oracle.scan_keep(dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
+                want = list(oracle.scan_keep(
+                    dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
                 assert got == want
 
 
