@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, scan
 from .pred import (
     Constant,
     RAtom,
@@ -68,28 +68,27 @@ def aaf_extensions(
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
     """The models of Delta_A and psi, grouped by relation.
 
-    One scan, keyed by the leaves of ``translate._delta_over_positions``,
-    covers the decided relation pairs and every argument's In profile,
-    keeping where both Delta_A and psi, renamed to those leaves, hold.
-    Relations come as sorted pair tuples in lexicographic order, their
-    labellings in lexicographic in < out < und order. Raises
-    SearchSpaceExceeded when there are more than MAX_RELATIONS.
+    One scan, keyed by the argument names, covers the decided relation
+    pairs and every argument's In profile, keeping where Delta_A, read as
+    ``translate.verify_pred_theory`` reads it, and psi hold. Relations
+    come as sorted pair tuples in lexicographic order, their labellings in
+    lexicographic in < out < und order. Raises SearchSpaceExceeded when
+    there are more than MAX_RELATIONS.
     """
     n = len(af.s0)
-    names, m = list(itertools.product(af.s0, repeat=2)), n * n
+    pairs, m = list(itertools.product(af.s0, repeat=2)), n * n
     if 2**m > MAX_RELATIONS:
         raise SearchSpaceExceeded(f"2^{m} attack relations exceed the bound {MAX_RELATIONS}")
     labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
-    # R(i,j) is Delta's leaf n + n*i + j and In(i) its leaf i
-    dims = [(n + k, DECIDED_ORDER) for k in range(m)] + [(i, labels) for i in range(n)]
-    leaf = dict(zip(names, range(n, n + m)))
-    psi = link([(Program([af.psi], grounding(af.s0)), leaf.__getitem__)])
+    dims = [(p, DECIDED_ORDER) for p in pairs] + [(x, labels) for x in af.s0]
+    delta = (_delta_over_positions(n), [*af.s0, *pairs])
+    psi = (Program([af.psi], grounding(af.s0)), None)
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(dims, [(_delta_over_positions(n), None), (psi, None)]):
+    for index in scan(dims, [delta, psi]):
         lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[m:])))
         family.setdefault(index[:m], []).append(lab)
     return sorted(
-        (tuple(itertools.compress(names, r)), tuple(labs)) for r, labs in family.items()
+        (tuple(itertools.compress(pairs, r)), tuple(labs)) for r, labs in family.items()
     )
 
 

@@ -309,48 +309,32 @@ def restrict(f: Framework, subset: Iterable[str]) -> Framework:
     )
 
 
-def determined_layers(f: Framework, base: Sequence[str]) -> list[str]:
-    """Order the non-base arguments so attackers always come earlier.
+def enumerate_complete_determined(f: Framework, base: Sequence[str]) -> list[Labelling]:
+    """Complete labellings of a framework whose ``base`` determines the rest.
 
-    Raises if ``base`` names an unknown argument, or if no such order exists
-    (some non-base argument cycle).
+    The non-base arguments are peeled, each once all its attackers are in
+    the base or peeled, as the conjunctive and acceptance-table encodings
+    guarantee; a base that names an unknown argument or leaves some
+    unpeeled (a non-base cycle) raises ValueError. The labellings are those
+    of enumerate_complete, in the same order.
     """
-    names = f.arguments
     index, attackers, _ = f.kept("_masks", _masks)
     unknown = set(base).difference(index)
     if unknown:
         raise ValueError(f"base mentions unknown arguments {sorted(unknown)}")
-    placed = 0
-    for x in base:
-        placed |= 1 << index[x]
-    pending = [i for i in range(len(names)) if not placed >> i & 1]
-    order: list[str] = []
+    placed = sum({1 << index[x] for x in base})
+    pending = [i for i in range(len(index)) if not placed >> i & 1]
     while pending:
-        ready = [i for i in pending if not attackers[i] & ~placed]
-        if not ready:
-            raise ValueError(
-                "arguments not determined by the base: "
-                + ", ".join(names[i] for i in pending)
-            )
-        for i in ready:
-            placed |= 1 << i
-            order.append(names[i])
-        pending = [i for i in pending if not placed >> i & 1]
-    return order
-
-
-def enumerate_complete_determined(
-    f: Framework, base: Sequence[str]
-) -> list[Labelling]:
-    """Complete labellings of a framework whose ``base`` determines the rest.
-
-    Every non-base argument must depend on earlier layers only (see
-    determined_layers), as the conjunctive and acceptance-table encodings
-    guarantee; a base that names an unknown argument or does not determine
-    the rest raises ValueError. The labellings are those of
-    enumerate_complete, in the same order.
-    """
-    determined_layers(f, base)
+        left = []
+        for i in pending:
+            if attackers[i] & ~placed:
+                left.append(i)
+            else:
+                placed |= 1 << i
+        if len(left) == len(pending):
+            stuck = ", ".join(f.arguments[i] for i in left)
+            raise ValueError(f"arguments not determined by the base: {stuck}")
+        pending = left
     return _search(f)
 
 

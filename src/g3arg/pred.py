@@ -34,7 +34,7 @@ from .prop import (
     walk,
     with_subformulas,
 )
-from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal, World
+from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
 
 
 class Term:
@@ -195,39 +195,20 @@ def grounding(
     return expand
 
 
-def _pair(
-    f: Formula,
-    m: PredInterp,
-    v: Mapping[str, str] | None,
-    statuses: Mapping[str, ThreeVal] | None,
+def pred_value(
+    f: Formula, m: PredInterp, statuses: Mapping[str, ThreeVal] | None = None,
+    v: Mapping[str, str] | None = None,
 ) -> ThreeVal:
-    """The truth profile of ``f`` in ``m``: a batch of one."""
+    """The truth profile of ``f`` in ``m`` under the valuation ``v``, a batch of one.
+
+    ``.at(w)`` is satisfaction at ``w``: universal quantification ranges over
+    the (constant) domain at every world at or above ``w``, existential
+    quantification stays at ``w``. A variable ``v`` leaves free raises EvalError.
+    """
     table = {key: x.value for key, x in [*m.in_val.items(), *m.r_val.items()]}
     table.update((StatusRef(n), x.value) for n, x in (statuses or {}).items())
     here, there = Program([f], grounding(m.domain), v).run(table, 1)[0]
     return ThreeVal.from_pair(bool(here), bool(there))
-
-
-def eval_pred(
-    w: World,
-    f: Formula,
-    m: PredInterp,
-    v: Mapping[str, str] | None = None,
-    statuses: Mapping[str, ThreeVal] | None = None,
-) -> bool:
-    """Satisfaction of ``f`` at ``w`` in ``m`` under the valuation ``v``.
-
-    Universal quantification ranges over the (constant) domain at every
-    world at or above ``w``; existential quantification stays at ``w``.
-    """
-    return _pair(f, m, v, statuses).at(w)
-
-
-def pred_value(
-    f: Formula, m: PredInterp, statuses: Mapping[str, ThreeVal] | None = None
-) -> ThreeVal:
-    """Truth profile of a closed formula; free variables raise EvalError."""
-    return _pair(f, m, None, statuses)
 
 
 def distinct_domain(domain: Iterable[str]) -> tuple[str, ...]:
@@ -321,7 +302,7 @@ def classical_eval(
         )
     dom = tuple(domain)
     r_val = relation_to_r_val(dom, relation)
-    return eval_pred(World.HERE, f, PredInterp(dom, {}, r_val), v)
+    return pred_value(f, PredInterp(dom, {}, r_val), v=v).here
 
 
 def attacks_all_others(a: str) -> Formula:

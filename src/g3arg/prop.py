@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .threeval import VALUE_ORDER, ThreeVal, World
+from .threeval import VALUE_ORDER, ThreeVal
 
 
 class EvalError(Exception):
@@ -497,10 +497,13 @@ def scan(
 
     A scan of one batch runs the parts as given: a program that serves a
     single batch runs once, so a private copy of it does not pay. A scan
-    of more batches first links every part that has a leaf list and no
-    ties into one program, which shares instructions across the parts and
-    folds their TRUE and FALSE leaves; a copy that will run at least
-    HOT_RUNS batches is generated at once.
+    of more batches links every part that has a leaf list and no ties into
+    one program, which shares instructions and folds TRUE and FALSE leaves,
+    when some such list holds TRUE or FALSE or the scan runs at least
+    HOT_RUNS batches, the copy generated at once in the second case.
+    Otherwise those parts run as given, each generated at once: a program
+    read through a leaf list is compiled once per shape and shared by every
+    scan, and a rare shape would reach HOT_RUNS runs only after many scans.
 
     What depends on the dimensions' shape alone comes from a plan (see
     ``_plan``), cached on each dimension's choice order and BATCH_BITS and
@@ -512,13 +515,16 @@ def scan(
     shape = tuple([tuple(choices) for _, choices in dims])
     split, full, profiles, patterns, p, high, low = _plan(shape, BATCH_BITS)
     if split:
-        listed = [(part[0], part[1].__getitem__) for part in parts
-                  if len(part) == 2 and part[1] is not None]
-        if listed:
-            linked = link(listed)
-            if math.prod(map(len, shape[:split])) >= HOT_RUNS:
+        listed = [part for part in parts if len(part) == 2 and part[1] is not None]
+        hot = math.prod(map(len, shape[:split])) >= HOT_RUNS
+        if listed and (hot or any(TRUE in leaves or FALSE in leaves for _, leaves in listed)):
+            linked = link([(program, leaves.__getitem__) for program, leaves in listed])
+            if hot:
                 linked._generated = _generate(linked)
             parts = [(linked, None), *(part for part in parts if len(part) > 2 or part[1] is None)]
+        else:
+            for program, _ in listed:
+                program._generated = program._generated or _generate(program)
     table = {TRUE: (full, full), FALSE: (0, 0)}
     table.update(zip([key for key, _ in dims[split:]], patterns))
     outer_dims = dims[:split]
@@ -571,14 +577,9 @@ def select_assignments(
 
 
 def value(f: Formula, h: PropAssignment) -> ThreeVal:
-    """The (HERE, THERE) truth profile of ``f`` under ``h``: a batch of one."""
+    """The (HERE, THERE) truth profile of ``f`` under ``h``, a batch of one; ``.at(w)`` reads w."""
     here, there = Program([f]).run({x: v.value for x, v in h.items()}, 1)[0]
     return ThreeVal.from_pair(bool(here), bool(there))
-
-
-def eval_world(w: World, f: Formula, h: PropAssignment) -> bool:
-    """Satisfaction of ``f`` at world ``w`` under the atom assignment ``h``."""
-    return value(f, h).at(w)
 
 
 def atoms_of(f: Formula) -> set[str]:

@@ -181,8 +181,8 @@ def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tupl
     names its leaves read: every clause holds at HERE on the candidates
     ``scan`` keeps, each ``#n`` reading the scan's ``und``. With
     ``stable``, the clauses of ``stable_theory(f)``, to be scanned over
-    DECIDED_ORDER. Nothing is built for ``f``; a scan longer than one
-    batch links the groups.
+    DECIDED_ORDER. Nothing is built for ``f``; a scan of at least
+    HOT_RUNS batches links the groups (see ``prop.scan``).
     """
     clauses = _fix_clauses if stable else _argument_clauses
     return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
@@ -386,15 +386,16 @@ def instantiated_models(
     never false up there (such as excluded-middle instances) to rule the
     argument's profile FF out, and the out case would vanish. The
     actual-world reading reproduces the intended extension patterns.
-    ``subst`` must meet ``instantiate``'s conditions.
+    ``subst`` must meet ``instantiate``'s conditions. The scan reads
+    ``clause_parts`` and the replacements tied to their arguments.
     """
     _check_substitution(f, subst)
     extra = sorted(
         {a for g in subst.values() for a in atoms_of(g)} - set(f.arguments)
     )
     names = list(f.arguments) + extra
-    program = Program(prop_theory(f).formulas() + list(subst.values()))
-    return list(select_assignments(names, [(program, None, list(subst))]))
+    tied = (Program(list(subst.values())), None, list(subst))
+    return list(select_assignments(names, [*clause_parts(f), tied]))
 
 
 def instantiation_patterns(

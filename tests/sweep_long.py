@@ -3,10 +3,11 @@
 Usage: PYTHONPATH=src python3 tests/sweep_long.py
 
 Their 3^9 to 3^14 candidates span 3 to 729 batches of prop.BATCH_BITS, so
-prop.scan links the clause groups of prop and und-free, and Delta of pred,
-through their leaf lists, and from HOT_RUNS batches on it generates the
-linked copy at once. Tier-1 reaches this tier only at 9 arguments or at
-patched batch widths. Each size gets ROUNDS rounds of a random framework
+prop.scan links Delta of pred, whose leaf list folds the attacks, and from
+HOT_RUNS batches on (13 arguments) the clause groups of prop and und-free,
+generating the linked copy at once; below that it runs the groups as given,
+each generated at once. Tier-1 reaches these tiers only at 9 arguments or
+at patched batch widths and HOT_RUNS. Each size gets ROUNDS rounds of a random framework
 at each of three attack densities and one of n/2 disjoint mutual attacks
 between randomly paired arguments (one argument of an odd n unattacked),
 whose 3^(n/2) complete labellings make the longest model lists. Every

@@ -63,7 +63,7 @@ def test_frame_validation():
 
 
 def test_an_axiomatic_frame_refuses_a_repeated_element():
-    """``aaf_extensions`` keys its scan by positions, so each name must have one."""
+    """``aaf_extensions`` keys its scan by the names, so each must name one argument."""
     with pytest.raises(ValueError, match="arguments must be unique and sorted"):
         aaf_extensions(AxiomaticFrame(("a", "b", "b"), Top()))
 

@@ -44,7 +44,8 @@ from g3arg.pred import (
     ac_normal_form,
     pred_value,
 )
-from g3arg.prop import Atom, Imp, Neg, ThreeVal, World, enumerate_models, eval_world, is_valid
+from g3arg.prop import Atom, Imp, Neg, ThreeVal, enumerate_models, is_valid, value
+from g3arg.threeval import World
 from g3arg.syntax import parse_pred, parse_prop
 from g3arg.translate import (
     instantiation_patterns,
@@ -112,7 +113,7 @@ def test_a04_two_world_axiom_suite():
         assert counter == {"x": ThreeVal.FT}, (text, counter)
     for text in ["#n | ~#n", "~~#n -> #n"]:
         formula = parse_prop(text)
-        assert not eval_world(World.HERE, formula, {}), text
+        assert not value(formula, {}).at(World.HERE), text
         assert is_valid(formula) == (False, {}), text
     assert time.monotonic() - start < 1.0
 
@@ -334,4 +335,4 @@ def test_a11_chain_entails_nonadjacent_negation():
     assert models
     target = Imp(Atom("a"), Neg(Atom("d")))
     for model in models:
-        assert eval_world(World.HERE, target, model)
+        assert value(target, model).at(World.HERE)

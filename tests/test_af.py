@@ -12,7 +12,6 @@ from g3arg.af import (
     canonical,
     check_complete,
     classify,
-    determined_layers,
     enumerate_complete,
     enumerate_complete_determined,
     restrict,
@@ -163,20 +162,22 @@ def test_restrict():
         restrict(f, ["a1", "zz"])
 
 
-def test_determined_layers():
+def test_a_base_that_leaves_a_cycle_is_refused():
+    """Every argument a peel reaches is determined; the message names the rest."""
     f = Framework.make("abc", [("a", "b"), ("b", "c")])
-    assert determined_layers(f, ["a"]) == ["b", "c"]
-    with pytest.raises(ValueError):
-        determined_layers(
-            Framework.make("ab", [("a", "b"), ("b", "a")]), []
-        )
+    assert enumerate_complete_determined(f, ["a"]) == enumerate_complete(f)
+    with pytest.raises(ValueError, match=r"^arguments not determined by the base: a, b$"):
+        enumerate_complete_determined(Framework.make("ab", [("a", "b"), ("b", "a")]), [])
+    # a peels c, and b is attacked by the cycle d <-> e
+    f = Framework.make("abcde", [("a", "c"), ("c", "b"), ("d", "b"), ("d", "e"), ("e", "d")])
+    with pytest.raises(ValueError, match=r"^arguments not determined by the base: b, d, e$"):
+        enumerate_complete_determined(f, ["a"])
+    assert enumerate_complete_determined(f, ["a", "d"]) == enumerate_complete(f)
 
 
-def test_determined_layers_refuses_unknown_base_names():
+def test_a_base_with_unknown_names_is_refused():
     f = Framework.make("ab", [("a", "b")])
     message = r"^base mentions unknown arguments \['y', 'zz'\]$"
-    with pytest.raises(ValueError, match=message):
-        determined_layers(f, ["zz", "a", "y"])
     with pytest.raises(ValueError, match=message):
         enumerate_complete_determined(f, ["zz", "a", "y"])
 

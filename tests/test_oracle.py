@@ -46,7 +46,6 @@ from g3arg.pred import (
     build_meta,
     classical_eval,
     enumerate_interps,
-    eval_pred,
     free_vars,
     grounding,
     pred_value,
@@ -64,7 +63,6 @@ from g3arg.prop import (
     UndConst,
     conj,
     enumerate_models,
-    eval_world,
     is_valid,
     replace_und,
     substitute,
@@ -300,7 +298,7 @@ def test_batch_of_one_calls_match_the_oracle(f, vx, vy, vz):
     h = {"x": vx, "y": vy, "z": vz}
     assert value(f, h) is oracle.value(f, h)
     for w in World:
-        assert eval_world(w, f, h) == oracle.eval_world(w, f, h)
+        assert value(f, h).at(w) == oracle.eval_world(w, f, h)
 
 
 @given(pred_formulas(ab_terms, status=True), profiles, profiles, profiles, profiles)
@@ -592,12 +590,12 @@ def test_deep_formulas_evaluate_without_recursion():
         f, g = Neg(f), Neg(g)
     h = {"x": ThreeVal.FT}
     assert value(f, h) is ThreeVal.TT
-    assert eval_world(World.HERE, f, h)
+    assert value(f, h).at(World.HERE)
     assert is_valid(f) == (False, {"x": ThreeVal.FF})
     assert len(enumerate_models([f], ["x"])) == 2
     m = PredInterp(("a",), {"a": ThreeVal.FF}, {("a", "a"): ThreeVal.FT})
     assert pred_value(g, m) is ThreeVal.TT
-    assert eval_pred(World.HERE, g, m)
+    assert pred_value(g, m).at(World.HERE)
     assert classical_eval(g, ("a",), [("a", "a")])
     chain = Atom("x")
     for _ in range(3000):

@@ -22,7 +22,6 @@ from g3arg.pred import (
     build_meta,
     classical_eval,
     enumerate_interps,
-    eval_pred,
     free_vars,
     grounding,
     is_closed,
@@ -65,33 +64,33 @@ def test_walk_covers_every_node():
 
 def test_atoms_read_their_profiles():
     m = interp({"a": ThreeVal.FT, "b": ThreeVal.TT}, [("b", "a")])
-    assert not eval_pred(World.HERE, InAtom(A), m)
-    assert eval_pred(World.THERE, InAtom(A), m)
-    assert eval_pred(World.HERE, RAtom(B, A), m)
-    assert not eval_pred(World.HERE, RAtom(A, B), m)
+    assert not pred_value(InAtom(A), m).at(World.HERE)
+    assert pred_value(InAtom(A), m).at(World.THERE)
+    assert pred_value(RAtom(B, A), m).at(World.HERE)
+    assert not pred_value(RAtom(A, B), m).at(World.HERE)
 
 
 def test_equality_is_name_identity():
     m = interp({"a": ThreeVal.FF, "b": ThreeVal.FF})
-    assert eval_pred(World.HERE, EqAtom(A, A), m)
-    assert not eval_pred(World.HERE, EqAtom(A, B), m)
-    assert eval_pred(World.HERE, EqAtom(X, B), m, {"X": "b"})
+    assert pred_value(EqAtom(A, A), m).at(World.HERE)
+    assert not pred_value(EqAtom(A, B), m).at(World.HERE)
+    assert pred_value(EqAtom(X, B), m, v={"X": "b"}).at(World.HERE)
 
 
 def test_term_resolution_errors():
     m = interp({"a": ThreeVal.FF, "b": ThreeVal.FF})
     with pytest.raises(EvalError):
-        eval_pred(World.HERE, InAtom(Variable("Z")), m)
+        pred_value(InAtom(Variable("Z")), m)
     with pytest.raises(EvalError):
-        eval_pred(World.HERE, InAtom(Constant("zz")), m)
+        pred_value(InAtom(Constant("zz")), m)
 
 
 def test_negation_consults_the_upper_world():
     # In(a) undetermined: false here, yet its negation is not true here.
     m = interp({"a": ThreeVal.FT, "b": ThreeVal.FF})
-    assert not eval_pred(World.HERE, InAtom(A), m)
-    assert not eval_pred(World.HERE, Neg(InAtom(A)), m)
-    assert eval_pred(World.HERE, Neg(InAtom(B)), m)
+    assert not pred_value(InAtom(A), m).at(World.HERE)
+    assert not pred_value(Neg(InAtom(A)), m).at(World.HERE)
+    assert pred_value(Neg(InAtom(B)), m).at(World.HERE)
 
 
 def test_forall_spans_both_worlds():
@@ -112,11 +111,11 @@ def test_status_ref_reads_the_table():
     m = interp({"a": ThreeVal.FF, "b": ThreeVal.FF})
     ref = StatusRef("unit")
     assert pred_value(ref, m, {"unit": ThreeVal.FT}) is ThreeVal.FT
-    assert not eval_pred(World.HERE, ref, m, None, {"unit": ThreeVal.FT})
+    assert not pred_value(ref, m, {"unit": ThreeVal.FT}).at(World.HERE)
     with pytest.raises(EvalError):
-        eval_pred(World.HERE, ref, m)
+        pred_value(ref, m)
     with pytest.raises(EvalError):
-        eval_pred(World.HERE, ref, m, None, {"other": ThreeVal.TT})
+        pred_value(ref, m, {"other": ThreeVal.TT})
 
 
 def test_pred_value_requires_closed_formula():
@@ -162,15 +161,17 @@ interps = st.builds(
 
 @given(closed_formulas, interps)
 def test_truth_persists_upward(f, m):
-    if eval_pred(World.HERE, f, m):
-        assert eval_pred(World.THERE, f, m)
+    if pred_value(f, m).at(World.HERE):
+        assert pred_value(f, m).at(World.THERE)
 
 
 @given(closed_formulas, interps)
-def test_pred_value_is_the_pair_of_world_checks(f, m):
-    v = pred_value(f, m)
-    assert v.here == eval_pred(World.HERE, f, m)
-    assert v.there == eval_pred(World.THERE, f, m)
+def test_a_closed_forall_is_the_meet_of_its_instances_under_valuations(f, m):
+    """``forall X g`` holds at a world exactly when ``g`` holds there under
+    every valuation of X: read through ``v``, the open body's instances."""
+    instances = [pred_value(f.body, m, v={"X": d}) for d in m.domain]
+    for w in World:
+        assert pred_value(f, m).at(w) == all(g.at(w) for g in instances)
 
 
 def test_interp_is_unhashable():
@@ -240,8 +241,6 @@ def test_a_domain_listing_an_element_twice_is_refused():
     with pytest.raises(ValueError, match=message):
         pred_value(InAtom(A), m)
     with pytest.raises(ValueError, match=message):
-        eval_pred(World.HERE, InAtom(A), m)
-    with pytest.raises(ValueError, match=message):
         grounding(("b", "a", "a"))
 
 
@@ -280,7 +279,7 @@ def test_enumerate_interps_matches_direct_search():
         r_val = dict(zip(pairs, rcombo))
         for icombo in itertools.product(VALUE_ORDER, repeat=len(dom)):
             m = PredInterp(dom, dict(zip(dom, icombo)), r_val)
-            if all(eval_pred(World.HERE, f, m) for f in theory):
+            if all(pred_value(f, m).at(World.HERE) for f in theory):
                 direct.append(m)
     assert enumerate_interps(dom, theory) == direct
     assert len(direct) == 119

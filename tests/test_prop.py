@@ -27,7 +27,6 @@ from g3arg.prop import (
     conj,
     disj,
     enumerate_models,
-    eval_world,
     iff,
     is_valid,
     link,
@@ -61,7 +60,7 @@ def test_world_order():
 
 def test_negation_blocked_by_upper_world():
     # q true at THERE blocks ~q at HERE even though q is false there
-    assert eval_world(World.HERE, Neg(Atom("q")), {"q": ThreeVal.FT}) is False
+    assert value(Neg(Atom("q")), {"q": ThreeVal.FT}).at(World.HERE) is False
     assert value(Neg(Atom("q")), {"q": ThreeVal.FT}) is ThreeVal.FF
     assert value(Neg(Atom("q")), {"q": ThreeVal.FF}) is ThreeVal.TT
     assert value(Neg(Atom("q")), {"q": ThreeVal.TT}) is ThreeVal.FF
@@ -70,9 +69,9 @@ def test_negation_blocked_by_upper_world():
 def test_und_constant_profile():
     n = UndConst()
     assert value(n, {}) is ThreeVal.FT
-    assert eval_world(World.HERE, Or(n, Neg(n)), {}) is False
-    assert eval_world(World.HERE, Imp(Neg(Neg(n)), n), {}) is False
-    assert eval_world(World.THERE, n, {}) is True
+    assert value(Or(n, Neg(n)), {}).at(World.HERE) is False
+    assert value(Imp(Neg(Neg(n)), n), {}).at(World.HERE) is False
+    assert value(n, {}).at(World.THERE) is True
 
 
 def test_excluded_middle_profile():
@@ -96,7 +95,7 @@ def test_implication_value_table():
 
 def test_missing_atom_is_an_error():
     with pytest.raises(EvalError):
-        eval_world(World.HERE, Atom("q"), {})
+        value(Atom("q"), {})
     with pytest.raises(EvalError):
         atoms_of(object())  # type: ignore[arg-type]
 
@@ -120,16 +119,18 @@ _values = st.sampled_from(VALUE_ORDER)
 @given(_formulas, _values, _values, _values)
 def test_persistence(f, vx, vy, vz):
     h = {"x": vx, "y": vy, "z": vz}
-    if eval_world(World.HERE, f, h):
-        assert eval_world(World.THERE, f, h)
+    if value(f, h).at(World.HERE):
+        assert value(f, h).at(World.THERE)
 
 
-@given(_formulas, _values, _values, _values)
-def test_value_agrees_with_eval(f, vx, vy, vz):
-    h = {"x": vx, "y": vy, "z": vz}
-    v = value(f, h)
-    assert v.here == eval_world(World.HERE, f, h)
-    assert v.there == eval_world(World.THERE, f, h)
+@given(_formulas)
+def test_value_agrees_with_the_scan_at_both_worlds(f):
+    """``value``, a batch of one, keeps at HERE what the scan of every
+    assignment keeps; ``~~f`` holds at HERE exactly where ``f`` holds at THERE."""
+    hs = [dict(zip("xyz", c)) for c in itertools.product(VALUE_ORDER, repeat=3)]
+    for g, w in ((f, World.HERE), (Neg(Neg(f)), World.THERE)):
+        kept = [h for h in hs if value(f, h).at(w)]
+        assert list(select_assignments("xyz", [(Program([g]), None)])) == kept
 
 
 def test_monotone_on_lattice_fragment():
@@ -341,9 +342,11 @@ def test_plans_are_bounded_and_keyed_on_the_shape_alone():
 @pytest.mark.parametrize("batch", [1, 3, 9, 80, 81, prop.BATCH_BITS])
 def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
     """A plan keeps every dimension in the batch exactly when the candidates
-    fit in it, and exactly then ``scan`` runs a part with a leaf list as
-    given; otherwise it links the part before the first batch, as generated
-    code at once when the plan loops over at least HOT_RUNS batches."""
+    fit in it, and then ``scan`` runs a part with a leaf list as given.
+    Otherwise it links the part before the first batch when its leaf list
+    folds (reads TRUE or FALSE) or when the plan loops over at least
+    HOT_RUNS batches, as generated code at once in the second case; a leaf
+    list that only renames runs as given below HOT_RUNS batches."""
     program = link([(Program([Atom("x")]), {"x": 0}.__getitem__)])
     linked = []
 
@@ -356,12 +359,15 @@ def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
             for count in range(11):
                 split = prop._plan.__wrapped__((order,) * count, batch)[0]
                 assert (len(order) ** count <= batch) == (split == 0)
-                linked.clear()
-                next(scan([(i, order) for i in range(count)], [(program, [prop.TRUE])]))
-                assert len(linked) == (split > 0)
-                if split:
-                    hot = len(order) ** split >= prop.HOT_RUNS
-                    assert (linked[0]._generated is not None) == hot
+                hot = split > 0 and len(order) ** split >= prop.HOT_RUNS
+                for leaves, folds in (([prop.TRUE], True), ([0], False)):
+                    if not count and not folds:
+                        continue  # no dimension for leaf 0 to read
+                    linked.clear()
+                    next(scan([(i, order) for i in range(count)], [(program, leaves)]))
+                    assert len(linked) == (split > 0 and (folds or hot))
+                    if linked:
+                        assert (linked[0]._generated is not None) == hot
 
 
 @pytest.mark.parametrize("k", [2, 3, 40])

@@ -237,6 +237,20 @@ def test_instantiation_models_and_patterns():
     ]
 
 
+def test_instantiated_models_build_no_clause_tree():
+    """The clause theory is scanned from its per-shape groups: no ``prop_theory`` call."""
+    f = Framework.make("xyz", [("x", "y"), ("y", "x"), ("y", "z"), ("z", "z")])
+    subst = {"x": parse_prop("p | ~p"), "z": parse_prop("q -> #n")}
+    want = oracle.instantiated_models(f, subst)
+    assert want
+
+    def refuse(f):
+        raise AssertionError("prop_theory was called")
+
+    with patch.object(translate, "prop_theory", refuse):
+        assert instantiated_models(f, subst) == want
+
+
 def test_instantiation_by_a_theorem_forces_the_argument_in():
     cyc = Framework.make(["x", "y"], [("x", "y"), ("y", "x")])
     pats = instantiation_patterns(cyc, {"x": parse_prop("true")})
@@ -563,14 +577,18 @@ def test_linked_programs_match_direct_compiles(f, batch):
 def test_the_three_verifiers_share_one_search_and_one_clause_program():
     """prop, und-free and pred on one Framework search its labellings once.
 
-    At the default width its 3^4 candidates are one batch, and its clause
-    groups run unlinked; below 3^4 every scan of the clause theory links
-    them anew (prop's and und-free's undecided case; the stable case's 2^4
+    At the default width its 3^4 candidates are one batch, and nothing is
+    linked. Below 3^4 they are three batches, fewer than HOT_RUNS (patched
+    to 4): the clause groups, whose leaf lists only rename, still run
+    unlinked, while pred's Delta, whose leaf list folds the attacks, is
+    linked in each scan. From HOT_RUNS batches (patched to 3) every scan of the clause theory links the groups anew
+    (prop's and und-free's undecided case; the stable case's 2^4
     candidates still fit), and no link is kept on the Framework. An equal
     Framework built afresh searches again."""
-    searches, clause_links = [], []
+    searches, clause_links, delta_links = [], [], []
     search, link = translate.enumerate_complete, prop.link
     groups = {id(translate._shape_group(translate._argument_clauses, k)) for k in range(4)}
+    delta = translate._delta_over_positions(4)
 
     def counting_search(f):
         searches.append(f)
@@ -579,6 +597,8 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     def counting_link(parts):
         if any(id(program) in groups for program, _ in parts):
             clause_links.append(parts)
+        if any(program is delta for program, _ in parts):
+            delta_links.append(parts)
         return link(parts)
 
     def verify(f):
@@ -592,15 +612,18 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
             patch.object(prop, "link", counting_link):
         verify(f)
         verify(f)
-        assert searches == [f] and clause_links == []
-        with patch.object(prop, "BATCH_BITS", 3**4 - 1):
+        assert searches == [f] and clause_links == delta_links == []
+        with patch.object(prop, "BATCH_BITS", 3**4 - 1), patch.object(prop, "HOT_RUNS", 4):
             verify(f)
-            assert len(searches) == 1 and len(clause_links) == 2
-            verify(f)
-            assert len(searches) == 1 and len(clause_links) == 4
-            fresh = Framework.make("abcd", attacks)
-            verify(fresh)
-            assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 6
+            assert len(searches) == 1 and clause_links == [] and len(delta_links) == 1
+            with patch.object(prop, "HOT_RUNS", 3):
+                verify(f)
+                assert len(searches) == 1 and len(clause_links) == 2
+                verify(f)
+                assert len(searches) == 1 and len(clause_links) == 4
+                fresh = Framework.make("abcd", attacks)
+                verify(fresh)
+                assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 6
     assert set(vars(f)) == set(vars(fresh)) == {
         "arguments", "attacks", "_attackers", "_complete", "_masks"}
     assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
@@ -623,34 +646,43 @@ def _tier_results(f):
 @example(SELF_SHAPES, 9)
 def test_the_one_batch_and_linked_tiers_agree(f, batch):
     """Up to 6 arguments the default width takes the one-batch tier, which runs
-    each argument's shape group unlinked; a width of 1, 3 or 9 takes the
-    linked tier. Reports, model lists and their order are the same."""
+    each argument's shape group unlinked; a width of 1, 3 or 9 loops over
+    batches, where Delta is linked and the clause groups from HOT_RUNS
+    batches on. With HOT_RUNS patched to 1 the groups are linked whenever
+    the scan loops, so links that only rename run at every width too.
+    Reports, model lists and their order are the same."""
     assert prop._plan((VALUE_ORDER,) * len(f.arguments), prop.BATCH_BITS)[0] == 0
     one_batch = _tier_results(f)
-    with patch.object(prop, "BATCH_BITS", batch):
-        linked = _tier_results(Framework.make(f.arguments, f.attacks))
-    assert linked == one_batch
+    for hot_runs in (prop.HOT_RUNS, 1):
+        with patch.object(prop, "BATCH_BITS", batch), patch.object(prop, "HOT_RUNS", hot_runs):
+            looped = _tier_results(Framework.make(f.arguments, f.attacks))
+        assert looped == one_batch
 
 
 def test_the_linked_tier_matches_the_oracle_at_the_default_width():
-    """3^9 candidates span several batches at the default width, so the clause
-    theory runs linked; its models and both verifiers match the oracle."""
+    """3^9 candidates span three batches at the default width. Below HOT_RUNS
+    batches (patched to 4) the clause groups run as given; with HOT_RUNS
+    patched to 3 the scan links them. Either way the models and both
+    verifiers match the oracle."""
     f = random_framework(9, Random(10))
-    assert prop._plan((VALUE_ORDER,) * 9, prop.BATCH_BITS)[0] > 0
+    assert prop._plan((VALUE_ORDER,) * 9, prop.BATCH_BITS)[0] == 1
     groups = clause_parts(f)  # each shape group compiled first
-    links = []
-    with patch.object(prop, "link", lambda parts: links.append(parts) or link(parts)):
-        models = list(select_assignments(f.arguments, groups))
-    assert len(links) == 1
     expected = [canonical(lab) for lab in oracle.enumerate_complete(f)]
     stable = [lab for lab in expected if all(v != Label.UND.value for _, v in lab)]
     assert len(expected) == 9 and len(stable) == 2
-    found = [canonical(assignment_to_labelling(h)) for h in models]
-    assert sorted(found) == sorted(expected)
-    report = verify_prop_theory(f)
-    assert report.ok and report.model_count == report.labelling_count == 9
-    und = verify_und_free(f)
-    assert und.ok and und.stable.model_count == 2 and und.non_stable.model_count == 7
+    for hot_runs, link_count in ((4, 0), (3, 1)):
+        links = []
+        with patch.object(prop, "HOT_RUNS", hot_runs), \
+                patch.object(prop, "link", lambda parts: links.append(parts) or link(parts)):
+            models = list(select_assignments(f.arguments, groups))
+            assert len(links) == link_count
+            found = [canonical(assignment_to_labelling(h)) for h in models]
+            assert sorted(found) == sorted(expected)
+            fresh = Framework.make(f.arguments, f.attacks)
+            report = verify_prop_theory(fresh)
+            assert report.ok and report.model_count == report.labelling_count == 9
+            und = verify_und_free(fresh)
+            assert und.ok and und.stable.model_count == 2 and und.non_stable.model_count == 7
 
 
 def test_clause_groups_are_compiled_once_per_shape():
