@@ -166,9 +166,9 @@ def test_truth_persists_upward(f, m):
 
 
 @given(closed_formulas, interps)
-def test_a_closed_forall_is_the_meet_of_its_instances_under_valuations(f, m):
-    """``forall X g`` holds at a world exactly when ``g`` holds there under
-    every valuation of X: read through ``v``, the open body's instances."""
+def test_pred_value_is_the_pair_of_world_checks(f, m):
+    """At each world, ``forall X g`` holds exactly when ``g`` holds there
+    under every valuation of X, each instance read through ``v``."""
     instances = [pred_value(f.body, m, v={"X": d}) for d in m.domain]
     for w in World:
         assert pred_value(f, m).at(w) == all(g.at(w) for g in instances)

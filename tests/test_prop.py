@@ -124,9 +124,10 @@ def test_persistence(f, vx, vy, vz):
 
 
 @given(_formulas)
-def test_value_agrees_with_the_scan_at_both_worlds(f):
-    """``value``, a batch of one, keeps at HERE what the scan of every
-    assignment keeps; ``~~f`` holds at HERE exactly where ``f`` holds at THERE."""
+def test_value_agrees_with_eval(f):
+    """``value``, a batch of one, agrees at both worlds with the batch
+    evaluation of every assignment in a scan: ``f`` holds at HERE where the
+    scan keeps ``f``, and at THERE where it keeps ``~~f``."""
     hs = [dict(zip("xyz", c)) for c in itertools.product(VALUE_ORDER, repeat=3)]
     for g, w in ((f, World.HERE), (Neg(Neg(f)), World.THERE)):
         kept = [h for h in hs if value(f, h).at(w)]

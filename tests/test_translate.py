@@ -581,10 +581,11 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     linked. Below 3^4 they are three batches, fewer than HOT_RUNS (patched
     to 4): the clause groups, whose leaf lists only rename, still run
     unlinked, while pred's Delta, whose leaf list folds the attacks, is
-    linked in each scan. From HOT_RUNS batches (patched to 3) every scan of the clause theory links the groups anew
-    (prop's and und-free's undecided case; the stable case's 2^4
-    candidates still fit), and no link is kept on the Framework. An equal
-    Framework built afresh searches again."""
+    linked in each scan. From HOT_RUNS batches (patched to 3) every scan
+    of the clause theory links the groups anew (prop's and und-free's
+    undecided case; the stable case's 2^4 candidates still fit), and no
+    link is kept on the Framework. An equal Framework built afresh
+    searches again."""
     searches, clause_links, delta_links = [], [], []
     search, link = translate.enumerate_complete, prop.link
     groups = {id(translate._shape_group(translate._argument_clauses, k)) for k in range(4)}
