@@ -272,7 +272,8 @@ def main() -> int:
     parser.add_argument("--pair", nargs=2, metavar=("PARENT_SRC", "CHANGE_SRC"))
     parser.add_argument("--rounds", type=int, default=1)
     parser.add_argument("--repeats", type=int)
-    parser.add_argument("--only", nargs="+", choices=sorted(CALLS), default=list(CALLS))
+    parser.add_argument("--only", nargs="+", choices=sorted(CALLS), default=list(CALLS),
+                        metavar="NAME", help="calls to run (default: all of CALLS)")
     parser.add_argument("--child", choices=sorted(CALLS), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
