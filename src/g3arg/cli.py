@@ -71,11 +71,11 @@ def _profile(v: ThreeVal) -> str:
 
 
 def _labelling_dict(lab: Labelling) -> dict[str, str]:
-    return {x: lab[x].value for x in sorted(lab)}
+    return {x: label.value for x, label in lab.items()}
 
 
 def _assignment_dict(h: Mapping[str, ThreeVal]) -> dict[str, str]:
-    return {x: _profile(h[x]) for x in sorted(h)}
+    return {x: _profile(v) for x, v in h.items()}
 
 
 def _theory_dict(tag: str, texts: Iterable[tuple[str, str]]) -> dict[str, Any]:

@@ -26,13 +26,10 @@ from .prop import (
     Or,
     Program,
     Top,
-    conj,
-    disj,
     fold,
     iff,
     scan,
     walk,
-    with_subformulas,
 )
 from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
 
@@ -355,36 +352,3 @@ def build_meta(kind: str, *args: str) -> Formula:
             f"expected one of {sorted(_META_BUILDERS)}"
         ) from None
     return builder(*args)
-
-
-def ac_normal_form(f: Formula) -> Formula:
-    """Canonical form modulo associativity and commutativity of And/Or.
-
-    Chains of the same connective are flattened, the parts normalized and
-    sorted by their formatted text, then refolded to the right. Used to
-    compare generated clause sets against reference renderings.
-    """
-    from .syntax import format_formula  # syntax builds on this module
-
-    # A chain of one connective stays a (kind, parts) pair until the node
-    # above it is of another kind; only then are its parts sorted and folded.
-    def close(result: Formula | tuple) -> Formula:
-        if isinstance(result, Formula):
-            return result
-        kind, parts = result
-        parts.sort(key=format_formula)
-        return conj(parts) if kind is And else disj(parts)
-
-    def combine(node: Formula, parts: list) -> Formula | tuple:
-        kind = type(node)
-        if kind is not And and kind is not Or:
-            return with_subformulas(node, [close(p) for p in parts])
-        left, right = (
-            p[1] if type(p) is tuple and p[0] is kind else [close(p)] for p in parts
-        )
-        if len(left) > len(right):  # extend the longer list: a chain stays linear
-            left, right = right, left
-        right.extend(left)
-        return kind, right
-
-    return close(fold(f, combine))

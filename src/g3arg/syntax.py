@@ -296,10 +296,10 @@ def parse_pred(text: str) -> Formula:
 # negation.
 _PREC = {Forall: 0, Exists: 0, Imp: 1, Or: 2, And: 3, Neg: 4}
 _INFIX = {Imp: " -> ", Or: " | ", And: " & "}
-# The text of every other node but an atom and #n; a quantifier's body
-# follows in parentheses, and a negation takes this form only over an
-# equality.
+# The text of every other node but an atom; a quantifier's body follows in
+# parentheses, and a negation takes this form only over an equality.
 _TEXT = {
+    UndConst: "#n",
     Top: "true",
     Bot: "false",
     InAtom: "In({0.term.name})",
@@ -315,8 +315,8 @@ _TEXT = {
 class MarkerText(NamedTuple):
     """Text that ``format_formula`` prints as a leaf, and how tightly it binds.
 
-    It stands for ``#n`` (the ``und`` argument), or sits in a tree itself as
-    a placeholder for a formula rendered elsewhere.
+    It sits in a tree as a placeholder for a formula rendered elsewhere,
+    put there by ``replace_und`` or built in its place.
     """
 
     text: str
@@ -324,30 +324,23 @@ class MarkerText(NamedTuple):
 
     @classmethod
     def of(cls, defn: Formula) -> MarkerText:
-        """``defn`` rendered once, to stand at every ``#n`` of later calls."""
+        """``defn`` rendered once, to stand in its place in later trees."""
         kind = type(defn)
         p = 5 if kind is Neg and type(defn.body) is EqAtom else _PREC.get(kind, 5)
         return cls(format_formula(defn), p)
 
 
-# ``#n`` printed as itself.
-HASH_N = MarkerText("#n", 5)
-
-
-def format_formula(f: Formula, und: MarkerText | None = None) -> str:
+def format_formula(f: Formula) -> str:
     """Render a formula in the shared grammar with minimal parentheses.
 
     Quantifier bodies are always parenthesized, so parsing the output gives
     back the same tree. A ``MarkerText`` leaf prints its text, parenthesized
-    by its precedence. Each ``#n`` reads as the leaf ``und``, itself when not
-    given: with ``und=MarkerText.of(defn)`` the output equals the rendering
-    of ``f`` with every ``#n`` replaced by ``defn``, parenthesized by the
-    same rule, without rebuilding ``f`` or rendering ``defn`` again. Tokens
-    are emitted from an explicit stack of pending (node, context precedence,
-    tight) operands and literal text, so depth and length are not bounded by
-    recursion.
+    by its precedence: ``f`` with ``MarkerText.of(defn)`` at some leaves
+    prints as ``f`` with ``defn`` there, without rendering ``defn`` again.
+    Tokens are emitted from an explicit stack of pending (node, context
+    precedence, tight) operands and literal text, so depth and length are
+    not bounded by recursion.
     """
-    und = HASH_N if und is None else und
     out: list[str] = []
     stack: list = [(f, 0, True)]
     while stack:
@@ -359,8 +352,6 @@ def format_formula(f: Formula, und: MarkerText | None = None) -> str:
             out.append(item[0].name)
             continue
         g, outer, tight = item
-        if type(g) is UndConst:
-            g = und
         kind = type(g)
         if kind is MarkerText:
             p = g.prec

@@ -56,7 +56,7 @@ from .pred import (
     Variable,
     grounding,
 )
-from .syntax import HASH_N, MarkerText, format_formula
+from .syntax import MarkerText, format_formula
 from .threeval import DECIDED_ORDER, VALUE_ORDER, ThreeVal
 
 
@@ -129,6 +129,12 @@ def _argument_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
     ]
 
 
+def _theory(tag: str, clauses, f: Framework) -> Theory:
+    """``clauses(x, ys)`` of each argument x of ``f`` with its attackers ys."""
+    table = f.attacker_table()
+    return Theory(tag, tuple(clause for x in f.arguments for clause in clauses(x, table[x])))
+
+
 def prop_theory(f: Framework) -> Theory:
     """The four propositional clause families, one group per argument.
 
@@ -140,10 +146,7 @@ def prop_theory(f: Framework) -> Theory:
     The empty conjunction is true, the empty disjunction false, both kept
     literally in the clauses.
     """
-    table = f.attacker_table()
-    return Theory("prop", tuple(
-        clause for x in f.arguments for clause in _argument_clauses(x, table[x])
-    ))
+    return _theory("prop", _argument_clauses, f)
 
 
 @functools.cache
@@ -171,7 +174,7 @@ def _shape_texts(clauses, k: int, prec: int) -> tuple[tuple[str, str], ...]:
     """
     marker = MarkerText(f"{{{k + 1}}}", prec)
     group = clauses(f"{{{k}}}", [f"{{{i}}}" for i in range(k)])
-    return tuple((name, format_formula(g, marker)) for name, g in group)
+    return tuple((name, format_formula(replace_und(g, marker))) for name, g in group)
 
 
 def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tuple[str, ...]]]:
@@ -252,16 +255,13 @@ def _fix_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
 
 def stable_theory(f: Framework) -> Theory:
     """Each argument equivalent to the conjunction of its attackers' negations."""
-    table = f.attacker_table()
-    return Theory("stable", tuple(
-        clause for x in f.arguments for clause in _fix_clauses(x, table[x])
-    ))
+    return _theory("stable", _fix_clauses, f)
 
 
 def clause_texts(
-    f: Framework, stable: bool = False, und: MarkerText = HASH_N
+    f: Framework, stable: bool = False, und: MarkerText = MarkerText("#n", 5)
 ) -> list[tuple[str, str]]:
-    """``(name, format_formula(g, und))`` for each clause of ``prop_theory(f)``.
+    """``(name, format_formula(replace_und(g, und)))`` for each clause of ``prop_theory(f)``.
 
     With ``stable``, the clauses of ``stable_theory(f)``, which have no ``#n``.
     Each attacker shape is rendered once and its names filled in, so no

@@ -138,6 +138,36 @@ def _meta(kind, *choices):
     return _aaf([("abc", lambda g, args=args: g.build_meta(kind, *args)) for args in choices])
 
 
+def _valid(shape, k):
+    """``is_valid`` on one of three shapes over the k atoms p00, p01, ..: the
+    conjunction of all implying the first or the last atom in scan order, or
+    the conjunction of every atom's excluded middle. The count is 0 for a
+    valid formula, else 1 + the countermodel's index in scan order."""
+    def build(g):
+        from g3arg.threeval import VALUE_ORDER
+
+        names = [f"p{i:02d}" for i in range(k)]
+        text = {
+            "first": f"({' & '.join(names)}) -> {names[0]}",
+            "last": f"({' & '.join(names)}) -> {names[-1]}",
+            "excluded_middles": " & ".join(f"({p} | ~{p})" for p in names),
+        }[shape]
+        f = g.parse_prop(text)
+
+        def run(f):
+            ok, counter = g.is_valid(f)
+            if ok:
+                return 0
+            index = 0
+            for p in names:
+                index = 3 * index + VALUE_ORDER.index(counter[p])
+            return 1 + index
+
+        return lambda: f, run
+
+    return build
+
+
 def _instantiated(n):
     def build(g):
         from g3arg.corpus import all_frameworks, random_framework
@@ -155,26 +185,35 @@ CALLS = {
     "pred_10_args_ms": (_pred(10), 5),
     "pred_11_args_ms": (_pred(11), 5),
     "pred_12_args_ms": (_pred(12), 5),
-    **{f"prop_und_free_{n}_args_ms": (_prop_und_free(n), 3 if n == 15 else 5)
-       for n in (9, 10, 11, 12, 13, 14, 15)},
+    "pred_14_args_ms": (_pred(14), 5),
+    "pred_17_args_ms": (_pred(17), 3),
+    **{f"prop_und_free_{n}_args_ms": (_prop_und_free(n), 3 if n >= 15 else 5)
+       for n in (9, 10, 11, 12, 13, 14, 15, 16, 17)},
     "solve_higher_12_dims_ms": (_solve_higher(12), 5),
     "solve_higher_13_dims_ms": (_solve_higher(13), 5),
     "diagram_4_args_ms": (_diagram(4), 5),
     "diagram_5_args_ms": (_diagram(5), 3),
     "aaf_4_args_true_ms": (_aaf([("abcd", lambda g: g.Top())]), 3),
+    "aaf_4_args_no_attack_ms": (
+        _aaf([("abcd", lambda g: g.parse_pred("forall X (forall Y ~R(X,Y))"))]), 5),
     "aaf_3_args_attacks_all_others_ms": (_meta("attacks_all_others", "a", "b", "c"), 5),
     "aaf_3_args_attacked_by_all_others_ms": (_meta("attacked_by_all_others", "a", "b", "c"), 5),
     "aaf_3_args_same_targets_ms": (_meta("same_targets", "ab", "ac", "bc", "ba"), 5),
     "aaf_3_args_attacks_self_attackers_ms": (_meta("attacks_self_attackers", "a", "b", "c"), 5),
     "instantiated_models_3_args_ms": (_instantiated(3), 5),
     "instantiated_models_9_args_ms": (_instantiated(9), 5),
+    **{f"valid_14_atoms_{shape}_ms": (_valid(shape, 14), 5)
+       for shape in ("first", "last", "excluded_middles")},
 }
 
-# The model, labelling or relation-labelling count each call must return.
+# The model, labelling or relation-labelling count each call must return
+# (for is_valid, 0 or one more than the countermodel's index; see _valid).
 COUNTS = {
     "pred_10_args_ms": 2,
     "pred_11_args_ms": 2,
     "pred_12_args_ms": 2,
+    "pred_14_args_ms": 2,
+    "pred_17_args_ms": 5,
     "prop_und_free_9_args_ms": 2,
     "prop_und_free_10_args_ms": 3,
     "prop_und_free_11_args_ms": 1,
@@ -182,17 +221,23 @@ COUNTS = {
     "prop_und_free_13_args_ms": 2,
     "prop_und_free_14_args_ms": 1,
     "prop_und_free_15_args_ms": 3,
+    "prop_und_free_16_args_ms": 2,
+    "prop_und_free_17_args_ms": 2,
     "solve_higher_12_dims_ms": 23499,
     "solve_higher_13_dims_ms": 20439,
     "diagram_4_args_ms": 36,
     "diagram_5_args_ms": 120,
     "aaf_4_args_true_ms": 103064,
+    "aaf_4_args_no_attack_ms": 1,
     "aaf_3_args_attacks_all_others_ms": 666,
     "aaf_3_args_attacked_by_all_others_ms": 606,
     "aaf_3_args_same_targets_ms": 312,
     "aaf_3_args_attacks_self_attackers_ms": 522,
     "instantiated_models_3_args_ms": 1072,
     "instantiated_models_9_args_ms": 1,
+    "valid_14_atoms_first_ms": 0,
+    "valid_14_atoms_last_ms": 0,
+    "valid_14_atoms_excluded_middles_ms": 2,
 }
 
 

@@ -41,7 +41,6 @@ from g3arg.pred import (
     PredInterp,
     RAtom,
     Variable,
-    ac_normal_form,
     pred_value,
 )
 from g3arg.prop import Atom, Imp, Neg, ThreeVal, enumerate_models, is_valid, value
@@ -55,6 +54,7 @@ from g3arg.translate import (
     verify_prop_theory,
     verify_und_free,
 )
+from oracle import ac_normal_form
 
 
 def small_corpus():

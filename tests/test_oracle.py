@@ -42,7 +42,6 @@ from g3arg.pred import (
     RAtom,
     StatusRef,
     Variable,
-    ac_normal_form,
     build_meta,
     classical_eval,
     enumerate_interps,
@@ -604,19 +603,55 @@ def test_deep_formulas_evaluate_without_recursion():
 
 
 # Open formulas of both layers: free variables, a!=b, status references.
-open_formulas = st.one_of(
-    prop_formulas,
-    tree(
-        st.one_of(
-            st.builds(InAtom, ab_terms),
-            st.builds(RAtom, ab_terms, ab_terms),
-            st.builds(EqAtom, ab_terms, ab_terms),
-            st.builds(lambda s, t: Neg(EqAtom(s, t)), ab_terms, ab_terms),
-            st.sampled_from([StatusRef("u"), UndConst(), Top(), Bot()]),
-        ),
-        quantified=True,
+r_eq_leaves = [st.builds(RAtom, ab_terms, ab_terms), st.builds(EqAtom, ab_terms, ab_terms)]
+open_pred_formulas = tree(
+    st.one_of(
+        st.builds(InAtom, ab_terms),
+        *r_eq_leaves,
+        st.builds(lambda s, t: Neg(EqAtom(s, t)), ab_terms, ab_terms),
+        st.sampled_from([StatusRef("u"), UndConst(), Top(), Bot()]),
     ),
+    quantified=True,
 )
+open_formulas = st.one_of(prop_formulas, open_pred_formulas)
+open_classical_formulas = tree(
+    st.one_of(*r_eq_leaves, st.sampled_from([Top(), Bot()])), quantified=True
+)
+domains = st.sampled_from([("a", "b"), ("a", "b", "c")])
+
+
+@st.composite
+def interpretations(draw):
+    """A two- or three-element domain with random In and R profiles."""
+    dom = draw(domains)
+    in_val = {d: draw(profiles) for d in dom}
+    r_val = {p: draw(profiles) for p in itertools.product(dom, repeat=2)}
+    return PredInterp(dom, in_val, r_val)
+
+
+def valuations(f, dom):
+    """Every valuation of the free variables of ``f`` over ``dom``."""
+    names = sorted(oracle.free_vars(f))
+    return [dict(zip(names, c)) for c in itertools.product(dom, repeat=len(names))]
+
+
+@settings(deadline=None)
+@given(open_pred_formulas, interpretations(), profiles)
+def test_valuations_reach_pred_value_as_in_the_oracle(f, m, u):
+    for v in valuations(f, m.domain):
+        got = pred_value(f, m, {"u": u}, v=v)
+        for w in World:
+            assert got.at(w) == oracle.eval_pred(w, f, m, v, {"u": u}), (v, w)
+
+
+@settings(deadline=None)
+@given(open_classical_formulas, domains, st.data())
+def test_valuations_reach_classical_eval_as_in_the_oracle(f, dom, data):
+    relation = data.draw(st.sets(st.sampled_from(list(itertools.product(dom, repeat=2)))))
+    for v in valuations(f, dom):
+        assert classical_eval(f, dom, relation, v) == oracle.classical_eval(
+            f, dom, relation, v
+        ), v
 
 
 @given(open_formulas)
@@ -624,11 +659,6 @@ def test_structural_walks_match_the_recursive_references(f):
     assert format_formula(f) == oracle.format_formula(f)
     assert free_vars(f) == oracle.free_vars(f)
     assert [id(n) for n in walk(f)] == [id(n) for n in oracle.walk(f)]
-    # chains are sorted by formatted text, not by repr as in the reference, so
-    # the two normal forms may differ in order but must normalize to each other
-    normal = ac_normal_form(f)
-    assert ac_normal_form(oracle.ac_normal_form(f)) == normal
-    assert oracle.ac_normal_form(normal) == oracle.ac_normal_form(f)
 
 
 @given(prop_formulas, prop_formulas)
@@ -646,7 +676,6 @@ def test_deep_formulas_walk_without_recursion():
     f = Forall("X", body)
     text = "forall X (" + "~" * 5000 + "(" + " & ".join(["X!=a"] * 5000) + "))"
     assert format_formula(f) == text
-    assert format_formula(ac_normal_form(f)) == text
     assert free_vars(body) == {"X"} and free_vars(f) == set()
     assert sum(1 for _ in walk(f)) == 1 + 5000 + 4999 + 2 * 5000
     text = format_formula(prop_body)

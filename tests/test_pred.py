@@ -18,7 +18,6 @@ from g3arg.pred import (
     RAtom,
     StatusRef,
     Variable,
-    ac_normal_form,
     build_meta,
     classical_eval,
     enumerate_interps,
@@ -33,6 +32,7 @@ from g3arg.prop import And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, Un
 from g3arg.syntax import format_formula
 from g3arg.threeval import ThreeVal, VALUE_ORDER, World
 from g3arg.translate import verify_pred_theory
+from oracle import ac_normal_form
 
 A = Constant("a")
 B = Constant("b")

@@ -185,10 +185,10 @@ _definitions = {
 @pytest.mark.parametrize("top", sorted(_definitions))
 @given(data=st.data())
 def test_marker_leaf_prints_as_the_replaced_definition(top, data):
-    """#n read as the marker leaf of ``d`` prints as ``d`` put in its place."""
+    """The marker leaf of ``d`` at each #n prints as ``d`` put in its place."""
     f = data.draw(_prop_trees, "f")
     d = data.draw(_definitions[top], "d")
-    assert format_formula(f, MarkerText.of(d)) == format_formula(replace_und(f, d))
+    assert format_formula(replace_und(f, MarkerText.of(d))) == format_formula(replace_und(f, d))
 
 
 _terms = st.sampled_from(
