@@ -69,8 +69,8 @@ def aaf_extensions(
     """The models of Delta_A and psi, grouped by relation.
 
     One scan, keyed by the argument names, covers the decided relation
-    pairs and every argument's In profile, keeping where Delta_A, read as
-    ``translate.verify_pred_theory`` reads it, and psi hold. Relations
+    pairs and every argument's In profile, keeping where Delta_A over
+    positions, read through the arguments and their pairs, and psi hold. Relations
     come as sorted pair tuples in lexicographic order, their labellings in
     lexicographic in < out < und order. Raises SearchSpaceExceeded when
     there are more than MAX_RELATIONS.

@@ -325,9 +325,15 @@ class MarkerText(NamedTuple):
     @classmethod
     def of(cls, defn: Formula) -> MarkerText:
         """``defn`` rendered once, to stand in its place in later trees."""
-        kind = type(defn)
-        p = 5 if kind is Neg and type(defn.body) is EqAtom else _PREC.get(kind, 5)
-        return cls(format_formula(defn), p)
+        return cls(format_formula(defn), _binding(defn))
+
+
+def _binding(g: Formula) -> int:
+    """How tightly ``g`` binds (see _PREC): a marker by its own ``prec``, a!=b tightest."""
+    kind = type(g)
+    if kind is MarkerText:
+        return g.prec
+    return 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
 
 
 def format_formula(f: Formula) -> str:
@@ -352,11 +358,7 @@ def format_formula(f: Formula) -> str:
             out.append(item[0].name)
             continue
         g, outer, tight = item
-        kind = type(g)
-        if kind is MarkerText:
-            p = g.prec
-        else:
-            p = 5 if kind is Neg and type(g.body) is EqAtom else _PREC.get(kind, 5)
+        kind, p = type(g), _binding(g)
         if p < outer or (p == outer and not tight):
             out.append("(")
             stack.append(")")

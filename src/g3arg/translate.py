@@ -21,7 +21,6 @@ from .af import (
     LABEL_TO_VALUE,
     VALUE_TO_LABEL,
     Labelling,
-    canonical,
     distinct_projections,
     enumerate_complete,
 )
@@ -87,8 +86,9 @@ def serialize_theory(t: Theory) -> str:
 
 
 def framework_key(f: Framework) -> str:
-    arrows = ",".join(f"{u}>{x}" for u, x in sorted(f.attacks))
-    return ",".join(f.arguments) + ("|" + arrows if arrows else "|-")
+    """``f``'s arguments and sorted attacks as one line, built once and kept on ``f``."""
+    return f.kept("_key", lambda f: ",".join(f.arguments) + "|" + (
+        ",".join(f"{u}>{x}" for u, x in sorted(f.attacks)) or "-"))
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,14 @@ def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tupl
     return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
 
 
+# Each label's text, read without the Python-level ``Enum.value`` descriptor.
+_TEXT = {label: label.value for label in Label}
+
+
 def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
     """The canonical complete labellings of ``f``, searched once and kept on it."""
-    return f.kept("_complete", lambda f: frozenset(map(canonical, enumerate_complete(f))))
+    return f.kept("_complete", lambda f: frozenset(
+        tuple(zip(lab, map(_TEXT.__getitem__, lab.values()))) for lab in enumerate_complete(f)))
 
 
 def labelling_to_assignment(lab: Mapping[str, Label]) -> dict[str, ThreeVal]:
@@ -214,7 +219,7 @@ def _labellings(
     model is ``tuple(zip(args, labels))``: canonical with no dict and no
     sort only because ``args`` is sorted, as ``Framework.arguments`` is.
     """
-    labels = [VALUE_TO_LABEL[v].value for v in order]
+    labels = [_TEXT[VALUE_TO_LABEL[v]] for v in order]
     return [
         tuple(zip(args, map(labels.__getitem__, index)))
         for index in scan([(x, order) for x in args], parts, und)
@@ -331,10 +336,8 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     defn = (_und_over_positions(len(args)), args)
     partial_models = _labellings(args, [_UNDECIDED, *clause_parts(f)], und=defn)
 
-    complete = _complete_labellings(f)
-    stable_labs = {
-        lab for lab in complete if all(v != Label.UND.value for _, v in lab)
-    }
+    complete, und_text = _complete_labellings(f), _TEXT[Label.UND]
+    stable_labs = {lab for lab in complete if all(v != und_text for _, v in lab)}
 
     return UndFreeReport(
         stable=_compare(subject + " (stable case)", stable_models, stable_labs),
@@ -440,11 +443,24 @@ def _attacks(f: Framework) -> list[int]:
     return [TRUE if p in f.attacks else FALSE for p in itertools.product(f.arguments, repeat=2)]
 
 
+@functools.cache
+def _delta_group(k: int) -> Program:
+    """``pred_theory``'s clause bodies at X = k over 0..k, R(i,k) true for i < k, other R false.
+
+    So it reads only In: leaf i the i-th attacker and leaf k the argument,
+    which an argument that attacks itself fills in at two leaves.
+    """
+    decided = {(i, j): ThreeVal.TT if j == k and i < k else ThreeVal.FF
+               for i, j in itertools.product(range(k + 1), repeat=2)}
+    bodies = [g.body for g in pred_theory().formulas()]
+    return Program(bodies, grounding(range(k + 1), decided), {"X": k})
+
+
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:
-    """Predicate route: Delta_A, compiled once per domain size, read through
-    the leaf list of ``f``'s arguments and attacks."""
-    delta = (_delta_over_positions(len(f.arguments)), [*f.arguments, *_attacks(f)])
-    return _compare(framework_key(f), _labellings(f.arguments, [delta]), _complete_labellings(f))
+    """Predicate route: Delta_A with R decided as ``f``'s attacks, one instance of its
+    clauses per argument, read through the names of its attackers and itself."""
+    parts = [(_delta_group(len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
+    return _compare(framework_key(f), _labellings(f.arguments, parts), _complete_labellings(f))
 
 
 def _diagram(n: int, literals: Callable[[list], list[Formula]]) -> Formula:
@@ -521,9 +537,9 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
 
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
-    decided values: Delta_A is scanned under each relation that the
-    diagram admits, read through that relation's leaf list as
-    ``verify_pred_theory`` reads ``f``'s. The relation scan is keyed by
+    decided values: Delta_A over positions is scanned under each relation
+    that the diagram admits, read through the arguments and that relation's
+    TRUE and FALSE leaves in product order. The relation scan is keyed by
     position pairs. The diagram is the one compiled per domain size, read
     through the leaf list that sends its A leaves to ``f``'s attacks; from
     4 arguments its 2^(n^2) relations span more than one batch, so ``scan``

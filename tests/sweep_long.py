@@ -3,9 +3,9 @@
 Usage: PYTHONPATH=src python3 tests/sweep_long.py
 
 Their 3^9 to 3^14 candidates span 3 to 729 batches of prop.BATCH_BITS, so
-prop.scan links Delta of pred, whose leaf list folds the attacks, and from
-HOT_RUNS batches on (13 arguments) the clause groups of prop and und-free,
-generating the linked copy at once; below that it runs the groups as given,
+from HOT_RUNS batches on (13 arguments) prop.scan links the clause groups
+of prop and und-free and pred's Delta groups, generating the linked copy at
+once; below that it runs the groups as given,
 each generated at once. Tier-1 reaches these tiers only at 9 arguments or
 at patched batch widths and HOT_RUNS. Each size gets ROUNDS rounds of a random framework
 at each of three attack densities and one of n/2 disjoint mutual attacks

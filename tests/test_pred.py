@@ -28,7 +28,9 @@ from g3arg.pred import (
     relation_to_r_val,
     walk,
 )
-from g3arg.prop import And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, UndConst, scan
+from g3arg.prop import (
+    And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, UndConst, conj, disj, scan,
+)
 from g3arg.syntax import format_formula
 from g3arg.threeval import ThreeVal, VALUE_ORDER, World
 from g3arg.translate import verify_pred_theory
@@ -350,6 +352,23 @@ def test_ac_normal_form_identifies_reordered_chains():
     assert ac_normal_form(Forall("X", And(p, q))) == ac_normal_form(
         Forall("X", And(q, p))
     )
+
+
+@given(st.sampled_from([(And, conj), (Or, disj)]), st.lists(pred_formulas, min_size=1, max_size=6),
+       st.data())
+def test_ac_normal_form_identifies_reassociated_and_reordered_chains(chain, parts, data):
+    """Any bracketing of any order of ``parts`` under one of And and Or has
+    the normal form of their right-nested chain in the given order."""
+    kind, nest = chain
+
+    def bracket(items):
+        if len(items) == 1:
+            return items[0]
+        cut = data.draw(st.integers(1, len(items) - 1))
+        return kind(bracket(items[:cut]), bracket(items[cut:]))
+
+    shuffled = data.draw(st.permutations(parts))
+    assert ac_normal_form(bracket(shuffled)) == ac_normal_form(nest(parts))
 
 
 @given(pred_formulas)

@@ -344,46 +344,54 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
 
 
 def test_delta_is_compiled_once_per_domain_size():
-    """Two frameworks of one size with disjoint names share Delta's program,
-    and the domain diagram's."""
+    """pred's Delta groups are compiled once per attacker count, from Delta's
+    clause bodies, and shared by frameworks of any size and names; Delta
+    over positions, which aaf and the domain diagram read, is compiled once
+    per domain size, and so is the diagram."""
     compiled = []
     init = Program.__init__
+    bodies = [g.body for g in pred_theory().formulas()]
 
     def counting(self, formulas, *args):
         compiled.append(list(formulas))
         init(self, formulas, *args)
 
+    translate._delta_group.cache_clear()
     translate._delta_over_positions.cache_clear()
     assert verify_pred_theory(Framework.make("abc", [("a", "b")])).ok
     with patch.object(Program, "__init__", counting):
         assert verify_pred_theory(Framework.make("pqr", [("q", "p"), ("r", "r")])).ok
-        assert verify_pred_theory(Framework.make("xyz", [("x", "y"), ("y", "z")])).ok
+        assert verify_pred_theory(Framework.make("wxyz", [("x", "y"), ("y", "z")])).ok
         assert compiled == []
-        assert verify_pred_theory(Framework.make("abcd", [("d", "a")])).ok
-        assert compiled == [pred_theory().formulas()]
-        # the diagram compiles once per domain size, its attacks left open
+        assert verify_pred_theory(Framework.make("abcd", [("b", "a"), ("d", "a")])).ok
+        assert compiled == [bodies]
+        # the diagram compiles once per domain size, its attacks left open, then Delta
         compiled.clear()
         translate._diagram_over_positions.cache_clear()
         cycle = Framework.make("uvw", [("u", "v"), ("v", "w"), ("w", "u")])
         assert verify_domain_diagram(cycle).ok
-        (template,), = compiled
+        (template,), delta = compiled
+        assert delta == pred_theory().formulas()
         assert verify_domain_diagram(Framework.make("pqr", [("p", "q"), ("q", "q")])).ok
-        assert len(compiled) == 1
+        assert len(compiled) == 2
         # a new size compiles its diagram, then Delta
         assert verify_domain_diagram(Framework.make("ab", [("b", "a")])).ok
-        assert len(compiled) == 3 and compiled[2] == pred_theory().formulas()
+        assert len(compiled) == 4 and compiled[3] == pred_theory().formulas()
         # aaf compiles only its own formula
         compiled.clear()
         frame = AxiomaticFrame(("a", "b", "c"), parse_pred("forall X ~R(X,X)"))
         assert aaf_extensions(frame)
         assert compiled == [[frame.psi]]
-    assert translate._delta_over_positions.cache_info().currsize == 3
+    assert translate._delta_group.cache_info().currsize == 3
+    assert translate._delta_over_positions.cache_info().currsize == 2
     assert translate._diagram_over_positions.cache_info().currsize == 2
     # the template names no argument; over positions, R(i,j) is leaf 3i + j, A(i,j) 9 + 3i + j
     assert is_closed(template) and template != domain_diagram(cycle)
     positions = translate._diagram_over_positions(3)
     assert len(Program([template], grounding(range(3))).code) == len(positions.code)
     assert {key for op, key in positions.code if op == LEAF} == set(range(18))
+    # a group reads In at the positions 0..k alone: every R atom is decided
+    assert {key for op, key in translate._delta_group(2).code if op == LEAF} == {0, 1, 2}
     # Delta's In(i) is leaf i, R(i,j) 3 + 3i + j
     delta = translate._delta_over_positions(3)
     assert {key for op, key in delta.code if op == LEAF} == set(range(12))
@@ -393,6 +401,35 @@ def test_delta_is_compiled_once_per_domain_size():
     mine.code.clear()
     mine.roots.clear()
     assert positions.code and positions.roots
+
+
+def _pred_corpus():
+    """All 512 three-argument graphs, then at 4-7 arguments the empty and the
+    full relation and seeded ones at two densities, self-attacks included."""
+    yield from all_frameworks(3)
+    for n in range(4, 8):
+        names = "abcdefg"[:n]
+        yield Framework.make(names)
+        yield Framework.make(names, itertools.product(names, repeat=2))
+        for seed, density in itertools.product(range(3), (0.2, 0.5)):
+            yield random_framework(n, Random(100 * n + seed), density)
+
+
+def test_delta_groups_keep_what_delta_compiled_over_the_framework_keeps():
+    """Each argument's Delta group, read through its attackers and itself,
+    keeps exactly the In candidates that Delta_A compiled over the
+    framework's own names, its relation decided, keeps."""
+    seen_self_attack = False
+    for f in _pred_corpus():
+        dom = f.arguments
+        seen_self_attack |= any(u == x for u, x in f.attacks)
+        decided = relation_to_r_val(dom, f.attacks)
+        direct = Program(pred_theory().formulas(), grounding(dom, decided))
+        table = f.attacker_table()
+        groups = [(translate._delta_group(len(table[x])), (*table[x], x)) for x in dom]
+        dims = [(x, VALUE_ORDER) for x in dom]
+        assert list(scan(dims, groups)) == list(scan(dims, [(direct, None)])), framework_key(f)
+    assert seen_self_attack
 
 
 def test_folded_diagram_matches_the_direct_compile_on_every_three_graph():
@@ -579,17 +616,16 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
 
     At the default width its 3^4 candidates are one batch, and nothing is
     linked. Below 3^4 they are three batches, fewer than HOT_RUNS (patched
-    to 4): the clause groups, whose leaf lists only rename, still run
-    unlinked, while pred's Delta, whose leaf list folds the attacks, is
-    linked in each scan. From HOT_RUNS batches (patched to 3) every scan
-    of the clause theory links the groups anew (prop's and und-free's
-    undecided case; the stable case's 2^4 candidates still fit), and no
-    link is kept on the Framework. An equal Framework built afresh
-    searches again."""
+    to 4): the clause groups and pred's Delta groups, whose leaf lists only
+    rename, still run unlinked. From HOT_RUNS batches (patched to 3) every
+    scan links its groups anew (prop's, und-free's undecided case and
+    pred's; the stable case's 2^4 candidates still fit), and no link is
+    kept on the Framework, which keeps its key and labellings. An equal
+    Framework built afresh searches again."""
     searches, clause_links, delta_links = [], [], []
     search, link = translate.enumerate_complete, prop.link
     groups = {id(translate._shape_group(translate._argument_clauses, k)) for k in range(4)}
-    delta = translate._delta_over_positions(4)
+    delta = {id(translate._delta_group(k)) for k in range(4)}
 
     def counting_search(f):
         searches.append(f)
@@ -598,7 +634,7 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     def counting_link(parts):
         if any(id(program) in groups for program, _ in parts):
             clause_links.append(parts)
-        if any(program is delta for program, _ in parts):
+        if any(id(program) in delta for program, _ in parts):
             delta_links.append(parts)
         return link(parts)
 
@@ -616,17 +652,18 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
         assert searches == [f] and clause_links == delta_links == []
         with patch.object(prop, "BATCH_BITS", 3**4 - 1), patch.object(prop, "HOT_RUNS", 4):
             verify(f)
-            assert len(searches) == 1 and clause_links == [] and len(delta_links) == 1
+            assert len(searches) == 1 and clause_links == delta_links == []
             with patch.object(prop, "HOT_RUNS", 3):
                 verify(f)
-                assert len(searches) == 1 and len(clause_links) == 2
+                assert len(searches) == 1 and len(clause_links) == 2 and len(delta_links) == 1
                 verify(f)
-                assert len(searches) == 1 and len(clause_links) == 4
+                assert len(searches) == 1 and len(clause_links) == 4 and len(delta_links) == 2
                 fresh = Framework.make("abcd", attacks)
                 verify(fresh)
-                assert len(searches) == 2 and searches[1] is fresh and len(clause_links) == 6
+                assert len(searches) == 2 and searches[1] is fresh
+                assert len(clause_links) == 6 and len(delta_links) == 3
     assert set(vars(f)) == set(vars(fresh)) == {
-        "arguments", "attacks", "_attackers", "_complete", "_masks"}
+        "arguments", "attacks", "_attackers", "_complete", "_key", "_masks"}
     assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
     assert f == fresh == Framework.make("abcd", attacks)
 
