@@ -447,8 +447,8 @@ def _attacks(f: Framework) -> list[int]:
 def _delta_group(k: int) -> Program:
     """``pred_theory``'s clause bodies at X = k over 0..k, R(i,k) true for i < k, other R false.
 
-    So it reads only In: leaf i the i-th attacker and leaf k the argument,
-    which an argument that attacks itself fills in at two leaves.
+    So it reads In alone: leaf i the i-th attacker and leaf k the argument;
+    an argument that attacks itself reads its own name at two leaves.
     """
     decided = {(i, j): ThreeVal.TT if j == k and i < k else ThreeVal.FF
                for i, j in itertools.product(range(k + 1), repeat=2)}
