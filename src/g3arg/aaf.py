@@ -11,12 +11,13 @@ fresh auxiliary arguments and a projection back to the base.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
 from .pred import (
     Constant,
     RAtom,
@@ -26,7 +27,7 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
-from .translate import _delta_over_positions
+from .translate import pred_theory
 
 
 # The scan covers 2^(|s0|^2) relations by 3^|s0| profiles: 4 arguments pass, 5 not.
@@ -63,17 +64,24 @@ class AxiomaticFrame:
         return cls(tuple(sorted(set(s0))), psi)
 
 
+@functools.cache
+def _delta_over_positions(n: int) -> Program:
+    """Delta_A over 0..n-1: ``In(i)`` is leaf ``i`` and ``R(i,j)`` leaf ``n + n*i + j``."""
+    delta = Program(pred_theory().formulas(), grounding(range(n)))
+    return link([(delta, lambda key: key if type(key) is int else n + n * key[0] + key[1])])
+
+
 def aaf_extensions(
     af: AxiomaticFrame,
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
     """The models of Delta_A and psi, grouped by relation.
 
     One scan, keyed by the argument names, covers the decided relation
-    pairs and every argument's In profile, keeping where Delta_A over
-    positions, read through the arguments and their pairs, and psi hold. Relations
-    come as sorted pair tuples in lexicographic order, their labellings in
-    lexicographic in < out < und order. Raises SearchSpaceExceeded when
-    there are more than MAX_RELATIONS.
+    pairs and every argument's In profile, keeping where psi holds and so
+    does Delta_A over positions (its one reader: R stays open), read through
+    the arguments and their pairs. Relations come as sorted pair tuples in
+    lexicographic order, their labellings in lexicographic in < out < und
+    order. Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     n = len(af.s0)
     pairs, m = list(itertools.product(af.s0, repeat=2)), n * n

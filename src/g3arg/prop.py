@@ -567,13 +567,13 @@ def _holds(parts: Sequence[tuple], und: tuple | None, table: Mapping, full: int)
 
 
 def select_assignments(
-    names: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER
+    names: Sequence[str], parts: Sequence[tuple]
 ) -> Iterator[dict[str, ThreeVal]]:
-    """Assignments over ``names``, each ranging over ``order``, where every
+    """Assignments over ``names``, each ranging over VALUE_ORDER, where every
     one of ``parts`` holds (see ``scan``)."""
     names = list(dict.fromkeys(names))
-    for index in scan([(x, order) for x in names], parts):
-        yield dict(zip(names, (order[c] for c in index)))
+    for index in scan([(x, VALUE_ORDER) for x in names], parts):
+        yield dict(zip(names, map(VALUE_ORDER.__getitem__, index)))
 
 
 def value(f: Formula, h: PropAssignment) -> ThreeVal:

@@ -429,15 +429,6 @@ def pred_theory() -> Theory:
     return Theory("pred", clauses)
 
 
-@functools.cache
-def _delta_over_positions(n: int) -> Program:
-    """Delta_A over 0..n-1: ``In(i)`` is leaf ``i`` and ``R(i,j)`` leaf ``n + n*i + j``."""
-    return link([(
-        Program(pred_theory().formulas(), grounding(range(n))),
-        lambda key: key if type(key) is int else n + n * key[0] + key[1],
-    )])
-
-
 def _attacks(f: Framework) -> list[int]:
     """``f``'s attacks as a leaf list: TRUE or FALSE per argument pair, in product order."""
     return [TRUE if p in f.attacks else FALSE for p in itertools.product(f.arguments, repeat=2)]
@@ -537,13 +528,13 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
 
     The found side collects (relation, labelling) pairs from models of the
     quantified clauses plus the diagram, the relation ranging freely over
-    decided values: Delta_A over positions is scanned under each relation
-    that the diagram admits, read through the arguments and that relation's
-    TRUE and FALSE leaves in product order. The relation scan is keyed by
-    position pairs. The diagram is the one compiled per domain size, read
-    through the leaf list that sends its A leaves to ``f``'s attacks; from
-    4 arguments its 2^(n^2) relations span more than one batch, so ``scan``
-    links the list into a copy, the smaller program (256 instructions
+    decided values (FF, TT: index 1 is an attack): under each relation that
+    the diagram admits, each argument's Delta group is read through its
+    attackers and itself, as in ``verify_pred_theory``. The relation scan is
+    keyed by position pairs. The diagram is compiled once per domain size,
+    read through the leaf list that sends its A leaves to ``f``'s attacks;
+    from 4 arguments its 2^(n^2) relations span more than one batch, so
+    ``scan`` links the list into a copy, the smaller program (256 instructions
     against 1,106 at 5 arguments; 2.1x faster at 4, 5x at 5, ``BENCH_25.json``).
     The expected side is the complete labellings kept on ``f`` pushed
     through every renaming of the arguments. Both sides are compared as
@@ -552,13 +543,13 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     dom, n = f.arguments, len(f.arguments)
     pairs = list(itertools.product(range(n), repeat=2))
     diagram = (_diagram_over_positions(n), [*pairs, *_attacks(f)])
-    delta, truth = _delta_over_positions(n), [TRUE if v.here else FALSE for v in DECIDED_ORDER]
     found = []
     for index in scan([(p, DECIDED_ORDER) for p in pairs], [diagram]):
-        relation = [truth[c] for c in index]
         # pairs come in product order over the sorted arguments: each relation is sorted
-        named = tuple((dom[i], dom[j]) for (i, j), r in zip(pairs, relation) if r == TRUE)
-        found += ((named, lab) for lab in _labellings(dom, [(delta, [*dom, *relation])]))
+        named = tuple((dom[i], dom[j]) for i, j in itertools.compress(pairs, index))
+        table = {x: [u for u, y in named if y == x] for x in dom}
+        parts = [(_delta_group(len(ys)), (*ys, x)) for x, ys in table.items()]
+        found += ((named, lab) for lab in _labellings(dom, parts))
     complete, expected = _complete_labellings(f), set()
     for perm in itertools.permutations(dom):
         sigma = dict(zip(dom, perm))

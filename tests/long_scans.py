@@ -105,20 +105,24 @@ def _solve_higher(dims):
 
 
 def _diagram(n):
+    """The diagram on every 3-argument graph (the quantified workload's size),
+    or on one framework of 4 or 5 arguments; the count sums ``interp_count``."""
     def build(g):
-        from g3arg.corpus import random_framework
+        from g3arg.corpus import all_frameworks, random_framework
 
-        if n == 4:
-            f = g.Framework.make("abcd", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "d")])
+        if n == 3:
+            made = list(all_frameworks(3))
+        elif n == 4:
+            made = [g.Framework.make("abcd", [("a", "b"), ("b", "a"), ("c", "d"), ("d", "d")])]
         else:
-            f = random_framework(5, Random(5))  # tests/sweep_diagram.py's
+            made = [random_framework(5, Random(5))]  # tests/sweep_diagram.py's
 
         def run(fresh):
-            report = g.verify_domain_diagram(fresh)
-            assert report.ok
-            return report.interp_count
+            reports = [g.verify_domain_diagram(f) for f in fresh]
+            assert all(report.ok for report in reports)
+            return sum(report.interp_count for report in reports)
 
-        return lambda: g.Framework(f.arguments, f.attacks), run
+        return lambda: [g.Framework(f.arguments, f.attacks) for f in made], run
 
     return build
 
@@ -191,6 +195,7 @@ CALLS = {
        for n in (9, 10, 11, 12, 13, 14, 15, 16, 17)},
     "solve_higher_12_dims_ms": (_solve_higher(12), 5),
     "solve_higher_13_dims_ms": (_solve_higher(13), 5),
+    "diagram_3_args_all_graphs_ms": (_diagram(3), 5),
     "diagram_4_args_ms": (_diagram(4), 5),
     "diagram_5_args_ms": (_diagram(5), 3),
     "aaf_4_args_true_ms": (_aaf([("abcd", lambda g: g.Top())]), 3),
@@ -225,6 +230,7 @@ COUNTS = {
     "prop_und_free_17_args_ms": 2,
     "solve_higher_12_dims_ms": 23499,
     "solve_higher_13_dims_ms": 20439,
+    "diagram_3_args_all_graphs_ms": 3966,
     "diagram_4_args_ms": 36,
     "diagram_5_args_ms": 120,
     "aaf_4_args_true_ms": 103064,

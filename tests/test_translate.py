@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from g3arg import prop, translate
+from g3arg import aaf, prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
@@ -324,7 +324,7 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
     in the table: the program over positions reads it through the leaf list
     of the names and of their pairs in product order."""
     dom, r_val = case
-    positions = translate._delta_over_positions(len(dom))
+    positions = aaf._delta_over_positions(len(dom))
     direct = Program(pred_theory().formulas(), grounding(dom))
     dims = [(d, VALUE_ORDER) for d in dom]
     leaves = [*dom, *itertools.product(dom, repeat=2)]
@@ -345,9 +345,10 @@ def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch)
 
 def test_delta_is_compiled_once_per_domain_size():
     """pred's Delta groups are compiled once per attacker count, from Delta's
-    clause bodies, and shared by frameworks of any size and names; Delta
-    over positions, which aaf and the domain diagram read, is compiled once
-    per domain size, and so is the diagram."""
+    clause bodies, and shared by frameworks of any size and names. The
+    domain diagram compiles only its template, once per domain size, and
+    reads pred's groups under each relation it admits; Delta over
+    positions, which aaf alone reads, is compiled once per domain size."""
     compiled = []
     init = Program.__init__
     bodies = [g.body for g in pred_theory().formulas()]
@@ -357,7 +358,7 @@ def test_delta_is_compiled_once_per_domain_size():
         init(self, formulas, *args)
 
     translate._delta_group.cache_clear()
-    translate._delta_over_positions.cache_clear()
+    aaf._delta_over_positions.cache_clear()
     assert verify_pred_theory(Framework.make("abc", [("a", "b")])).ok
     with patch.object(Program, "__init__", counting):
         assert verify_pred_theory(Framework.make("pqr", [("q", "p"), ("r", "r")])).ok
@@ -365,25 +366,31 @@ def test_delta_is_compiled_once_per_domain_size():
         assert compiled == []
         assert verify_pred_theory(Framework.make("abcd", [("b", "a"), ("d", "a")])).ok
         assert compiled == [bodies]
-        # the diagram compiles once per domain size, its attacks left open, then Delta
+        # the diagram compiles once per domain size, its attacks left open, and
+        # reads pred's groups (attacker counts 1, then 2 and 0) without compiling
         compiled.clear()
         translate._diagram_over_positions.cache_clear()
+        hits = translate._delta_group.cache_info().hits
         cycle = Framework.make("uvw", [("u", "v"), ("v", "w"), ("w", "u")])
         assert verify_domain_diagram(cycle).ok
-        (template,), delta = compiled
-        assert delta == pred_theory().formulas()
+        [(template,)] = compiled
+        assert translate._delta_group.cache_info().hits > hits
         assert verify_domain_diagram(Framework.make("pqr", [("p", "q"), ("q", "q")])).ok
-        assert len(compiled) == 2
-        # a new size compiles its diagram, then Delta
+        assert len(compiled) == 1
+        # a new size compiles its diagram alone
         assert verify_domain_diagram(Framework.make("ab", [("b", "a")])).ok
-        assert len(compiled) == 4 and compiled[3] == pred_theory().formulas()
-        # aaf compiles only its own formula
+        assert len(compiled) == 2 and compiled[1] != pred_theory().formulas()
+        assert translate._delta_group.cache_info().currsize == 3
+        # aaf compiles Delta over positions, once per domain size, and its own formula
         compiled.clear()
         frame = AxiomaticFrame(("a", "b", "c"), parse_pred("forall X ~R(X,X)"))
         assert aaf_extensions(frame)
+        assert compiled == [pred_theory().formulas(), [frame.psi]]
+        compiled.clear()
+        assert aaf_extensions(AxiomaticFrame(("p", "q", "r"), frame.psi))
         assert compiled == [[frame.psi]]
     assert translate._delta_group.cache_info().currsize == 3
-    assert translate._delta_over_positions.cache_info().currsize == 2
+    assert aaf._delta_over_positions.cache_info().currsize == 1
     assert translate._diagram_over_positions.cache_info().currsize == 2
     # the template names no argument; over positions, R(i,j) is leaf 3i + j, A(i,j) 9 + 3i + j
     assert is_closed(template) and template != domain_diagram(cycle)
@@ -393,7 +400,7 @@ def test_delta_is_compiled_once_per_domain_size():
     # a group reads In at the positions 0..k alone: every R atom is decided
     assert {key for op, key in translate._delta_group(2).code if op == LEAF} == {0, 1, 2}
     # Delta's In(i) is leaf i, R(i,j) 3 + 3i + j
-    delta = translate._delta_over_positions(3)
+    delta = aaf._delta_over_positions(3)
     assert {key for op, key in delta.code if op == LEAF} == set(range(12))
     # a folded copy shares no list with the cached program
     leaves = [*itertools.product(range(3), repeat=2), *translate._attacks(cycle)]
@@ -675,7 +682,7 @@ def _tier_results(f):
         verify_und_free(f),
         verify_pred_theory(f),
         list(select_assignments(f.arguments, clause_parts(f))),
-        list(select_assignments(f.arguments, clause_parts(f, stable=True), DECIDED_ORDER)),
+        list(scan([(x, DECIDED_ORDER) for x in f.arguments], clause_parts(f, stable=True))),
     )
 
 
