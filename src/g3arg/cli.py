@@ -205,13 +205,12 @@ def _cmd_verify(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> in
 def _cmd_solve_higher(ns: Namespace, doc: InputDocument, result: dict[str, Any]) -> int:
     hn = doc.to_higher()
     models = solve_higher(hn, max_unknowns=ns.max_unknowns)
-    pairs = [(u, x) for u in hn.nodes for x in hn.nodes]
+    # an r(u,x) unit's status is its pair's, written under the same key
+    pairs = {f"r({u},{x})": (u, x) for u in hn.nodes for x in hn.nodes}
     rows = []
     for m in models:
-        statuses = {f"r({u},{x})": _profile(m.interp.r_val[(u, x)]) for u, x in pairs}
-        statuses.update(
-            (w.name, _profile(m.status(w.name))) for w in hn.wffs
-        )
+        statuses = {key: _profile(m.interp.r_val[p]) for key, p in pairs.items()}
+        statuses.update((name, _profile(v)) for name, v in m.statuses if name not in pairs)
         rows.append(
             {
                 "nodes": {

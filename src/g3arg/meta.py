@@ -364,8 +364,8 @@ def solve_higher(
     a node's form is keyed by its name, a relation-atom unit's by its pair
     and any other unit's by its status reference. A pinned pair is read as
     TRUE or FALSE. The formulas of the other formula units are compiled per
-    call into one part tied to their standings, their pinned pairs decided
-    while compiling (see ``grounding``).
+    call into one part tied to their standings, linked through the same
+    keys when some pair is pinned (see ``prop.link``).
 
     Raises SearchSpaceExceeded when the scan dimensions (nodes, open
     relation pairs, formula units other than relation atoms) outnumber
@@ -399,8 +399,8 @@ def solve_higher(
         own = [*nodes, *(edge[y, name] for y in nodes)] if node else []
         group = _unit_group(node, n if node else 0, len(attackers))
         parts.append((group, [key[name], *own, *map(key.__getitem__, attackers)]))
-    tied = Program([u.formula for u in general_units], grounding(nodes, decided))
-    parts.append((tied, None, ties))
+    tied = Program([u.formula for u in general_units], grounding(nodes))
+    parts.append((link([(tied, lambda k: edge.get(k, k))]) if decided else tied, None, ties))
     models: list[GeneralizedModel] = []
     for index in scan(dims, parts):
         values = [VALUE_ORDER[c] for c in index]

@@ -16,7 +16,9 @@ from .prop import (
     ALL,
     ANY,
     CONSTANTS,
+    FALSE,
     LEAF,
+    TRUE,
     And,
     Bot,
     EvalError,
@@ -28,6 +30,7 @@ from .prop import (
     Top,
     fold,
     iff,
+    link,
     scan,
     walk,
 )
@@ -151,21 +154,18 @@ def _resolve(t: Term, domain: Sequence[str], env: Mapping[str, str]) -> str:
     raise EvalError(f"not a term: {t!r}")
 
 
-def grounding(
-    domain: Sequence[str], decided: Mapping[tuple[str, str], ThreeVal] | None = None
-):
+def grounding(domain: Sequence[str]):
     """The predicate layer's ``expand`` hook for Program over ``domain``.
 
     ``In(d)`` is a leaf keyed by the element ``d``, ``R(u,x)`` by the pair
-    ``(u, x)``, a status reference by the node itself. Equality is decided
-    while compiling, and so is each R atom whose pair ``decided`` maps to
-    TT or FF (see ``relation_to_r_val``): the compiler's folds take it from
-    there, and a pair left out stays a leaf. ``forall`` is the pointwise
-    AND of its instances over the domain, ``exists`` the pointwise OR.
-    Raises ValueError for a domain that lists an element twice.
+    ``(u, x)``, a status reference by the node itself. Only equality is
+    decided while compiling: a caller that pins R pairs links the program
+    with each pinned pair's key sent to TRUE or FALSE (see ``prop.link``).
+    ``forall`` is the pointwise AND of its instances over the domain,
+    ``exists`` the pointwise OR. Raises ValueError for a domain that lists
+    an element twice.
     """
     dom = distinct_domain(domain)
-    decided = decided or {}
 
     def expand(f: Formula, env: Mapping[str, str]) -> tuple[int, object]:
         kind = type(f)
@@ -174,10 +174,7 @@ def grounding(
         if kind is InAtom:
             return LEAF, _resolve(f.term, dom, env)
         if kind is RAtom:
-            pair = (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
-            if pair not in decided:
-                return LEAF, pair
-            return (ALL if decided[pair] is ThreeVal.TT else ANY), ()
+            return LEAF, (_resolve(f.left, dom, env), _resolve(f.right, dom, env))
         if kind is EqAtom:
             same = _resolve(f.left, dom, env) == _resolve(f.right, dom, env)
             return (ALL if same else ANY), ()
@@ -246,17 +243,20 @@ def enumerate_interps(
 
     R profiles range over all three values unless ``r_decided`` limits them
     to the classical two, or ``fixed_r`` pins the relation outright. In
-    profiles always range over all three values. The pinned pairs are
-    decided while compiling (see ``grounding``); one scan runs over the open
-    R pairs, then the In profiles. A pair outside the domain raises
-    ValueError.
+    profiles always range over all three values. The theory is compiled
+    with every R atom a leaf, then linked with each pinned pair's key sent
+    to TRUE or FALSE (see ``prop.link``); one scan runs over the open R
+    pairs, then the In profiles. A pair outside the domain raises ValueError.
     """
     dom = tuple(domain)
     decided = {} if fixed_r is None else relation_to_r_val(dom, fixed_r)
     order = DECIDED_ORDER if r_decided else VALUE_ORDER
     pairs = [p for p in itertools.product(dom, dom) if p not in decided]
     dims = [(p, order) for p in pairs] + [(d, VALUE_ORDER) for d in dom]
-    program = Program(theory, grounding(dom, decided))
+    program = Program(theory, grounding(dom))
+    if decided:
+        pins = {p: TRUE if v is ThreeVal.TT else FALSE for p, v in decided.items()}
+        program = link([(program, lambda key: pins.get(key, key))])
     k = len(pairs)
     interps = []
     # the scan runs through each relation's In profiles in a row: one R dict each

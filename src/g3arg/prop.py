@@ -188,7 +188,7 @@ class Program:
     last operand, so a compiled suffix is never walked again; a suffix
     that only chains share is walked by each of them.
     Constants fold while compiling: true, false and whatever the ``expand``
-    hook decides (an equality, a pinned relation atom) vanish into their ALL
+    hook decides (the predicate layer's equality) vanish into their ALL
     or ANY, a zero absorbs the whole node, and NEG and IMP of a constant
     reduce. Operands are compiled left to right and those after a decided
     result are never compiled; instructions no root reaches are dropped

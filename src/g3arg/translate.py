@@ -436,15 +436,15 @@ def _attacks(f: Framework) -> list[int]:
 
 @functools.cache
 def _delta_group(k: int) -> Program:
-    """``pred_theory``'s clause bodies at X = k over 0..k, R(i,k) true for i < k, other R false.
+    """``pred_theory``'s clause bodies at X = k over 0..k, linked with R(i,k) TRUE
+    for i < k and every other R pair FALSE.
 
     So it reads In alone: leaf i the i-th attacker and leaf k the argument;
     an argument that attacks itself reads its own name at two leaves.
     """
-    decided = {(i, j): ThreeVal.TT if j == k and i < k else ThreeVal.FF
-               for i, j in itertools.product(range(k + 1), repeat=2)}
-    bodies = [g.body for g in pred_theory().formulas()]
-    return Program(bodies, grounding(range(k + 1), decided), {"X": k})
+    bodies = Program([g.body for g in pred_theory().formulas()], grounding(range(k + 1)), {"X": k})
+    attack = {(i, k): TRUE for i in range(k)}
+    return link([(bodies, lambda key: key if type(key) is int else attack.get(key, FALSE))])
 
 
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:

@@ -15,8 +15,10 @@ labelling count (COUNTS), so the script is a correctness check too: a wrong
 count exits 1 naming the call.
 
 With --pair, the two src directories (say, two `git archive` copies of the
-parent and of a change) take turns for N rounds, the parent first on odd
-rounds, every call in a fresh process on each side. The last line of
+parent and of a change) take turns for N rounds: within a round each call
+runs on both sides in a row, the parent first on odd rounds, each time in
+a fresh process, so a slow spell of the machine lands on both sides of a
+call rather than on one side's block of calls. The last line of
 standard output is one JSON object: the milliseconds per call of each side,
 or with --pair every round and, per call, both sides' values, ranges and
 medians, the rounds in which the change was faster, and
@@ -291,11 +293,14 @@ def pair(parent: str, change: str, rounds: int, names: list[str], repeats: int |
     failed = False
     for r in range(1, rounds + 1):
         order = [("parent", parent), ("change", change)]
-        for side, src in order if r % 2 else order[::-1]:
-            results = run_side(src, names, repeats)
-            failed |= bool(check_counts(src, results))
-            record.append({"round": r, "side": side,
-                           "calls": {name: ms for name, (ms, _) in results.items()}})
+        turns = order if r % 2 else order[::-1]
+        times: dict[str, dict] = {side: {} for side, _ in turns}
+        for name in names:
+            for side, src in turns:
+                results = run_side(src, [name], repeats)
+                failed |= bool(check_counts(src, results))
+                times[side][name] = results[name][0]
+        record += [{"round": r, "side": side, "calls": times[side]} for side, _ in turns]
     calls = {}
     for name in names:
         sides = {side: [rnd["calls"][name] for rnd in record if rnd["side"] == side]

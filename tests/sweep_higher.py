@@ -2,15 +2,19 @@
 
 Usage: PYTHONPATH=src python3 tests/sweep_higher.py
 
-Each of the 300 networks has one or two nodes, a free relation and one or
-two units, each a closed formula or an r(u,v) unit; every unit attacks a
-unit of its choice, itself included, and up to two more attacks join any
-two units. The oracle (tests/oracle.py) filters every candidate of the
-product one by one. The sweep is too slow for the test suite, so it runs
-as a step of its own; it prints the network count and the time taken, and
-exits 1 naming each network whose models differ from the oracle's.
+Each of the 300 networks has one or two nodes and one or two units, each
+a closed formula or an r(u,v) unit; every unit attacks a unit of its
+choice, itself included, and up to two more attacks join any two units.
+Each network is solved twice: with a free relation, then with a relation
+pinned by ``fixed_r``, each pair in it with probability 1/2, drawn from a
+generator of its own so that the networks stay the same. The oracle
+(tests/oracle.py) filters every candidate of the product one by one. The
+sweep is too slow for the test suite, so it runs as a step of its own; it
+prints each half's network count and the time taken, and exits 1 naming
+each network whose models differ from the oracle's.
 """
 
+import itertools
 import sys
 import time
 from random import Random
@@ -70,14 +74,20 @@ def describe(hn):
 
 
 def main() -> int:
-    rng = Random(SEED)
-    start = time.perf_counter()
-    failed = [hn for hn in (network(rng) for _ in range(NETWORKS))
-              if solve_higher(hn) != oracle.solve_higher(hn)]
-    print(f"{NETWORKS} networks, {len(failed)} failed, "
-          f"{time.perf_counter() - start:.1f} s")
-    for hn in failed:
-        print(f"MISMATCH {describe(hn)}")
+    rng, pins = Random(SEED), Random(SEED + 1)
+    networks = [network(rng) for _ in range(NETWORKS)]
+    pinned = [[p for p in itertools.product(hn.nodes, repeat=2) if pins.random() < 0.5]
+              for hn in networks]
+    failed = []
+    for half, relations in (("a free", [None] * NETWORKS), ("a pinned", pinned)):
+        start = time.perf_counter()
+        wrong = [(hn, rel) for hn, rel in zip(networks, relations)
+                 if solve_higher(hn, rel) != oracle.solve_higher(hn, rel)]
+        print(f"{NETWORKS} networks with {half} relation, {len(wrong)} failed, "
+              f"{time.perf_counter() - start:.2f} s")
+        failed += wrong
+    for hn, rel in failed:
+        print(f"MISMATCH {describe(hn)}" + ("" if rel is None else f"; pinned {rel}"))
     return 1 if failed else 0
 
 

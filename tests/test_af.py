@@ -52,6 +52,8 @@ def test_validation_errors():
         Framework.make(["a!"], [])
     with pytest.raises(ValueError):
         Framework.make(["a"], [("a", "b")])
+    with pytest.raises(ValueError, match="arguments must be unique and sorted"):
+        Framework(("b", "a"), frozenset())
 
 
 def test_check_complete_conditions():

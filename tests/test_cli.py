@@ -570,12 +570,13 @@ def test_the_unknown_bound_has_one_default():
 
 
 def test_solve_higher_refuses_a_negative_bound_as_usage(capsys, higher_doc):
-    code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", "-1")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: argument --max-unknowns: expected a non-negative integer, got '-1'\n"
-    )
+    for bound in ("-1", "abc"):  # "abc" is no integer at all
+        code, out, err = run(capsys, "solve-higher", higher_doc, "--max-unknowns", bound)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: argument --max-unknowns: expected a non-negative integer, got {bound!r}\n"
+        )
 
 
 def test_aaf_lists_admissible_relations(capsys, aaf_doc):
@@ -1043,6 +1044,28 @@ def test_closed_stdout_exits_one_without_a_traceback():
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_stdout_closed_mid_output_exits_one_without_a_traceback(tmp_path):
+    """8 mutual attacks give 3^8 labellings, far more text than a pipe holds,
+    so the write that follows the reader's close fails."""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    names = [f"a{i:02d}" for i in range(16)]
+    facts = [f"arg({x})." for x in names]
+    facts += [f"att({u},{x}). att({x},{u})." for u, x in zip(names[::2], names[1::2])]
+    doc = write_doc(tmp_path, "\n".join(facts) + "\n")
+    with subprocess.Popen(
+        [sys.executable, "-m", "g3arg.cli", "extensions", doc],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    ) as proc:
+        assert proc.stdout.readline() == "6561 complete labelling(s)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_valid_rejects_runaway_nesting(capsys):

@@ -63,6 +63,7 @@ from g3arg.prop import (
     conj,
     enumerate_models,
     is_valid,
+    link,
     replace_und,
     substitute,
     value,
@@ -203,7 +204,7 @@ asymmetric_relations = relations.filter(lambda r: any((x, u) not in r for u, x i
 @settings(max_examples=150, deadline=None)
 @given(pred_formulas(ab_terms, status=True), asymmetric_relations, relations, BATCHES)
 def test_pinned_grounding_matches_the_relation_bound_in_the_table(f, relation, pinned, batch):
-    """Deciding some R pairs while compiling equals reading them from the table.
+    """Linking some R pairs' keys to TRUE or FALSE equals reading them from the table.
 
     The pairs in ``pinned`` take their TT or FF profile from ``relation``;
     the other pairs are scan dimensions. The relation is asymmetric, so a
@@ -213,8 +214,9 @@ def test_pinned_grounding_matches_the_relation_bound_in_the_table(f, relation, p
     decided = {p: v for p, v in r_val.items() if p in pinned}
     dims = [("a", VALUE_ORDER), ("b", VALUE_ORDER), (StatusRef("u"), VALUE_ORDER)]
     dims += [(p, VALUE_ORDER) for p in r_val if p not in decided]
-    compiled = Program([f], grounding(("a", "b"), decided))
     free = Program([f], grounding(("a", "b")))
+    pins = {p: prop.TRUE if v.here else prop.FALSE for p, v in decided.items()}
+    compiled = link([(free, lambda key: pins.get(key, key))])
 
     def pinned(t):
         """The scan's table with each decided pair reading the scan's TRUE or FALSE."""

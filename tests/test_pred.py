@@ -29,7 +29,7 @@ from g3arg.pred import (
     walk,
 )
 from g3arg.prop import (
-    And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, UndConst, conj, disj, scan,
+    TRUE, And, Atom, Bot, EvalError, Imp, Neg, Or, Program, Top, UndConst, conj, disj, link, scan,
 )
 from g3arg.syntax import format_formula
 from g3arg.threeval import ThreeVal, VALUE_ORDER, World
@@ -247,13 +247,22 @@ def test_a_domain_listing_an_element_twice_is_refused():
 
 
 def test_grounding_rejects_propositional_atoms():
-    for decided in (None, relation_to_r_val(("a",), [("a", "a")])):
+    for pins in ({}, {("a", "a"): TRUE}):
         with pytest.raises(EvalError, match="not a predicate formula node"):
-            Program([And(RAtom(A, A), Atom("x"))], grounding(("a",), decided))
+            program = Program([And(RAtom(A, A), Atom("x"))], grounding(("a",)))
+            link([(program, lambda key: pins.get(key, key))])
+
+
+def test_a_pinned_relation_does_not_hide_an_unknown_constant():
+    """The constant is refused while compiling, before the pins fold R(a,a)."""
+    f = Or(RAtom(A, A), InAtom(Constant("zz")))
+    for fixed_r in (None, [], [("a", "a")]):
+        with pytest.raises(EvalError, match="constant 'zz' names no domain element"):
+            enumerate_interps(("a",), [f], fixed_r=fixed_r)
 
 
 def test_no_scan_has_a_one_choice_dimension():
-    """A pinned relation is compiled in, not scanned as one-choice dimensions."""
+    """A pinned relation is linked in, not scanned as one-choice dimensions."""
 
     def checked(dims, parts):
         assert all(len(choices) > 1 for _, choices in dims), dims

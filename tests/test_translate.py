@@ -291,14 +291,20 @@ def test_pinned_relation_folds_the_quantified_clauses():
     theory = pred_theory()
     # decided-r holds of any pinned relation: every instance folds to true
     decided = relation_to_r_val(dom, [("a", "b")])
-    assert Program([theory.clause("decided-r")], grounding(dom, decided)).code == [
-        (ALL, ())
-    ]
-    # with no attacks, R(Y,X) -> ~In(Y) is true before its consequent compiles
-    a1 = Program([theory.clause("a1")], grounding(dom, relation_to_r_val(dom, [])))
+    assert _pinned([theory.clause("decided-r")], decided).code == [(ALL, ())]
+    # with no attacks, R(Y,X) -> ~In(Y) folds to true, and so does a1
+    a1 = _pinned([theory.clause("a1")], relation_to_r_val(dom, []))
     assert {op for op, _ in a1.code} == {ALL}
-    pinned = Program(theory.formulas(), grounding(dom, decided))
+    pinned = _pinned(theory.formulas(), decided)
     assert all(type(key) is str for op, key in pinned.code if op == LEAF)  # In leaves only
+
+
+def _pinned(formulas, r_val):
+    """``formulas`` compiled over ``r_val``'s domain, linked with each R pair's
+    key sent to TRUE or FALSE as ``r_val`` decides it."""
+    dom = list(dict.fromkeys(u for u, _ in r_val))
+    pins = {p: prop.TRUE if v.here else prop.FALSE for p, v in r_val.items()}
+    return link([(Program(formulas, grounding(dom)), lambda key: pins.get(key, key))])
 
 
 @st.composite
@@ -430,8 +436,7 @@ def test_delta_groups_keep_what_delta_compiled_over_the_framework_keeps():
     for f in _pred_corpus():
         dom = f.arguments
         seen_self_attack |= any(u == x for u, x in f.attacks)
-        decided = relation_to_r_val(dom, f.attacks)
-        direct = Program(pred_theory().formulas(), grounding(dom, decided))
+        direct = _pinned(pred_theory().formulas(), relation_to_r_val(dom, f.attacks))
         table = f.attacker_table()
         groups = [(translate._delta_group(len(table[x])), (*table[x], x)) for x in dom]
         dims = [(x, VALUE_ORDER) for x in dom]
