@@ -11,13 +11,12 @@ fresh auxiliary arguments and a projection back to the base.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .af import LABEL_ORDER, LABEL_TO_VALUE, Framework, Labelling
-from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, link, scan
+from .prop import Formula, Neg, Program, SearchSpaceExceeded, conj, disj, scan
 from .pred import (
     Constant,
     RAtom,
@@ -27,7 +26,7 @@ from .pred import (
     non_classical_node,
 )
 from .threeval import DECIDED_ORDER
-from .translate import pred_theory
+from .translate import _delta_column
 
 
 # The scan covers 2^(|s0|^2) relations by 3^|s0| profiles: 4 arguments pass, 5 not.
@@ -64,13 +63,6 @@ class AxiomaticFrame:
         return cls(tuple(sorted(set(s0))), psi)
 
 
-@functools.cache
-def _delta_over_positions(n: int) -> Program:
-    """Delta_A over 0..n-1: ``In(i)`` is leaf ``i`` and ``R(i,j)`` leaf ``n + n*i + j``."""
-    delta = Program(pred_theory().formulas(), grounding(range(n)))
-    return link([(delta, lambda key: key if type(key) is int else n + n * key[0] + key[1])])
-
-
 def aaf_extensions(
     af: AxiomaticFrame,
 ) -> list[tuple[tuple[tuple[str, str], ...], tuple[Labelling, ...]]]:
@@ -78,10 +70,10 @@ def aaf_extensions(
 
     One scan, keyed by the argument names, covers the decided relation
     pairs and every argument's In profile, keeping where psi holds and so
-    does Delta_A over positions (its one reader: R stays open), read through
-    the arguments and their pairs. Relations come as sorted pair tuples in
-    lexicographic order, their labellings in lexicographic in < out < und
-    order. Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
+    does Delta_A: one column of it per argument, with R open, read through
+    the other arguments, the argument last, and their pairs in that order.
+    Relations come as sorted pair tuples in lexicographic order, their
+    labellings in lexicographic in < out < und order. Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     n = len(af.s0)
     pairs, m = list(itertools.product(af.s0, repeat=2)), n * n
@@ -89,10 +81,12 @@ def aaf_extensions(
         raise SearchSpaceExceeded(f"2^{m} attack relations exceed the bound {MAX_RELATIONS}")
     labels = [LABEL_TO_VALUE[label] for label in LABEL_ORDER]
     dims = [(p, DECIDED_ORDER) for p in pairs] + [(x, labels) for x in af.s0]
-    delta = (_delta_over_positions(n), [*af.s0, *pairs])
+    column = _delta_column(n)
+    orders = [[*(y for y in af.s0 if y != x), x] for x in af.s0]
+    delta = [(column, [*order, *itertools.product(order, repeat=2)]) for order in orders]
     psi = (Program([af.psi], grounding(af.s0)), None)
     family: dict[tuple[int, ...], list[Labelling]] = {}
-    for index in scan(dims, [delta, psi]):
+    for index in scan(dims, [*delta, psi]):
         lab = dict(zip(af.s0, map(LABEL_ORDER.__getitem__, index[m:])))
         family.setdefault(index[:m], []).append(lab)
     return sorted(

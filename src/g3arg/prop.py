@@ -125,7 +125,7 @@ TRUE, FALSE = -1, -2
 # THERE alone: ~a holds at HERE only when a fails at THERE.
 CONNECTIVES = {
     LEAF: (" h{i}, t{i} = table[k{i}]",),
-    UND: (" h{i}, t{i} = und or (0, full)",),
+    UND: (" h{i}, t{i} = 0, full",),
     NEG: (" h{i} = t{i} = full ^ t{args[0]}",),
     IMP: (" t{i} = full ^ t{args[0]} | t{args[1]}",
           " h{i} = (full ^ h{args[0]} | h{args[1]}) & t{i}"),
@@ -272,16 +272,15 @@ class Program:
     _runs = 0
     _generated = None
 
-    def run(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
+    def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """The (HERE, THERE) bitsets of every formula over a batch.
 
         ``table`` maps each leaf key to its pair of bitsets; ``full`` has a
         bit set for every candidate of the batch, and every bitset read is a
-        subset of it. Each ``#n`` reads ``und``, by default the constant's own
-        pair (0, full): a defined marker binds it to its definition's bitsets.
-        The first HOT_RUNS - 1 calls run the interpreter (``_interpret``);
-        the next one generates the program's code (``_generate``), which
-        every later call runs.
+        subset of it. Each ``#n`` is the constant pair (0, full). The
+        first HOT_RUNS - 1 calls run the interpreter (``_interpret``); the
+        next one generates the program's code (``_generate``), which every
+        later call runs.
         """
         fn = self._generated
         if fn is None:
@@ -291,11 +290,11 @@ class Program:
             else:
                 fn = self._generated = _generate(self)
         try:
-            return fn(table, full, und)
+            return fn(table, full)
         except KeyError as e:
             raise EvalError(f"no value assigned to {e.args[0]!r}") from None
 
-    def _interpret(self, table: Mapping, full: int, und: tuple | None = None) -> list[tuple[int, int]]:
+    def _interpret(self, table: Mapping, full: int) -> list[tuple[int, int]]:
         """``run`` by one loop over the instructions: the reference semantics."""
         here: list[int] = []
         there: list[int] = []
@@ -319,13 +318,13 @@ class Program:
             elif op == LEAF:
                 h, t = table[args]
             else:
-                h, t = und or (0, full)
+                h, t = 0, full
             here.append(h)
             there.append(t)
         return [(here[r], there[r]) for r in self.roots]
 
 
-def _generate(program: Program) -> Callable[[Mapping, int, tuple | None], list[tuple[int, int]]]:
+def _generate(program: Program) -> Callable[[Mapping, int], list[tuple[int, int]]]:
     """``program._interpret`` as one Python function of straight-line code.
 
     Every instruction is emitted from its kind's entry in CONNECTIVES, so
@@ -338,7 +337,7 @@ def _generate(program: Program) -> Callable[[Mapping, int, tuple | None], list[t
     ``full``, so a non-empty ALL need not start from it.
     """
     namespace: dict[str, object] = {}
-    lines = ["def run(table, full, und):"]
+    lines = ["def run(table, full):"]
     for i, (op, args) in enumerate(program.code):
         namespace[f"k{i}"] = args
         if op == ALL or op == ANY:
@@ -475,9 +474,7 @@ def _plan(shape: tuple[tuple[ThreeVal, ...], ...], batch_bits: int) -> tuple:
 
 
 def scan(
-    dims: Sequence[tuple[object, Sequence[ThreeVal]]],
-    parts: Sequence[tuple],
-    und: tuple | None = None,
+    dims: Sequence[tuple[object, Sequence[ThreeVal]]], parts: Sequence[tuple]
 ) -> Iterator[tuple[int, ...]]:
     """Choice indices of the candidates where every part's roots hold, in order.
 
@@ -491,9 +488,7 @@ def scan(
     ``table[leaves[i]]``. A root holds when it is true at HERE, but a part
     may add ties, ``(program, leaves, ties)``: its last ``len(ties)`` roots
     are tied instead, each agreeing at HERE with the leaf that its entry in
-    ``ties`` keys in the table. Every ``#n`` reads the first root of
-    ``und``, a Program and its leaf list, when one is given (see
-    ``Program.run``).
+    ``ties`` keys in the table.
 
     A scan of one batch runs the parts as given: a program that serves a
     single batch runs once, so a private copy of it does not pay. A scan
@@ -531,7 +526,7 @@ def scan(
     for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
         for (key, choices), c in zip(outer_dims, outer):
             table[key] = profiles[choices[c]]
-        mask = _holds(parts, und, table, full)
+        mask = _holds(parts, table, full)
         while mask:
             last = mask & -mask
             mask ^= last
@@ -539,7 +534,7 @@ def scan(
             yield outer + high[bit // p] + low[bit % p]
 
 
-def _holds(parts: Sequence[tuple], und: tuple | None, table: Mapping, full: int) -> int:
+def _holds(parts: Sequence[tuple], table: Mapping, full: int) -> int:
     """The candidates of one batch where every part's roots hold (see ``scan``).
 
     A function of its own, so that the batch's roots are freed before
@@ -547,14 +542,10 @@ def _holds(parts: Sequence[tuple], und: tuple | None, table: Mapping, full: int)
     prop's clause scan at 14 arguments 6 % slower, and the same program's
     later runs in that process 12 % slower (Python 3.11, one process each).
     """
-    root = None
-    if und is not None:
-        program, leaves = und
-        root = program.run(table if leaves is None else [table[k] for k in leaves], full)[0]
     mask = full
     for part in parts:
         program, leaves = part[0], part[1]
-        roots = program.run(table if leaves is None else [table[k] for k in leaves], full, root)
+        roots = program.run(table if leaves is None else [table[k] for k in leaves], full)
         if len(part) > 2:
             ties = part[2]
             free = len(roots) - len(ties)

@@ -182,10 +182,9 @@ def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tupl
 
     Each argument's shape group of ``prop_theory(f)``'s clauses, and the
     names its leaves read: every clause holds at HERE on the candidates
-    ``scan`` keeps, each ``#n`` reading the scan's ``und``. With
-    ``stable``, the clauses of ``stable_theory(f)``, to be scanned over
-    DECIDED_ORDER. Nothing is built for ``f``; a scan of at least
-    HOT_RUNS batches links the groups (see ``prop.scan``).
+    ``scan`` keeps. With ``stable``, the clauses of ``stable_theory(f)``, to
+    be scanned over DECIDED_ORDER. Nothing is built for ``f``; a scan of at
+    least HOT_RUNS batches links the groups (see ``prop.scan``).
     """
     clauses = _fix_clauses if stable else _argument_clauses
     return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
@@ -210,8 +209,7 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 
 
 def _labellings(
-    args: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER,
-    und: tuple | None = None,
+    args: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER
 ) -> list[tuple[tuple[str, str], ...]]:
     """The canonical labellings of the candidates ``scan`` keeps, in scan order.
 
@@ -222,7 +220,7 @@ def _labellings(
     labels = [_TEXT[VALUE_TO_LABEL[v]] for v in order]
     return [
         tuple(zip(args, map(labels.__getitem__, index)))
-        for index in scan([(x, order) for x in args], parts, und)
+        for index in scan([(x, order) for x in args], parts)
     ]
 
 
@@ -247,10 +245,6 @@ def und_definition(f: Framework) -> Formula:
 @functools.cache
 def _und_over_positions(n: int) -> Program:
     return link([(Program([_decided([*map(str, range(n))])]), int)])
-
-
-# the marker alone: tied to FALSE, it keeps where the bound #n fails at HERE
-_UNDECIDED = (Program([UndConst()]), None, [FALSE])
 
 
 def _fix_clauses(x: str, ys: Sequence[str]) -> list[tuple[str, Formula]]:
@@ -291,8 +285,8 @@ def und_free_theories(f: Framework) -> tuple[Theory, Theory]:
     attackers' negations). The second is the clause theory with the marker
     constant textually replaced by its definition; its models with the
     defined marker undecided cover the non-stable complete labellings.
-    ``verify_und_free`` runs the clause program with ``#n`` bound to the
-    definition, and the CLI prints both theories with ``clause_texts``;
+    ``verify_und_free`` scans the clause program where the definition fails
+    at HERE, and the CLI prints both theories with ``clause_texts``;
     neither builds them.
     """
     defn = und_definition(f)
@@ -321,20 +315,19 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     models of the second in which the defined marker is undecided; together
     the two sides must rebuild the complete set. Both theories are scanned
     as ``clause_parts``, from per-shape groups; no clause tree is built.
-    The second is the clause theory itself, with ``#n`` bound at run time
-    to ``und_definition``, compiled once per number of arguments and read
-    through the list of ``f.arguments``: the scan's ``und``, which gives
-    the rebuilt clauses' models. One more part, the marker alone tied to
-    FALSE, keeps them where the defined marker fails at HERE, without
-    running the definition again. The complete labellings are those kept
-    on ``f``, so the other verifiers share them.
+    For the second, ``und_definition``, compiled once per number of
+    arguments and read through ``f.arguments``, is tied to FALSE. It holds
+    at THERE everywhere, so where it fails at HERE its profile is the
+    marker's own, and the clause theory itself gives the rebuilt clauses'
+    models. The complete labellings are those kept on ``f``, so the other
+    verifiers share them.
     """
     subject = framework_key(f)
     args = f.arguments
 
     stable_models = _labellings(args, clause_parts(f, stable=True), DECIDED_ORDER)
-    defn = (_und_over_positions(len(args)), args)
-    partial_models = _labellings(args, [_UNDECIDED, *clause_parts(f)], und=defn)
+    undecided = (_und_over_positions(len(args)), args, [FALSE])
+    partial_models = _labellings(args, [undecided, *clause_parts(f)])
 
     complete, und_text = _complete_labellings(f), _TEXT[Label.UND]
     stable_labs = {lab for lab in complete if all(v != und_text for _, v in lab)}
@@ -435,16 +428,28 @@ def _attacks(f: Framework) -> list[int]:
 
 
 @functools.cache
+def _delta_column(n: int) -> Program:
+    """``pred_theory``'s clause bodies at X = n-1 over 0..n-1, with R open:
+    ``In(i)`` is leaf ``i`` and ``R(i,j)`` leaf ``n + n*i + j``.
+
+    Delta over n elements is the AND of its n columns, each read through
+    a list that puts its own element last.
+    """
+    bodies = Program([g.body for g in pred_theory().formulas()], grounding(range(n)), {"X": n - 1})
+    return link([(bodies, lambda key: key if type(key) is int else n + n * key[0] + key[1])])
+
+
+@functools.cache
 def _delta_group(k: int) -> Program:
-    """``pred_theory``'s clause bodies at X = k over 0..k, linked with R(i,k) TRUE
-    for i < k and every other R pair FALSE.
+    """``_delta_column(k + 1)`` linked with R(i,k) TRUE for i < k and every
+    other R pair FALSE.
 
     So it reads In alone: leaf i the i-th attacker and leaf k the argument;
     an argument that attacks itself reads its own name at two leaves.
     """
-    bodies = Program([g.body for g in pred_theory().formulas()], grounding(range(k + 1)), {"X": k})
-    attack = {(i, k): TRUE for i in range(k)}
-    return link([(bodies, lambda key: key if type(key) is int else attack.get(key, FALSE))])
+    n = k + 1
+    pins = [TRUE if j == k and i < k else FALSE for i, j in itertools.product(range(n), repeat=2)]
+    return link([(_delta_column(n), [*range(n), *pins].__getitem__)])
 
 
 def verify_pred_theory(f: Framework) -> CorrespondenceReport:

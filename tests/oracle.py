@@ -269,7 +269,7 @@ class _Kept:
     def __init__(self, keep):
         self.keep = keep
 
-    def run(self, table, full, und=None):
+    def run(self, table, full):
         return [(self.keep(table, full), 0)]
 
 

@@ -396,6 +396,8 @@ W0 = ("w0", Exists("X", And(InAtom(X), Neg(RAtom(X, B)))))
 # that nothing attacks, so it has no a2 clause
 @example((HigherNetwork.make("ab", [W0], [("r(a,b)", "r(a,b)"), ("r(a,b)", "w0")]), None), 9)
 @example((HigherNetwork.make("ab", [W0], [("w0", "b"), ("r(b,a)", "r(b,a)")]), None), 3)
+# a formula unit that reads a pinned pair, so its tie formula is linked with the pin
+@example((HigherNetwork.make("ab", [W0], [("w0", "b")]), {("a", "b")}), 1)
 def test_solve_higher_matches_the_oracle_scan(network, batch):
     hn, fixed = network
     with patch.object(prop, "BATCH_BITS", batch):

@@ -454,21 +454,17 @@ def _programs(draw):
 
 
 @settings(deadline=None)
-@given(_programs(), st.booleans(), st.sampled_from([1, 3, 9, 8192]))
+@given(_programs(), st.sampled_from([1, 3, 9, 8192]))
 @example(Program([Imp(Atom("x"), Atom("y")), Neg(Atom("z")), Or(Atom("x"), And(Atom("y"), Atom("z")))]),
-         False, 9)  # each connective, on every profile of its operands
-@example(Program([Top()]), False, 1)  # the empty ALL
-@example(Program([Bot(), UndConst()]), True, 3)  # the empty ANY, #n bound
-def test_generated_code_matches_the_interpreter(program, bind_und, batch):
-    """Both worlds' roots of every batch, from the generated function and the interpreter.
-
-    ``#n`` reads the constant's own pair, or x's bitsets when bound.
-    """
+         9)  # each connective, on every profile of its operands
+@example(Program([Top()]), 1)  # the empty ALL
+@example(Program([Bot(), UndConst()]), 3)  # the empty ANY, #n
+def test_generated_code_matches_the_interpreter(program, batch):
+    """Both worlds' roots of every batch, from the generated function and the interpreter."""
     generated = prop._generate(program)
 
     def agree(table, full):
-        und = table["x"] if bind_und else None
-        assert generated(table, full, und) == program._interpret(table, full, und)
+        assert generated(table, full) == program._interpret(table, full)
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
@@ -532,14 +528,14 @@ def test_generated_source_of_a_program_with_every_instruction_kind():
     program = Program([Imp(x, y), Neg(z), Or(x, And(y, UndConst())), Top(), Bot()])
     with patch.object(prop, "compile", spy, create=True):
         prop._generate(program)
-    assert sources == ["""def run(table, full, und):
+    assert sources == ["""def run(table, full):
  h0, t0 = table[k0]
  h1, t1 = table[k1]
  t2 = full ^ t0 | t1
  h2 = (full ^ h0 | h1) & t2
  h3, t3 = table[k3]
  h4 = t4 = full ^ t3
- h5, t5 = und or (0, full)
+ h5, t5 = 0, full
  h6 = h1 & h5
  t6 = t1 & t5
  h7 = h0 | h6

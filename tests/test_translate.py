@@ -1,7 +1,9 @@
 """Translation routes: clause theories, marker elimination, instantiation,
 quantified clauses and the domain diagram."""
 
+import functools
 import itertools
+import operator
 from random import Random
 from unittest.mock import patch
 
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from g3arg import aaf, prop, translate
+from g3arg import prop, translate
 from g3arg.aaf import AxiomaticFrame, aaf_extensions
 from g3arg.af import Framework, Label, canonical
 from g3arg.corpus import all_frameworks, random_framework
@@ -325,25 +327,31 @@ def skewed_domains(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
-def test_delta_over_positions_matches_delta_compiled_over_the_names(case, batch):
+def test_delta_columns_and_together_match_delta_compiled_over_the_names(case, batch):
     """Every root, HERE and THERE, on every In candidate, the R profiles bound
-    in the table: the program over positions reads it through the leaf list
-    of the names and of their pairs in product order."""
+    in the table: the AND over the n Delta columns, each read through the
+    leaf list that puts its own element last, then the pairs of that order,
+    equals Delta compiled over the names."""
     dom, r_val = case
-    positions = aaf._delta_over_positions(len(dom))
+    column = translate._delta_column(len(dom))
     direct = Program(pred_theory().formulas(), grounding(dom))
     dims = [(d, VALUE_ORDER) for d in dom]
-    leaves = [*dom, *itertools.product(dom, repeat=2)]
+    orders = [[*(y for y in dom if y != x), x] for x in dom]
+    lists = [[*order, *itertools.product(order, repeat=2)] for order in orders]
 
     def bound(t, full):
         profiles = {v: (full if v.here else 0, full if v.there else 0) for v in VALUE_ORDER}
         return {**t, **{p: profiles[v] for p, v in r_val.items()}}
 
+    def columns(t, full, i, half):
+        table = bound(t, full)
+        return functools.reduce(operator.and_, (
+            column.run([table[k] for k in leaves], full)[i][half] for leaves in lists))
+
     with patch.object(prop, "BATCH_BITS", batch):
         for i in range(len(direct.roots)):
             for half in (0, 1):
-                got = list(oracle.scan_keep(dims, lambda t, full: positions.run(
-                    [bound(t, full)[k] for k in leaves], full)[i][half]))
+                got = list(oracle.scan_keep(dims, lambda t, full: columns(t, full, i, half)))
                 want = list(oracle.scan_keep(
                     dims, lambda t, full: direct.run(bound(t, full), full)[i][half]))
                 assert got == want
@@ -353,8 +361,9 @@ def test_delta_is_compiled_once_per_domain_size():
     """pred's Delta groups are compiled once per attacker count, from Delta's
     clause bodies, and shared by frameworks of any size and names. The
     domain diagram compiles only its template, once per domain size, and
-    reads pred's groups under each relation it admits; Delta over
-    positions, which aaf alone reads, is compiled once per domain size."""
+    reads pred's groups under each relation it admits. aaf reads the Delta
+    column that pred's group of one attacker fewer than its size links, so
+    it compiles only its psi."""
     compiled = []
     init = Program.__init__
     bodies = [g.body for g in pred_theory().formulas()]
@@ -364,7 +373,7 @@ def test_delta_is_compiled_once_per_domain_size():
         init(self, formulas, *args)
 
     translate._delta_group.cache_clear()
-    aaf._delta_over_positions.cache_clear()
+    translate._delta_column.cache_clear()
     assert verify_pred_theory(Framework.make("abc", [("a", "b")])).ok
     with patch.object(Program, "__init__", counting):
         assert verify_pred_theory(Framework.make("pqr", [("q", "p"), ("r", "r")])).ok
@@ -387,16 +396,18 @@ def test_delta_is_compiled_once_per_domain_size():
         assert verify_domain_diagram(Framework.make("ab", [("b", "a")])).ok
         assert len(compiled) == 2 and compiled[1] != pred_theory().formulas()
         assert translate._delta_group.cache_info().currsize == 3
-        # aaf compiles Delta over positions, once per domain size, and its own formula
+        # aaf reads the column of pred's 2-attacker group and compiles its own formula
         compiled.clear()
+        hits = translate._delta_column.cache_info().hits
         frame = AxiomaticFrame(("a", "b", "c"), parse_pred("forall X ~R(X,X)"))
         assert aaf_extensions(frame)
-        assert compiled == [pred_theory().formulas(), [frame.psi]]
+        assert compiled == [[frame.psi]]
+        assert translate._delta_column.cache_info().hits == hits + 1
         compiled.clear()
         assert aaf_extensions(AxiomaticFrame(("p", "q", "r"), frame.psi))
         assert compiled == [[frame.psi]]
     assert translate._delta_group.cache_info().currsize == 3
-    assert aaf._delta_over_positions.cache_info().currsize == 1
+    assert translate._delta_column.cache_info().currsize == 3
     assert translate._diagram_over_positions.cache_info().currsize == 2
     # the template names no argument; over positions, R(i,j) is leaf 3i + j, A(i,j) 9 + 3i + j
     assert is_closed(template) and template != domain_diagram(cycle)
@@ -405,9 +416,9 @@ def test_delta_is_compiled_once_per_domain_size():
     assert {key for op, key in positions.code if op == LEAF} == set(range(18))
     # a group reads In at the positions 0..k alone: every R atom is decided
     assert {key for op, key in translate._delta_group(2).code if op == LEAF} == {0, 1, 2}
-    # Delta's In(i) is leaf i, R(i,j) 3 + 3i + j
-    delta = aaf._delta_over_positions(3)
-    assert {key for op, key in delta.code if op == LEAF} == set(range(12))
+    # a column's In(i) is leaf i and R(i,j) 3 + 3i + j: it reads R(i,2) and R(2,j)
+    column = translate._delta_column(3)
+    assert {key for op, key in column.code if op == LEAF} == {0, 1, 2, 5, 8, 9, 10, 11}
     # a folded copy shares no list with the cached program
     leaves = [*itertools.product(range(3), repeat=2), *translate._attacks(cycle)]
     mine = link([(positions, leaves.__getitem__)])
@@ -582,29 +593,32 @@ def test_linked_programs_match_direct_compiles(f, batch):
     """HERE and THERE of every root on every candidate, linked against direct.
 
     The clause groups are linked through their leaf lists, as ``scan``
-    links them. The und-free check runs the clause program with ``#n``
-    bound to the root of the definition over positions, which comes last
-    here. And ``scan`` keeps from ``clause_parts``, in the tier that the
-    width picks, what it keeps from the direct compiles, ``#n`` bound or not.
+    links them, and the definition over positions runs through the list of
+    the arguments; its THERE root is ``full`` on every batch. And ``scan``
+    keeps from ``clause_parts``, in the tier that the width picks, what it
+    keeps from the direct compiles: with the definition tied to FALSE in
+    front, what the rebuilt und-free theory keeps where ``und_definition``
+    fails at HERE.
     """
     defn = und_definition(f)
     definition = translate._und_over_positions(len(f.arguments))
     direct_clauses = Program(prop_theory(f).formulas())
     direct_stable = Program(stable_theory(f).formulas())
-    direct_und_free = Program(prop_theory(f).formulas(), oracle.defined_marker(defn))
+    direct_und_free = Program(und_free_theories(f)[1].formulas())
     linked, linked_stable = (
         link([(group, names.__getitem__) for group, names in clause_parts(f, stable)])
         for stable in (False, True)
     )
 
-    def und_free(table, full):
-        root, = definition.run([table[x] for x in f.arguments], full)
-        return linked.run(table, full, root) + [root]
+    def over_positions(table, full):
+        roots = definition.run([table[x] for x in f.arguments], full)
+        assert roots[0][1] == full
+        return roots
 
     pairs = [
         (linked.run, [direct_clauses]),
         (linked_stable.run, [direct_stable]),
-        (und_free, [direct_und_free, Program([defn])]),
+        (over_positions, [Program([defn])]),
     ]
 
     def agree(table, full):
@@ -613,12 +627,12 @@ def test_linked_programs_match_direct_compiles(f, batch):
         return 0
 
     dims = [(x, VALUE_ORDER) for x in f.arguments]
-    und = (definition, f.arguments)
+    undecided = (definition, f.arguments, [prop.FALSE])
     with patch.object(prop, "BATCH_BITS", batch):
         assert list(oracle.scan_keep(dims, agree)) == []
         assert list(scan(dims, clause_parts(f))) == list(scan(dims, [(direct_clauses, None)]))
-        assert list(scan(dims, clause_parts(f), und)) == list(
-            scan(dims, [(direct_und_free, None)]))
+        assert list(scan(dims, [undecided, *clause_parts(f)])) == list(scan(dims, [
+            (Program([defn]), None, [prop.FALSE]), (direct_und_free, None)]))
         assert list(scan(dims, clause_parts(f, stable=True))) == list(
             scan(dims, [(direct_stable, None)]))
 
