@@ -641,6 +641,10 @@ def valuations(f, dom):
 
 @settings(deadline=None)
 @given(open_pred_formulas, interpretations(), profiles)
+# a free variable that only the valuation binds
+@example(InAtom(X), PredInterp(("a", "b"), {"a": ThreeVal.TT, "b": ThreeVal.FF},
+                               dict.fromkeys(itertools.product("ab", repeat=2), ThreeVal.FF)),
+         ThreeVal.FF)
 def test_valuations_reach_pred_value_as_in_the_oracle(f, m, u):
     for v in valuations(f, m.domain):
         got = pred_value(f, m, {"u": u}, v=v)

@@ -327,6 +327,8 @@ def skewed_domains(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(skewed_domains(), st.sampled_from([prop.BATCH_BITS, 1, 3, 9]))
+# three elements, so each column must stand for its own element
+@example((("a", "b", "c"), dict.fromkeys(itertools.product("abc", repeat=2), ThreeVal.FF)), 1)
 def test_delta_columns_and_together_match_delta_compiled_over_the_names(case, batch):
     """Every root, HERE and THERE, on every In candidate, the R profiles bound
     in the table: the AND over the n Delta columns, each read through the
