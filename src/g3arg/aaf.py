@@ -73,7 +73,8 @@ def aaf_extensions(
     does Delta_A: one column of it per argument, with R open, read through
     the other arguments, the argument last, and their pairs in that order.
     Relations come as sorted pair tuples in lexicographic order, their
-    labellings in lexicographic in < out < und order. Raises SearchSpaceExceeded when there are more than MAX_RELATIONS.
+    labellings in lexicographic in < out < und order. Raises
+    SearchSpaceExceeded when there are more than MAX_RELATIONS.
     """
     n = len(af.s0)
     pairs, m = list(itertools.product(af.s0, repeat=2)), n * n

@@ -1,6 +1,6 @@
 """Run named mutants of the package and check that the suite kills each one.
 
-Usage: python3 tests/mutants.py [--only NAME ...] [--timeout SECONDS]
+Usage: python3 tests/mutants.py
 
 Each mutant in MUTANTS is one exact replacement of text in a file of the
 package (or of the test oracle), together with the test ids that must fail
@@ -8,18 +8,19 @@ on it. For each mutant the script copies src/, tests/ and pyproject.toml
 into a temporary directory, makes the replacement there (the old text must
 occur exactly once, or the run fails: a refactor that moves the text must
 update its mutant), and runs pytest on the listed ids in a fresh process
-with the copy's src on PYTHONPATH, under a time limit. A mutant is killed
-when every listed id fails. First the listed ids run once on an unchanged
-copy, where each must pass, so that a test that fails anyway kills
-nothing. A listed id should fail on its mutant in every run: a plain or
-parametrized test, or a hypothesis test whose @example kills it. The
-script prints one line per mutant, with its time, and exits 1 when a
-mutant survives, times out or no longer applies.
+with the copy's src on PYTHONPATH, under a time limit of TIMEOUT seconds.
+A mutant is killed when every listed id fails or errors. First the listed
+ids run once on an unchanged copy, where pytest must exit 0 and report
+each one as passed (not failed, errored, skipped or missing), so that a
+test that fails anyway kills nothing. A listed id should fail on its
+mutant in every run: a plain or parametrized test, or a hypothesis test
+whose @example kills it. The script prints one line per mutant, with its
+time, and exits 1 when the unchanged copy is broken, or a mutant
+survives, times out or no longer applies.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds allowed per pytest run
 
 
 class Mutant(NamedTuple):
@@ -135,42 +137,45 @@ def _copy(into: Path) -> None:
     shutil.copy(ROOT / "pyproject.toml", into)
 
 
-def _failed(work: Path, ids: tuple[str, ...], timeout: float) -> set[str] | None:
-    """The ids among ``ids`` that fail in ``work``, or None when the run times
-    out. A run that pytest ends in an error (an id that names no test, a
-    module that fails to import) adds "ERROR", so it never passes."""
+def _outcomes(work: Path, ids: tuple[str, ...]) -> tuple[int, dict[str, str]] | None:
+    """pytest's exit code on ``ids`` in ``work``, and the outcome (PASSED,
+    FAILED or ERROR) of each id that pytest reports, or None when the run
+    times out. A skipped id, or one that names no test, has no outcome."""
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
-    command = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+    command = [sys.executable, "-m", "pytest", "-q", "-rpfE", "-p", "no:cacheprovider",
                "-o", "addopts=", *ids]
     try:
         out = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True,
-                             timeout=timeout)
+                             timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None
-    failed = {line.split()[1] for line in out.stdout.splitlines() if line.startswith("FAILED ")}
-    return failed | {"ERROR"} if out.returncode not in (0, 1) else failed
+    outcomes = {}
+    for line in out.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR") and rest:
+            outcomes[rest.split()[0]] = word
+    return out.returncode, outcomes
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    names = [m.name for m in MUTANTS]
-    parser.add_argument("--only", nargs="+", choices=names, default=names, metavar="NAME")
-    parser.add_argument("--timeout", type=float, default=300,
-                        help="seconds allowed per pytest run (default 300)")
-    args = parser.parse_args()
-    mutants = [m for m in MUTANTS if m.name in args.only]
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         _copy(base)
-        ids = tuple(dict.fromkeys(i for m in mutants for i in m.killers))
+        ids = tuple(dict.fromkeys(i for m in MUTANTS for i in m.killers))
         start = time.perf_counter()
-        failed = _failed(base, ids, args.timeout)
-        if failed is None or failed:
-            print(f"unchanged source: {'timed out' if failed is None else sorted(failed)}")
+        run = _outcomes(base, ids)
+        if run is None:
+            print(f"unchanged source: TIMED OUT after {TIMEOUT} s")
+            return 1
+        code, outcomes = run
+        broken = [i for i in ids if outcomes.get(i) != "PASSED"]
+        if code or broken:
+            print(f"unchanged source: pytest exit code {code}; broken "
+                  f"(failed, errored, skipped or not found): {broken}")
             return 1
         print(f"unchanged source: {len(ids)} tests pass ({time.perf_counter() - start:.1f} s)")
-        for m in mutants:
+        for m in MUTANTS:
             start = time.perf_counter()
             work = Path(tmp) / m.name
             shutil.copytree(base, work)
@@ -181,16 +186,18 @@ def main() -> int:
                 bad += 1
                 continue
             target.write_text(text.replace(m.old, m.new))
-            failed = _failed(work, m.killers, args.timeout)
+            run = _outcomes(work, m.killers)
             seconds = f"{time.perf_counter() - start:.1f} s"
-            if failed is None:
-                print(f"{m.name}: TIMED OUT after {args.timeout:g} s")
+            if run is None:
+                print(f"{m.name}: TIMED OUT after {TIMEOUT} s")
                 bad += 1
-            elif set(m.killers) <= failed:
-                print(f"{m.name}: killed by {len(m.killers)} of {len(m.killers)} ({seconds})")
+                continue
+            survivors = [i for i in m.killers if run[1].get(i) not in ("FAILED", "ERROR")]
+            if survivors:
+                print(f"{m.name}: SURVIVED {survivors} ({seconds})")
+                bad += 1
             else:
-                print(f"{m.name}: SURVIVED {sorted(set(m.killers) - failed)} ({seconds})")
-                bad += 1
+                print(f"{m.name}: killed by {len(m.killers)} of {len(m.killers)} ({seconds})")
             shutil.rmtree(work)
     return 1 if bad else 0
 
