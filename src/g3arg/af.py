@@ -34,6 +34,11 @@ class Label(enum.Enum):
     OUT = "out"
     UND = "und"
 
+    # Members are singletons compared by identity, so identity hashing is
+    # consistent and skips Enum's Python-level hash of the member name (the
+    # verifiers look each label's choice code up in a dict).
+    __hash__ = object.__hash__
+
 
 # Lexicographic base for labelling enumeration.
 LABEL_ORDER = (Label.IN, Label.OUT, Label.UND)

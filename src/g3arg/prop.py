@@ -93,14 +93,15 @@ PropAssignment = Mapping[str, ThreeVal]
 BATCH_BITS = 1 << 13
 # Scan plans kept, one per dimension shape (see ``scan``).
 PLAN_CACHE = 32
-# Calls after which a Program runs as generated code (see ``Program.run``).
-# Generating costs 8-11 us per instruction (Delta over 4 / 5 / 6 positions,
-# 138 / 196 / 264 instructions: 1.2 / 1.6 / 2.2 ms) and makes a run
-# 1.7-3.7x faster (Delta: 22 -> 8.5, 32 -> 13, 45 -> 19 us), so it breaks
-# even after 68-124 runs whatever the program's size (clause shape groups of
-# 6-21 instructions, the und definition and the 3-argument diagram too).
-# Generating near the break-even loses at most about 2x against the better
-# choice in hindsight, whatever the number of runs (ski rental).
+# Filter calls after which a Program's scan filter runs as generated code
+# (see ``Program.filter``). Generating costs 8-11 us per instruction (Delta
+# over 4 / 5 / 6 positions, 138 / 196 / 264 instructions: 1.2 / 1.6 /
+# 2.2 ms) and makes a run 1.7-3.7x faster (Delta: 22 -> 8.5, 32 -> 13,
+# 45 -> 19 us), so it breaks even after 68-124 runs whatever the program's
+# size (clause shape groups of 6-21 instructions, the und definition and the
+# 3-argument diagram too). Generating near the break-even loses at most about
+# 2x against the better choice in hindsight, whatever the number of runs
+# (ski rental).
 HOT_RUNS = 100
 # Operands per statement of a generated ALL or ANY (see ``_generate``).
 _CHUNK = 64
@@ -117,14 +118,15 @@ CONSTANTS = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
 # folded away while compiling.
 TRUE, FALSE = -1, -2
 # Each instruction kind's meaning in generated code (see ``_generate``), the
-# one place outside the reference ``_interpret`` that states it. LEAF, UND,
+# one place outside the reference ``Program.run`` that states it. LEAF, UND,
 # NEG and IMP give the statements that set instruction i's HERE and THERE
 # bitsets h{i} and t{i}, formatted with ``i`` and its operand tuple ``args``
-# (a leaf reads its key through the name k{i}); ALL and ANY give their
-# operator and the value of the empty ALL or ANY. NEG reads its operand at
-# THERE alone: ~a holds at HERE only when a fails at THERE.
+# (a leaf reads the table at ``key``: its own key, bound to the name k{i}, or
+# the entry of the leaf list at that key); ALL and ANY give their operator
+# and the value of the empty ALL or ANY. NEG reads its operand at THERE
+# alone: ~a holds at HERE only when a fails at THERE.
 CONNECTIVES = {
-    LEAF: (" h{i}, t{i} = table[k{i}]",),
+    LEAF: (" h{i}, t{i} = table[{key}]",),
     UND: (" h{i}, t{i} = 0, full",),
     NEG: (" h{i} = t{i} = full ^ t{args[0]}",),
     IMP: (" t{i} = full ^ t{args[0]} | t{args[1]}",
@@ -195,12 +197,11 @@ class Program:
     afterwards, so an atom in a dead operand, on either side of the zero,
     needs no table entry. The ``#n`` constant stays an instruction unless
     the hook compiles it otherwise. The connective semantics lives in
-    ``_interpret``, the reference, and in the CONNECTIVES table, from which
-    ``_generate`` emits the code that ``run`` switches to once the program
-    is hot; tests hold the table and the generated code to the reference.
-    A Program filters a scan as one of its parts (see ``scan``). Compiling
-    and running use explicit stacks or straight-line code, so formula depth
-    is not bounded by recursion.
+    ``run``, the interpreter and reference, and in the CONNECTIVES table,
+    from which ``_generate`` emits the filter that a scan part runs once the
+    program is hot (see ``filter``); tests hold the table and the generated
+    filters to the reference. Compiling and running use explicit stacks or
+    straight-line code, so formula depth is not bounded by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -267,77 +268,114 @@ class Program:
         # an operand compiled before a later zero is dead
         self.code, self.roots = _live(code, roots)
 
-    # Calls so far, and the generated code once hot (see ``run``); ``link``'s
-    # copies, made without __init__, start from these class defaults too.
+    # Filter calls so far, and the generated filters once hot, one per part
+    # form (see ``filter``); ``link``'s copies, made without __init__, start
+    # from these class defaults too.
     _runs = 0
-    _generated = None
+    _filters = None
 
     def run(self, table: Mapping, full: int) -> list[tuple[int, int]]:
-        """The (HERE, THERE) bitsets of every formula over a batch.
+        """The (HERE, THERE) bitsets of every formula over a batch, by one
+        loop over the instructions: the interpreter and reference semantics.
 
         ``table`` maps each leaf key to its pair of bitsets; ``full`` has a
         bit set for every candidate of the batch, and every bitset read is a
-        subset of it. Each ``#n`` is the constant pair (0, full). The
-        first HOT_RUNS - 1 calls run the interpreter (``_interpret``); the
-        next one generates the program's code (``_generate``), which every
-        later call runs.
+        subset of it. Each ``#n`` is the constant pair (0, full). A key
+        missing from ``table`` is an EvalError.
         """
-        fn = self._generated
-        if fn is None:
-            self._runs += 1
-            if self._runs < HOT_RUNS:
-                fn = self._interpret
-            else:
-                fn = self._generated = _generate(self)
-        try:
-            return fn(table, full)
-        except KeyError as e:
-            raise EvalError(f"no value assigned to {e.args[0]!r}") from None
-
-    def _interpret(self, table: Mapping, full: int) -> list[tuple[int, int]]:
-        """``run`` by one loop over the instructions: the reference semantics."""
         here: list[int] = []
         there: list[int] = []
-        for op, args in self.code:
-            if op == ALL:
-                h = t = full
-                for a in args:
-                    h &= here[a]
-                    t &= there[a]
-            elif op == ANY:
-                h = t = 0
-                for a in args:
-                    h |= here[a]
-                    t |= there[a]
-            elif op == IMP:
-                a, b = args
-                t = (full ^ there[a]) | there[b]
-                h = ((full ^ here[a]) | here[b]) & t
-            elif op == NEG:
-                h = t = full ^ there[args[0]]
-            elif op == LEAF:
-                h, t = table[args]
-            else:
-                h, t = 0, full
-            here.append(h)
-            there.append(t)
+        try:
+            for op, args in self.code:
+                if op == ALL:
+                    h = t = full
+                    for a in args:
+                        h &= here[a]
+                        t &= there[a]
+                elif op == ANY:
+                    h = t = 0
+                    for a in args:
+                        h |= here[a]
+                        t |= there[a]
+                elif op == IMP:
+                    a, b = args
+                    t = (full ^ there[a]) | there[b]
+                    h = ((full ^ here[a]) | here[b]) & t
+                elif op == NEG:
+                    h = t = full ^ there[args[0]]
+                elif op == LEAF:
+                    h, t = table[args]
+                else:
+                    h, t = 0, full
+                here.append(h)
+                there.append(t)
+        except KeyError as e:
+            raise EvalError(f"no value assigned to {e.args[0]!r}") from None
         return [(here[r], there[r]) for r in self.roots]
 
+    def filter(self, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
+        """The filter of a scan part that reads this program (see ``scan``).
 
-def _generate(program: Program) -> Callable[[Mapping, int], list[tuple[int, int]]]:
-    """``program._interpret`` as one Python function of straight-line code.
+        A function of ``(table, leaves, full)`` that returns the candidates
+        of the batch where every root holds at HERE, but each of the last
+        ``len(ties)`` roots agrees at HERE with the table entry its tie keys
+        instead. With ``listed`` leaf i reads ``table[leaves[i]]``, else
+        ``table[i]`` (``leaves`` is then unread). The first HOT_RUNS - 1
+        filter calls of the program, over every form, compute the mask from
+        ``run``. From the next one on the program is hot: each form's filter
+        is generated (``_generate``) on its first call and kept, and every
+        later call of that form runs it.
+        """
+        filters = self._filters
+        if filters is not None:
+            holds = filters.get((listed, *ties) if ties else listed)
+            if holds is not None:
+                return holds
+        return functools.partial(self._cold, listed, tuple(ties))
+
+    def _cold(self, listed: bool, ties: tuple, table: Mapping, leaves: Sequence, full: int) -> int:
+        """A filter call of a program that was not hot when ``filter`` handed it out."""
+        if self._runs >= HOT_RUNS - 1:
+            self._runs = HOT_RUNS
+            return self._generated(listed, ties)(table, leaves, full)
+        self._runs += 1
+        roots = self.run([table[k] for k in leaves] if listed else table, full)
+        free = len(roots) - len(ties)
+        mask = full
+        for (h, _), key in zip(roots[free:], ties):
+            mask &= full ^ h ^ table[key][0]
+        for h, _ in roots[:free]:
+            mask &= h
+        return mask
+
+    def _generated(self, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
+        """The generated filter of the form, generated on the first call and
+        kept under ``listed``, or ``(listed, *ties)`` for a part with ties."""
+        form = (listed, *ties) if ties else listed
+        if self._filters is None:
+            self._filters = {}
+        if form not in self._filters:
+            self._filters[form] = _generate(self, listed, ties)
+        return self._filters[form]
+
+
+def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
+    """``program.filter(listed, ties)`` as one Python function of straight-line code.
 
     Every instruction is emitted from its kind's entry in CONNECTIVES, so
     instruction i assigns the locals ``hi`` and ``ti``, its HERE and THERE
     bitsets. The source holds only indices and operators: leaf keys come
     from user input, so instruction i's ``args`` are bound to the name
-    ``ki`` in the function's namespace, which a leaf's statement reads. An
-    ALL or ANY adds at most _CHUNK operands per statement, so a long chain
-    does not nest the compiler's recursion deeply. Operands are subsets of
-    ``full``, so a non-empty ALL need not start from it.
+    ``ki`` in the function's namespace, which a leaf's statement reads, and
+    tie j's key to the name ``jj``. It returns the AND of the free roots'
+    HERE bitsets and of each tied root's agreement at HERE with its tie key,
+    or ``full`` for a program without roots. An ALL or ANY adds at most
+    _CHUNK operands per statement, so a long chain does not nest the
+    compiler's recursion deeply. Operands are subsets of ``full``, so a
+    non-empty ALL need not start from it.
     """
     namespace: dict[str, object] = {}
-    lines = ["def run(table, full):"]
+    lines = ["def holds(table, leaves, full):"]
     for i, (op, args) in enumerate(program.code):
         namespace[f"k{i}"] = args
         if op == ALL or op == ANY:
@@ -349,10 +387,16 @@ def _generate(program: Program) -> Callable[[Mapping, int], list[tuple[int, int]
                     terms = f" {sign} ".join(f"{half}{a}" for a in args[start:start + _CHUNK])
                     lines.append(f" {half}{i} {'=' if start == 0 else sign + '='} {terms}")
         else:
-            lines += [statement.format(i=i, args=args) for statement in CONNECTIVES[op]]
-    lines.append(f" return [{', '.join(f'(h{r}, t{r})' for r in program.roots)}]")
-    exec(compile("\n".join(lines), "<generated Program.run>", "exec"), namespace)
-    return namespace["run"]
+            key = f"leaves[k{i}]" if listed else f"k{i}"
+            lines += [statement.format(i=i, args=args, key=key) for statement in CONNECTIVES[op]]
+    free = len(program.roots) - len(ties)
+    terms = [f"h{r}" for r in program.roots[:free]]
+    for j, (r, key) in enumerate(zip(program.roots[free:], ties)):
+        namespace[f"j{j}"] = key
+        terms.append(f"(full ^ h{r} ^ table[j{j}][0])")
+    lines.append(f" return {' & '.join(terms) or 'full'}")
+    exec(compile("\n".join(lines), "<generated Program filter>", "exec"), namespace)
+    return namespace["holds"]
 
 
 def _live(code: dict[tuple, int], roots: list[int]) -> tuple[list, list[int]]:
@@ -490,15 +534,18 @@ def scan(
     are tied instead, each agreeing at HERE with the leaf that its entry in
     ``ties`` keys in the table.
 
-    A scan of one batch runs the parts as given: a program that serves a
-    single batch runs once, so a private copy of it does not pay. A scan
-    of more batches links every part that has a leaf list and no ties into
-    one program, which shares instructions and folds TRUE and FALSE leaves,
-    when some such list holds TRUE or FALSE or the scan runs at least
-    HOT_RUNS batches, the copy generated at once in the second case.
-    Otherwise those parts run as given, each generated at once: a program
-    read through a leaf list is compiled once per shape and shared by every
-    scan, and a rare shape would reach HOT_RUNS runs only after many scans.
+    Each part runs as its program's filter (see ``Program.filter``), which
+    ANDs the roots' HERE bitsets, and ``scan`` ANDs the parts' masks. A scan
+    of one batch runs the parts as given: a program that serves a single
+    batch runs once, so a private copy of it does not pay. A scan of more
+    batches links every part that has a leaf list and no ties into one
+    program, which shares instructions and folds TRUE and FALSE leaves, when
+    some such list holds TRUE or FALSE or the scan runs at least HOT_RUNS
+    batches, the copy's filter generated at once in the second case.
+    Otherwise those parts run as given, each filter generated at once: a
+    program read through a leaf list is compiled once per shape and shared
+    by every scan, and a rare shape would reach HOT_RUNS filter calls only
+    after many scans.
 
     What depends on the dimensions' shape alone comes from a plan (see
     ``_plan``), cached on each dimension's choice order and BATCH_BITS and
@@ -515,18 +562,20 @@ def scan(
         if listed and (hot or any(TRUE in leaves or FALSE in leaves for _, leaves in listed)):
             linked = link([(program, leaves.__getitem__) for program, leaves in listed])
             if hot:
-                linked._generated = _generate(linked)
+                linked._generated(False)
             parts = [(linked, None), *(part for part in parts if len(part) > 2 or part[1] is None)]
         else:
             for program, _ in listed:
-                program._generated = program._generated or _generate(program)
+                program._generated(True)
+    filters = [(part[0].filter(part[1] is not None, part[2] if len(part) > 2 else ()), part[1])
+               for part in parts]
     table = {TRUE: (full, full), FALSE: (0, 0)}
     table.update(zip([key for key, _ in dims[split:]], patterns))
     outer_dims = dims[:split]
     for outer in itertools.product(*[range(len(choices)) for _, choices in outer_dims]):
         for (key, choices), c in zip(outer_dims, outer):
             table[key] = profiles[choices[c]]
-        mask = _holds(parts, table, full)
+        mask = _holds(filters, table, full)
         while mask:
             last = mask & -mask
             mask ^= last
@@ -534,26 +583,18 @@ def scan(
             yield outer + high[bit // p] + low[bit % p]
 
 
-def _holds(parts: Sequence[tuple], table: Mapping, full: int) -> int:
-    """The candidates of one batch where every part's roots hold (see ``scan``).
+def _holds(filters: Sequence[tuple[Callable, Sequence | None]], table: Mapping, full: int) -> int:
+    """The candidates of one batch where every part's filter holds (see ``scan``).
 
-    A function of its own, so that the batch's roots are freed before
-    ``scan`` yields. Held in ``scan``'s frame across the yields, they made
-    prop's clause scan at 14 arguments 6 % slower, and the same program's
-    later runs in that process 12 % slower (Python 3.11, one process each).
+    ``filters`` pairs each part's filter with its leaf list; a key missing
+    from the table is an EvalError.
     """
     mask = full
-    for part in parts:
-        program, leaves = part[0], part[1]
-        roots = program.run(table if leaves is None else [table[k] for k in leaves], full)
-        if len(part) > 2:
-            ties = part[2]
-            free = len(roots) - len(ties)
-            for (h, _), key in zip(roots[free:], ties):
-                mask &= full ^ h ^ table[key][0]
-            del roots[free:]
-        for h, _ in roots:
-            mask &= h
+    try:
+        for holds, leaves in filters:
+            mask &= holds(table, leaves, full)
+    except KeyError as e:
+        raise EvalError(f"no value assigned to {e.args[0]!r}") from None
     return mask
 
 

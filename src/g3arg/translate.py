@@ -107,13 +107,21 @@ class CorrespondenceReport:
         return not self.extra_models and not self.extra_labellings
 
 
-def _compare(subject: str, found: Sequence, expected: AbstractSet, report=CorrespondenceReport):
+def _compare(
+    subject: str, found: Sequence, expected: AbstractSet, decode: Callable,
+    report=CorrespondenceReport,
+):
     """``report`` (CorrespondenceReport or DiagramReport, whose fields match
-    position by position) of the models ``found`` against the set ``expected``."""
+    position by position) of the models ``found`` against the set ``expected``.
+
+    Both sides hold choice codes (see ``_CODE``); only the extras are
+    decoded, by ``decode``, and then sorted.
+    """
     models = set(found)
     return report(
         subject, len(found), len(expected), len(models & expected),
-        tuple(sorted(models - expected)), tuple(sorted(expected - models)),
+        tuple(sorted(map(decode, models - expected))),
+        tuple(sorted(map(decode, expected - models))),
     )
 
 
@@ -190,14 +198,25 @@ def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tupl
     return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
 
 
-# Each label's text, read without the Python-level ``Enum.value`` descriptor.
-_TEXT = {label: label.value for label in Label}
+# The verifiers compare labellings as choice codes: a labelling over the
+# sorted arguments is the tuple of each label's code, the index of its
+# profile in VALUE_ORDER, as a scan over VALUE_ORDER yields it. _TEXT gives
+# each code's label text back, read without ``Enum.value``.
+_CODE = {label: VALUE_ORDER.index(v) for label, v in LABEL_TO_VALUE.items()}
+_TEXT = tuple(VALUE_TO_LABEL[v].value for v in VALUE_ORDER)
 
 
-def _complete_labellings(f: Framework) -> frozenset[tuple[tuple[str, str], ...]]:
-    """The canonical complete labellings of ``f``, searched once and kept on it."""
+def _complete_labellings(f: Framework) -> frozenset[tuple[int, ...]]:
+    """The complete labellings of ``f`` as choice codes over ``f.arguments``
+    (see ``_CODE``), searched once and kept on it."""
     return f.kept("_complete", lambda f: frozenset(
-        tuple(zip(lab, map(_TEXT.__getitem__, lab.values()))) for lab in enumerate_complete(f)))
+        tuple(map(_CODE.__getitem__, lab.values())) for lab in enumerate_complete(f)))
+
+
+def _decoder(args: Sequence[str]) -> Callable[[tuple[int, ...]], tuple[tuple[str, str], ...]]:
+    """The canonical labelling of a choice code over ``args``, which are
+    sorted, as ``Framework.arguments`` is: ``(name, label text)`` pairs."""
+    return lambda code: tuple(zip(args, map(_TEXT.__getitem__, code)))
 
 
 def labelling_to_assignment(lab: Mapping[str, Label]) -> dict[str, ThreeVal]:
@@ -210,18 +229,18 @@ def assignment_to_labelling(h: Mapping[str, ThreeVal]) -> Labelling:
 
 def _labellings(
     args: Sequence[str], parts: Sequence[tuple], order: Sequence[ThreeVal] = VALUE_ORDER
-) -> list[tuple[tuple[str, str], ...]]:
-    """The canonical labellings of the candidates ``scan`` keeps, in scan order.
+) -> list[tuple[int, ...]]:
+    """The choice codes of the candidates ``scan`` keeps, in scan order.
 
-    Each of ``args`` ranges over ``order``, its dimension keyed by itself. A
-    model is ``tuple(zip(args, labels))``: canonical with no dict and no
-    sort only because ``args`` is sorted, as ``Framework.arguments`` is.
+    Each of ``args`` ranges over ``order``, its dimension keyed by itself.
+    Over VALUE_ORDER a candidate's choice indices are its code; over
+    another order each index is mapped to its profile's in VALUE_ORDER.
     """
-    labels = [_TEXT[VALUE_TO_LABEL[v]] for v in order]
-    return [
-        tuple(zip(args, map(labels.__getitem__, index)))
-        for index in scan([(x, order) for x in args], parts)
-    ]
+    dims = [(x, order) for x in args]
+    if order is VALUE_ORDER:
+        return list(scan(dims, parts))
+    codes = [VALUE_ORDER.index(v) for v in order]
+    return [tuple(map(codes.__getitem__, index)) for index in scan(dims, parts)]
 
 
 def verify_prop_theory(f: Framework) -> CorrespondenceReport:
@@ -230,7 +249,7 @@ def verify_prop_theory(f: Framework) -> CorrespondenceReport:
     The models are scanned with ``clause_parts(f)``; no clause tree is built.
     """
     models = _labellings(f.arguments, clause_parts(f))
-    return _compare(framework_key(f), models, _complete_labellings(f))
+    return _compare(framework_key(f), models, _complete_labellings(f), _decoder(f.arguments))
 
 
 def _decided(names: Sequence[str]) -> Formula:
@@ -329,13 +348,13 @@ def verify_und_free(f: Framework) -> UndFreeReport:
     undecided = (_und_over_positions(len(args)), args, [FALSE])
     partial_models = _labellings(args, [undecided, *clause_parts(f)])
 
-    complete, und_text = _complete_labellings(f), _TEXT[Label.UND]
-    stable_labs = {lab for lab in complete if all(v != und_text for _, v in lab)}
+    complete, und, decode = _complete_labellings(f), _CODE[Label.UND], _decoder(args)
+    stable_labs = {lab for lab in complete if und not in lab}
 
     return UndFreeReport(
-        stable=_compare(subject + " (stable case)", stable_models, stable_labs),
+        stable=_compare(subject + " (stable case)", stable_models, stable_labs, decode),
         non_stable=_compare(subject + " (undecided case)", partial_models,
-                            complete - stable_labs),
+                            complete - stable_labs, decode),
         union_ok={*stable_models, *partial_models} == complete,
     )
 
@@ -456,7 +475,8 @@ def verify_pred_theory(f: Framework) -> CorrespondenceReport:
     """Predicate route: Delta_A with R decided as ``f``'s attacks, one instance of its
     clauses per argument, read through the names of its attackers and itself."""
     parts = [(_delta_group(len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
-    return _compare(framework_key(f), _labellings(f.arguments, parts), _complete_labellings(f))
+    return _compare(framework_key(f), _labellings(f.arguments, parts), _complete_labellings(f),
+                    _decoder(f.arguments))
 
 
 def _diagram(n: int, literals: Callable[[list], list[Formula]]) -> Formula:
@@ -543,21 +563,36 @@ def verify_domain_diagram(f: Framework) -> DiagramReport:
     against 1,106 at 5 arguments; 2.1x faster at 4, 5x at 5, ``BENCH_25.json``).
     The expected side is the complete labellings kept on ``f`` pushed
     through every renaming of the arguments. Both sides are compared as
-    ``verify_pred_theory``'s are.
+    ``verify_pred_theory``'s are, as choice codes: a (relation, labelling)
+    pair is the relation scan's indices and the labelling's code, and only
+    the extras are decoded to sorted attack pairs and a canonical labelling.
     """
     dom, n = f.arguments, len(f.arguments)
     pairs = list(itertools.product(range(n), repeat=2))
     diagram = (_diagram_over_positions(n), [*pairs, *_attacks(f)])
     found = []
     for index in scan([(p, DECIDED_ORDER) for p in pairs], [diagram]):
-        # pairs come in product order over the sorted arguments: each relation is sorted
-        named = tuple((dom[i], dom[j]) for i, j in itertools.compress(pairs, index))
-        table = {x: [u for u, y in named if y == x] for x in dom}
-        parts = [(_delta_group(len(ys)), (*ys, x)) for x, ys in table.items()]
-        found += ((named, lab) for lab in _labellings(dom, parts))
+        # pairs come in product order, so each argument's attackers come sorted
+        attackers = {x: [] for x in dom}
+        for i, j in itertools.compress(pairs, index):
+            attackers[dom[j]].append(dom[i])
+        parts = [(_delta_group(len(ys)), (*ys, x)) for x, ys in attackers.items()]
+        found += ((index, code) for code in _labellings(dom, parts))
+    position = {x: i for i, x in enumerate(dom)}
+    attacks = [(position[u], position[x]) for u, x in f.attacks]
     complete, expected = _complete_labellings(f), set()
-    for perm in itertools.permutations(dom):
-        sigma = dict(zip(dom, perm))
-        rel = tuple(sorted((sigma[u], sigma[x]) for u, x in f.attacks))
-        expected.update((rel, tuple(sorted((sigma[x], v) for x, v in lab))) for lab in complete)
-    return _compare(framework_key(f), found, expected, DiagramReport)
+    for perm in itertools.permutations(range(n)):
+        # argument i is renamed to argument perm[i]
+        relation = [0] * (n * n)
+        for i, j in attacks:
+            relation[n * perm[i] + perm[j]] = 1
+        relation = tuple(relation)
+        back = sorted(range(n), key=perm.__getitem__)
+        expected.update((relation, tuple(map(code.__getitem__, back))) for code in complete)
+    labelling = _decoder(dom)
+
+    def decode(pair: tuple) -> tuple:
+        index, code = pair
+        return tuple((dom[i], dom[j]) for i, j in itertools.compress(pairs, index)), labelling(code)
+
+    return _compare(framework_key(f), found, expected, decode, DiagramReport)

@@ -63,7 +63,8 @@ MUTANTS = [
         'grounding(range(n)), {"X": 0})',
         ("tests/test_translate.py::test_delta_columns_and_together_match_delta_compiled_over_the_names",
          "tests/test_translate.py::test_delta_groups_keep_what_delta_compiled_over_the_framework_keeps",
-         "tests/test_oracle.py::test_aaf_extensions_match_the_oracle_on_three_arguments[true-args0]"),
+         "tests/test_oracle.py::test_aaf_extensions_match_the_oracle_on_three_arguments[true-args0]",
+         "tests/test_oracle.py::test_aaf_extensions_matches_the_oracle_scan"),
     ),
     Mutant(
         "imp-here-reads-there", "src/g3arg/prop.py",
@@ -112,7 +113,8 @@ MUTANTS = [
         "arg_facts.append((name, [x], m.start(), body, text))",
         "arg_facts.append((name, [x], m.start() + 1, body, text))",
         ("tests/test_document.py::test_one_pass_facts_keep_their_offsets_and_text",
-         "tests/test_document.py::test_plain_documents_are_read_in_one_pass[arg(a).att(a,a).]"),
+         "tests/test_document.py::test_plain_documents_are_read_in_one_pass[arg(a).att(a,a).]",
+         "tests/test_document.py::test_plain_documents_are_read_in_one_pass[arg(a). att(a,a).]"),
     ),
     Mutant(
         "delta-numbering-transposed", "src/g3arg/translate.py",
@@ -120,6 +122,21 @@ MUTANTS = [
         "n + n * key[1] + key[0]",
         ("tests/test_aaf.py::test_two_element_constraint_family",
          "tests/test_oracle.py::test_aaf_extensions_match_the_oracle_on_three_arguments[attacks_all_others-args1]"),
+    ),
+    Mutant(
+        "filter-tie-flipped", "src/g3arg/prop.py",
+        'terms.append(f"(full ^ h{r} ^ table[j{j}][0])")',
+        'terms.append(f"(h{r} ^ table[j{j}][0])")',
+        ("tests/test_prop.py::test_generated_filters_match_the_mask_from_run",
+         "tests/test_prop.py::test_generated_source_of_a_program_with_every_instruction_kind",
+         "tests/test_acceptance.py::test_a02_marker_elimination_splits_stable_and_nonstable"),
+    ),
+    Mutant(
+        "code-map-swaps-in-and-out", "src/g3arg/translate.py",
+        "_CODE = {label: VALUE_ORDER.index(v) for",
+        "_CODE = {label: 2 - VALUE_ORDER.index(v) for",
+        ("tests/test_translate.py::test_prop_models_are_the_complete_labellings[f3]",
+         "tests/test_acceptance.py::test_a01_clause_models_match_complete_labellings_exhaustively"),
     ),
     Mutant(
         "normal-form-keeps-chains", "tests/oracle.py",
@@ -139,8 +156,10 @@ def _copy(into: Path) -> None:
 
 def _outcomes(work: Path, ids: tuple[str, ...]) -> tuple[int, dict[str, str]] | None:
     """pytest's exit code on ``ids`` in ``work``, and the outcome (PASSED,
-    FAILED or ERROR) of each id that pytest reports, or None when the run
-    times out. A skipped id, or one that names no test, has no outcome."""
+    FAILED or ERROR) of each of ``ids`` that pytest reports, or None when the
+    run times out. A skipped id, or one that names no test, has no outcome.
+    An id may hold spaces: a summary line names it in full, followed by the
+    end of the line or by " - " and the failure's message."""
     env = {**os.environ, "PYTHONPATH": str(work / "src")}
     command = [sys.executable, "-m", "pytest", "-q", "-rpfE", "-p", "no:cacheprovider",
                "-o", "addopts=", *ids]
@@ -152,8 +171,10 @@ def _outcomes(work: Path, ids: tuple[str, ...]) -> tuple[int, dict[str, str]] | 
     outcomes = {}
     for line in out.stdout.splitlines():
         word, _, rest = line.partition(" ")
-        if word in ("PASSED", "FAILED", "ERROR") and rest:
-            outcomes[rest.split()[0]] = word
+        if word in ("PASSED", "FAILED", "ERROR"):
+            for i in ids:
+                if rest == i or rest.startswith(i + " - "):
+                    outcomes[i] = word
     return out.returncode, outcomes
 
 

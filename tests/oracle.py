@@ -263,14 +263,14 @@ def enumerate_interps(domain, theory, *, r_decided=False, fixed_r=None):
 
 
 class _Kept:
-    """A callback ``keep(table, full)`` in a Program's place: one root that
-    holds at HERE on the candidates ``keep`` marks."""
+    """A callback ``keep(table, full)`` in a Program's place: its filter keeps
+    the candidates ``keep`` marks."""
 
     def __init__(self, keep):
         self.keep = keep
 
-    def run(self, table, full):
-        return [(self.keep(table, full), 0)]
+    def filter(self, listed, ties=()):
+        return lambda table, leaves, full: self.keep(table, full)
 
 
 def scan_keep(dims, keep):

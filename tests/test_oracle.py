@@ -406,9 +406,12 @@ def test_solve_higher_matches_the_oracle_scan(network, batch):
 
 
 @settings(max_examples=40, deadline=None)
-@given(pred_formulas(ab_terms, modal=False), BATCHES)
-def test_aaf_extensions_matches_the_oracle_scan(psi, batch):
-    frame = AxiomaticFrame(("a", "b"), psi)
+@given(pred_formulas(ab_terms, modal=False), st.sampled_from(["ab", "abc"]), BATCHES)
+# at 3 arguments a Delta column compiled for the wrong element leaves one
+# argument without its clauses; at 2 the columns only swap
+@example(Forall("X", Exists("Y", Top())), "abc", 1 << 13)
+def test_aaf_extensions_matches_the_oracle_scan(psi, arguments, batch):
+    frame = AxiomaticFrame(tuple(arguments), psi)
     with patch.object(prop, "BATCH_BITS", batch):
         got = aaf_extensions(frame)
     # the oracle labels each relation by its own scan, never by the search

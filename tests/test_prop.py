@@ -1,6 +1,8 @@
 """Two-world propositional semantics: profiles, evaluation, models, validity."""
 
+import functools
 import itertools
+import operator
 import re
 from unittest.mock import patch
 
@@ -368,7 +370,7 @@ def test_one_batch_is_exactly_a_plan_with_nothing_outside_the_batch(batch):
                     next(scan([(i, order) for i in range(count)], [(program, leaves)]))
                     assert len(linked) == (split > 0 and (folds or hot))
                     if linked:
-                        assert (linked[0]._generated is not None) == hot
+                        assert bool(linked[0]._filters) == hot
 
 
 @pytest.mark.parametrize("k", [2, 3, 40])
@@ -453,6 +455,13 @@ def _programs(draw):
     return program
 
 
+def _one_root(program, r):
+    """``program`` with its r-th root alone, sharing its code."""
+    single = object.__new__(Program)
+    single.code, single.roots = program.code, [program.roots[r]]
+    return single
+
+
 @settings(deadline=None)
 @given(_programs(), st.sampled_from([1, 3, 9, 8192]))
 @example(Program([Imp(Atom("x"), Atom("y")), Neg(Atom("z")), Or(Atom("x"), And(Atom("y"), Atom("z")))]),
@@ -460,11 +469,69 @@ def _programs(draw):
 @example(Program([Top()]), 1)  # the empty ALL
 @example(Program([Bot(), UndConst()]), 3)  # the empty ANY, #n
 def test_generated_code_matches_the_interpreter(program, batch):
-    """Both worlds' roots of every batch, from the generated function and the interpreter."""
-    generated = prop._generate(program)
+    """Each root's HERE bitset on every batch, from the generated filter of the
+    program with that root alone and from the interpreter; the generated
+    filter of the whole program is their AND."""
+    alone = [prop._generate(_one_root(program, r), False) for r in range(len(program.roots))]
+    whole = prop._generate(program, False)
 
     def agree(table, full):
-        assert generated(table, full) == program._interpret(table, full)
+        here = [h for h, _ in program.run(table, full)]
+        assert [holds(table, None, full) for holds in alone] == here
+        assert whole(table, None, full) == functools.reduce(operator.and_, here, full)
+        return 0
+
+    with patch.object(prop, "BATCH_BITS", batch):
+        assert list(oracle.scan_keep([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
+
+
+_KEYS = st.sampled_from(["x", "y", "z", prop.TRUE, prop.FALSE])
+
+
+@st.composite
+def _filter_cases(draw):
+    """A program over the names x, y, z, a leaf list of three table keys for
+    its copy over positions (a name may come twice, TRUE and FALSE too) and
+    0-2 tie keys, at most one per root."""
+    program = draw(_programs())
+    leaves = draw(st.lists(_KEYS, min_size=3, max_size=3))
+    ties = draw(st.lists(_KEYS, max_size=min(2, len(program.roots))))
+    return program, leaves, ties
+
+
+def _mask(roots, ties, table, full):
+    """A part's mask from ``run``'s roots: the last ``len(ties)`` agree at HERE
+    with their tie key's table entry, every other root holds at HERE."""
+    free = len(roots) - len(ties)
+    mask = full
+    for h, _ in roots[:free]:
+        mask &= h
+    for (h, _), key in zip(roots[free:], ties):
+        mask &= ~(h ^ table[key][0]) & full
+    return mask
+
+
+@settings(deadline=None)
+@given(_filter_cases(), st.sampled_from([1, 3, 9, 8192]))
+# a name read at two leaves, TRUE at the third, and a tied root
+@example((Program([Imp(Atom("x"), Atom("y")), Atom("z")]), ["x", "x", prop.TRUE], ["y"]), 9)
+# two tied roots, one of them tied to FALSE, and #n
+@example((Program([Neg(Atom("x")), Or(Atom("y"), UndConst()), Atom("z")]), [prop.FALSE, "z", "z"],
+          ["x", prop.FALSE]), 3)
+def test_generated_filters_match_the_mask_from_run(case, batch):
+    """Both forms of a part, read through the leaf list and by the leaves' own
+    keys: the generated filter and the filter of the cold program give the
+    mask computed from ``run`` on every batch."""
+    named, leaves, ties = case
+    forms = [(link([(named, "xyz".index)]), True), (named, False)]
+    generated = [prop._generate(program, listed, ties) for program, listed in forms]
+
+    def agree(table, full):
+        for (program, listed), holds in zip(forms, generated):
+            want = _mask(program.run([table[k] for k in leaves] if listed else table, full),
+                         ties, table, full)
+            assert holds(table, leaves, full) == want
+            assert program.filter(listed, ties)(table, leaves, full) == want
         return 0
 
     with patch.object(prop, "BATCH_BITS", batch):
@@ -505,19 +572,20 @@ def _run_table_entry(op, operands, full):
 def test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile(op, arity):
     """One instruction over leaves that take every profile tuple of its
     operands (3 for NEG, 9 for IMP and a binary ALL or ANY, 1 for the empty
-    ones), run by ``_interpret`` and by the table's statements."""
+    ones), run by the interpreter and by the table's statements."""
     operands, full = _operand_batch(arity)
     program = object.__new__(Program)
     program.code = [(LEAF, j) for j in range(arity)] + [(op, tuple(range(arity)))]
     program.roots = [arity]
-    assert program._interpret(dict(enumerate(operands)), full) == [
+    assert program.run(dict(enumerate(operands)), full) == [
         _run_table_entry(op, operands, full)
     ]
 
 
 def test_generated_source_of_a_program_with_every_instruction_kind():
-    """Pinned, so that an edit of the connective table that changes the
-    emitted code shows here."""
+    """Pinned, read by the leaves' own keys with no tie and through a leaf
+    list with one, so that an edit of the connective table or of the filter
+    that changes the emitted code shows here."""
     sources = []
 
     def spy(source, *args):
@@ -527,13 +595,11 @@ def test_generated_source_of_a_program_with_every_instruction_kind():
     x, y, z = Atom("x"), Atom("y"), Atom("z")
     program = Program([Imp(x, y), Neg(z), Or(x, And(y, UndConst())), Top(), Bot()])
     with patch.object(prop, "compile", spy, create=True):
-        prop._generate(program)
-    assert sources == ["""def run(table, full):
- h0, t0 = table[k0]
- h1, t1 = table[k1]
- t2 = full ^ t0 | t1
+        prop._generate(program, False)
+        prop._generate(link([(program, "xyz".index)]), True, ["s"])
+    body = """
  h2 = (full ^ h0 | h1) & t2
- h3, t3 = table[k3]
+ h3, t3 = table[{k3}]
  h4 = t4 = full ^ t3
  h5, t5 = 0, full
  h6 = h1 & h5
@@ -542,7 +608,16 @@ def test_generated_source_of_a_program_with_every_instruction_kind():
  t7 = t0 | t6
  h8 = t8 = full
  h9 = t9 = 0
- return [(h2, t2), (h4, t4), (h7, t7), (h8, t8), (h9, t9)]"""]
+ return h2 & h4 & h7 & h8 & {last}"""
+    head = """def holds(table, leaves, full):
+ h0, t0 = table[{k0}]
+ h1, t1 = table[{k1}]
+ t2 = full ^ t0 | t1"""
+    assert sources == [
+        (head + body).format(k0="k0", k1="k1", k3="k3", last="h9"),
+        (head + body).format(k0="leaves[k0]", k1="leaves[k1]", k3="leaves[k3]",
+                             last="(full ^ h9 ^ table[j0][0])"),
+    ]
 
 
 @pytest.mark.parametrize("batch", [1, 3, prop.BATCH_BITS])
@@ -565,13 +640,19 @@ def test_a_tied_root_agrees_with_its_leaf_at_here(batch):
 
 
 def test_a_program_and_its_linked_copy_run_generated_code_from_the_hot_run():
+    """A program counts its filter calls: the first HOT_RUNS - 1 compute the
+    mask from ``run``, the next generates the filter of its form, and a
+    filter handed out before then runs it from that call on."""
     program = Program([Imp(Atom("x"), Atom("y"))])
     copy = link([(program, str.upper)])
     with patch.object(prop, "HOT_RUNS", 3):
         for p, x, y in ((program, "x", "y"), (copy, "X", "Y")):
+            holds = p.filter(False)
             for runs in range(1, 6):
-                assert p.run({x: (0, 1), y: (0, 0)}, 1) == [(0, 0)]
-                assert (p._generated is not None) == (runs >= 3)
+                # x -> y fails at HERE when x is undecided and y false
+                assert holds({x: (0, 1), y: (runs % 2, runs % 2)}, None, 1) == runs % 2
+                assert bool(p._filters) == (runs >= 3)
+            assert p._runs == 3 and p.filter(False) is p._filters[False]
 
 
 @pytest.mark.parametrize("chain", [conj, disj])
@@ -581,16 +662,17 @@ def test_a_long_chain_runs_generated_past_the_hot_run(chain):
     names = [f"x{i}" for i in range(20000)]
     program = Program([chain(map(Atom, names))])
     table = {x: (i % 7 and 0b111, 0b111) for i, x in enumerate(names)}
-    want = program._interpret(table, 0b111)
+    [(want, _)] = program.run(table, 0b111)
     for _ in range(prop.HOT_RUNS):
-        assert program.run(table, 0b111) == want
-    assert program._generated is not None
-    assert program.run(table, 0b111) == want == [(0, 0b111) if chain is conj else (0b111, 0b111)]
+        assert program.filter(False)(table, None, 0b111) == want
+    assert program._filters
+    assert program.filter(False)(table, None, 0b111) == want == (0 if chain is conj else 0b111)
 
 
 @pytest.mark.parametrize("name", ["q", "it's", 'say "no"', "a\\'b", "k0", "x\n)"])
 def test_generated_code_reads_leaf_keys_from_its_namespace(name):
-    """No leaf key enters the generated source, and a missing one is an EvalError."""
+    """No leaf or tie key enters the generated source, and a missing one is an
+    EvalError."""
     sources = []
 
     def spy(source, *args):
@@ -599,10 +681,13 @@ def test_generated_code_reads_leaf_keys_from_its_namespace(name):
 
     program = Program([Imp(Atom(name), Atom("p"))])
     with patch.object(prop, "compile", spy, create=True), patch.object(prop, "HOT_RUNS", 1):
-        assert program.run({name: (0, 1), "p": (0, 0)}, 1) == [(0, 0)]
+        assert program.filter(False)({name: (0, 1), "p": (0, 0)}, None, 1) == 0
+        # tied to the name, the root agrees with it: both fail at HERE
+        assert program.filter(False, [name])({name: (0, 1), "p": (0, 0)}, None, 1) == 1
         with pytest.raises(EvalError, match=re.escape(f"no value assigned to {'p'!r}")):
-            program.run({name: (1, 1)}, 1)
+            list(scan([(name, VALUE_ORDER)], [(program, None)]))
         with pytest.raises(EvalError, match=re.escape(f"no value assigned to {name!r}")):
-            program.run({"p": (1, 1)}, 1)
-    source, = sources
-    assert set(source) <= set("abcdefghijklmnopqrstuvwxyz0123456789_ ,:=()[]&|^\n")
+            list(scan([("p", VALUE_ORDER)], [(program, None)]))
+    assert len(sources) == 2
+    for source in sources:
+        assert set(source) <= set("abcdefghijklmnopqrstuvwxyz0123456789_ ,:=()[]&|^\n")
