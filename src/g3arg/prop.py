@@ -319,8 +319,8 @@ class Program:
         A function of ``(table, leaves, full)`` that returns the candidates
         of the batch where every root holds at HERE, but each of the last
         ``len(ties)`` roots agrees at HERE with the table entry its tie keys
-        instead. With ``listed`` leaf i reads ``table[leaves[i]]``, else
-        ``table[i]`` (``leaves`` is then unread). The first HOT_RUNS - 1
+        instead. With ``listed`` a leaf keyed k reads ``table[leaves[k]]``,
+        else ``table[k]`` (``leaves`` is then unread). The first HOT_RUNS - 1
         filter calls of the program, over every form, compute the mask from
         ``run``. From the next one on the program is hot: each form's filter
         is generated (``_generate``) on its first call and kept, and every
