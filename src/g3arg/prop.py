@@ -94,14 +94,14 @@ BATCH_BITS = 1 << 13
 # Scan plans kept, one per dimension shape (see ``scan``).
 PLAN_CACHE = 32
 # Filter calls after which a Program's scan filter runs as generated code
-# (see ``Program.filter``). Generating costs 8-11 us per instruction (Delta
-# over 4 / 5 / 6 positions, 138 / 196 / 264 instructions: 1.2 / 1.6 /
-# 2.2 ms) and makes a run 1.7-3.7x faster (Delta: 22 -> 8.5, 32 -> 13,
-# 45 -> 19 us), so it breaks even after 68-124 runs whatever the program's
-# size (clause shape groups of 6-21 instructions, the und definition and the
-# 3-argument diagram too). Generating near the break-even loses at most about
-# 2x against the better choice in hindsight, whatever the number of runs
-# (ski rental).
+# (see ``Program.filter``). Generating a filter costs 13-28 us per
+# instruction (Python 3.11, 2 shared vCPUs; Delta columns over 4 / 5 / 6
+# positions, 43 / 51 / 59 instructions: 0.8-1.2 ms) and makes a call over
+# 243 candidates 3.4-5.3x faster (the columns, a clause shape group, a Delta
+# group and the und definition of 16-18 instructions), so it breaks even
+# after 52-122 calls whatever the program's size. Generating near the
+# break-even loses at most about 2x against the better choice in hindsight,
+# whatever the number of calls (ski rental).
 HOT_RUNS = 100
 # Operands per statement of a generated ALL or ANY (see ``_generate``).
 _CHUNK = 64

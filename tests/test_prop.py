@@ -597,9 +597,12 @@ def test_generated_source_of_a_program_with_every_instruction_kind():
     with patch.object(prop, "compile", spy, create=True):
         prop._generate(program, False)
         prop._generate(link([(program, "xyz".index)]), True, ["s"])
-    body = """
+    assert sources == ["""def holds(table, leaves, full):
+ h0, t0 = table[k0]
+ h1, t1 = table[k1]
+ t2 = full ^ t0 | t1
  h2 = (full ^ h0 | h1) & t2
- h3, t3 = table[{k3}]
+ h3, t3 = table[k3]
  h4 = t4 = full ^ t3
  h5, t5 = 0, full
  h6 = h1 & h5
@@ -608,16 +611,21 @@ def test_generated_source_of_a_program_with_every_instruction_kind():
  t7 = t0 | t6
  h8 = t8 = full
  h9 = t9 = 0
- return h2 & h4 & h7 & h8 & {last}"""
-    head = """def holds(table, leaves, full):
- h0, t0 = table[{k0}]
- h1, t1 = table[{k1}]
- t2 = full ^ t0 | t1"""
-    assert sources == [
-        (head + body).format(k0="k0", k1="k1", k3="k3", last="h9"),
-        (head + body).format(k0="leaves[k0]", k1="leaves[k1]", k3="leaves[k3]",
-                             last="(full ^ h9 ^ table[j0][0])"),
-    ]
+ return h2 & h4 & h7 & h8 & h9""", """def holds(table, leaves, full):
+ h0, t0 = table[leaves[k0]]
+ h1, t1 = table[leaves[k1]]
+ t2 = full ^ t0 | t1
+ h2 = (full ^ h0 | h1) & t2
+ h3, t3 = table[leaves[k3]]
+ h4 = t4 = full ^ t3
+ h5, t5 = 0, full
+ h6 = h1 & h5
+ t6 = t1 & t5
+ h7 = h0 | h6
+ t7 = t0 | t6
+ h8 = t8 = full
+ h9 = t9 = 0
+ return h2 & h4 & h7 & h8 & (full ^ h9 ^ table[j0][0])"""]
 
 
 @pytest.mark.parametrize("batch", [1, 3, prop.BATCH_BITS])
