@@ -94,16 +94,18 @@ BATCH_BITS = 1 << 13
 # Scan plans kept, one per dimension shape (see ``scan``).
 PLAN_CACHE = 32
 # Filter calls after which a Program's scan filter runs as generated code
-# (see ``Program.filter``). Generating a filter costs 13-28 us per
-# instruction (Python 3.11, 2 shared vCPUs; Delta columns over 4 / 5 / 6
-# positions, 43 / 51 / 59 instructions: 0.8-1.2 ms) and makes a call over
-# 243 candidates 3.4-5.3x faster (the columns, a clause shape group, a Delta
-# group and the und definition of 16-18 instructions), so it breaks even
-# after 52-122 calls whatever the program's size. Generating near the
-# break-even loses at most about 2x against the better choice in hindsight,
-# whatever the number of calls (ski rental).
+# (see ``Program.filter``). Generating a filter costs 7.5-9.8 us per
+# instruction (Python 3.11, 2 shared vCPUs, medians of five timeit runs;
+# Delta columns over 4 / 5 / 6 positions, 43 / 51 / 59 instructions:
+# 0.42-0.58 ms) and makes a call over 243 candidates 5.2-9.8x faster (the
+# columns, a clause shape group, a Delta group and the und definition of
+# 16-18 instructions), so it breaks even after 28-51 calls. Generating on
+# call 100 instead loses at most about 3.6x against the better choice in
+# hindsight, whatever the number of calls (ski rental), and 100 is also the
+# batch count from which ``scan`` links a copy: at 40, the 12-argument pred
+# verify linked its Delta groups and ran 2.4x slower (1.9 -> 4.6 ms).
 HOT_RUNS = 100
-# Operands per statement of a generated ALL or ANY (see ``_generate``).
+# Operators one generated statement nests at most (see ``_Terms.statements``).
 _CHUNK = 64
 
 # Instruction kinds. Program's ``expand`` hook maps each node the connectives
@@ -122,9 +124,10 @@ TRUE, FALSE = -1, -2
 # NEG and IMP give the statements that set instruction i's HERE and THERE
 # bitsets h{i} and t{i}, formatted with ``i`` and its operand tuple ``args``
 # (a leaf reads the table at ``key``: its own key, bound to the name k{i}, or
-# the entry of the leaf list at that key); ALL and ANY give their operator
+# the leaf list's entry at its position); ALL and ANY give their operator
 # and the value of the empty ALL or ANY. NEG reads its operand at THERE
-# alone: ~a holds at HERE only when a fails at THERE.
+# alone: ~a holds at HERE only when a fails at THERE. A leaf's statement is
+# written into the filter; the others run on terms and fold there.
 CONNECTIVES = {
     LEAF: (" h{i}, t{i} = table[{key}]",),
     UND: (" h{i}, t{i} = 0, full",),
@@ -362,41 +365,188 @@ class Program:
 def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
     """``program.filter(listed, ties)`` as one Python function of straight-line code.
 
-    Every instruction is emitted from its kind's entry in CONNECTIVES, so
-    instruction i assigns the locals ``hi`` and ``ti``, its HERE and THERE
-    bitsets. The source holds only indices and operators: leaf keys come
-    from user input, so instruction i's ``args`` are bound to the name
-    ``ki`` in the function's namespace, which a leaf's statement reads, and
-    tie j's key to the name ``jj``. It returns the AND of the free roots'
-    HERE bitsets and of each tied root's agreement at HERE with its tie key,
-    or ``full`` for a program without roots. An ALL or ANY adds at most
-    _CHUNK operands per statement, so a long chain does not nest the
-    compiler's recursion deeply. Operands are subsets of ``full``, so a
-    non-empty ALL need not start from it.
+    Instruction i's leaf read is its CONNECTIVES statement, which assigns
+    the locals ``hi`` and ``ti``, its HERE and THERE bitsets; every leaf is
+    read first, in order, so a missing key fails as in ``run``. Every other
+    instruction runs its entry on terms (see ``_connective``): ``0``,
+    ``full``, a leaf's half, or an operator over terms. ``_Terms`` folds
+    the units and zeros, double complements and repeated operands while
+    they are built, and builds each term once. The filter's mask is the
+    term ANDing the free roots' HERE halves and each tied root's agreement
+    at HERE with its tie key, so a root that folds to ``full`` drops out;
+    the function computes only the terms the mask reaches (see
+    ``_Terms.statements``). The source holds only indices and operators:
+    a leaf listed at position p reads ``leaves[p]``, and any other key,
+    which may come from user input, is bound to the name ``ki`` in the
+    function's namespace, as tie j's key is to ``jj``.
     """
+    terms = _Terms()
+    full = terms.full
     namespace: dict[str, object] = {}
     lines = ["def holds(table, leaves, full):"]
+    here: list = []
+    there: list = []
     for i, (op, args) in enumerate(program.code):
-        namespace[f"k{i}"] = args
-        if op == ALL or op == ANY:
-            sign, unit = CONNECTIVES[op]
-            if not args:
-                lines.append(f" h{i} = t{i} = {unit}")
-            for half in "ht":
-                for start in range(0, len(args), _CHUNK):
-                    terms = f" {sign} ".join(f"{half}{a}" for a in args[start:start + _CHUNK])
-                    lines.append(f" {half}{i} {'=' if start == 0 else sign + '='} {terms}")
+        if op == LEAF:
+            if listed and type(args) is int:
+                key = f"leaves[{args}]"
+            else:
+                namespace[f"k{i}"] = args
+                key = f"leaves[k{i}]" if listed else f"k{i}"
+            lines += [statement.format(i=i, key=key) for statement in CONNECTIVES[LEAF]]
+            h, t = terms.atom(f"h{i}"), terms.atom(f"t{i}")
+        elif op == ALL or op == ANY:
+            h = _connective(op)(full, [here[a] for a in args])
+            t = _connective(op)(full, [there[a] for a in args])
         else:
-            key = f"leaves[k{i}]" if listed else f"k{i}"
-            lines += [statement.format(i=i, args=args, key=key) for statement in CONNECTIVES[op]]
+            h, t = _connective(op)(full, *[half for a in args for half in (here[a], there[a])])
+        here.append(h)
+        there.append(t)
     free = len(program.roots) - len(ties)
-    terms = [f"h{r}" for r in program.roots[:free]]
+    mask = full
+    for r in program.roots[:free]:
+        mask &= here[r]
     for j, (r, key) in enumerate(zip(program.roots[free:], ties)):
         namespace[f"j{j}"] = key
-        terms.append(f"(full ^ h{r} ^ table[j{j}][0])")
-    lines.append(f" return {' & '.join(terms) or 'full'}")
+        mask &= full ^ here[r] ^ terms.atom(f"table[j{j}][0]")
+    lines += terms.statements(mask)
     exec(compile("\n".join(lines), "<generated Program filter>", "exec"), namespace)
     return namespace["holds"]
+
+
+@functools.cache
+def _connective(op: int) -> Callable:
+    """CONNECTIVES[op] of a kind other than LEAF, compiled once into a
+    function on terms (see ``_Term``).
+
+    For ALL and ANY it takes ``full`` and the operands' halves and returns
+    their AND or OR, from the unit on; for the others it takes ``full``
+    and the operands' HERE and THERE halves in turn, and returns the pair.
+    """
+    if op == ALL or op == ANY:
+        sign, unit = CONNECTIVES[op]
+        params, body = "halves", [f"value = {unit}", "for half in halves:",
+                                  f" value = value {sign} half", "return value"]
+    else:
+        params = "h0=None, t0=None, h1=None, t1=None"
+        body = [statement.format(i="", args=(0, 1)).strip() for statement in CONNECTIVES[op]]
+        body.append("return h, t")
+    namespace: dict[str, object] = {}
+    source = f"def connective(full, {params}):\n " + "\n ".join(body)
+    exec(compile(source, "<CONNECTIVES entry>", "exec"), namespace)
+    return namespace["connective"]
+
+
+# How tightly Python binds each bitwise operator; a name binds tightest.
+_BINDING = {"|": 1, "^": 2, "&": 3}
+_NAME = 4
+
+
+class _Term:
+    """A bitset of a generated filter: a name (``op`` None, ``text`` its
+    source) or ``op`` over the two terms in ``args``. Python's ``|``, ``&``
+    and ``^`` on a term build another through its ``_Terms``, so the
+    CONNECTIVES statements run on terms, and on the ``0`` they write.
+    ``_Terms.statements`` sets the other slots."""
+
+    __slots__ = ("terms", "op", "args", "text", "binding", "depth", "uses")
+
+    def __init__(self, terms: "_Terms", op: str | None, args: tuple, text: str = ""):
+        self.terms, self.op, self.args, self.text = terms, op, args, text
+        self.binding, self.depth, self.uses = _NAME, 0, 0
+
+    def __or__(self, other):
+        return self.terms.apply("|", self, other)
+
+    def __ror__(self, other):
+        return self.terms.apply("|", other, self)
+
+    def __and__(self, other):
+        return self.terms.apply("&", self, other)
+
+    def __rand__(self, other):
+        return self.terms.apply("&", other, self)
+
+    def __xor__(self, other):
+        return self.terms.apply("^", self, other)
+
+    def __rxor__(self, other):
+        return self.terms.apply("^", other, self)
+
+
+class _Terms:
+    """The terms of one generated filter, each built once (see ``_generate``)."""
+
+    def __init__(self):
+        self.made: dict[tuple, _Term] = {}  # (op, left, right) -> term, operands first
+        self.full = self.atom("full")
+
+    def atom(self, text: str) -> _Term:
+        return _Term(self, None, (), text)
+
+    def apply(self, op: str, a, b):
+        """``a op b``, folded where an operand is ``0`` or ``full`` (every
+        operand is a subset of it) or both are one term, and else the one
+        term made for it."""
+        full = self.full
+        if op == "|":
+            if a is full or b is full:
+                return full
+            if b == 0 or a is b:
+                return a
+            if a == 0:
+                return b
+        elif op == "&":
+            if a == 0 or b == 0:
+                return 0
+            if b is full or a is b:
+                return a
+            if a is full:
+                return b
+        else:
+            if b == 0:
+                return a
+            if a == 0:
+                return b
+            if a is b:
+                return 0
+            if a is full and b.op == "^" and b.args[0] is full:
+                return b.args[1]
+        made = self.made.get((op, a, b))
+        if made is None:
+            made = self.made[op, a, b] = _Term(self, op, (a, b))
+        return made
+
+    def statements(self, mask) -> list[str]:
+        """The statements that compute ``mask``, the last one returning it.
+
+        Only the terms that ``mask`` reaches are computed. A term read more
+        than once is assigned to a local, as is one whose operators would
+        nest _CHUNK deep, so no statement nests the compiler's recursion
+        deeply; every other term is written out where it is read.
+        """
+        if mask == 0:
+            return [" return 0"]
+        made = list(self.made.values())
+        mask.uses = 1
+        for term in reversed(made):  # a term is made after its operands
+            if term.uses:
+                for arg in term.args:
+                    arg.uses += 1
+        lines = []
+        for term in made:
+            if term.uses:
+                binding = _BINDING[term.op]
+                a, b = term.args
+                left = a.text if a.binding >= binding else f"({a.text})"
+                right = b.text if b.binding > binding else f"({b.text})"
+                term.text = f"{left} {term.op} {right}"
+                term.binding, term.depth = binding, 1 + max(a.depth, b.depth)
+                if term.uses > 1 or term.depth >= _CHUNK:
+                    lines.append(f" b{len(lines)} = {term.text}")
+                    term.text, term.binding, term.depth = f"b{len(lines) - 1}", _NAME, 0
+        lines.append(f" return {mask.text}")
+        return lines
 
 
 def _live(code: dict[tuple, int], roots: list[int]) -> tuple[list, list[int]]:

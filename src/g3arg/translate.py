@@ -185,17 +185,19 @@ def _shape_texts(clauses, k: int, prec: int) -> tuple[tuple[str, str], ...]:
     return tuple((name, format_formula(replace_und(g, marker))) for name, g in group)
 
 
-def clause_parts(f: Framework, stable: bool = False) -> list[tuple[Program, tuple[str, ...]]]:
+def clause_parts(f: Framework, stable: bool = False) -> tuple[tuple[Program, tuple[str, ...]], ...]:
     """The clause theory as ``scan`` parts, for a scan keyed by ``f.arguments``.
 
     Each argument's shape group of ``prop_theory(f)``'s clauses, and the
     names its leaves read: every clause holds at HERE on the candidates
     ``scan`` keeps. With ``stable``, the clauses of ``stable_theory(f)``, to
-    be scanned over DECIDED_ORDER. Nothing is built for ``f``; a scan of at
-    least HOT_RUNS batches links the groups (see ``prop.scan``).
+    be scanned over DECIDED_ORDER. The parts are listed once per framework
+    and kept on ``f``; a scan of at least HOT_RUNS batches links the groups
+    (see ``prop.scan``).
     """
     clauses = _fix_clauses if stable else _argument_clauses
-    return [(_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()]
+    return f.kept("_stable_parts" if stable else "_clause_parts", lambda f: tuple(
+        (_shape_group(clauses, len(ys)), (*ys, x)) for x, ys in f.attacker_table().items()))
 
 
 # The verifiers compare labellings as choice codes: a labelling over the

@@ -125,11 +125,26 @@ MUTANTS = [
     ),
     Mutant(
         "filter-tie-flipped", "src/g3arg/prop.py",
-        'terms.append(f"(full ^ h{r} ^ table[j{j}][0])")',
-        'terms.append(f"(h{r} ^ table[j{j}][0])")',
+        'mask &= full ^ here[r] ^ terms.atom(f"table[j{j}][0]")',
+        'mask &= here[r] ^ terms.atom(f"table[j{j}][0]")',
         ("tests/test_prop.py::test_generated_filters_match_the_mask_from_run",
          "tests/test_prop.py::test_generated_source_of_a_program_with_every_instruction_kind",
          "tests/test_acceptance.py::test_a02_marker_elimination_splits_stable_and_nonstable"),
+    ),
+    Mutant(
+        "fold-or-full-to-operand", "src/g3arg/prop.py",
+        "            if a is full or b is full:\n                return full",
+        "            if a is full or b is full:\n                return b if a is full else a",
+        ("tests/test_prop.py::test_generated_code_matches_the_interpreter",
+         "tests/test_prop.py::test_generated_filters_match_the_mask_from_run",
+         "tests/test_prop.py::test_generated_source_of_a_clause_shape_group_and_a_delta_group"),
+    ),
+    Mutant(
+        "fold-and-zero-to-operand", "src/g3arg/prop.py",
+        "            if a == 0 or b == 0:\n                return 0",
+        "            if a == 0 or b == 0:\n                return b if a == 0 else a",
+        ("tests/test_prop.py::test_generated_code_matches_the_interpreter",
+         "tests/test_prop.py::test_generated_filters_match_the_mask_from_run"),
     ),
     Mutant(
         "code-map-swaps-in-and-out", "src/g3arg/translate.py",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from g3arg import prop
+from g3arg import prop, translate
 from g3arg.prop import (
     ALL,
     ANY,
@@ -468,6 +468,12 @@ def _one_root(program, r):
          9)  # each connective, on every profile of its operands
 @example(Program([Top()]), 1)  # the empty ALL
 @example(Program([Bot(), UndConst()]), 3)  # the empty ANY, #n
+# the folds: x | full at THERE, full ^ (full ^ x) read at THERE, x & 0, and
+# roots that fold to full and to 0
+@example(Program([Imp(Atom("x"), Or(UndConst(), Atom("y")))]), 9)
+@example(Program([Neg(Neg(Atom("x")))]), 3)
+@example(Program([And(UndConst(), UndConst())]), 1)
+@example(Program([Imp(Neg(UndConst()), Atom("x")), Neg(UndConst())]), 3)
 def test_generated_code_matches_the_interpreter(program, batch):
     """Each root's HERE bitset on every batch, from the generated filter of the
     program with that root alone and from the interpreter; the generated
@@ -518,6 +524,13 @@ def _mask(roots, ties, table, full):
 # two tied roots, one of them tied to FALSE, and #n
 @example((Program([Neg(Atom("x")), Or(Atom("y"), UndConst()), Atom("z")]), [prop.FALSE, "z", "z"],
           ["x", prop.FALSE]), 3)
+# the folds: x | full at THERE, full ^ (full ^ x) read at THERE under a tie,
+# x & 0, and roots that fold to full (free) and to 0 (tied)
+@example((Program([Imp(Atom("x"), Or(UndConst(), Atom("y")))]), ["x", "y", "z"], []), 9)
+@example((Program([Neg(Neg(Atom("x")))]), ["z", "y", "x"], ["y"]), 3)
+@example((Program([And(UndConst(), UndConst())]), ["x", "y", "z"], []), 1)
+@example((Program([Imp(Neg(UndConst()), Atom("x")), Neg(UndConst()), Atom("y")]),
+          ["x", prop.TRUE, "z"], ["z", "y"]), 3)
 def test_generated_filters_match_the_mask_from_run(case, batch):
     """Both forms of a part, read through the leaf list and by the leaves' own
     keys: the generated filter and the filter of the cold program give the
@@ -582,50 +595,58 @@ def test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profi
     ]
 
 
-def test_generated_source_of_a_program_with_every_instruction_kind():
-    """Pinned, read by the leaves' own keys with no tie and through a leaf
-    list with one, so that an edit of the connective table or of the filter
-    that changes the emitted code shows here."""
+def _generated_sources(*forms):
+    """The source ``_generate`` emits for each (program, listed, ties) form."""
     sources = []
 
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
+    def spy(source, filename, *args):
+        if filename == "<generated Program filter>":
+            sources.append(source)
+        return compile(source, filename, *args)
 
+    with patch.object(prop, "compile", spy, create=True):
+        for form in forms:
+            prop._generate(*form)
+    return sources
+
+
+def test_generated_source_of_a_program_with_every_instruction_kind():
+    """Pinned, read by the leaves' own keys with one tie and through a leaf
+    list with two, so that an edit of the connective table, of the folds or
+    of the filter that changes the emitted code shows here: ``#n`` and the
+    units fold away, no THERE half is computed that the mask does not read,
+    ``Top`` leaves the mask and ``Bot`` is tied."""
     x, y, z = Atom("x"), Atom("y"), Atom("z")
     program = Program([Imp(x, y), Neg(z), Or(x, And(y, UndConst())), Top(), Bot()])
-    with patch.object(prop, "compile", spy, create=True):
-        prop._generate(program, False)
-        prop._generate(link([(program, "xyz".index)]), True, ["s"])
-    assert sources == ["""def holds(table, leaves, full):
+    assert _generated_sources(
+        (program, False, ["s"]), (link([(program, "xyz".index)]), True, ["s", "s"]),
+    ) == ["""def holds(table, leaves, full):
  h0, t0 = table[k0]
  h1, t1 = table[k1]
- t2 = full ^ t0 | t1
- h2 = (full ^ h0 | h1) & t2
  h3, t3 = table[k3]
- h4 = t4 = full ^ t3
- h5, t5 = 0, full
- h6 = h1 & h5
- t6 = t1 & t5
- h7 = h0 | h6
- t7 = t0 | t6
- h8 = t8 = full
- h9 = t9 = 0
- return h2 & h4 & h7 & h8 & h9""", """def holds(table, leaves, full):
- h0, t0 = table[leaves[k0]]
- h1, t1 = table[leaves[k1]]
- t2 = full ^ t0 | t1
- h2 = (full ^ h0 | h1) & t2
- h3, t3 = table[leaves[k3]]
- h4 = t4 = full ^ t3
- h5, t5 = 0, full
- h6 = h1 & h5
- t6 = t1 & t5
- h7 = h0 | h6
- t7 = t0 | t6
- h8 = t8 = full
- h9 = t9 = 0
- return h2 & h4 & h7 & h8 & (full ^ h9 ^ table[j0][0])"""]
+ return (full ^ h0 | h1) & (full ^ t0 | t1) & (full ^ t3) & h0 & (full ^ table[j0][0])""",
+          """def holds(table, leaves, full):
+ h0, t0 = table[leaves[0]]
+ h1, t1 = table[leaves[1]]
+ h3, t3 = table[leaves[2]]
+ return (full ^ h0 | h1) & (full ^ t0 | t1) & (full ^ t3) & h0 & table[j0][0] & (full ^ table[j1][0])"""]
+
+
+def test_generated_source_of_a_clause_shape_group_and_a_delta_group():
+    """Pinned: the clause group of an argument with two attackers and pred's
+    Delta group of the same shape, read through a leaf list, fold to the
+    same filter. No statement reads ``#n``, no THERE half is computed that
+    the mask does not read, and no decided root is ANDed into it."""
+    assert _generated_sources(
+        (translate._shape_group(translate._argument_clauses, 2), True, ()),
+        (translate._delta_group(2), True, ()),
+    ) == ["""def holds(table, leaves, full):
+ h0, t0 = table[leaves[2]]
+ h2, t2 = table[leaves[0]]
+ h4, t4 = table[leaves[1]]
+ b0 = (full ^ t2) & (full ^ t4)
+ b1 = h2 | h4
+ return (full ^ h0 | b0) & (full ^ b0 | h0) & (t0 | b1) & (full ^ b1 | full ^ t0)"""] * 2
 
 
 @pytest.mark.parametrize("batch", [1, 3, prop.BATCH_BITS])
@@ -683,9 +704,10 @@ def test_generated_code_reads_leaf_keys_from_its_namespace(name):
     EvalError."""
     sources = []
 
-    def spy(source, *args):
-        sources.append(source)
-        return compile(source, *args)
+    def spy(source, filename, *args):
+        if filename == "<generated Program filter>":
+            sources.append(source)
+        return compile(source, filename, *args)
 
     program = Program([Imp(Atom(name), Atom("p"))])
     with patch.object(prop, "compile", spy, create=True), patch.object(prop, "HOT_RUNS", 1):

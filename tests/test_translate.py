@@ -648,7 +648,7 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     rename, still run unlinked. From HOT_RUNS batches (patched to 3) every
     scan links its groups anew (prop's, und-free's undecided case and
     pred's; the stable case's 2^4 candidates still fit), and no link is
-    kept on the Framework, which keeps its key and labellings. An equal
+    kept on the Framework, which keeps its key, labellings and clause parts. An equal
     Framework built afresh searches again."""
     searches, clause_links, delta_links = [], [], []
     search, link = translate.enumerate_complete, prop.link
@@ -691,7 +691,8 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
                 assert len(searches) == 2 and searches[1] is fresh
                 assert len(clause_links) == 6 and len(delta_links) == 3
     assert set(vars(f)) == set(vars(fresh)) == {
-        "arguments", "attacks", "_attackers", "_complete", "_key", "_masks"}
+        "arguments", "attacks", "_attackers", "_complete", "_key", "_masks", "_clause_parts",
+        "_stable_parts"}
     assert (repr(f), hash(f)) == fields == (repr(fresh), hash(fresh))
     assert f == fresh == Framework.make("abcd", attacks)
 
