@@ -444,15 +444,15 @@ _NAME = 4
 
 class _Term:
     """A bitset of a generated filter: a name (``op`` None, ``text`` its
-    source) or ``op`` over the two terms in ``args``. Python's ``|``, ``&``
-    and ``^`` on a term build another through its ``_Terms``, so the
-    CONNECTIVES statements run on terms, and on the ``0`` they write.
-    ``_Terms.statements`` sets the other slots."""
+    source) or ``op`` over the terms ``left`` and ``right``. Python's
+    ``|``, ``&`` and ``^`` on a term build another through its ``_Terms``,
+    so the CONNECTIVES statements run on terms, and on the ``0`` they
+    write. ``_Terms.statements`` sets the other slots."""
 
-    __slots__ = ("terms", "op", "args", "text", "binding", "depth", "uses")
+    __slots__ = ("terms", "op", "left", "right", "text", "binding", "depth", "uses")
 
-    def __init__(self, terms: "_Terms", op: str | None, args: tuple, text: str = ""):
-        self.terms, self.op, self.args, self.text = terms, op, args, text
+    def __init__(self, terms: "_Terms", op: str | None, left, right, text: str = ""):
+        self.terms, self.op, self.left, self.right, self.text = terms, op, left, right, text
         self.binding, self.depth, self.uses = _NAME, 0, 0
 
     def __or__(self, other):
@@ -482,7 +482,7 @@ class _Terms:
         self.full = self.atom("full")
 
     def atom(self, text: str) -> _Term:
-        return _Term(self, None, (), text)
+        return _Term(self, None, None, None, text)
 
     def apply(self, op: str, a, b):
         """``a op b``, folded where an operand is ``0`` or ``full`` (every
@@ -510,11 +510,12 @@ class _Terms:
                 return b
             if a is b:
                 return 0
-            if a is full and b.op == "^" and b.args[0] is full:
-                return b.args[1]
-        made = self.made.get((op, a, b))
+            if a is full and b.op == "^" and b.left is full:
+                return b.right
+        key = (op, a, b)
+        made = self.made.get(key)
         if made is None:
-            made = self.made[op, a, b] = _Term(self, op, (a, b))
+            made = self.made[key] = _Term(self, op, a, b)
         return made
 
     def statements(self, mask) -> list[str]:
@@ -525,19 +526,22 @@ class _Terms:
         nest _CHUNK deep, so no statement nests the compiler's recursion
         deeply; every other term is written out where it is read.
         """
+        made = list(self.made.values())
+        # every term refers to this table: without its entries they are
+        # freed as soon as they are read, not left to the cycle collector
+        self.made.clear()
         if mask == 0:
             return [" return 0"]
-        made = list(self.made.values())
         mask.uses = 1
         for term in reversed(made):  # a term is made after its operands
             if term.uses:
-                for arg in term.args:
-                    arg.uses += 1
+                term.left.uses += 1
+                term.right.uses += 1
         lines = []
         for term in made:
             if term.uses:
                 binding = _BINDING[term.op]
-                a, b = term.args
+                a, b = term.left, term.right
                 left = a.text if a.binding >= binding else f"({a.text})"
                 right = b.text if b.binding > binding else f"({b.text})"
                 term.text = f"{left} {term.op} {right}"

@@ -648,8 +648,8 @@ def test_the_three_verifiers_share_one_search_and_one_clause_program():
     rename, still run unlinked. From HOT_RUNS batches (patched to 3) every
     scan links its groups anew (prop's, und-free's undecided case and
     pred's; the stable case's 2^4 candidates still fit), and no link is
-    kept on the Framework, which keeps its key, labellings and clause parts. An equal
-    Framework built afresh searches again."""
+    kept on the Framework, which keeps its key, labellings and clause
+    parts. An equal Framework built afresh searches again."""
     searches, clause_links, delta_links = [], [], []
     search, link = translate.enumerate_complete, prop.link
     groups = {id(translate._shape_group(translate._argument_clauses, k)) for k in range(4)}
