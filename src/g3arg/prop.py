@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -119,23 +120,28 @@ CONSTANTS = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
 # Operand references of the compiler: an instruction index, or a constant
 # folded away while compiling.
 TRUE, FALSE = -1, -2
-# Each instruction kind's meaning in generated code (see ``_generate``), the
-# one place outside the reference ``Program.run`` that states it. LEAF, UND,
-# NEG and IMP give the statements that set instruction i's HERE and THERE
-# bitsets h{i} and t{i}, formatted with ``i`` and its operand tuple ``args``
-# (a leaf reads the table at ``key``: its own key, bound to the name k{i}, or
-# the leaf list's entry at its position); ALL and ANY give their operator
-# and the value of the empty ALL or ANY. NEG reads its operand at THERE
-# alone: ~a holds at HERE only when a fails at THERE. A leaf's statement is
-# written into the filter; the others run on terms and fold there.
+
+
+def _imp(full, h0, t0, h1, t1):
+    """IMP's (HERE, THERE) pair, a CONNECTIVES entry."""
+    t = full ^ t0 | t1
+    return (full ^ h0 | h1) & t, t
+
+
+# Each connective's meaning on its operands' halves, the one place outside
+# the reference ``Program.run`` that states it (see ``_generate``). UND, NEG
+# and IMP take ``full`` and the operands' HERE and THERE halves in turn and
+# return the instruction's (HERE, THERE) pair; ALL and ANY take ``full`` and
+# one world's halves and return their AND or OR, from the unit on. NEG reads
+# its operand at THERE alone: ~a holds at HERE only when a fails at THERE.
+# The functions use only ``|``, ``&`` and ``^``, so they run alike on int
+# bitsets and on the terms of a generated filter, where they fold.
 CONNECTIVES = {
-    LEAF: (" h{i}, t{i} = table[{key}]",),
-    UND: (" h{i}, t{i} = 0, full",),
-    NEG: (" h{i} = t{i} = full ^ t{args[0]}",),
-    IMP: (" t{i} = full ^ t{args[0]} | t{args[1]}",
-          " h{i} = (full ^ h{args[0]} | h{args[1]}) & t{i}"),
-    ALL: ("&", "full"),
-    ANY: ("|", "0"),
+    UND: lambda full: (0, full),
+    NEG: lambda full, h0, t0: (full ^ t0, full ^ t0),
+    IMP: _imp,
+    ALL: lambda full, halves: functools.reduce(operator.and_, halves, full),
+    ANY: lambda full, halves: functools.reduce(operator.or_, halves, 0),
 }
 
 
@@ -200,11 +206,12 @@ class Program:
     afterwards, so an atom in a dead operand, on either side of the zero,
     needs no table entry. The ``#n`` constant stays an instruction unless
     the hook compiles it otherwise. The connective semantics lives in
-    ``run``, the interpreter and reference, and in the CONNECTIVES table,
-    from which ``_generate`` emits the filter that a scan part runs once the
-    program is hot (see ``filter``); tests hold the table and the generated
-    filters to the reference. Compiling and running use explicit stacks or
-    straight-line code, so formula depth is not bounded by recursion.
+    ``run``, the interpreter and reference, and in the CONNECTIVES
+    functions, which ``_generate`` runs on terms to write the filter that a
+    scan part runs once the program is hot (see ``filter``); tests hold the
+    functions and the generated filters to the reference. Compiling and
+    running use explicit stacks or straight-line code, so formula depth is
+    not bounded by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -365,10 +372,10 @@ class Program:
 def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
     """``program.filter(listed, ties)`` as one Python function of straight-line code.
 
-    Instruction i's leaf read is its CONNECTIVES statement, which assigns
-    the locals ``hi`` and ``ti``, its HERE and THERE bitsets; every leaf is
-    read first, in order, so a missing key fails as in ``run``. Every other
-    instruction runs its entry on terms (see ``_connective``): ``0``,
+    Instruction i's leaf read is a statement that assigns the locals ``hi``
+    and ``ti``, its HERE and THERE bitsets; every leaf is read first, in
+    order, so a missing key fails as in ``run``. Every other instruction
+    runs its CONNECTIVES function on terms (see ``_Term``): ``0``,
     ``full``, a leaf's half, or an operator over terms. ``_Terms`` folds
     the units and zeros, double complements and repeated operands while
     they are built, and builds each term once. The filter's mask is the
@@ -393,13 +400,13 @@ def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[
             else:
                 namespace[f"k{i}"] = args
                 key = f"leaves[k{i}]" if listed else f"k{i}"
-            lines += [statement.format(i=i, key=key) for statement in CONNECTIVES[LEAF]]
+            lines.append(f" h{i}, t{i} = table[{key}]")
             h, t = terms.atom(f"h{i}"), terms.atom(f"t{i}")
         elif op == ALL or op == ANY:
-            h = _connective(op)(full, [here[a] for a in args])
-            t = _connective(op)(full, [there[a] for a in args])
+            h = CONNECTIVES[op](full, [here[a] for a in args])
+            t = CONNECTIVES[op](full, [there[a] for a in args])
         else:
-            h, t = _connective(op)(full, *[half for a in args for half in (here[a], there[a])])
+            h, t = CONNECTIVES[op](full, *[half for a in args for half in (here[a], there[a])])
         here.append(h)
         there.append(t)
     free = len(program.roots) - len(ties)
@@ -414,29 +421,6 @@ def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[
     return namespace["holds"]
 
 
-@functools.cache
-def _connective(op: int) -> Callable:
-    """CONNECTIVES[op] of a kind other than LEAF, compiled once into a
-    function on terms (see ``_Term``).
-
-    For ALL and ANY it takes ``full`` and the operands' halves and returns
-    their AND or OR, from the unit on; for the others it takes ``full``
-    and the operands' HERE and THERE halves in turn, and returns the pair.
-    """
-    if op == ALL or op == ANY:
-        sign, unit = CONNECTIVES[op]
-        params, body = "halves", [f"value = {unit}", "for half in halves:",
-                                  f" value = value {sign} half", "return value"]
-    else:
-        params = "h0=None, t0=None, h1=None, t1=None"
-        body = [statement.format(i="", args=(0, 1)).strip() for statement in CONNECTIVES[op]]
-        body.append("return h, t")
-    namespace: dict[str, object] = {}
-    source = f"def connective(full, {params}):\n " + "\n ".join(body)
-    exec(compile(source, "<CONNECTIVES entry>", "exec"), namespace)
-    return namespace["connective"]
-
-
 # How tightly Python binds each bitwise operator; a name binds tightest.
 _BINDING = {"|": 1, "^": 2, "&": 3}
 _NAME = 4
@@ -446,8 +430,8 @@ class _Term:
     """A bitset of a generated filter: a name (``op`` None, ``text`` its
     source) or ``op`` over the terms ``left`` and ``right``. Python's
     ``|``, ``&`` and ``^`` on a term build another through its ``_Terms``,
-    so the CONNECTIVES statements run on terms, and on the ``0`` they
-    write. ``_Terms.statements`` sets the other slots."""
+    so the CONNECTIVES functions run on terms, and on the ``0`` they
+    return. ``_Terms.statements`` sets the other slots."""
 
     __slots__ = ("terms", "op", "left", "right", "text", "binding", "depth", "uses")
 

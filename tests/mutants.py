@@ -45,10 +45,18 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "und-reads-full-at-here", "src/g3arg/prop.py",
-        'UND: (" h{i}, t{i} = 0, full",)',
-        'UND: (" h{i}, t{i} = full, full",)',
-        ("tests/test_prop.py::test_generated_code_matches_the_interpreter",
+        "UND: lambda full: (0, full),",
+        "UND: lambda full: (full, full),",
+        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[und]",
+         "tests/test_prop.py::test_generated_code_matches_the_interpreter",
          "tests/test_prop.py::test_generated_source_of_a_program_with_every_instruction_kind"),
+    ),
+    Mutant(
+        "neg-reads-here", "src/g3arg/prop.py",
+        "NEG: lambda full, h0, t0: (full ^ t0, full ^ t0),",
+        "NEG: lambda full, h0, t0: (full ^ h0, full ^ t0),",
+        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[neg]",
+         "tests/test_prop.py::test_generated_code_matches_the_interpreter"),
     ),
     Mutant(
         "und-free-tie-to-true", "src/g3arg/translate.py",
@@ -68,8 +76,8 @@ MUTANTS = [
     ),
     Mutant(
         "imp-here-reads-there", "src/g3arg/prop.py",
-        '" h{i} = (full ^ h{args[0]} | h{args[1]}) & t{i}"',
-        '" h{i} = (full ^ t{args[0]} | t{args[1]}) & t{i}"',
+        "return (full ^ h0 | h1) & t, t",
+        "return (full ^ t0 | t1) & t, t",
         ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[imp]",
          "tests/test_prop.py::test_generated_code_matches_the_interpreter"),
     ),

@@ -563,29 +563,21 @@ def _operand_batch(arity):
 
 def _run_table_entry(op, operands, full):
     """The (HERE, THERE) bitsets of an ``op`` instruction over ``operands``,
-    from its CONNECTIVES entry alone, as ``_generate`` reads it."""
-    i = len(operands)
-    scope = {"full": full}
-    for j, (h, t) in enumerate(operands):
-        scope[f"h{j}"], scope[f"t{j}"] = h, t
-    entry = prop.CONNECTIVES[op]
+    from its CONNECTIVES function alone, called as ``_generate`` calls it."""
+    connective = prop.CONNECTIVES[op]
     if op in (ALL, ANY):
-        sign, unit = entry
-        statements = [f"{half}{i} = " + (f" {sign} ".join(f"{half}{j}" for j in range(i)) or unit)
-                      for half in "ht"]
-    else:
-        statements = [statement.format(i=i, args=tuple(range(i))).strip() for statement in entry]
-    exec("\n".join(statements), scope)
-    return scope[f"h{i}"], scope[f"t{i}"]
+        return (connective(full, [h for h, _ in operands]),
+                connective(full, [t for _, t in operands]))
+    return connective(full, *[half for pair in operands for half in pair])
 
 
 @pytest.mark.parametrize("op, arity", [
-    (prop.NEG, 1), (prop.IMP, 2), (ALL, 2), (ANY, 2), (ALL, 0), (ANY, 0),
-], ids=["neg", "imp", "all", "any", "empty-all", "empty-any"])
+    (prop.NEG, 1), (prop.IMP, 2), (ALL, 2), (ANY, 2), (ALL, 0), (ANY, 0), (prop.UND, 0),
+], ids=["neg", "imp", "all", "any", "empty-all", "empty-any", "und"])
 def test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile(op, arity):
     """One instruction over leaves that take every profile tuple of its
     operands (3 for NEG, 9 for IMP and a binary ALL or ANY, 1 for the empty
-    ones), run by the interpreter and by the table's statements."""
+    ones and ``#n``), run by the interpreter and by the table's function."""
     operands, full = _operand_batch(arity)
     program = object.__new__(Program)
     program.code = [(LEAF, j) for j in range(arity)] + [(op, tuple(range(arity)))]
