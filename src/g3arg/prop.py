@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -122,29 +121,6 @@ CONSTANTS = {Top: ALL, Bot: ANY, UndConst: UND}  # Top is the empty AND
 TRUE, FALSE = -1, -2
 
 
-def _imp(full, h0, t0, h1, t1):
-    """IMP's (HERE, THERE) pair, a CONNECTIVES entry."""
-    t = full ^ t0 | t1
-    return (full ^ h0 | h1) & t, t
-
-
-# Each connective's meaning on its operands' halves, the one place outside
-# the reference ``Program.run`` that states it (see ``_generate``). UND, NEG
-# and IMP take ``full`` and the operands' HERE and THERE halves in turn and
-# return the instruction's (HERE, THERE) pair; ALL and ANY take ``full`` and
-# one world's halves and return their AND or OR, from the unit on. NEG reads
-# its operand at THERE alone: ~a holds at HERE only when a fails at THERE.
-# The functions use only ``|``, ``&`` and ``^``, so they run alike on int
-# bitsets and on the terms of a generated filter, where they fold.
-CONNECTIVES = {
-    UND: lambda full: (0, full),
-    NEG: lambda full, h0, t0: (full ^ t0, full ^ t0),
-    IMP: _imp,
-    ALL: lambda full, halves: functools.reduce(operator.and_, halves, full),
-    ANY: lambda full, halves: functools.reduce(operator.or_, halves, 0),
-}
-
-
 def propositional(f: Formula, env) -> tuple[int, object]:
     """Program's default ``expand`` hook: the constants, and atoms as leaves."""
     kind = type(f)
@@ -206,12 +182,10 @@ class Program:
     afterwards, so an atom in a dead operand, on either side of the zero,
     needs no table entry. The ``#n`` constant stays an instruction unless
     the hook compiles it otherwise. The connective semantics lives in
-    ``run``, the interpreter and reference, and in the CONNECTIVES
-    functions, which ``_generate`` runs on terms to write the filter that a
-    scan part runs once the program is hot (see ``filter``); tests hold the
-    functions and the generated filters to the reference. Compiling and
-    running use explicit stacks or straight-line code, so formula depth is
-    not bounded by recursion.
+    ``run`` alone, the interpreter and reference: ``_generate`` runs it on
+    terms to write the filter that a scan part runs once the program is
+    hot (see ``filter``). Compiling and running use explicit stacks or
+    straight-line code, so formula depth is not bounded by recursion.
     """
 
     def __init__(self, formulas: Iterable[Formula], expand=propositional, env=None):
@@ -291,7 +265,9 @@ class Program:
         ``table`` maps each leaf key to its pair of bitsets; ``full`` has a
         bit set for every candidate of the batch, and every bitset read is a
         subset of it. Each ``#n`` is the constant pair (0, full). A key
-        missing from ``table`` is an EvalError.
+        missing from ``table`` is an EvalError. The loop uses only ``|``,
+        ``&`` and ``^`` on the halves, so it runs alike on int bitsets and
+        on the terms of a generated filter (see ``_generate``).
         """
         here: list[int] = []
         there: list[int] = []
@@ -372,50 +348,44 @@ class Program:
 def _generate(program: Program, listed: bool, ties: Sequence = ()) -> Callable[[Mapping, Sequence, int], int]:
     """``program.filter(listed, ties)`` as one Python function of straight-line code.
 
-    Instruction i's leaf read is a statement that assigns the locals ``hi``
-    and ``ti``, its HERE and THERE bitsets; every leaf is read first, in
-    order, so a missing key fails as in ``run``. Every other instruction
-    runs its CONNECTIVES function on terms (see ``_Term``): ``0``,
-    ``full``, a leaf's half, or an operator over terms. ``_Terms`` folds
-    the units and zeros, double complements and repeated operands while
-    they are built, and builds each term once. The filter's mask is the
-    term ANDing the free roots' HERE halves and each tied root's agreement
-    at HERE with its tie key, so a root that folds to ``full`` drops out;
-    the function computes only the terms the mask reaches (see
-    ``_Terms.statements``). The source holds only indices and operators:
-    a leaf listed at position p reads ``leaves[p]``, and any other key,
-    which may come from user input, is bound to the name ``ki`` in the
-    function's namespace, as tie j's key is to ``jj``.
+    Each leaf key's read is a statement that assigns the locals ``hi`` and
+    ``ti``, its HERE and THERE bitsets, where i is its first LEAF
+    instruction; every leaf is read first, in order, so a missing key
+    fails as in ``run``. ``run`` itself then runs on terms (see ``_Term``),
+    each leaf key bound to its two locals and ``full`` to its name: every
+    half it computes is ``0``, ``full``, a leaf's half, or an operator over
+    terms. ``_Terms`` folds the units and zeros, double complements and
+    repeated operands while they are built, and builds each term once. The
+    filter's mask is the term ANDing the free roots' HERE halves and each
+    tied root's agreement at HERE with its tie key, so a root that folds to
+    ``full`` drops out; the function computes only the terms the mask
+    reaches (see ``_Terms.statements``). The source holds only indices and
+    operators: a leaf listed at position p reads ``leaves[p]``, and any
+    other key, which may come from user input, is bound to the name ``ki``
+    in the function's namespace, as tie j's key is to ``jj``.
     """
     terms = _Terms()
     full = terms.full
     namespace: dict[str, object] = {}
     lines = ["def holds(table, leaves, full):"]
-    here: list = []
-    there: list = []
-    for i, (op, args) in enumerate(program.code):
-        if op == LEAF:
-            if listed and type(args) is int:
-                key = f"leaves[{args}]"
+    reads: dict = {}  # leaf key -> its (HERE, THERE) locals
+    for i, (op, key) in enumerate(program.code):
+        if op == LEAF and key not in reads:
+            if listed and type(key) is int:
+                read = f"leaves[{key}]"
             else:
-                namespace[f"k{i}"] = args
-                key = f"leaves[k{i}]" if listed else f"k{i}"
-            lines.append(f" h{i}, t{i} = table[{key}]")
-            h, t = terms.atom(f"h{i}"), terms.atom(f"t{i}")
-        elif op == ALL or op == ANY:
-            h = CONNECTIVES[op](full, [here[a] for a in args])
-            t = CONNECTIVES[op](full, [there[a] for a in args])
-        else:
-            h, t = CONNECTIVES[op](full, *[half for a in args for half in (here[a], there[a])])
-        here.append(h)
-        there.append(t)
-    free = len(program.roots) - len(ties)
+                namespace[f"k{i}"] = key
+                read = f"leaves[k{i}]" if listed else f"k{i}"
+            lines.append(f" h{i}, t{i} = table[{read}]")
+            reads[key] = terms.atom(f"h{i}"), terms.atom(f"t{i}")
+    roots = program.run(reads, full)
+    free = len(roots) - len(ties)
     mask = full
-    for r in program.roots[:free]:
-        mask &= here[r]
-    for j, (r, key) in enumerate(zip(program.roots[free:], ties)):
+    for h, _ in roots[:free]:
+        mask &= h
+    for j, ((h, _), key) in enumerate(zip(roots[free:], ties)):
         namespace[f"j{j}"] = key
-        mask &= full ^ here[r] ^ terms.atom(f"table[j{j}][0]")
+        mask &= full ^ h ^ terms.atom(f"table[j{j}][0]")
     lines += terms.statements(mask)
     exec(compile("\n".join(lines), "<generated Program filter>", "exec"), namespace)
     return namespace["holds"]
@@ -430,8 +400,8 @@ class _Term:
     """A bitset of a generated filter: a name (``op`` None, ``text`` its
     source) or ``op`` over the terms ``left`` and ``right``. Python's
     ``|``, ``&`` and ``^`` on a term build another through its ``_Terms``,
-    so the CONNECTIVES functions run on terms, and on the ``0`` they
-    return. ``_Terms.statements`` sets the other slots."""
+    so ``Program.run`` runs on terms, and on the int ``0`` it writes for
+    an empty half. ``_Terms.statements`` sets the other slots."""
 
     __slots__ = ("terms", "op", "left", "right", "text", "binding", "depth", "uses")
 

@@ -45,18 +45,20 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "und-reads-full-at-here", "src/g3arg/prop.py",
-        "UND: lambda full: (0, full),",
-        "UND: lambda full: (full, full),",
-        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[und]",
-         "tests/test_prop.py::test_generated_code_matches_the_interpreter",
+        "h, t = 0, full",
+        "h, t = full, full",
+        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_oracle_on_every_operand_profile[und]",
+         "tests/test_oracle.py::test_constant_folds_match_the_oracle[true -> #n]",
+         "tests/test_acceptance.py::test_a01_clause_models_match_complete_labellings_exhaustively",
          "tests/test_prop.py::test_generated_source_of_a_program_with_every_instruction_kind"),
     ),
     Mutant(
         "neg-reads-here", "src/g3arg/prop.py",
-        "NEG: lambda full, h0, t0: (full ^ t0, full ^ t0),",
-        "NEG: lambda full, h0, t0: (full ^ h0, full ^ t0),",
-        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[neg]",
-         "tests/test_prop.py::test_generated_code_matches_the_interpreter"),
+        "h = t = full ^ there[args[0]]",
+        "h, t = full ^ here[args[0]], full ^ there[args[0]]",
+        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_oracle_on_every_operand_profile[neg]",
+         "tests/test_oracle.py::test_constant_folds_match_the_oracle[x -> false]",
+         "tests/test_acceptance.py::test_a01_clause_models_match_complete_labellings_exhaustively"),
     ),
     Mutant(
         "und-free-tie-to-true", "src/g3arg/translate.py",
@@ -76,10 +78,11 @@ MUTANTS = [
     ),
     Mutant(
         "imp-here-reads-there", "src/g3arg/prop.py",
-        "return (full ^ h0 | h1) & t, t",
-        "return (full ^ t0 | t1) & t, t",
-        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile[imp]",
-         "tests/test_prop.py::test_generated_code_matches_the_interpreter"),
+        "h = ((full ^ here[a]) | here[b]) & t",
+        "h = ((full ^ there[a]) | there[b]) & t",
+        ("tests/test_prop.py::test_the_interpreter_agrees_with_the_oracle_on_every_operand_profile[imp]",
+         "tests/test_oracle.py::test_constant_folds_match_the_oracle[(x -> false) -> y]",
+         "tests/test_acceptance.py::test_a01_clause_models_match_complete_labellings_exhaustively"),
     ),
     Mutant(
         "b2-dropped-from-two-attackers", "src/g3arg/meta.py",
@@ -133,8 +136,8 @@ MUTANTS = [
     ),
     Mutant(
         "filter-tie-flipped", "src/g3arg/prop.py",
-        'mask &= full ^ here[r] ^ terms.atom(f"table[j{j}][0]")',
-        'mask &= here[r] ^ terms.atom(f"table[j{j}][0]")',
+        'mask &= full ^ h ^ terms.atom(f"table[j{j}][0]")',
+        'mask &= h ^ terms.atom(f"table[j{j}][0]")',
         ("tests/test_prop.py::test_generated_filters_match_the_mask_from_run",
          "tests/test_prop.py::test_generated_source_of_a_program_with_every_instruction_kind",
          "tests/test_acceptance.py::test_a02_marker_elimination_splits_stable_and_nonstable"),

@@ -423,11 +423,17 @@ def test_a_shared_chain_suffix_compiles_in_linear_steps():
     assert steps(400) <= 2 * steps(200) + 8
 
 
+def _raw(code, roots):
+    """A Program of the instructions ``code`` as given, not compiled, and ``roots``."""
+    program = object.__new__(Program)
+    program.code, program.roots = code, roots
+    return program
+
+
 @st.composite
 def _raw_programs(draw):
     """Instructions drawn directly, not compiled: any operand counts and repeats."""
-    program = object.__new__(Program)
-    program.code = []
+    code = []
     for i in range(draw(st.integers(1, 10))):
         op = draw(st.sampled_from([ALL, ANY, prop.NEG, prop.IMP, LEAF, prop.UND]))
         if op in (ALL, ANY):
@@ -437,9 +443,8 @@ def _raw_programs(draw):
             args = tuple(draw(st.lists(st.integers(0, i - 1), min_size=arity, max_size=arity)))
         else:
             op, args = (op, ()) if op == prop.UND else (LEAF, draw(st.sampled_from("xyz")))
-        program.code.append((op, args))
-    program.roots = draw(st.lists(st.integers(0, len(program.code) - 1), min_size=1))
-    return program
+        code.append((op, args))
+    return _raw(code, draw(st.lists(st.integers(0, len(code) - 1), min_size=1)))
 
 
 @st.composite
@@ -457,9 +462,7 @@ def _programs(draw):
 
 def _one_root(program, r):
     """``program`` with its r-th root alone, sharing its code."""
-    single = object.__new__(Program)
-    single.code, single.roots = program.code, [program.roots[r]]
-    return single
+    return _raw(program.code, [program.roots[r]])
 
 
 @settings(deadline=None)
@@ -474,6 +477,9 @@ def _one_root(program, r):
 @example(Program([Neg(Neg(Atom("x")))]), 3)
 @example(Program([And(UndConst(), UndConst())]), 1)
 @example(Program([Imp(Neg(UndConst()), Atom("x")), Neg(UndConst())]), 3)
+# a raw program that reads the leaf x at two instructions: one pair of locals
+@example(_raw([(LEAF, "x"), (LEAF, "y"), (LEAF, "x"), (prop.IMP, (2, 1)), (prop.NEG, (0,))],
+              [3, 4]), 9)
 def test_generated_code_matches_the_interpreter(program, batch):
     """Each root's HERE bitset on every batch, from the generated filter of the
     program with that root alone and from the interpreter; the generated
@@ -551,40 +557,29 @@ def test_generated_filters_match_the_mask_from_run(case, batch):
         assert list(oracle.scan_keep([(x, VALUE_ORDER) for x in "xyz"], agree)) == []
 
 
-def _operand_batch(arity):
-    """Bitsets of ``arity`` operands over a batch holding every tuple of their
-    profiles once: candidate c takes the c-th tuple in product order."""
-    combos = list(itertools.product(VALUE_ORDER, repeat=arity))
-    operands = [(sum(1 << c for c, combo in enumerate(combos) if combo[j].here),
-                 sum(1 << c for c, combo in enumerate(combos) if combo[j].there))
-                for j in range(arity)]
-    return operands, (1 << len(combos)) - 1
+_A, _B = Atom("a"), Atom("b")
 
 
-def _run_table_entry(op, operands, full):
-    """The (HERE, THERE) bitsets of an ``op`` instruction over ``operands``,
-    from its CONNECTIVES function alone, called as ``_generate`` calls it."""
-    connective = prop.CONNECTIVES[op]
-    if op in (ALL, ANY):
-        return (connective(full, [h for h, _ in operands]),
-                connective(full, [t for _, t in operands]))
-    return connective(full, *[half for pair in operands for half in pair])
-
-
-@pytest.mark.parametrize("op, arity", [
-    (prop.NEG, 1), (prop.IMP, 2), (ALL, 2), (ANY, 2), (ALL, 0), (ANY, 0), (prop.UND, 0),
+@pytest.mark.parametrize("op, formula", [
+    (prop.NEG, Neg(_A)), (prop.IMP, Imp(_A, _B)), (ALL, And(_A, _B)), (ANY, Or(_A, _B)),
+    (ALL, Top()), (ANY, Bot()), (prop.UND, UndConst()),
 ], ids=["neg", "imp", "all", "any", "empty-all", "empty-any", "und"])
-def test_the_interpreter_agrees_with_the_connective_table_on_every_operand_profile(op, arity):
-    """One instruction over leaves that take every profile tuple of its
+def test_the_interpreter_agrees_with_the_oracle_on_every_operand_profile(op, formula):
+    """One ``op`` instruction over leaves that take every profile tuple of its
     operands (3 for NEG, 9 for IMP and a binary ALL or ANY, 1 for the empty
-    ones and ``#n``), run by the interpreter and by the table's function."""
-    operands, full = _operand_batch(arity)
-    program = object.__new__(Program)
-    program.code = [(LEAF, j) for j in range(arity)] + [(op, tuple(range(arity)))]
-    program.roots = [arity]
-    assert program.run(dict(enumerate(operands)), full) == [
-        _run_table_entry(op, operands, full)
-    ]
+    ones and ``#n``), one candidate each: ``run`` gives each candidate the
+    profile that the oracle's scalar walk gives ``formula``, the connective
+    over the atoms a and b."""
+    names = [getattr(formula, field).name for field in formula.subformulas]
+    combos = list(itertools.product(VALUE_ORDER, repeat=len(names)))
+    table = {x: (sum(1 << c for c, combo in enumerate(combos) if combo[j].here),
+                 sum(1 << c for c, combo in enumerate(combos) if combo[j].there))
+             for j, x in enumerate(names)}
+    program = _raw([(LEAF, x) for x in names] + [(op, tuple(range(len(names))))], [len(names)])
+    [(here, there)] = program.run(table, (1 << len(combos)) - 1)
+    assert [ThreeVal.from_pair(bool(here >> c & 1), bool(there >> c & 1))
+            for c in range(len(combos))] == [oracle.value(formula, dict(zip(names, combo)))
+                                             for combo in combos]
 
 
 def _generated_sources(*forms):
@@ -604,8 +599,8 @@ def _generated_sources(*forms):
 
 def test_generated_source_of_a_program_with_every_instruction_kind():
     """Pinned, read by the leaves' own keys with one tie and through a leaf
-    list with two, so that an edit of the connective table, of the folds or
-    of the filter that changes the emitted code shows here: ``#n`` and the
+    list with two, so that an edit of the interpreter, of the folds or of
+    the filter that changes the emitted code shows here: ``#n`` and the
     units fold away, no THERE half is computed that the mask does not read,
     ``Top`` leaves the mask and ``Bot`` is tied."""
     x, y, z = Atom("x"), Atom("y"), Atom("z")
